@@ -15,9 +15,9 @@ from .phaseplane import (SHARP, Disk, FunctionDomain, Neighborhood, PhaseDomain,
                          as_point, domain_from_json, j_transform, lattice_point,
                          lattice_points_in, neighborhood, sharp_point,
                          symplectic_form)
-from .gabor import (SIGMA0, CoefficientSet, GaborField, atom, atom_inner,
+from .gabor import (MAX_ORDER, SIGMA0, CoefficientSet, GaborField, atom, atom_inner,
                     field_synthesis, gabor_transform, half_plane_mass,
-                    synthesize, tail_mass)
+                    synthesize, tail_mass, vandermonde_inverse)
 from .zak import (ZakField, a_operator_zak, default_zak_size, sobolev_norm,
                   wh_shift, zak, zak_atom_field, zak_inverse,
                   zak_translate_check)
@@ -25,10 +25,10 @@ from .expansion import (RelaxedExpansion, division_field, hdelta_norm,
                         reconstruct, relaxed_coefficients, seam_mismatch,
                         sharp_functional, sharp_functional_zak, sharp_series,
                         uniqueness_probe)
-from .higher import (MAX_ORDER, DualAtomSet, OrderMExpansion, annihilate,
-                     create, decay_exponent, default_sharp_nodes, dual_atoms,
+from .higher import (DualAtomSet, OrderMExpansion, annihilate, create,
+                     decay_exponent, default_sharp_nodes, dual_atoms,
                      harmonic_oscillator, hdelta_m_norm, ladder_power,
-                     order_m_coefficients, vandermonde_inverse)
+                     order_m_coefficients)
 from .metaplectic import (CovarianceResult, Rotation, commutation_check,
                           covariance_check, hdelta_invariance_check,
                           metaplectic_apply)

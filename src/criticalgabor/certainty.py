@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import hdelta_norm, relaxed_coefficients
-from .gabor import CoefficientSet, atom, gabor_transform, synthesize
-from .higher import default_sharp_nodes, dual_atoms, order_m_coefficients
+from .gabor import CoefficientSet, atom, dual_mixing, gabor_transform, superpose, synthesize
+from .higher import default_sharp_nodes, order_m_coefficients
 from .numerics import SampledSignal
-from .phaseplane import (PhaseDomain, PhasePoint, lattice_points_in,
-                         neighborhood, sharp_point)
+from .phaseplane import PhaseDomain, PhasePoint, lattice_points_in, neighborhood
 
 # Empirical constant for the residual guarantee of the decomposition bound,
 # fitted once over the in-repo test family (atom mixes in disks) and frozen.
@@ -95,22 +94,6 @@ def concentration(f: SampledSignal, D: PhaseDomain, box=None,
     return out_mass + max(f.norm() ** 2 - inside_box, 0.0)
 
 
-def _field_patch_synthesis(pts: np.ndarray, weights: np.ndarray,
-                           T: float, h: float) -> SampledSignal:
-    """sum_mu w(mu) e_mu on the signal grid, batched over the phase points."""
-    from .numerics import _sample_count
-
-    x = -T + h * np.arange(_sample_count(T, h))
-    vals = np.zeros(x.size, dtype=complex)
-    for start in range(0, len(pts), 512):
-        chunk = pts[start:start + 512]
-        wk = weights[start:start + 512]
-        env = np.exp(-np.pi * (x[None, :] - chunk[:, 0:1]) ** 2
-                     + 2j * np.pi * chunk[:, 1:2] * x[None, :])
-        vals += 2 ** 0.25 * (wk @ env)
-    return SampledSignal(T, h, vals)
-
-
 def _choose_sharp_node(nd: NestedDomains) -> tuple[int, int]:
     """Deterministic sharp node in U \\ K, centered in the annulus when possible."""
     candidates = []
@@ -172,7 +155,8 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     for (k, j, s), v in rexp.coeffs.entries.items():
         if nd.U.contains(PhasePoint(k, j)):
             fU_coeffs.set(k, j, v)
-    f_U = synthesize(fU_coeffs, f.T, f.h, margin) + rexp.sharp * atom(sharp_point(*node), f.T, f.h, margin)
+    fU_coeffs.set(node[0], node[1], rexp.sharp, sharp=True)
+    f_U = synthesize(fU_coeffs, f.T, f.h, margin)
     g = f - f_U
 
     gfield = gabor_transform(g, box, dlam)
@@ -195,22 +179,22 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
 
     omega_out = CoefficientSet()  # lattice leakage outside D; stays in the residual
     node_offsets = default_sharp_nodes(m)
-    mixing = dual_atoms(node_offsets, f.T, f.h).mixing
-    offsets_cache: dict[tuple[int, int], object] = {}
+    mixing = dual_mixing(node_offsets)
+    # one local expansion per distinct sub-cell offset, keyed by the offset itself
+    offsets_cache: dict[tuple[float, float], tuple] = {}
     for (mp, mt), weight in zip(pts[mid], w_g[mid]):
         lp, lt = np.floor(mp + 0.5), np.floor(mt + 0.5)
         wp, wt = mp - lp, mt - lt
         assert wp ** 2 + wt ** 2 <= 0.5 + 1e-12, "nearest lattice point farther than 1/sqrt(2)"
-        key = (int(round(wp * 8)), int(round(wt * 8)))
+        key = (round(float(wp), 9), round(float(wt), 9))
         if key not in offsets_cache:
-            offsets_cache[key] = order_m_coefficients(
-                atom(PhasePoint(wp, wt), f.T, f.h), m,
-                nodes=node_offsets, R=R_local)
-        exp_w = offsets_cache[key]
+            exp_w = order_m_coefficients(atom(PhasePoint(wp, wt), f.T, f.h), m,
+                                         nodes=node_offsets, R=R_local)
+            # sharp block: sum_j block_j d_j = sum_t (block @ mixing)_t e_{nu_t}
+            offsets_cache[key] = (exp_w, np.asarray(exp_w.sharp_block) @ mixing)
+        exp_w, node_weights = offsets_cache[key]
         lead = np.exp(2j * np.pi * wt * lp)
-        # sharp block: sum_j block_j d_j with d_j = sum_t mixing[j, t] e_{nu_t}
-        for t, nu in enumerate(node_offsets):
-            coef = sum(bj * mixing[j, t] for j, bj in enumerate(exp_w.sharp_block))
+        for nu, coef in zip(node_offsets, node_weights):
             phase = lead * np.exp(-2j * np.pi * nu.theta * lp)
             omega.add(int(round(nu.p - 0.5 + lp)), int(round(nu.theta - 0.5 + lt)),
                       weight * coef * phase, sharp=True)
@@ -229,7 +213,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     conc = concentration(f, nd.D, box, min(dlam, 1.0 / 16.0))
     fnorm = f.norm()
     hnorm = hdelta_norm(f, delta, box=min(f.T, 8.0))
-    g_plus = _field_patch_synthesis(pts[in_Kplus], w_g[in_Kplus], f.T, f.h)
+    g_plus = superpose(pts[in_Kplus], w_g[in_Kplus], f.T, f.h)
     n_lattice = len(lattice_points_in(nd.D, sharp=False))
     n_sharp = len([1 for mu in lattice_points_in(nd.D, sharp=True) if nd.K.distance(mu) > 1e-9])
     area = domain_area(nd.D)

@@ -146,17 +146,13 @@ def cmd_synthesize(args) -> int:
 def cmd_expand(args) -> int:
     config = load_config(args)
     f = numerics.signal_from_csv(args.input)
-    n_override = args.N if getattr(args, "N", None) else None
-    # residual diagnostics must synthesize atoms out to |p| = R
-    diag_margin = max(0.0, min(config.margin, f.T - config.R))
     if config.m == 0:
-        exp = expansion.relaxed_coefficients(f, config.R, n_override, config.refine)
-        rec = exp.signal(f.T, f.h, diag_margin)
-        coeffs = exp.full_coefficients()
+        exp = expansion.relaxed_coefficients(f, config.R, config.N, config.refine)
     else:
-        exp = higher.order_m_coefficients(f, config.m, R=config.R, refine=config.refine)
-        rec = exp.signal(f.T, f.h, diag_margin)
-        coeffs = exp.full_coefficients()
+        exp = higher.order_m_coefficients(f, config.m, R=config.R, N=config.N, refine=config.refine)
+    # residual diagnostics must synthesize atoms out to |p| = R
+    rec = exp.signal(f.T, f.h, max(0.0, min(config.margin, f.T - config.R)))
+    coeffs = exp.full_coefficients()
     residual = (f - rec).norm() / f.norm() if f.norm() > 0 else 0.0
     payload = json.loads(coeffs.to_json())
     payload["diagnostics"] = {

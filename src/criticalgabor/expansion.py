@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .gabor import CoefficientSet, DEFAULT_BOX, DEFAULT_DLAM, DEFAULT_MARGIN, atom, gabor_transform, synthesize
 from .numerics import SampledSignal, ThetaConfig, theta, upsample_periodic
@@ -55,6 +54,8 @@ def sharp_functional_zak(f: SampledSignal, N: int | None = None, order: int = 5)
     Quintic splines keep the interpolation error below 1e-7 already on the
     32-point midpoint grid (cubic stalls near 2e-6 there).
     """
+    from scipy.interpolate import RectBivariateSpline  # ~150 ms import, only needed here
+
     Z = zak(f, N)
     re = RectBivariateSpline(Z.y, Z.xi, Z.values.real, kx=order, ky=order)
     im = RectBivariateSpline(Z.y, Z.xi, Z.values.imag, kx=order, ky=order)
@@ -137,6 +138,18 @@ def _refine_correction(f_sharp: SampledSignal, F: np.ndarray, N: int, R: int,
     return fine_sum - coarse_sum
 
 
+def lattice_coefficients(f_sharp: SampledSignal, R: int, N: int | None = None,
+                         refine: bool = True, cfg: ThetaConfig | None = None) -> CoefficientSet:
+    """Lattice coefficients |k|, |j| <= R of f_sharp: double Fourier coefficients of
+    division_field, the cells at the theta zero refined unless `refine` is off."""
+    F, Z = division_field(f_sharp, N, cfg)
+    M = _extract_block(F, Z.N, R)
+    if refine:
+        M = M + _refine_correction(f_sharp, F, Z.N, R, cfg)
+    ks = range(-R, R + 1)
+    return CoefficientSet({(k, j, False): M[a, b] for a, k in enumerate(ks) for b, j in enumerate(ks)})
+
+
 @dataclass
 class RelaxedExpansion:
     """Sharp coefficient plus lattice coefficients up to the cutoff |k|,|j| <= R."""
@@ -174,16 +187,8 @@ def relaxed_coefficients(f: SampledSignal, R: int, N: int | None = None,
     k0, j0 = int(sharp_node[0]), int(sharp_node[1])
     gamma = (-1) ** j0 * sharp_functional(f)
     f_sharp = f - gamma * atom(sharp_point(k0, j0), f.T, f.h)
-    F, Z = division_field(f_sharp, N, cfg)
-    M = _extract_block(F, Z.N, R)
-    if refine:
-        M = M + _refine_correction(f_sharp, F, Z.N, R, cfg)
-    ks = np.arange(-R, R + 1)
-    coeffs = CoefficientSet()
-    for a, k in enumerate(ks):
-        for b, j in enumerate(ks):
-            coeffs.set(k, j, M[a, b])
-    diag = {"l2": float(np.sqrt(np.sum(np.abs(M) ** 2) + abs(gamma) ** 2))}
+    coeffs = lattice_coefficients(f_sharp, R, N, refine, cfg)
+    diag = {"l2": float(np.hypot(coeffs.l2(), abs(gamma)))}
     return RelaxedExpansion(gamma, (k0, j0), coeffs, R, diag)
 
 

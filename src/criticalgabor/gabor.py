@@ -3,7 +3,9 @@
 The atom at lambda = (p, theta) is e_lambda(x) = 2^{1/4} exp(-pi (x-p)^2
 + 2 pi i theta x); atoms have unit norm and closed-form pairwise inner
 products, which makes every transform here a dense but small linear-algebra
-problem at desk scale.
+problem at desk scale.  Every superposition sum c_lambda e_lambda (lattice
+and sharp series, the order-m dual-atom block, Riemann sums over a phase
+grid) goes through one separable kernel, superpose().
 """
 
 from __future__ import annotations
@@ -177,27 +179,93 @@ class CoefficientSet:
         return CoefficientSet(entries, sharp_block=block, nodes=nodes)
 
 
+MAX_ORDER = 6
+
+
+def vandermonde_inverse(nodes) -> np.ndarray:
+    """Inverse of W[j, k] = nodes[j]**k through elementary symmetric polynomials.
+
+    Column j of the result holds the coefficients of the Lagrange basis
+    polynomial of node j, i.e. signed elementary symmetric polynomials of the
+    other nodes over p'(node_j); no generic matrix inversion is involved.
+    """
+    nodes = np.asarray(nodes, dtype=complex).ravel()
+    n = nodes.size
+    if n == 0:
+        raise ValueError("need at least one node")
+    for a in range(n):
+        for b in range(a + 1, n):
+            if abs(nodes[a] - nodes[b]) < 1e-12:
+                raise ValueError(f"repeated nodes {nodes[a]} and {nodes[b]}")
+    V = np.empty((n, n), dtype=complex)
+    for j, mu in enumerate(nodes):
+        others = np.delete(nodes, j)
+        coef = np.array([1.0 + 0j])
+        for nu in others:
+            coef = np.convolve(coef, np.array([-nu, 1.0 + 0j]))
+        V[:, j] = coef / (np.prod(mu - others) if others.size else 1.0)
+    return V
+
+
+def dual_mixing(nodes) -> np.ndarray:
+    """Mixing matrix H[j, s] of the order-m dual atoms d_j = sum_s H[j, s] e_{mu_s}.
+
+    gamma_sharp(a^k e_mu) = (-1)^{floor(eta)} mu_label^k for distinct sharp
+    nodes mu_0..mu_m, so H is the Vandermonde inverse of the complex labels
+    times the parity signs; it enforces gamma_sharp(a^k d_j) = delta_j^k.
+    """
+    pts = [as_point(n) for n in nodes]
+    if len(pts) - 1 > MAX_ORDER:
+        raise ValueError(f"order m={len(pts) - 1} exceeds the cap {MAX_ORDER} (Vandermonde conditioning)")
+    for pt in pts:
+        if max(abs(c - 0.5 - round(c - 0.5)) for c in pt) > 1e-9:
+            raise ValueError(f"{pt} is not a sharp (cell-midpoint) point")
+    signs = np.array([(-1.0) ** round(pt.theta - 0.5) for pt in pts])
+    return vandermonde_inverse([pt.label for pt in pts]) * signs[None, :]
+
+
+def _superpose_grid(ps, ts, W, T: float, h: float) -> np.ndarray:
+    """sum_{a,b} W[a, b] e_{(ps[a], ts[b])} on the grid, as sum_p envelope_p (W @ phase)."""
+    x = -T + h * np.arange(_sample_count(T, h))
+    phase = np.exp(2j * np.pi * np.outer(ts, x))  # (Th, X)
+    envelope = 2 ** 0.25 * np.exp(-np.pi * (x[None, :] - ps[:, None]) ** 2)
+    return np.sum((W @ phase) * envelope, axis=0)
+
+
+def superpose(points, weights, T: float, h: float) -> SampledSignal:
+    """sum_mu w_mu e_mu on the grid, for phase points (n, 2) and weights (n,).
+
+    The weights scatter into a (distinct p) x (distinct theta) matrix: one
+    Gaussian envelope per distinct p, one phase row per distinct theta.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    ps, ip = np.unique(pts[:, 0], return_inverse=True)
+    ts, it = np.unique(pts[:, 1], return_inverse=True)
+    W = np.zeros((ps.size, ts.size), dtype=complex)
+    np.add.at(W, (ip, it), np.asarray(weights, dtype=complex).ravel())
+    return SampledSignal(T, h, _superpose_grid(ps, ts, W, T, h))
+
+
 def synthesize(coeffs: CoefficientSet, T: float = DEFAULT_T, h: float = DEFAULT_H,
                margin: float = DEFAULT_MARGIN) -> SampledSignal:
     """Superpose sum c_lambda e_lambda (plus any order-m block) on the grid.
 
+    The order-m block sum_j b_j d_j enters as node weights b @ dual_mixing.
+    Nonzero entries and all block nodes must keep `margin` away from +-T.
     Satisfies ||f|| <= sigma0 * (sum |c|^2)^{1/2} with sigma0 = sum_k
     exp(-pi k^2 / 2) ~ 1.41950.
     """
-    x = -T + h * np.arange(_sample_count(T, h))
-    vals = np.zeros(x.size, dtype=complex)
-    for (k, j, sharp), c in coeffs.entries.items():
-        if c == 0:
-            continue
-        pt = PhasePoint(k + (0.5 if sharp else 0.0), j + (0.5 if sharp else 0.0))
-        vals += c * atom(pt, T, h, margin).values
+    off = {False: 0.0, True: 0.5}
+    nonzero = [(key, c) for key, c in coeffs.entries.items() if c != 0]
+    points = [(k + off[s], j + off[s]) for (k, j, s), _ in nonzero]
+    weights = [c for _, c in nonzero]
     if coeffs.sharp_block:
-        from .higher import dual_atoms  # local import: higher builds on this module
-
-        duals = dual_atoms(coeffs.nodes, T, h, margin=margin)
-        for b, d in zip(coeffs.sharp_block, duals.atoms):
-            vals += b * d.values
-    return SampledSignal(T, h, vals)
+        points += [tuple(n) for n in coeffs.nodes]
+        weights += list(np.asarray(coeffs.sharp_block) @ dual_mixing(coeffs.nodes))
+    for p, _ in points:
+        if abs(p) + margin > T:
+            raise ValueError(f"atom center p={p} too close to the boundary T={T} (margin {margin})")
+    return superpose(points, weights, T, h)
 
 
 def tail_mass(coeffs: CoefficientSet, r: float, box=DEFAULT_BOX,
@@ -234,9 +302,5 @@ def half_plane_mass(f: SampledSignal, q: float) -> float:
 
 def field_synthesis(field: GaborField, T: float, h: float) -> SampledSignal:
     """Riemann sum of V(lambda) e_lambda d lambda over the field's grid."""
-    x = -T + h * np.arange(_sample_count(T, h))
-    phase = np.exp(2j * np.pi * np.outer(field.theta_grid, x))  # (Th, X)
-    inner_sum = field.values @ phase  # (P, X)
-    envelope = 2 ** 0.25 * np.exp(-np.pi * (x[None, :] - field.p_grid[:, None]) ** 2)
-    vals = np.sum(inner_sum * envelope, axis=0) * field.dlam ** 2
+    vals = _superpose_grid(field.p_grid, field.theta_grid, field.values, T, h) * field.dlam ** 2
     return SampledSignal(T, h, vals)

@@ -14,13 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gabor import CoefficientSet, DEFAULT_MARGIN, atom, synthesize
+from .gabor import CoefficientSet, DEFAULT_MARGIN, MAX_ORDER, atom, dual_mixing, synthesize
 from .numerics import SampledSignal, spectral_derivative
 from .phaseplane import PhasePoint, as_point, sharp_point
-from .expansion import (division_field, hdelta_norm, sharp_functional,
-                        _extract_block, _refine_correction)
-
-MAX_ORDER = 6
+from .expansion import hdelta_norm, lattice_coefficients, sharp_functional
 
 
 def annihilate(f: SampledSignal) -> SampledSignal:
@@ -46,38 +43,6 @@ def harmonic_oscillator(f: SampledSignal) -> SampledSignal:
     return 0.5 * (create(annihilate(f)) + annihilate(create(f)))
 
 
-def vandermonde_inverse(nodes) -> np.ndarray:
-    """Inverse of W[j, k] = nodes[j]**k through elementary symmetric polynomials.
-
-    Column j of the result holds the coefficients of the Lagrange basis
-    polynomial of node j, i.e. signed elementary symmetric polynomials of the
-    other nodes over p'(node_j); no generic matrix inversion is involved.
-    """
-    nodes = np.asarray(nodes, dtype=complex).ravel()
-    n = nodes.size
-    if n == 0:
-        raise ValueError("need at least one node")
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(nodes[a] - nodes[b]) < 1e-12:
-                raise ValueError(f"repeated nodes {nodes[a]} and {nodes[b]}")
-    V = np.empty((n, n), dtype=complex)
-    for j, mu in enumerate(nodes):
-        others = np.delete(nodes, j)
-        coef = np.array([1.0 + 0j])
-        for nu in others:
-            coef = np.convolve(coef, np.array([-nu, 1.0 + 0j]))
-        V[:, j] = coef / (np.prod(mu - others) if others.size else 1.0)
-    return V
-
-
-def _require_sharp(pt: PhasePoint) -> tuple[int, int]:
-    k, j = pt.p - 0.5, pt.theta - 0.5
-    if abs(k - round(k)) > 1e-9 or abs(j - round(j)) > 1e-9:
-        raise ValueError(f"{pt} is not a sharp (cell-midpoint) point")
-    return int(round(k)), int(round(j))
-
-
 @dataclass
 class DualAtomSet:
     """Atoms d_j = sum_s H[j, s] e_{mu_s} biorthogonal to the sharp values of a^k."""
@@ -92,28 +57,12 @@ class DualAtomSet:
 
 
 def dual_atoms(nodes, T: float, h: float, margin: float = DEFAULT_MARGIN) -> DualAtomSet:
-    """Build the order-m dual atoms for distinct sharp nodes mu_0..mu_m.
-
-    gamma_sharp(a^k e_mu) = (-1)^{floor(eta)} mu_label^k, so the mixing matrix
-    is the Vandermonde inverse of the complex labels times the parity signs;
-    it enforces gamma_sharp(a^k d_j) = delta_j^k.
-    """
+    """Build the order-m dual atoms d_j = sum_s H[j, s] e_{mu_s} for distinct
+    sharp nodes mu_0..mu_m, with H = dual_mixing(nodes)."""
     pts = [as_point(n) for n in nodes]
-    if len(pts) - 1 > MAX_ORDER:
-        raise ValueError(f"order m={len(pts) - 1} exceeds the cap {MAX_ORDER} (Vandermonde conditioning)")
-    idx = [_require_sharp(pt) for pt in pts]
-    labels = np.array([pt.label for pt in pts])
-    V = vandermonde_inverse(labels)
-    signs = np.array([(-1.0) ** j for (_, j) in idx])
-    H = V * signs[None, :]
-    base = [atom(pt, T, h, margin) for pt in pts]
-    atoms = []
-    for jrow in range(len(pts)):
-        vals = np.zeros_like(base[0].values)
-        for s, sig in enumerate(base):
-            vals = vals + H[jrow, s] * sig.values
-        atoms.append(SampledSignal(T, h, vals))
-    return DualAtomSet(pts, H, atoms)
+    H = dual_mixing(pts)
+    base = np.array([atom(pt, T, h, margin).values for pt in pts])
+    return DualAtomSet(pts, H, [SampledSignal(T, h, vals) for vals in H @ base])
 
 
 def default_sharp_nodes(m: int, center: tuple[int, int] = (0, 0)) -> list[PhasePoint]:
@@ -183,15 +132,7 @@ def order_m_coefficients(f: SampledSignal, m: int, nodes=None, R: int = 6,
     f_sharp = f
     for b, d in zip(block, duals.atoms):
         f_sharp = f_sharp - b * d
-    F, Z = division_field(f_sharp, N)
-    M = _extract_block(F, Z.N, R)
-    if refine:
-        M = M + _refine_correction(f_sharp, F, Z.N, R, None)
-    ks = np.arange(-R, R + 1)
-    coeffs = CoefficientSet()
-    for a, k in enumerate(ks):
-        for b, j in enumerate(ks):
-            coeffs.set(k, j, M[a, b])
+    coeffs = lattice_coefficients(f_sharp, R, N, refine)
     exp = OrderMExpansion(block, pts, coeffs, R)
     exp.diagnostics["decay_exponent"] = decay_exponent(coeffs, rmax=R)
     return exp

@@ -123,6 +123,9 @@ def signal_from_csv(path) -> SampledSignal:
     T = -xs[0]
     if abs(xs[-1] - T) > 1e-6 or h <= 0:
         raise ValueError(f"{path}: grid is not symmetric uniform, x[0]={xs[0]}, x[-1]={xs[-1]}")
+    bad = np.flatnonzero(np.abs(np.diff(xs) - h) > 1e-6)
+    if bad.size:
+        raise ValueError(f"{path}: grid is not uniform, x={xs[bad[0] + 1]} is not {xs[bad[0]]} + h, h={h!r}")
     return SampledSignal(T, h, np.asarray(vals))
 
 

@@ -170,7 +170,7 @@ def run_checks(config, rng: np.random.Generator) -> list[dict]:
 
     # higher block
     nodes = rng.uniform(-5, 5, size=(7, 2)) @ np.array([1, 1j])
-    V = higher.vandermonde_inverse(nodes)
+    V = gabor.vandermonde_inverse(nodes)
     W = np.vander(nodes, increasing=True)
     checks.append(_record("vandermonde_inverse", np.max(np.abs(V @ W - np.eye(7))), 1e-10))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from criticalgabor import certainty
 from criticalgabor import (CoefficientSet, Disk, Rect, SampledSignal, atom,
                            concentration, decompose, default_order,
                            degrees_of_freedom_report, domain_area,
@@ -140,6 +141,42 @@ class TestDecompose:
         dec = decompose(three_atom_mix, Disk((0, 0), 2.0), r=4.0, m=2)
         floor = least_squares_baseline(three_atom_mix, Disk((0, 0), 2.0), 4.0)
         assert floor <= dec.report["residual_norm"] + 1e-9
+
+
+class TestOffsetCache:
+    def test_one_local_expansion_per_distinct_offset(self, monkeypatch):
+        # at dlam = 1/16 the mid region holds sub-cell offsets that are odd
+        # multiples of 1/16; each must get its own local expansion, made at
+        # that offset, and no offset may be expanded twice
+        T, dlam, r, m = 7.0, 1.0 / 16.0, 4.0, 0
+        K = Disk((0, 0), 0.25)
+        centers, expanded = [], []
+        atom_fn, expand_fn = certainty.atom, certainty.order_m_coefficients
+
+        def recording_atom(lam, *args, **kwargs):
+            centers.append(lam)
+            return atom_fn(lam, *args, **kwargs)
+
+        def recording_expand(*args, **kwargs):
+            expanded.append(centers[-1])  # the offset atom is built just before the call
+            return expand_fn(*args, **kwargs)
+
+        monkeypatch.setattr(certainty, "atom", recording_atom)
+        monkeypatch.setattr(certainty, "order_m_coefficients", recording_expand)
+        dec = decompose(atom((0.5, 0.25), T, H64), K, r, m, dlam=dlam, R_local=3)
+
+        nd = nested_domains(K, r, m)
+        box = max(abs(b) for b in nd.D.bbox) + 2.0
+        grid = -box + dlam * np.arange(int(round(2 * box / dlam)) + 1)
+        P, Th = np.meshgrid(grid, grid, indexing="ij")
+        pts = np.column_stack([P.ravel(), Th.ravel()])
+        mid = pts[nd.D_minus.contains(pts) & ~nd.K_plus.contains(pts)]
+        offsets = {tuple(np.round(pt - np.floor(pt + 0.5), 9)) for pt in mid}
+        assert dec.report["mid_region_points"] == len(mid)
+        got = [tuple(np.round([c.p, c.theta], 9)) for c in expanded]
+        assert len(got) == len(set(got))
+        assert set(got) == offsets
+        assert len(offsets) > 81  # more than the 9 x 9 classes of round(8 * offset)
 
 
 class TestDegreesOfFreedom:

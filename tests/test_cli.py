@@ -140,6 +140,29 @@ class TestSynthesizeExpand:
         assert len(payload["nodes"]) == 2
 
 
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_expand_honours_config_n(self, workdir, m):
+        (workdir / "n16.json").write_text(json.dumps({"N": 16}))
+        coeffs = {}
+        for name, extra in (("auto", []), ("n16", ["--config", str(workdir / "n16.json")])):
+            out = workdir / f"exp_{name}.json"
+            assert main(["expand", "--input", str(workdir / "h0.csv"), "--m", str(m),
+                         "--R", "3", "--out", str(out)] + extra) == 0
+            payload = json.loads(out.read_text())
+            coeffs[name] = np.array([complex(c["re"], c["im"]) for c in payload["coefficients"]])
+            assert len(payload.get("sharp_block", [])) == (m + 1 if m else 0)
+        assert coeffs["auto"].shape == coeffs["n16"].shape
+        assert np.max(np.abs(coeffs["auto"] - coeffs["n16"])) > 1e-12
+
+    def test_nonuniform_csv_rejected(self, workdir, capsys):
+        lines = (workdir / "e0.csv").read_text().splitlines()
+        x, re_, im_ = lines[400].split(",")
+        lines[400] = f"{float(x) + (1.0 / 64.0) / 3.0!r},{re_},{im_}"
+        (workdir / "bent.csv").write_text("\n".join(lines) + "\n")
+        assert main(["expand", "--input", str(workdir / "bent.csv")]) == 2
+        assert "not uniform" in capsys.readouterr().err
+
+
 class TestDecomposeRotate:
     def test_decompose_payload(self, workdir):
         rc = main(["decompose", "--input", str(workdir / "e0.csv"),

@@ -47,6 +47,17 @@ class TestSampledSignal:
         with pytest.raises(ValueError, match="line 3"):
             signal_from_csv(path)
 
+    def test_csv_nonuniform_interior_step_rejected(self, tmp_path, e0):
+        # endpoints stay put; one interior sample moves by h/3
+        path = tmp_path / "bent.csv"
+        e0.to_csv(path)
+        lines = path.read_text().splitlines()
+        x, re_, im_ = lines[500].split(",")
+        lines[500] = f"{float(x) + e0.h / 3.0!r},{re_},{im_}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="not uniform"):
+            signal_from_csv(path)
+
     def test_arithmetic_requires_same_grid(self, e0):
         other = SampledSignal(4.0, 1 / 64, np.zeros(513))
         with pytest.raises(ValueError):
