@@ -116,9 +116,18 @@ def _dump_json(payload, path=None):
         print(text)
 
 
+def _load_signal(path, config: RunConfig) -> numerics.SampledSignal:
+    """Read a signal CSV whose grid must be the config's grid (T, h)."""
+    f = numerics.signal_from_csv(path)
+    if abs(f.T - config.T) > 1e-9 or abs(f.h - config.h) > 1e-9:
+        raise ValueError(f"{path}: signal grid T={f.T!r}, h={f.h!r} differs from the config grid "
+                         f"T={config.T!r}, h={config.h!r}")
+    return f
+
+
 def cmd_analyze(args) -> int:
     config = load_config(args)
-    f = numerics.signal_from_csv(args.input)
+    f = _load_signal(args.input, config)
     field = gabor.gabor_transform(f, config.box, config.dlam)
     if args.out_field:
         field.to_csv(args.out_field)
@@ -145,7 +154,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_expand(args) -> int:
     config = load_config(args)
-    f = numerics.signal_from_csv(args.input)
+    f = _load_signal(args.input, config)
     if config.m == 0:
         exp = expansion.relaxed_coefficients(f, config.R, config.N, config.refine)
     else:
@@ -167,7 +176,7 @@ def cmd_expand(args) -> int:
 
 def cmd_decompose(args) -> int:
     config = load_config(args)
-    f = numerics.signal_from_csv(args.input)
+    f = _load_signal(args.input, config)
     with open(args.domain) as fh:
         K = phaseplane.domain_from_json(fh.read())
     dec = certainty.decompose(f, K, config.r, config.m if args.m is not None else None,
@@ -186,7 +195,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_rotate(args) -> int:
     config = load_config(args)
-    f = numerics.signal_from_csv(args.input)
+    f = _load_signal(args.input, config)
     out = metaplectic.metaplectic_apply(metaplectic.Rotation(args.angle), f)
     out.to_csv(args.out)
     return 0

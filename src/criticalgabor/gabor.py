@@ -2,8 +2,9 @@
 
 The atom at lambda = (p, theta) is e_lambda(x) = 2^{1/4} exp(-pi (x-p)^2
 + 2 pi i theta x); atoms have unit norm and closed-form pairwise inner
-products, which makes every transform here a dense but small linear-algebra
-problem at desk scale.  Every superposition sum c_lambda e_lambda (lattice
+products.  On a uniform theta grid the analysis sum <f | e_lambda> is, per p,
+a chirp-z transform, so gabor_transform() costs O(n log n) per row through
+numerics._chirp_sum.  Every superposition sum c_lambda e_lambda (lattice
 and sharp series, the order-m dual-atom block, Riemann sums over a phase
 grid) goes through one separable kernel, superpose().
 """
@@ -15,12 +16,14 @@ import json
 
 import numpy as np
 
-from .numerics import DEFAULT_H, DEFAULT_T, SampledSignal, loc_integral, _sample_count
+from .numerics import DEFAULT_H, DEFAULT_T, SampledSignal, loc_integral, _chirp_sum, _sample_count
 from .phaseplane import PhasePoint, PointSet, as_point, neighborhood
 
 DEFAULT_BOX = 8.0
 DEFAULT_DLAM = 1.0 / 16.0
 DEFAULT_MARGIN = 4.0
+# phase-box rows per chirp-z batch: bounds the transform's scratch memory
+_ROWS = 32
 
 SIGMA0 = float(sum(np.exp(-np.pi * k ** 2 / 2.0) for k in range(-40, 41)))
 
@@ -90,6 +93,12 @@ def _box_grids(box, dlam):
 def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLAM) -> GaborField:
     """Sample <f | e_lambda> on a rectangular grid of the phase plane.
 
+    With theta_k = theta_0 + k dlam and x_n = -T + n h, the sum
+    2^{1/4} h sum_n f(x_n) e^{-pi (x_n - p)^2} e^{-2 pi i theta_k x_n} is, for
+    each p, the f row modulated by e^{-2 pi i theta_0 x} and the envelope, a
+    chirp-z sum over k n with rate dlam h, and the post-factor
+    e^{2 pi i k dlam T}; rows go through in blocks of _ROWS.
+
     The box may not exceed the grid truncation |p| <= T; near the boundary the
     atoms are themselves truncated, which is harmless for signals whose mass
     stays well inside the grid.
@@ -98,13 +107,12 @@ def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLA
     if np.max(np.abs(ps)) > f.T + 1e-9:
         raise ValueError(f"phase box reaches p={np.max(np.abs(ps))}, beyond the grid T={f.T}")
     x = f.x
-    # <f|e_lam> = 2^{1/4} h * sum_x f(x) e^{-pi(x-p)^2} e^{-2 pi i theta x}
-    phase = np.exp(-2j * np.pi * np.outer(x, ts))  # (X, Th)
+    g = f.values * np.exp(-2j * np.pi * ts[0] * x)
     out = np.empty((ps.size, ts.size), dtype=complex)
-    for i, p in enumerate(ps):
-        weighted = f.values * np.exp(-np.pi * (x - p) ** 2)
-        out[i] = weighted @ phase
-    out *= 2 ** 0.25 * f.h
+    for i in range(0, ps.size, _ROWS):
+        envelope = np.exp(-np.pi * (x - ps[i:i + _ROWS, None]) ** 2)
+        out[i:i + _ROWS] = _chirp_sum(envelope * g, dlam * f.h, ts.size)
+    out *= 2 ** 0.25 * f.h * np.exp(2j * np.pi * dlam * f.T * np.arange(ts.size))
     return GaborField(ps, ts, out, dlam)
 
 

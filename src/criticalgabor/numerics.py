@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import json
+import math
 
 import numpy as np
 from scipy.special import erf, eval_hermite
@@ -218,6 +219,48 @@ def spectral_derivative(f: SampledSignal) -> SampledSignal:
     freq = np.fft.fftfreq(n, d=f.h)
     dv = np.fft.ifft(2j * np.pi * freq * np.fft.fft(f.values))
     return SampledSignal(f.T, f.h, dv)
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (a length numpy's FFT handles fast)."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
+def _chirp(c: float, M: int) -> np.ndarray:
+    """exp(pi i c m^2) for m = 0..M-1, with c m^2 reduced mod 2 before the factor pi.
+
+    c is split as c_hi + c_lo with c_hi short enough that c_hi m^2 is exact
+    in float64, so phases of thousands of turns keep full relative accuracy.
+    """
+    m2 = np.arange(M, dtype=float) ** 2
+    frac, e = math.frexp(c)
+    bits = 53 - max(M - 1, 1).bit_length() * 2
+    c_hi = math.ldexp(round(math.ldexp(frac, bits)), e - bits)
+    return np.exp(1j * np.pi * (np.fmod(c_hi * m2, 2.0) + (c - c_hi) * m2))
+
+
+def _chirp_sum(g: np.ndarray, c: float, K: int) -> np.ndarray:
+    """out[..., k] = sum_n g[..., n] exp(-2 pi i c k n) for k < K (chirp-z transform).
+
+    Bluestein's identity kn = (k^2 + n^2 - (k-n)^2)/2 turns the sum into a
+    chirp, one FFT convolution of 5-smooth length >= N + K - 1, and a chirp:
+    O((N + K) log(N + K)) per row instead of N K.
+    """
+    N = g.shape[-1]
+    L = _fft_length(N + K - 1)
+    w = _chirp(c, max(N, K))  # exp(pi i c m^2), even in m
+    kernel = np.zeros(L, dtype=complex)
+    kernel[:K] = w[:K]
+    kernel[L - N + 1:] = w[N - 1:0:-1]
+    spec = np.fft.fft(g * w[:N].conj(), L, axis=-1) * np.fft.fft(kernel)
+    return w[:K].conj() * np.fft.ifft(spec, axis=-1)[..., :K]
 
 
 def upsample_periodic(values: np.ndarray, factor: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +180,33 @@ class TestDecomposeRotate:
                    "--angle", str(np.pi / 4), "--out", str(workdir / "rot.csv")])
         assert rc == 0
         assert abs(signal_from_csv(workdir / "rot.csv").norm() - 1.0) < 1e-4
+
+
+class TestConfigGrid:
+    COMMAND_ARGS = {
+        "analyze": ["--out-summary", "o.json"],
+        "rotate": ["--angle", "0.5", "--out", "o.csv"],
+        "expand": ["--out", "o.json"],
+        "decompose": ["--domain", "disk.json", "--out", "o.json"],
+    }
+
+    @pytest.fixture()
+    def h32(self, workdir, monkeypatch):
+        monkeypatch.chdir(workdir)
+        hermite_signal(0, 8.0, 1.0 / 32.0).to_csv("h32.csv")
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_csv_off_the_config_grid_rejected(self, h32, capsys, command):
+        assert main([command, "--input", "h32.csv"] + self.COMMAND_ARGS[command]) == 2
+        err = capsys.readouterr().err
+        assert "h=0.03125" in err and "h=0.015625" in err
+        assert not any(Path(".").glob("o.*"))
+
+    @pytest.mark.parametrize("command", ["analyze", "rotate"])
+    def test_csv_on_the_config_grid_accepted(self, h32, command):
+        args = ["--input", "h32.csv", "--h", "0.03125", "--N", "16"] + self.COMMAND_ARGS[command]
+        assert main([command] + args) == 0
+        assert any(Path(".").glob("o.*"))
 
 
 class TestTheta:
