@@ -5,8 +5,9 @@ atoms in the collar D minus K.
 The construction follows the constructive proof: expand f with a sharp node
 relocated into U \\ K, keep the part supported in U, and re-expand the Gabor
 density of the remainder over the collar through local order-m expansions
-around the nearest lattice points.  The residual is always the exact
-difference f - (synthesized terms); the theory only claims it is small.
+around the nearest lattice points, by linearity one patch signal per
+collar cell.  The residual is always the exact difference
+f - (synthesized terms); the theory only claims it is small.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def nesting_satisfied(nd: NestedDomains, step: float = 0.25) -> bool:
 def concentration(f: SampledSignal, D: PhaseDomain, box=None,
                   dlam: float = 1.0 / 16.0) -> float:
     """Gabor mass of f outside D: grid integral over the box plus the
-    out-of-box remainder ||f||^2 - (box mass)."""
+    out-of-box remainder ||f||^2 - (box mass), counted only above the
+    roundoff floor 64 eps ||f||^2 of that difference."""
     if not D.is_bounded():
         raise ValueError("concentration needs a bounded domain")
     if box is None:
@@ -91,7 +93,16 @@ def concentration(f: SampledSignal, D: PhaseDomain, box=None,
     outside = ~D.contains(pts)
     inside_box = float(np.sum(np.abs(field.values.ravel()) ** 2) * dlam ** 2)
     out_mass = float(np.sum(np.abs(field.values.ravel()[outside]) ** 2) * dlam ** 2)
-    return out_mass + max(f.norm() ** 2 - inside_box, 0.0)
+    rest = f.norm() ** 2 - inside_box
+    return out_mass + (rest if rest > 64 * np.finfo(float).eps * f.norm() ** 2 else 0.0)
+
+
+def _index_sets(K: PhaseDomain, D: PhaseDomain) -> tuple[list[PhasePoint], list[PhasePoint]]:
+    """The atom sites of the decomposition: lattice points in D, and sharp
+    points in D off K (distance to K above 1e-9)."""
+    sharp = lattice_points_in(D, sharp=True)
+    dist = K.distance(np.array([tuple(mu) for mu in sharp], dtype=float).reshape(-1, 2))
+    return lattice_points_in(D, sharp=False), [mu for mu, d in zip(sharp, dist) if d > 1e-9]
 
 
 def _choose_sharp_node(nd: NestedDomains) -> tuple[int, int]:
@@ -129,6 +140,11 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
               margin: float = 2.0) -> CertaintyDecomposition:
     """Split f into lattice atoms in D = K(r), sharp atoms in D \\ K, and a residual.
 
+    The Gabor density of g = f - f_U on D- \\ K+ is re-expanded per cell: the
+    points with nearest lattice point l form one patch signal, given one
+    order-m expansion (R_local) about the origin and shifted to l, which by
+    linearity equals the sum of the points' own local expansions.
+
     The residual signal is the exact difference, so the identity
     f = sum(alpha) + sum(omega) + residual holds to roundoff by construction;
     the report carries its norm together with the concentration-plus-
@@ -151,10 +167,9 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     rexp = relaxed_coefficients(f, R_big, sharp_node=node)
 
     # f_U: relaxed expansion restricted to U (sharp node is in U by construction)
-    fU_coeffs = CoefficientSet()
-    for (k, j, s), v in rexp.coeffs.entries.items():
-        if nd.U.contains(PhasePoint(k, j)):
-            fU_coeffs.set(k, j, v)
+    entries = rexp.coeffs.entries
+    in_U = nd.U.contains(np.array([key[:2] for key in entries], dtype=float))
+    fU_coeffs = CoefficientSet({key: v for (key, v), ok in zip(entries.items(), in_U) if ok})
     fU_coeffs.set(node[0], node[1], rexp.sharp, sharp=True)
     f_U = synthesize(fU_coeffs, f.T, f.h, margin)
     g = f - f_U
@@ -167,46 +182,36 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     in_Dminus = nd.D_minus.contains(pts)
     mid = in_Dminus & ~in_Kplus
 
-    alpha = CoefficientSet()
-    for lam in lattice_points_in(nd.D, sharp=False):
+    lattice, sharp = _index_sets(nd.K, nd.D)
+    alpha = CoefficientSet()  # f_U's lattice coefficients, zero on D \ U
+    for lam in lattice:
         k, j = int(round(lam.p)), int(round(lam.theta))
-        alpha.set(k, j, rexp.coeffs.get(k, j) if nd.U.contains(lam) else 0j)
+        alpha.set(k, j, fU_coeffs.get(k, j))
     omega = CoefficientSet()
-    for mu in lattice_points_in(nd.D, sharp=True):
-        if nd.K.distance(mu) > 1e-9:
-            omega.set(int(round(mu.p - 0.5)), int(round(mu.theta - 0.5)), 0j, sharp=True)
+    for mu in sharp:
+        omega.set(int(round(mu.p - 0.5)), int(round(mu.theta - 0.5)), 0j, sharp=True)
     omega.add(node[0], node[1], rexp.sharp, sharp=True)
 
     omega_out = CoefficientSet()  # lattice leakage outside D; stays in the residual
-    node_offsets = default_sharp_nodes(m)
-    mixing = dual_mixing(node_offsets)
-    # one local expansion per distinct sub-cell offset, keyed by the offset itself
-    offsets_cache: dict[tuple[float, float], tuple] = {}
-    for (mp, mt), weight in zip(pts[mid], w_g[mid]):
-        lp, lt = np.floor(mp + 0.5), np.floor(mt + 0.5)
-        wp, wt = mp - lp, mt - lt
-        assert wp ** 2 + wt ** 2 <= 0.5 + 1e-12, "nearest lattice point farther than 1/sqrt(2)"
-        key = (round(float(wp), 9), round(float(wt), 9))
-        if key not in offsets_cache:
-            exp_w = order_m_coefficients(atom(PhasePoint(wp, wt), f.T, f.h), m,
-                                         nodes=node_offsets, R=R_local)
-            # sharp block: sum_j block_j d_j = sum_t (block @ mixing)_t e_{nu_t}
-            offsets_cache[key] = (exp_w, np.asarray(exp_w.sharp_block) @ mixing)
-        exp_w, node_weights = offsets_cache[key]
-        lead = np.exp(2j * np.pi * wt * lp)
-        for nu, coef in zip(node_offsets, node_weights):
-            phase = lead * np.exp(-2j * np.pi * nu.theta * lp)
-            omega.add(int(round(nu.p - 0.5 + lp)), int(round(nu.theta - 0.5 + lt)),
-                      weight * coef * phase, sharp=True)
-        for (k, j, s), cv in exp_w.coeffs.entries.items():
-            if cv == 0:
-                continue
-            phase = lead * np.exp(-2j * np.pi * j * lp)
-            gk, gj = int(k + lp), int(j + lt)
-            if nd.D.contains(PhasePoint(gk, gj)):
-                alpha.add(gk, gj, weight * cv * phase)
-            else:
-                omega_out.add(gk, gj, weight * cv * phase)
+    nodes = default_sharp_nodes(m)
+    mixing = dual_mixing(nodes)
+    # mid point l + w of weight c: c exp(2 pi i w_theta l_p) times the local expansion
+    # of e_w, shifted to l with the phase exp(-2 pi i j l_p) at index j, which is 1
+    # on lattice indices and (-1)^{l_p} on the sharp nodes
+    cells, cell_of = np.unique(np.floor(pts[mid] + 0.5), axis=0, return_inverse=True)
+    cell_of = cell_of.ravel()
+    offsets, w_mid = pts[mid] - cells[cell_of], w_g[mid]
+    for c, (lp, lt) in enumerate(cells.astype(int)):
+        sel = cell_of == c
+        patch = superpose(offsets[sel], w_mid[sel] * np.exp(2j * np.pi * offsets[sel, 1] * lp),
+                          f.T, f.h)
+        loc = order_m_coefficients(patch, m, nodes=nodes, R=R_local)
+        for nu, b in zip(nodes, (-1.0) ** lp * np.asarray(loc.sharp_block) @ mixing):
+            omega.add(round(nu.p - 0.5) + lp, round(nu.theta - 0.5) + lt, b, sharp=True)
+        kj = np.array([key[:2] for key in loc.coeffs.entries]) + (lp, lt)
+        in_D = nd.D.contains(kj.astype(float))
+        for (k, j), cv, ok in zip(kj, loc.coeffs.entries.values(), in_D):
+            (alpha if ok else omega_out).add(k, j, cv)
 
     residual = f - synthesize(alpha, f.T, f.h, margin) - synthesize(omega, f.T, f.h, margin)
 
@@ -214,8 +219,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     fnorm = f.norm()
     hnorm = hdelta_norm(f, delta, box=min(f.T, 8.0))
     g_plus = superpose(pts[in_Kplus], w_g[in_Kplus], f.T, f.h)
-    n_lattice = len(lattice_points_in(nd.D, sharp=False))
-    n_sharp = len([1 for mu in lattice_points_in(nd.D, sharp=True) if nd.K.distance(mu) > 1e-9])
+    n_lattice, n_sharp = len(lattice), len(sharp)
     area = domain_area(nd.D)
     report = {
         "residual_norm": residual.norm(),
@@ -257,8 +261,8 @@ def degrees_of_freedom_report(K: PhaseDomain, r: float,
     if not K.is_bounded():
         raise ValueError("K must be bounded")
     D = neighborhood(K, r)
-    n_lattice = len(lattice_points_in(D, sharp=False))
-    n_sharp = len([1 for mu in lattice_points_in(D, sharp=True) if K.distance(mu) > 1e-9])
+    lattice, sharp = _index_sets(K, D)
+    n_lattice, n_sharp = len(lattice), len(sharp)
     area = domain_area(D, resolution)
     count = n_lattice + n_sharp
     return {
@@ -278,9 +282,8 @@ def least_squares_baseline(f: SampledSignal, K: PhaseDomain, r: float,
     from .gabor import atom_inner
     from .numerics import inner as _inner
 
-    D = neighborhood(K, r)
-    pts = lattice_points_in(D, sharp=False)
-    pts += [mu for mu in lattice_points_in(D, sharp=True) if K.distance(mu) > 1e-9]
+    lattice, sharp = _index_sets(K, neighborhood(K, r))
+    pts = lattice + sharp
     n = len(pts)
     G = np.array([[atom_inner(a, b) for b in pts] for a in pts])
     b = np.array([_inner(f, atom(pt, f.T, f.h, margin=2.0)) for pt in pts])

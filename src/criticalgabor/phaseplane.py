@@ -84,9 +84,11 @@ def _pts(x) -> tuple[np.ndarray, bool]:
 class PhaseDomain:
     """Region of the phase plane: membership predicate plus bounding box.
 
-    Subclasses with analytic boundaries override `distance`; the base class
-    falls back to sampling the membership function on a fine grid (default
-    resolution 1/32) and measuring distance to the sampled boundary.
+    Subclasses implement `_contains_xy` and, with an analytic boundary,
+    `_distance_xy` over (n, 2) arrays; `contains` and `distance` accept one
+    point or an array.  The base `_distance_xy` falls back to sampling the
+    membership function on a fine grid (default resolution 1/32) and
+    measuring distance to the sampled boundary.
     Instances are immutable after construction and safe to share.
     """
 
@@ -131,13 +133,17 @@ class PhaseDomain:
         return samples
 
     def distance(self, x):
-        """Euclidean distance to the domain (0 inside); sampled-boundary fallback."""
+        """Euclidean distance to the domain (0 inside)."""
         pts, scalar = _pts(x)
+        d = self._distance_xy(pts)
+        return float(d[0]) if scalar else d
+
+    def _distance_xy(self, pts: np.ndarray) -> np.ndarray:
+        """Sampled-boundary fallback."""
         if self._boundary_tree is None:
             self._boundary_tree = cKDTree(self._boundary_samples())
         d, _ = self._boundary_tree.query(pts)
-        d = np.where(self._contains_xy(pts), 0.0, d)
-        return float(d[0]) if scalar else d
+        return np.where(self._contains_xy(pts), 0.0, d)
 
 
 class Rect(PhaseDomain):
@@ -151,13 +157,11 @@ class Rect(PhaseDomain):
             & (pts[:, 1] >= tmin) & (pts[:, 1] <= tmax)
         )
 
-    def distance(self, x):
-        pts, scalar = _pts(x)
+    def _distance_xy(self, pts):
         pmin, pmax, tmin, tmax = self.bbox
         dp = np.maximum(np.maximum(pmin - pts[:, 0], pts[:, 0] - pmax), 0.0)
         dt = np.maximum(np.maximum(tmin - pts[:, 1], pts[:, 1] - tmax), 0.0)
-        d = np.hypot(dp, dt)
-        return float(d[0]) if scalar else d
+        return np.hypot(dp, dt)
 
 
 class Disk(PhaseDomain):
@@ -173,11 +177,9 @@ class Disk(PhaseDomain):
         r = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
         return r <= self.radius + 1e-12
 
-    def distance(self, x):
-        pts, scalar = _pts(x)
+    def _distance_xy(self, pts):
         r = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-        d = np.maximum(r - self.radius, 0.0)
-        return float(d[0]) if scalar else d
+        return np.maximum(r - self.radius, 0.0)
 
 
 class Polygon(PhaseDomain):
@@ -204,7 +206,7 @@ class Polygon(PhaseDomain):
         proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
         return np.min(np.hypot(*(pts[:, None, :] - proj).transpose(2, 0, 1)), axis=1)
 
-    def _contains_xy(self, pts):
+    def _distance_xy(self, pts):
         x, y = pts[:, 0], pts[:, 1]
         a, b = self._edges()
         inside = np.zeros(len(pts), dtype=bool)
@@ -212,12 +214,12 @@ class Polygon(PhaseDomain):
             cond = (y1 > y) != (y2 > y)
             xin = x1 + (y - y1) * (x2 - x1) / np.where(y2 != y1, y2 - y1, 1e-300)
             inside ^= cond & (x < xin)
-        return inside | (self._edge_distance(pts) <= 1e-9)
+        d = self._edge_distance(pts)
+        return np.where(inside | (d <= 1e-9), 0.0, d)
 
-    def distance(self, x):
-        pts, scalar = _pts(x)
-        d = np.where(self._contains_xy(pts), 0.0, self._edge_distance(pts))
-        return float(d[0]) if scalar else d
+    def _contains_xy(self, pts):
+        # outside points lie more than 1e-9 from every edge, so their distance is > 0
+        return self._distance_xy(pts) == 0.0
 
 
 class UnionDomain(PhaseDomain):
@@ -236,10 +238,8 @@ class UnionDomain(PhaseDomain):
             out |= part._contains_xy(pts)
         return out
 
-    def distance(self, x):
-        pts, scalar = _pts(x)
-        d = np.min(np.stack([p.distance(pts) for p in self.parts]), axis=0)
-        return float(d[0]) if scalar else d
+    def _distance_xy(self, pts):
+        return np.min(np.stack([p.distance(pts) for p in self.parts]), axis=0)
 
 
 class PointSet(PhaseDomain):
@@ -258,10 +258,8 @@ class PointSet(PhaseDomain):
         d, _ = self._tree.query(pts)
         return d <= 1e-12
 
-    def distance(self, x):
-        pts, scalar = _pts(x)
-        d, _ = self._tree.query(pts)
-        return float(d[0]) if scalar else d
+    def _distance_xy(self, pts):
+        return self._tree.query(pts)[0]
 
 
 class FunctionDomain(PhaseDomain):
@@ -289,10 +287,8 @@ class Neighborhood(PhaseDomain):
     def _contains_xy(self, pts):
         return self.base.distance(pts) <= self.r + 1e-12
 
-    def distance(self, x):
-        pts, scalar = _pts(x)
-        d = np.maximum(self.base.distance(pts) - self.r, 0.0)
-        return float(d[0]) if scalar else d
+    def _distance_xy(self, pts):
+        return np.maximum(self.base.distance(pts) - self.r, 0.0)
 
 
 def neighborhood(domain: PhaseDomain, r: float) -> PhaseDomain:

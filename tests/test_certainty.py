@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from criticalgabor import certainty
-from criticalgabor import (CoefficientSet, Disk, Rect, SampledSignal, atom,
+from criticalgabor import (CoefficientSet, Disk, PhasePoint, Rect, SampledSignal, atom,
                            concentration, decompose, default_order,
-                           degrees_of_freedom_report, domain_area,
+                           degrees_of_freedom_report, domain_area, gabor_transform,
                            lattice_points_in, least_squares_baseline,
-                           nested_domains, nesting_satisfied, synthesize)
+                           nested_domains, nesting_satisfied, relaxed_coefficients,
+                           synthesize)
+from criticalgabor.gabor import dual_mixing
+from criticalgabor.higher import default_sharp_nodes, order_m_coefficients
 
 T12, H64 = 12.0, 1.0 / 64.0
 
@@ -36,6 +39,27 @@ class TestConcentration:
     def test_whole_box_leaves_only_tail(self, three_atom_mix):
         val = concentration(three_atom_mix, Rect(-10, 10, -10, 10))
         assert val <= 1e-9
+
+    @pytest.mark.parametrize("entries", [
+        {(1, -1, False): -0.7795577532427447 + 1.2687315727053823j,
+         (1, 0, False): -0.057976000069692585 + 1.0744112374891797j,
+         (1, 2, False): -0.35896064670446953 + 0.0775724193502392j},
+        {(-2, -2, False): -1.707559964644277 + 0.6424188789626476j,
+         (-2, 2, False): 0.7691371023243577 - 0.28665124533026j,
+         (0, 0, False): 0.26141252516203256 - 0.2753310614637201j},
+    ])
+    def test_box_mass_roundoff_not_counted(self, entries):
+        # lattice mixes whose Gabor mass lies inside the box 6.5: ||f||^2 minus
+        # the box mass is a few ulp of roundoff (+8.9e-16 for both when written),
+        # which must not enter the concentration or, through its square root,
+        # the decomposition bound
+        f = synthesize(CoefficientSet(entries), 8.0, H64)
+        D, dlam = Disk((0, 0), 3.0), 1.0 / 16.0
+        field = gabor_transform(f, 6.5, dlam)
+        P, Th = np.meshgrid(field.p_grid, field.theta_grid, indexing="ij")
+        outside = ~D.contains(np.column_stack([P.ravel(), Th.ravel()]))
+        out_mass = float(np.sum(np.abs(field.values.ravel()[outside]) ** 2) * dlam ** 2)
+        assert concentration(f, D, box=6.5, dlam=dlam) == out_mass
 
     def test_unbounded_rejected(self, three_atom_mix):
         from criticalgabor import FunctionDomain
@@ -143,40 +167,78 @@ class TestDecompose:
         assert floor <= dec.report["residual_norm"] + 1e-9
 
 
-class TestOffsetCache:
-    def test_one_local_expansion_per_distinct_offset(self, monkeypatch):
-        # at dlam = 1/16 the mid region holds sub-cell offsets that are odd
-        # multiples of 1/16; each must get its own local expansion, made at
-        # that offset, and no offset may be expanded twice
-        T, dlam, r, m = 7.0, 1.0 / 16.0, 4.0, 0
-        K = Disk((0, 0), 0.25)
-        centers, expanded = [], []
-        atom_fn, expand_fn = certainty.atom, certainty.order_m_coefficients
+def per_point_collar(f, K, r, m, dlam, R_local):
+    """decompose's alpha, omega and collar leakage, written one mid point at a
+    time: each point lambda = l + w of weight c adds c exp(2 pi i w_theta l_p)
+    times a fresh local expansion of the atom e_w, shifted to l, with the
+    shift's phase exp(-2 pi i j l_p) at every index j.  Nothing is shared
+    between points."""
+    nd = nested_domains(K, r, m)
+    need = max(abs(b) for b in nd.D.bbox)
+    node = certainty._choose_sharp_node(nd)
+    rexp = relaxed_coefficients(f, int(np.ceil(need)) + 2, sharp_node=node)
+    fU = CoefficientSet()
+    for (k, j, s), v in rexp.coeffs.entries.items():
+        if nd.U.contains(PhasePoint(k, j)):
+            fU.set(k, j, v)
+    fU.set(node[0], node[1], rexp.sharp, sharp=True)
+    gfield = gabor_transform(f - synthesize(fU, f.T, f.h, 2.0), need + 2.0, dlam)
+    P, Th = np.meshgrid(gfield.p_grid, gfield.theta_grid, indexing="ij")
+    pts = np.column_stack([P.ravel(), Th.ravel()])
+    w_g = gfield.values.ravel() * dlam ** 2
+    mid = nd.D_minus.contains(pts) & ~nd.K_plus.contains(pts)
 
-        def recording_atom(lam, *args, **kwargs):
-            centers.append(lam)
-            return atom_fn(lam, *args, **kwargs)
+    alpha, omega, leak = CoefficientSet(), CoefficientSet(), CoefficientSet()
+    for lam in lattice_points_in(nd.D):
+        k, j = int(round(lam.p)), int(round(lam.theta))
+        alpha.set(k, j, rexp.coeffs.get(k, j) if nd.U.contains(lam) else 0j)
+    for mu in lattice_points_in(nd.D, sharp=True):
+        if K.distance(mu) > 1e-9:
+            omega.set(int(round(mu.p - 0.5)), int(round(mu.theta - 0.5)), 0j, sharp=True)
+    omega.add(node[0], node[1], rexp.sharp, sharp=True)
+    nodes = default_sharp_nodes(m)
+    mixing = dual_mixing(nodes)
+    cells = set()
+    for (mp, mt), c in zip(pts[mid], w_g[mid]):
+        lp, lt = np.floor(mp + 0.5), np.floor(mt + 0.5)
+        wp, wt = mp - lp, mt - lt
+        cells.add((lp, lt))
+        loc = order_m_coefficients(atom((wp, wt), f.T, f.h), m, nodes=nodes, R=R_local)
+        lead = c * np.exp(2j * np.pi * wt * lp)
+        for nu, b in zip(nodes, np.asarray(loc.sharp_block) @ mixing):
+            omega.add(int(round(nu.p - 0.5 + lp)), int(round(nu.theta - 0.5 + lt)),
+                      lead * b * np.exp(-2j * np.pi * nu.theta * lp), sharp=True)
+        for (k, j, _), cv in loc.coeffs.entries.items():
+            gk, gj = int(k + lp), int(j + lt)
+            target = alpha if nd.D.contains(PhasePoint(gk, gj)) else leak
+            target.add(gk, gj, lead * cv * np.exp(-2j * np.pi * j * lp))
+    return {"alpha": alpha, "omega": omega, "leak": leak.l2(), "mid": int(np.count_nonzero(mid)),
+            "cells": len(cells), "weight": float(np.sum(np.abs(w_g[mid])))}
 
-        def recording_expand(*args, **kwargs):
-            expanded.append(centers[-1])  # the offset atom is built just before the call
-            return expand_fn(*args, **kwargs)
 
-        monkeypatch.setattr(certainty, "atom", recording_atom)
-        monkeypatch.setattr(certainty, "order_m_coefficients", recording_expand)
-        dec = decompose(atom((0.5, 0.25), T, H64), K, r, m, dlam=dlam, R_local=3)
+class TestCollarCells:
+    @pytest.mark.parametrize("dlam, r, m", [(1.0 / 8.0, 4.0, 0), (1.0 / 16.0, 4.0, 0),
+                                            (1.0 / 8.0, 5.0, 2)])
+    def test_one_expansion_per_cell_matches_per_point_sum(self, monkeypatch, dlam, r, m):
+        # the collar's local expansions summed point by point equal one
+        # expansion per nearest lattice point, whatever the sub-cell offsets
+        T, K, R_local = 8.0, Disk((0, 0), 0.25), 3
+        f = SampledSignal(T, H64, atom((0.5, 0.25), T, H64).values
+                          + 0.6j * atom((2.3, -1.7), T, H64).values)
+        ref = per_point_collar(f, K, r, m, dlam, R_local)
+        calls = []
+        expand = certainty.order_m_coefficients
+        monkeypatch.setattr(certainty, "order_m_coefficients",
+                            lambda *a, **kw: calls.append(1) or expand(*a, **kw))
+        dec = decompose(f, K, r, m, dlam=dlam, R_local=R_local)
 
-        nd = nested_domains(K, r, m)
-        box = max(abs(b) for b in nd.D.bbox) + 2.0
-        grid = -box + dlam * np.arange(int(round(2 * box / dlam)) + 1)
-        P, Th = np.meshgrid(grid, grid, indexing="ij")
-        pts = np.column_stack([P.ravel(), Th.ravel()])
-        mid = pts[nd.D_minus.contains(pts) & ~nd.K_plus.contains(pts)]
-        offsets = {tuple(np.round(pt - np.floor(pt + 0.5), 9)) for pt in mid}
-        assert dec.report["mid_region_points"] == len(mid)
-        got = [tuple(np.round([c.p, c.theta], 9)) for c in expanded]
-        assert len(got) == len(set(got))
-        assert set(got) == offsets
-        assert len(offsets) > 81  # more than the 9 x 9 classes of round(8 * offset)
+        assert ref["mid"] > 0 and dec.report["mid_region_points"] == ref["mid"]
+        assert len(calls) == ref["cells"]
+        tol = 1e-12 * ref["weight"]
+        for got, want in ((dec.alpha, ref["alpha"]), (dec.omega, ref["omega"])):
+            assert set(got.entries) == set(want.entries)
+            assert max(abs(got.entries[key] - v) for key, v in want.entries.items()) <= tol
+        assert dec.report["omega_outside_l2"] == pytest.approx(ref["leak"], abs=tol)
 
 
 class TestDegreesOfFreedom:
