@@ -106,19 +106,17 @@ def _index_sets(K: PhaseDomain, D: PhaseDomain) -> tuple[list[PhasePoint], list[
 
 
 def _choose_sharp_node(nd: NestedDomains) -> tuple[int, int]:
-    """Deterministic sharp node in U \\ K, centered in the annulus when possible."""
-    candidates = []
-    for pt in lattice_points_in(nd.U, sharp=True):
-        dk = nd.K.distance(pt)
-        if dk > 1e-9:
-            clearance = min(dk, nd.r / 2.0 - dk + 1e-12)
-            k0, j0 = int(round(pt.p - 0.5)), int(round(pt.theta - 0.5))
-            candidates.append((-clearance, k0, j0))
-    if not candidates:
+    """Deterministic sharp node in U \\ K, centered in the annulus when possible:
+    largest clearance, ties broken by the smallest index (k0, j0)."""
+    pts = np.array([tuple(mu) for mu in lattice_points_in(nd.U, sharp=True)], dtype=float).reshape(-1, 2)
+    dk = nd.K.distance(pts)
+    off_K = dk > 1e-9
+    if not np.any(off_K):
         raise ValueError("no sharp point available in U \\ K for relocation")
-    candidates.sort()
-    _, k0, j0 = candidates[0]
-    return k0, j0
+    clearance = np.minimum(dk, nd.r / 2.0 - dk + 1e-12)[off_K]
+    k0, j0 = np.round(pts[off_K] - 0.5).astype(int).T
+    best = np.lexsort((j0, k0, -clearance))[0]
+    return int(k0[best]), int(j0[best])
 
 
 @dataclass

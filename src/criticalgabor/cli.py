@@ -179,8 +179,7 @@ def cmd_decompose(args) -> int:
     f = _load_signal(args.input, config)
     with open(args.domain) as fh:
         K = phaseplane.domain_from_json(fh.read())
-    dec = certainty.decompose(f, K, config.r, config.m if args.m is not None else None,
-                              config.delta, config.decomp_dlam)
+    dec = certainty.decompose(f, K, config.r, config.m, config.delta, config.decomp_dlam)
     payload = {
         "config_hash": config.hash(),
         "lattice": json.loads(dec.alpha.to_json()),

@@ -136,7 +136,10 @@ def hdelta_invariance_check(S: Rotation, f: SampledSignal, grid_radius: float = 
 
     |<f | e_lambda>| comes from one gabor_transform over the grid; the rotated
     points S lambda are off-grid, so their atoms enter as one envelope x phase
-    product.  Every atom center keeps DEFAULT_MARGIN away from +-T, as in atom().
+    product.  Every atom center keeps DEFAULT_MARGIN away from +-T, as in atom(),
+    else ValueError.  So the default grid_radius=3 on the T=8 grid serves only
+    angles whose rotated grid corners stay within T - 4 = 4 of the origin
+    (near multiples of pi/2); pi/4 puts a corner at 3 sqrt(2) and raises.
     """
     vals = np.arange(-grid_radius, grid_radius + step / 2, step)
     P, Th = np.meshgrid(vals, vals, indexing="ij")

@@ -13,12 +13,12 @@ import json
 import math
 
 import numpy as np
-from scipy.special import erf, eval_hermite
 
 DEFAULT_T = 8.0
 DEFAULT_H = 1.0 / 64.0
 
 _TWO_PI = 2.0 * np.pi
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def _sample_count(T: float, h: float) -> int:
@@ -193,19 +193,26 @@ def loc_integral(x):
     Equals (1 + erf(sqrt(2 pi) x))/2; increases from 0 to 1 with value 1/2
     at the origin.
     """
-    out = 0.5 * (1.0 + erf(np.sqrt(2.0 * np.pi) * np.asarray(x, dtype=float)))
+    z = np.sqrt(2.0 * np.pi) * np.asarray(x, dtype=float)
+    out = 0.5 * (1.0 + np.asarray(_erf(z), dtype=float))
     return out if out.shape else float(out)
 
 
 def hermite_signal(n: int, T: float = DEFAULT_T, h: float = DEFAULT_H) -> SampledSignal:
     """n-th Hermite function for the convention with ground state 2^{1/4} e^{-pi x^2}.
 
-    Eigenfunctions of -(1/4 pi^2) d^2/dx^2 + x^2; normalized to unit discrete norm.
+    Eigenfunctions of -(1/4 pi^2) d^2/dx^2 + x^2; built with the three-term
+    recurrence of the normalized functions in u = sqrt(2 pi) x (DLMF 18.9),
+    psi_{k+1} = sqrt(2/(k+1)) u psi_k - sqrt(k/(k+1)) psi_{k-1}, and
+    normalized to unit discrete norm.
     """
     if n < 0:
         raise ValueError("hermite order must be >= 0")
     x = -T + h * np.arange(_sample_count(T, h))
-    vals = eval_hermite(n, np.sqrt(2.0 * np.pi) * x) * np.exp(-np.pi * x ** 2)
+    u = np.sqrt(2.0 * np.pi) * x
+    prev, vals = np.zeros_like(x), np.exp(-np.pi * x ** 2)
+    for k in range(n):
+        prev, vals = vals, np.sqrt(2.0 / (k + 1)) * u * vals - np.sqrt(k / (k + 1)) * prev
     sig = SampledSignal(T, h, vals)
     return sig * (1.0 / sig.norm())
 
@@ -264,26 +271,26 @@ def _chirp_sum(g: np.ndarray, c: float, K: int) -> np.ndarray:
 
 
 def upsample_periodic(values: np.ndarray, factor: int) -> np.ndarray:
-    """Trigonometric interpolation of a uniformly sampled sequence.
+    """Trigonometric interpolation of uniformly sampled sequences along the last axis.
 
-    Treats `values` as one period; returns `factor * len(values)` samples on
-    the refined grid starting at the same point.
+    Treats each row of `values` as one period; returns `factor * n` samples
+    per row on the refined grid starting at the same point.
     """
-    n = values.size
+    n = values.shape[-1]
     N = n * factor
     if factor == 1:
         return np.asarray(values, dtype=complex).copy()
-    spec = np.fft.fft(values)
-    out = np.zeros(N, dtype=complex)
+    spec = np.fft.fft(values, axis=-1)
+    out = np.zeros(values.shape[:-1] + (N,), dtype=complex)
     if n % 2 == 0:
         half = n // 2
-        out[:half] = spec[:half]
-        out[N - half + 1:] = spec[half + 1:]
+        out[..., :half] = spec[..., :half]
+        out[..., N - half + 1:] = spec[..., half + 1:]
         # split the Nyquist bin between +n/2 and -n/2
-        out[half] = 0.5 * spec[half]
-        out[N - half] = 0.5 * spec[half]
+        out[..., half] = 0.5 * spec[..., half]
+        out[..., N - half] = 0.5 * spec[..., half]
     else:
         half = (n + 1) // 2
-        out[:half] = spec[:half]
-        out[N - (n - half):] = spec[half:]
-    return np.fft.ifft(out) * factor
+        out[..., :half] = spec[..., :half]
+        out[..., N - (n - half):] = spec[..., half:]
+    return np.fft.ifft(out, axis=-1) * factor

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import json
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+# point-site pairs per nearest-distance block: bounds its scratch memory
+_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,21 @@ def j_transform(u) -> PhasePoint:
     return PhasePoint(u.theta, -u.p)
 
 
+def _nearest_distance(sites: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from each row of pts to the nearest row of sites, both (n, 2),
+    in blocks of at most _PAIRS point-site pairs."""
+    out = np.empty(len(pts))
+    rows = max(1, _PAIRS // len(sites))
+    for i in range(0, len(pts), rows):
+        dp = pts[i:i + rows, 0, None] - sites[:, 0]
+        dt = pts[i:i + rows, 1, None] - sites[:, 1]
+        dp *= dp
+        dt *= dt
+        dp += dt
+        out[i:i + rows] = np.sqrt(np.min(dp, axis=1))
+    return out
+
+
 def _pts(x) -> tuple[np.ndarray, bool]:
     if isinstance(x, PhasePoint):
         return np.array([[x.p, x.theta]]), True
@@ -97,7 +114,7 @@ class PhaseDomain:
         if len(self.bbox) != 4 or self.bbox[0] > self.bbox[1] or self.bbox[2] > self.bbox[3]:
             raise ValueError(f"bad bounding box {bbox}")
         self.resolution = float(resolution)
-        self._boundary_tree = None
+        self._boundary = None
 
     def is_bounded(self) -> bool:
         return all(np.isfinite(self.bbox))
@@ -140,10 +157,9 @@ class PhaseDomain:
 
     def _distance_xy(self, pts: np.ndarray) -> np.ndarray:
         """Sampled-boundary fallback."""
-        if self._boundary_tree is None:
-            self._boundary_tree = cKDTree(self._boundary_samples())
-        d, _ = self._boundary_tree.query(pts)
-        return np.where(self._contains_xy(pts), 0.0, d)
+        if self._boundary is None:
+            self._boundary = self._boundary_samples()
+        return np.where(self._contains_xy(pts), 0.0, _nearest_distance(self._boundary, pts))
 
 
 class Rect(PhaseDomain):
@@ -250,16 +266,14 @@ class PointSet(PhaseDomain):
         if pts.size == 0:
             raise ValueError("empty point set")
         self.points = pts
-        self._tree = cKDTree(pts)
         bbox = (pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max())
         super().__init__(bbox)
 
     def _contains_xy(self, pts):
-        d, _ = self._tree.query(pts)
-        return d <= 1e-12
+        return self._distance_xy(pts) <= 1e-12
 
     def _distance_xy(self, pts):
-        return self._tree.query(pts)[0]
+        return _nearest_distance(self.points, pts)
 
 
 class FunctionDomain(PhaseDomain):

@@ -1,8 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from criticalgabor import certainty
-from criticalgabor import (CoefficientSet, Disk, PhasePoint, Rect, SampledSignal, atom,
+from criticalgabor import (CoefficientSet, Disk, FunctionDomain, PhasePoint, Rect, SampledSignal, atom,
                            concentration, decompose, default_order,
                            degrees_of_freedom_report, domain_area, gabor_transform,
                            lattice_points_in, least_squares_baseline,
@@ -10,6 +13,7 @@ from criticalgabor import (CoefficientSet, Disk, PhasePoint, Rect, SampledSignal
                            synthesize)
 from criticalgabor.gabor import dual_mixing
 from criticalgabor.higher import default_sharp_nodes, order_m_coefficients
+from criticalgabor.phaseplane import domain_from_json
 
 T12, H64 = 12.0, 1.0 / 64.0
 
@@ -86,6 +90,32 @@ class TestNestedDomains:
         assert default_order(4.0) == 0
         assert default_order(6.0) == 1
         assert default_order(30.0) == 6  # capped
+
+
+def sharp_node_loop(nd):
+    """The sharp-node choice as a scalar loop over the sharp points of U."""
+    candidates = []
+    for pt in lattice_points_in(nd.U, sharp=True):
+        dk = nd.K.distance(pt)
+        if dk > 1e-9:
+            clearance = min(dk, nd.r / 2.0 - dk + 1e-12)
+            candidates.append((-clearance, int(round(pt.p - 0.5)), int(round(pt.theta - 0.5))))
+    return min(candidates)[1:]
+
+
+_POOL = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
+_NODE_CASES = [(domain_from_json(e["domain"]), e["r"], e["m"]) for e in _POOL["decompose"]]
+_NODE_CASES += [
+    (FunctionDomain(lambda p, t: p ** 2 + t ** 2 <= 1.2 ** 2, (-1.2, 1.2, -1.2, 1.2)), 4.0, 0),
+    (Disk((0.5, 0.5), 1.0), 4.0, 0),  # four nodes tie on clearance: (-2, 0) and (0, -2) among them
+]
+
+
+@pytest.mark.parametrize("K, r, m", _NODE_CASES,
+                         ids=[e["id"] for e in _POOL["decompose"]] + ["function_disk", "tied_disk"])
+def test_sharp_node_matches_scalar_loop(K, r, m):
+    nd = nested_domains(K, r, default_order(r) if m is None else m)
+    assert certainty._choose_sharp_node(nd) == sharp_node_loop(nd)
 
 
 class TestDecompose:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import criticalgabor
 from criticalgabor import CoefficientSet, atom, hermite_signal, signal_from_csv
 from criticalgabor.cli import RunConfig, main
 
@@ -175,6 +179,23 @@ class TestDecomposeRotate:
         assert payload["report"]["residual_norm"] <= payload["report"]["bound_value"]
         assert (workdir / "res.csv").exists()
 
+    @pytest.mark.parametrize("implicit, explicit", [
+        (["--config", "m1.json", "--r", "3"], ["--m", "1", "--r", "3"]),
+        (["--r", "6"], ["--m", "0", "--r", "6"]),
+    ], ids=["m_from_config", "m_default"])
+    def test_decompose_runs_the_hashed_order(self, workdir, monkeypatch, implicit, explicit):
+        monkeypatch.chdir(workdir)
+        Path("m1.json").write_text(json.dumps({"m": 1}))
+        # r = 6 around a disk of radius 0.5 needs the T = 12 grid
+        atom((0, 0), 12.0, 1.0 / 64.0).to_csv("e12.csv")
+        Path("small.json").write_text(json.dumps({"type": "disk", "center": [0, 0], "radius": 0.5}))
+        grid = ["--input", "e0.csv", "--domain", "disk.json"]
+        if "6" in implicit:
+            grid = ["--input", "e12.csv", "--T", "12", "--domain", "small.json"]
+        for name, flags in (("implicit.json", implicit), ("explicit.json", explicit)):
+            assert main(["decompose", "--out", name] + grid + flags) == 0
+        assert Path("implicit.json").read_text() == Path("explicit.json").read_text()
+
     def test_rotate_preserves_norm(self, workdir):
         rc = main(["rotate", "--input", str(workdir / "h0.csv"),
                    "--angle", str(np.pi / 4), "--out", str(workdir / "rot.csv")])
@@ -235,3 +256,27 @@ class TestVerify:
         report = json.loads((workdir / "rq.json").read_text())
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "theta_vertical_periodicity" in failed
+
+
+class TestRuntimeDependencies:
+    """numpy is the only runtime dependency; scipy serves the tests alone."""
+
+    @staticmethod
+    def _child(code):
+        env = dict(os.environ)
+        src = str(Path(criticalgabor.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+    def test_cli_import_leaves_scipy_out(self):
+        res = self._child("import sys, criticalgabor.cli; print('scipy' in sys.modules)")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
+    def test_verify_runs_without_scipy(self, tmp_path):
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from criticalgabor.cli import main\n"
+                f"sys.exit(main(['verify', '--seed', '7', '--out', {str(tmp_path / 'v.json')!r}]))")
+        res = self._child(code)
+        assert res.returncode == 0, res.stderr
+        assert json.loads((tmp_path / "v.json").read_text())["checks"]

@@ -42,6 +42,17 @@ class TestSharpFunctional:
         for f in [hermites[2]] + random_smooth(rng, count=3):
             assert abs(sharp_functional(f) - sharp_functional_zak(f)) < 1e-5
 
+    @pytest.mark.parametrize("N", [16, 32])
+    @pytest.mark.parametrize("signal", ["h0", "h1", "h2", "h3", "sharp", (0.3, -1.7), (-1.25, 0.6)])
+    def test_zak_midpoint_value_matches_series(self, hermites, N, signal):
+        if isinstance(signal, tuple):
+            f = atom(signal)
+        elif signal == "sharp":
+            f = atom(sharp_point())
+        else:
+            f = hermites[int(signal[1])]
+        assert abs(sharp_functional(f) - sharp_functional_zak(f, N)) <= 1e-13
+
     def test_grid_without_half_integers_rejected(self):
         f = SampledSignal(8.0, 1 / 63, np.zeros(int(16 * 63) + 1))
         with pytest.raises(ValueError):

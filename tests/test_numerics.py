@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erf, eval_hermite
 
 from criticalgabor import (SampledSignal, ThetaConfig, hermite_signal,
                            inner, l2norm, loc_integral, signal_from_csv,
                            spectral_derivative, theta)
-from criticalgabor.numerics import upsample_periodic
+from criticalgabor.numerics import DEFAULT_H, DEFAULT_T, _sample_count, upsample_periodic
 
 # frozen oracle values (direct series / erf-free quadrature; see tests below)
 THETA0 = 1.2919960074815042
@@ -153,6 +154,15 @@ class TestLocIntegral:
         xs = np.linspace(-3, 3, 101)
         assert np.all(np.diff(loc_integral(xs)) >= 0)
 
+    @pytest.mark.parametrize("x", [
+        -DEFAULT_T + DEFAULT_H * np.arange(_sample_count(DEFAULT_T, DEFAULT_H)), -1.0, 0.0, 0.37],
+        ids=["default_grid", "minus_one", "zero", "scalar"])
+    def test_matches_scipy_erf(self, x):
+        ref = 0.5 * (1.0 + erf(np.sqrt(2.0 * np.pi) * np.asarray(x)))
+        out = loc_integral(x)
+        assert np.shape(out) == np.shape(ref)
+        assert np.max(np.abs(out - ref)) <= 1e-15
+
 
 class TestHermite:
     def test_ground_state_is_atom(self, e0):
@@ -169,6 +179,14 @@ class TestHermite:
         with pytest.raises(ValueError):
             hermite_signal(-1)
 
+    @pytest.mark.parametrize("n", range(40))
+    def test_recurrence_matches_scipy_hermite_polynomial(self, n):
+        x = hermite_signal(n).x
+        ref = SampledSignal(DEFAULT_T, DEFAULT_H,
+                            eval_hermite(n, np.sqrt(2.0 * np.pi) * x) * np.exp(-np.pi * x ** 2))
+        ref = ref * (1.0 / ref.norm())
+        assert np.max(np.abs(hermite_signal(n).values - ref.values)) <= 1e-13
+
 
 class TestSpectralDerivative:
     def test_gaussian_derivative(self, e0):
@@ -177,7 +195,36 @@ class TestSpectralDerivative:
         assert np.max(np.abs(d.values - expected)) < 1e-9
 
 
+def _upsample_1d(values, factor):
+    """The one-row trigonometric interpolation as it was before it took stacks."""
+    n = values.size
+    N = n * factor
+    if factor == 1:
+        return np.asarray(values, dtype=complex).copy()
+    spec = np.fft.fft(values)
+    out = np.zeros(N, dtype=complex)
+    if n % 2 == 0:
+        half = n // 2
+        out[:half] = spec[:half]
+        out[N - half + 1:] = spec[half + 1:]
+        out[half] = 0.5 * spec[half]
+        out[N - half] = 0.5 * spec[half]
+    else:
+        half = (n + 1) // 2
+        out[:half] = spec[:half]
+        out[N - (n - half):] = spec[half:]
+    return np.fft.ifft(out) * factor
+
+
 class TestUpsample:
+    @pytest.mark.parametrize("shape", [(32,), (32, 32), (5, 17), (3, 4, 10)])
+    @pytest.mark.parametrize("factor", [1, 2, 8])
+    def test_stack_is_rowwise_bitwise(self, shape, factor):
+        rng = np.random.default_rng(3)
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rows = np.array([_upsample_1d(r, factor) for r in vals.reshape(-1, shape[-1])])
+        np.testing.assert_array_equal(upsample_periodic(vals, factor),
+                                      rows.reshape(shape[:-1] + (factor * shape[-1],)))
     @pytest.mark.parametrize("n", [16, 17])
     def test_bandlimited_exact(self, n):
         k = np.arange(n)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,6 +142,22 @@ class TestDomains:
         exact = Disk((0, 0), 1.0)
         for pt in [(2.0, 0.0), (0.0, -1.7), (1.2, 1.2)]:
             assert abs(pred.distance(pt) - exact.distance(pt)) < 2 * pred.resolution
+
+    @pytest.mark.parametrize("kind", ["point_set", "sampled_boundary"])
+    def test_nearest_distance_matches_kd_tree(self, kind):
+        g = np.linspace(-3.0, 3.0, 240)
+        pts = np.column_stack([np.repeat(g, g.size), np.tile(g, g.size)])
+        if kind == "point_set":
+            sites = np.random.default_rng(1).uniform(-2.0, 2.0, size=(300, 2))
+            pts = np.vstack([pts, sites[::7]])
+            dom = PointSet(sites)
+            ref = cKDTree(sites).query(pts)[0]
+            np.testing.assert_array_equal(dom.contains(pts), ref <= 1e-12)
+            assert np.count_nonzero(dom.contains(pts)) == len(sites[::7])
+        else:
+            dom = FunctionDomain(lambda p, t: p ** 2 + t ** 2 <= 1.5 ** 2, (-1.5, 1.5, -1.5, 1.5))
+            ref = np.where(dom.contains(pts), 0.0, cKDTree(dom._boundary_samples()).query(pts)[0])
+        assert np.max(np.abs(dom.distance(pts) - ref)) <= 1e-15
 
     def test_json_loader(self):
         spec = {
