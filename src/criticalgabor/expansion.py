@@ -17,7 +17,7 @@ import numpy as np
 from .gabor import CoefficientSet, DEFAULT_BOX, DEFAULT_DLAM, DEFAULT_MARGIN, atom, gabor_transform, synthesize
 from .numerics import SampledSignal, ThetaConfig, theta, upsample_periodic
 from .phaseplane import PhasePoint, sharp_point
-from .zak import zak, _substep
+from .zak import zak, _substep, _zak_sum
 
 THETA0 = float(np.real(theta(0.0)))
 
@@ -73,6 +73,13 @@ def hdelta_norm(f: SampledSignal, delta: float, box=DEFAULT_BOX,
     return float(np.sqrt(np.sum(weight * np.abs(V.values) ** 2) * dlam ** 2))
 
 
+def _divided(Z: np.ndarray, y: np.ndarray, xi: np.ndarray, cfg: ThetaConfig | None) -> np.ndarray:
+    """exp(pi y^2) Z / Theta(xi + i y) for Z sampled on the (y, xi) grid."""
+    th = theta(xi[None, :] + 1j * y[:, None], cfg)
+    assert np.min(np.abs(th)) > 0.0, "theta vanished on the grid"
+    return np.exp(np.pi * y[:, None] ** 2) * Z / th
+
+
 def division_field(f_sharp: SampledSignal, N: int | None = None,
                    cfg: ThetaConfig | None = None):
     """F = exp(pi y^2) Z f_sharp / Theta(xi + i y) on the midpoint grid.
@@ -81,23 +88,19 @@ def division_field(f_sharp: SampledSignal, N: int | None = None,
     division is always finite there.
     """
     Z = zak(f_sharp, N)
-    y, xi = Z.y[:, None], Z.xi[None, :]
-    th = theta(xi + 1j * y, cfg)
-    assert np.min(np.abs(th)) > 0.0, "theta vanished on the midpoint grid"
-    return np.exp(np.pi * y ** 2) * Z.values / th, Z
+    return _divided(Z.values, Z.y, Z.xi, cfg), Z
 
 
-def _extract_block(F: np.ndarray, N: int, R: int) -> np.ndarray:
-    """Double Fourier coefficients of F against exp(2 pi i (p xi + theta y)).
+def _extract_block(F: np.ndarray, y: np.ndarray, xi: np.ndarray, R: int) -> np.ndarray:
+    """Fourier sums of F on the (y, xi) grid against exp(2 pi i (p xi + theta y)).
 
-    Returns M[p_idx, theta_idx] for p, theta in -R..R.
+    Returns M[p_idx, theta_idx] = sum F(y, xi) exp(-2 pi i (p xi + theta y)) for
+    p, theta in -R..R; the caller supplies the cell area.
     """
-    y = (np.arange(N) + 0.5) / N
-    xi = y
     ks = np.arange(-R, R + 1)
     Ep = np.exp(-2j * np.pi * np.outer(ks, xi))
     Et = np.exp(-2j * np.pi * np.outer(ks, y))
-    return Ep @ F.T @ Et.T / N ** 2
+    return Ep @ F.T @ Et.T
 
 
 _REFINE_FACTOR = 8
@@ -105,36 +108,21 @@ _REFINE_FACTOR = 8
 
 def _refine_correction(f_sharp: SampledSignal, F: np.ndarray, N: int, R: int,
                        cfg: ThetaConfig | None) -> np.ndarray:
-    """Replace the 4 cells cornered at (1/2, 1/2) by 8x-subdivided Riemann sums.
+    """One refined 2x2 block: the 4 cells cornered at (1/2, 1/2) as an 8x-subdivided
+    Riemann sum, minus their midpoint terms in the coarse sum.
 
     F behaves like |z - sharp|^{eps-1} near the theta zero; plain midpoint
     quadrature converges slowly there, so the adjacent cells are integrated
     on a locally refined grid.
     """
-    _substep(f_sharp.h, N)  # the x8 sample indexing below needs the even substep
-    Ti = int(round(f_sharp.T))
-    up = upsample_periodic(f_sharp.values, _REFINE_FACTOR)
-    r = _REFINE_FACTOR
-    cells = [(N // 2 - 1, N // 2 - 1), (N // 2 - 1, N // 2), (N // 2, N // 2 - 1), (N // 2, N // 2)]
-    off = (np.arange(r) + 0.5) / r
-    qs = np.arange(-Ti, Ti)
-    ks = np.arange(-R, R + 1)
-    fine_sum = np.zeros((ks.size, ks.size), dtype=complex)
-    coarse_sum = np.zeros_like(fine_sum)
-    for (ic, jc) in cells:
-        yf = (ic + off) / N
-        xif = (jc + off) / N
-        # sample index of y + q on the x8 grid: multiples survive because 1/(N h) is even
-        n_idx = np.round((yf[:, None] + qs[None, :] + f_sharp.T) / (f_sharp.h / r)).astype(int)
-        Zf = up[n_idx] @ np.exp(2j * np.pi * np.outer(qs, xif))  # (r, r)
-        Ff = np.exp(np.pi * yf[:, None] ** 2) * Zf / theta(xif[None, :] + 1j * yf[:, None], cfg)
-        Epf = np.exp(-2j * np.pi * np.outer(ks, xif))
-        Etf = np.exp(-2j * np.pi * np.outer(ks, yf))
-        fine_sum += Epf @ Ff.T @ Etf.T / (r * N) ** 2
-        yc, xic = (ic + 0.5) / N, (jc + 0.5) / N
-        phase = np.exp(-2j * np.pi * (np.outer(ks * xic, np.ones(ks.size)) + np.outer(np.ones(ks.size), ks * yc)))
-        coarse_sum += F[ic, jc] * phase / N ** 2
-    return fine_sum - coarse_sum
+    _substep(f_sharp.h, N)  # the fine nodes are samples of the x8 grid only for an even substep
+    r, c = _REFINE_FACTOR, N // 2 - 1
+    fine = (c + (np.arange(2 * r) + 0.5) / r) / N
+    coarse = (c + np.arange(2) + 0.5) / N
+    up = upsample_periodic(f_sharp.values, r)
+    Ff = _divided(_zak_sum(up, f_sharp.T, f_sharp.h / r, fine, fine), fine, fine, cfg)
+    return (_extract_block(Ff, fine, fine, R) / (r * N) ** 2
+            - _extract_block(F[c:c + 2, c:c + 2], coarse, coarse, R) / N ** 2)
 
 
 def lattice_coefficients(f_sharp: SampledSignal, R: int, N: int | None = None,
@@ -142,7 +130,7 @@ def lattice_coefficients(f_sharp: SampledSignal, R: int, N: int | None = None,
     """Lattice coefficients |k|, |j| <= R of f_sharp: double Fourier coefficients of
     division_field, the cells at the theta zero refined unless `refine` is off."""
     F, Z = division_field(f_sharp, N, cfg)
-    M = _extract_block(F, Z.N, R)
+    M = _extract_block(F, Z.y, Z.xi, R) / Z.N ** 2
     if refine:
         M = M + _refine_correction(f_sharp, F, Z.N, R, cfg)
     ks = range(-R, R + 1)
@@ -220,22 +208,11 @@ def seam_mismatch(f_sharp: SampledSignal, N: int | None = None,
     """Max deviation of F from double periodicity, measured across both seams.
 
     F on the shifted rows/columns is recomputed independently from the signal
-    samples (fresh Zak sums at y+1 and xi+1), so this cross-checks the Zak
-    boundary rule against the theta quasi-periodicity.
+    samples: fresh Zak sums at the nodes y + 1 and xi + 1, through the same Zak
+    sum and theta division as F itself.  This cross-checks the Zak boundary
+    rule against the theta quasi-periodicity.
     """
     F, Z = division_field(f_sharp, N, cfg)
-    N = Z.N
-    Ti = int(round(f_sharp.T))
-    qs = np.arange(-Ti - 1, Ti - 1)  # y + 1 + q must stay on the grid
-    y1 = Z.y + 1.0
-    n_idx = np.round((Z.y[:, None] + 1.0 + qs[None, :] + f_sharp.T) / f_sharp.h).astype(int)
-    Zy1 = f_sharp.values[n_idx] @ np.exp(2j * np.pi * np.outer(qs, Z.xi))
-    Fy1 = np.exp(np.pi * y1[:, None] ** 2) * Zy1 / theta(Z.xi[None, :] + 1j * y1[:, None], cfg)
-    dy = float(np.max(np.abs(Fy1 - F)))
-    xi1 = Z.xi + 1.0
-    qs_full = np.arange(-Ti, Ti)
-    n_full = np.round((Z.y[:, None] + qs_full[None, :] + f_sharp.T) / f_sharp.h).astype(int)
-    Zxi1 = f_sharp.values[n_full] @ np.exp(2j * np.pi * np.outer(qs_full, xi1))
-    Fxi1 = np.exp(np.pi * Z.y[:, None] ** 2) * Zxi1 / theta(xi1[None, :] + 1j * Z.y[:, None], cfg)
-    dxi = float(np.max(np.abs(Fxi1 - F)))
-    return max(dy, dxi)
+    shifted = ((Z.y + 1.0, Z.xi), (Z.y, Z.xi + 1.0))
+    return max(float(np.max(np.abs(_divided(_zak_sum(f_sharp.values, f_sharp.T, f_sharp.h, y, xi),
+                                            y, xi, cfg) - F))) for y, xi in shifted)

@@ -130,17 +130,19 @@ def commutation_check(S: Rotation, f: SampledSignal, adjoint: bool = False) -> f
     return (lhs - rhs).norm()
 
 
-def hdelta_invariance_check(S: Rotation, f: SampledSignal, grid_radius: float = 3.0,
+def hdelta_invariance_check(S: Rotation, f: SampledSignal, grid_radius: float | None = None,
                             step: float = 0.25) -> float:
     """Max over a lambda grid of ||<M_S f | e_{S lambda}>| - |<f | e_lambda>||.
 
     |<f | e_lambda>| comes from one gabor_transform over the grid; the rotated
     points S lambda are off-grid, so their atoms enter as one envelope x phase
     product.  Every atom center keeps DEFAULT_MARGIN away from +-T, as in atom(),
-    else ValueError.  So the default grid_radius=3 on the T=8 grid serves only
-    angles whose rotated grid corners stay within T - 4 = 4 of the origin
-    (near multiples of pi/2); pi/4 puts a corner at 3 sqrt(2) and raises.
+    else ValueError.  The default grid_radius is the largest multiple of step
+    with grid_radius sqrt(2) + DEFAULT_MARGIN <= T, so the grid corners stay
+    clear of the margin at every angle (2.75 on the T=8 grid).
     """
+    if grid_radius is None:
+        grid_radius = step * max(np.floor((f.T - DEFAULT_MARGIN) / (np.sqrt(2.0) * step)), 0.0)
     vals = np.arange(-grid_radius, grid_radius + step / 2, step)
     P, Th = np.meshgrid(vals, vals, indexing="ij")
     q, eta = S.a * P.ravel() + S.b * Th.ravel(), S.c * P.ravel() + S.d * Th.ravel()

@@ -58,9 +58,7 @@ class ZakField:
     def y(self) -> np.ndarray:
         return (np.arange(self.N) + 0.5) / self.N
 
-    @property
-    def xi(self) -> np.ndarray:
-        return (np.arange(self.N) + 0.5) / self.N
+    xi = y  # the same midpoint nodes on both axes
 
     def norm(self) -> float:
         """Discrete L2(Q) norm, (1/N^2) sum |Z|^2 over the unit square."""
@@ -88,26 +86,33 @@ class ZakField:
         return ZakField(payload["N"], vals)
 
 
-def _integer_T(f: SampledSignal) -> int:
-    Ti = int(round(f.T))
-    if abs(f.T - Ti) > 1e-9:
-        raise ValueError("Zak summation needs an integer grid half-width T")
+def _integer_T(T: float) -> int:
+    Ti = int(round(T))
+    if abs(T - Ti) > 1e-9:
+        raise ValueError(f"Zak sums need an integer grid half-width T, got T={T}")
     return Ti
+
+
+def _zak_sum(values: np.ndarray, T: float, step: float, y: np.ndarray,
+             xi: np.ndarray) -> np.ndarray:
+    """sum_q exp(2 pi i q xi) f(y + q) from samples f(-T + n step), as a (y, xi) array.
+
+    The y nodes must be sample points in one unit interval [y0, y0 + 1); q runs
+    over -T - y0 .. T - y0 - 1, so every y + q stays on the grid.
+    """
+    Ti = _integer_T(T)
+    shift = int(np.floor(y[0]))
+    qs = np.arange(-Ti - shift, Ti - shift)
+    n_idx = np.round((y[:, None] + qs[None, :] + T) / step).astype(int)
+    return values[n_idx] @ np.exp(2j * np.pi * np.outer(qs, xi))
 
 
 def zak(f: SampledSignal, N: int | None = None) -> ZakField:
     """Zak transform sampled on the midpoint grid, truncated to the signal support."""
     N = default_zak_size(f.h) if N is None else int(N)
-    s = _substep(f.h, N)
-    Ti = _integer_T(f)
-    qs = np.arange(-Ti, Ti)
-    # sample index of y_i + q:  (i + 1/2) s + (q + T)/h
-    i_idx = np.arange(N)
-    n_idx = (i_idx[:, None] * s + s // 2) + ((qs[None, :] + Ti) * N * s)
-    samples = f.values[n_idx]  # (N, 2T)
-    xi = (np.arange(N) + 0.5) / N
-    phases = np.exp(2j * np.pi * np.outer(qs, xi))  # (2T, N)
-    return ZakField(N, samples @ phases)
+    _substep(f.h, N)
+    grid = (np.arange(N) + 0.5) / N
+    return ZakField(N, _zak_sum(f.values, f.T, f.h, grid, grid))
 
 
 def zak_inverse(Z: ZakField, T: float, h: float) -> SampledSignal:
@@ -119,9 +124,7 @@ def zak_inverse(Z: ZakField, T: float, h: float) -> SampledSignal:
     """
     N = Z.N
     s = _substep(h, N)
-    Ti = int(round(T))
-    if abs(T - Ti) > 1e-9:
-        raise ValueError("Zak inversion needs an integer grid half-width T")
+    Ti = _integer_T(T)
     if 2 * Ti > N:
         raise ValueError(f"support width 2T={2 * Ti} exceeds N={N}; inversion would alias")
     qs = np.arange(-Ti, Ti)
@@ -145,8 +148,7 @@ def zak_atom_field(lam, N: int, cfg: ThetaConfig | None = None) -> ZakField:
     """
     lam = as_point(lam)
     y = (np.arange(N) + 0.5) / N
-    xi = (np.arange(N) + 0.5) / N
-    Y, XI = y[:, None], xi[None, :]
+    Y, XI = y[:, None], y[None, :]
     vals = (
         np.exp(2j * np.pi * lam.theta * Y - np.pi * (Y - lam.p) ** 2)
         * theta(XI + lam.theta + 1j * (Y - lam.p), cfg)
@@ -238,7 +240,6 @@ def sobolev_norm(Z: ZakField, delta: float) -> float:
     base = idx % N
     wrap = (idx - base) // N  # integer offset: -1, 0 or 1
     y_patch = (idx + 0.5) / N
-    xi_patch = y_patch.copy()
     # y-extension: Z(y + a, xi) = exp(-2 pi i a xi) Z(y, xi); xi-extension is periodic
     V = Z.values[np.ix_(base, base)]
     y_factor = np.exp(-2j * np.pi * np.outer(wrap, Z.xi[base]))

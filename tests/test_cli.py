@@ -250,6 +250,18 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "FAIL" not in text
 
+    def test_seed7_matches_golden(self, workdir):
+        # tests/data/verify_seed7.json holds every measured value of `verify --seed 7`;
+        # a refactor may move them by roundoff only
+        golden = json.loads((Path(__file__).parent / "data" / "verify_seed7.json").read_text())["measured"]
+        assert main(["verify", "--seed", "7", "--out", str(workdir / "g.json")]) == 0
+        checks = json.loads((workdir / "g.json").read_text())["checks"]
+        measured = {c["name"]: c["measured"] for c in checks}
+        assert measured.keys() == golden.keys()
+        moved = {name: (measured[name], g) for name, g in golden.items()
+                 if abs(measured[name] - g) > 1e-12 * abs(g) + 1e-14}
+        assert not moved
+
     def test_tiny_q_fails_theta_check(self, workdir, capsys):
         rc = main(["verify", "--Q", "2", "--out", str(workdir / "rq.json")])
         assert rc == 1

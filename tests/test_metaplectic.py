@@ -98,6 +98,14 @@ class TestSmoothnessInvariance:
     def test_quarter_turn(self, hermites):
         assert hdelta_invariance_check(Rotation(np.pi / 2), hermites[2]) <= 1e-3
 
+    @pytest.mark.parametrize("angle", [np.pi / 4, np.pi / 3])
+    def test_default_grid_serves_oblique_angles(self, hermites, angle):
+        # default radius: largest multiple of step with r sqrt(2) + margin <= T, 2.75 at T = 8
+        S = Rotation(angle)
+        got = hdelta_invariance_check(S, hermites[2])
+        assert got <= 1e-12
+        assert got == hdelta_invariance_check(S, hermites[2], 2.75)
+
     def test_norm_consequence(self, hermites):
         f = hermites[2]
         rotated = metaplectic_apply(Rotation(np.pi / 3), f)
