@@ -10,9 +10,9 @@ deterministic reduction order; everything is safe for concurrent use.
 from .numerics import (DEFAULT_H, DEFAULT_T, SampledSignal, ThetaConfig,
                        hermite_signal, inner, l2norm, loc_integral,
                        signal_from_csv, spectral_derivative, theta)
-from .phaseplane import (SHARP, Disk, FunctionDomain, Neighborhood, PhaseDomain,
+from .phaseplane import (Disk, FunctionDomain, Neighborhood, PhaseDomain,
                          PhasePoint, PointSet, Polygon, Rect, UnionDomain,
-                         as_point, domain_from_json, j_transform, lattice_point,
+                         as_point, domain_from_json, j_transform,
                          lattice_points_in, neighborhood, sharp_point,
                          symplectic_form)
 from .gabor import (MAX_ORDER, SIGMA0, CoefficientSet, GaborField, atom, atom_inner,
@@ -27,8 +27,7 @@ from .expansion import (RelaxedExpansion, division_field, hdelta_norm,
                         uniqueness_probe)
 from .higher import (DualAtomSet, OrderMExpansion, annihilate, create,
                      decay_exponent, default_sharp_nodes, dual_atoms,
-                     harmonic_oscillator, hdelta_m_norm, ladder_power,
-                     order_m_coefficients)
+                     harmonic_oscillator, hdelta_m_norm, order_m_coefficients)
 from .metaplectic import (CovarianceResult, Rotation, commutation_check,
                           covariance_check, hdelta_invariance_check,
                           metaplectic_apply)

@@ -20,13 +20,15 @@ from .expansion import hdelta_norm, relaxed_coefficients
 from .gabor import CoefficientSet, atom, dual_mixing, gabor_transform, superpose, synthesize
 from .higher import default_sharp_nodes, order_m_coefficients
 from .numerics import SampledSignal
-from .phaseplane import PhaseDomain, PhasePoint, lattice_points_in, neighborhood
+from .phaseplane import PhaseDomain, PhasePoint, grid_points, lattice_points_in, neighborhood
 
 # Empirical constant for the residual guarantee of the decomposition bound,
 # fitted once over the in-repo test family (atom mixes in disks) and frozen.
 FITTED_CDELTA = 0.05
 
 DEFAULT_DECOMP_DLAM = 1.0 / 8.0
+# atom margin from +-T for every synthesis in the decomposition
+DECOMP_MARGIN = 2.0
 
 
 def default_order(r: float) -> int:
@@ -69,10 +71,7 @@ def nested_domains(K: PhaseDomain, r: float, m: int) -> NestedDomains:
 def nesting_satisfied(nd: NestedDomains, step: float = 0.25) -> bool:
     """Grid check of K in K+ in U in D- in D over the bounding box of D."""
     pmin, pmax, tmin, tmax = nd.D.bbox
-    ps = np.arange(pmin, pmax + step / 2, step)
-    ts = np.arange(tmin, tmax + step / 2, step)
-    P, T = np.meshgrid(ps, ts, indexing="ij")
-    pts = np.column_stack([P.ravel(), T.ravel()])
+    pts = grid_points(np.arange(pmin, pmax + step / 2, step), np.arange(tmin, tmax + step / 2, step))
     chain = [nd.K, nd.K_plus, nd.U, nd.D_minus, nd.D]
     masks = [d.contains(pts) for d in chain]
     return all(not np.any(a & ~b) for a, b in zip(masks[:-1], masks[1:]))
@@ -88,9 +87,7 @@ def concentration(f: SampledSignal, D: PhaseDomain, box=None,
     if box is None:
         box = min(f.T, max(abs(b) for b in D.bbox) + 2.0)
     field = gabor_transform(f, box, dlam)
-    P, T = np.meshgrid(field.p_grid, field.theta_grid, indexing="ij")
-    pts = np.column_stack([P.ravel(), T.ravel()])
-    outside = ~D.contains(pts)
+    outside = ~D.contains(grid_points(field.p_grid, field.theta_grid))
     inside_box = float(np.sum(np.abs(field.values.ravel()) ** 2) * dlam ** 2)
     out_mass = float(np.sum(np.abs(field.values.ravel()[outside]) ** 2) * dlam ** 2)
     rest = f.norm() ** 2 - inside_box
@@ -128,14 +125,13 @@ class CertaintyDecomposition:
     residual: SampledSignal
     report: dict = field(default_factory=dict)
 
-    def synthesized(self, T: float, h: float, margin: float = 2.0) -> SampledSignal:
+    def synthesized(self, T: float, h: float, margin: float = DECOMP_MARGIN) -> SampledSignal:
         return synthesize(self.alpha, T, h, margin) + synthesize(self.omega, T, h, margin)
 
 
 def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
               delta: float = 2.0, dlam: float = DEFAULT_DECOMP_DLAM,
-              R_local: int = 6, C_delta: float = FITTED_CDELTA,
-              margin: float = 2.0) -> CertaintyDecomposition:
+              R_local: int = 6) -> CertaintyDecomposition:
     """Split f into lattice atoms in D = K(r), sharp atoms in D \\ K, and a residual.
 
     The Gabor density of g = f - f_U on D- \\ K+ is re-expanded per cell: the
@@ -169,12 +165,11 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     in_U = nd.U.contains(np.array([key[:2] for key in entries], dtype=float))
     fU_coeffs = CoefficientSet({key: v for (key, v), ok in zip(entries.items(), in_U) if ok})
     fU_coeffs.set(node[0], node[1], rexp.sharp, sharp=True)
-    f_U = synthesize(fU_coeffs, f.T, f.h, margin)
+    f_U = synthesize(fU_coeffs, f.T, f.h, DECOMP_MARGIN)
     g = f - f_U
 
     gfield = gabor_transform(g, box, dlam)
-    P, Th = np.meshgrid(gfield.p_grid, gfield.theta_grid, indexing="ij")
-    pts = np.column_stack([P.ravel(), Th.ravel()])
+    pts = grid_points(gfield.p_grid, gfield.theta_grid)
     w_g = gfield.values.ravel() * dlam ** 2
     in_Kplus = nd.K_plus.contains(pts)
     in_Dminus = nd.D_minus.contains(pts)
@@ -211,7 +206,8 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
         for (k, j), cv, ok in zip(kj, loc.coeffs.entries.values(), in_D):
             (alpha if ok else omega_out).add(k, j, cv)
 
-    residual = f - synthesize(alpha, f.T, f.h, margin) - synthesize(omega, f.T, f.h, margin)
+    residual = (f - synthesize(alpha, f.T, f.h, DECOMP_MARGIN)
+                - synthesize(omega, f.T, f.h, DECOMP_MARGIN))
 
     conc = concentration(f, nd.D, box, min(dlam, 1.0 / 16.0))
     fnorm = f.norm()
@@ -223,7 +219,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
         "residual_norm": residual.norm(),
         "signal_norm": fnorm,
         "concentration": conc,
-        "bound_value": float(np.sqrt(conc) + C_delta * r ** delta * np.exp(-r / np.e) * hnorm),
+        "bound_value": float(np.sqrt(conc) + FITTED_CDELTA * r ** delta * np.exp(-r / np.e) * hnorm),
         "hdelta_norm": hnorm,
         "g_norm": g.norm(),
         "g_plus_norm": g_plus.norm(),
@@ -246,10 +242,8 @@ def domain_area(D: PhaseDomain, resolution: float = 1.0 / 16.0) -> float:
     if not D.is_bounded():
         raise ValueError("area needs a bounded domain")
     pmin, pmax, tmin, tmax = D.bbox
-    ps = np.arange(pmin + resolution / 2, pmax, resolution)
-    ts = np.arange(tmin + resolution / 2, tmax, resolution)
-    P, T = np.meshgrid(ps, ts, indexing="ij")
-    pts = np.column_stack([P.ravel(), T.ravel()])
+    pts = grid_points(np.arange(pmin + resolution / 2, pmax, resolution),
+                      np.arange(tmin + resolution / 2, tmax, resolution))
     return float(np.count_nonzero(D.contains(pts)) * resolution ** 2)
 
 
@@ -284,7 +278,7 @@ def least_squares_baseline(f: SampledSignal, K: PhaseDomain, r: float,
     pts = lattice + sharp
     n = len(pts)
     G = np.array([[atom_inner(a, b) for b in pts] for a in pts])
-    b = np.array([_inner(f, atom(pt, f.T, f.h, margin=2.0)) for pt in pts])
+    b = np.array([_inner(f, atom(pt, f.T, f.h, margin=DECOMP_MARGIN)) for pt in pts])
     c = np.linalg.solve(G + ridge * np.eye(n), b)
     res2 = f.norm() ** 2 - 2 * np.real(np.vdot(c, b)) + np.real(np.vdot(c, G @ c))
     return float(np.sqrt(max(res2, 0.0)))

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gabor import CoefficientSet, DEFAULT_BOX, DEFAULT_DLAM, DEFAULT_MARGIN, atom, gabor_transform, synthesize
+from .gabor import CoefficientSet, DEFAULT_BOX, DEFAULT_DLAM, DEFAULT_MARGIN, gabor_transform, synthesize
 from .numerics import SampledSignal, ThetaConfig, theta, upsample_periodic
-from .phaseplane import PhasePoint, sharp_point
+from .phaseplane import sharp_point
 from .zak import zak, _substep, _zak_sum
 
 THETA0 = float(np.real(theta(0.0)))
@@ -126,13 +126,13 @@ def _refine_correction(f_sharp: SampledSignal, F: np.ndarray, N: int, R: int,
 
 
 def lattice_coefficients(f_sharp: SampledSignal, R: int, N: int | None = None,
-                         refine: bool = True, cfg: ThetaConfig | None = None) -> CoefficientSet:
+                         refine: bool = True) -> CoefficientSet:
     """Lattice coefficients |k|, |j| <= R of f_sharp: double Fourier coefficients of
     division_field, the cells at the theta zero refined unless `refine` is off."""
-    F, Z = division_field(f_sharp, N, cfg)
+    F, Z = division_field(f_sharp, N)
     M = _extract_block(F, Z.y, Z.xi, R) / Z.N ** 2
     if refine:
-        M = M + _refine_correction(f_sharp, F, Z.N, R, cfg)
+        M = M + _refine_correction(f_sharp, F, Z.N, R, None)
     ks = range(-R, R + 1)
     return CoefficientSet({(k, j, False): M[a, b] for a, k in enumerate(ks) for b, j in enumerate(ks)})
 
@@ -147,9 +147,6 @@ class RelaxedExpansion:
     cutoff: int
     diagnostics: dict = field(default_factory=dict)
 
-    def sharp_atom_point(self) -> PhasePoint:
-        return sharp_point(*self.sharp_node)
-
     def full_coefficients(self) -> CoefficientSet:
         merged = CoefficientSet(self.coeffs.entries)
         merged.set(self.sharp_node[0], self.sharp_node[1], self.sharp, sharp=True)
@@ -160,21 +157,22 @@ class RelaxedExpansion:
 
 
 def relaxed_coefficients(f: SampledSignal, R: int, N: int | None = None,
-                         refine: bool = True, sharp_node: tuple[int, int] = (0, 0),
-                         cfg: ThetaConfig | None = None) -> RelaxedExpansion:
+                         refine: bool = True, sharp_node: tuple[int, int] = (0, 0)) -> RelaxedExpansion:
     """Expansion coefficients of f over the lattice plus one sharp atom.
 
     The sharp atom may sit at any cell midpoint (k0 + 1/2, j0 + 1/2); its
-    coefficient carries the parity factor (-1)^{j0}.  Lattice coefficients are
-    the double Fourier coefficients of the theta-divided Zak field of
-    f - gamma * e_sharp for |k|, |j| <= R.
+    coefficient carries the parity factor (-1)^{j0}.  This is the order-0
+    expansion at that one node, whose dual atom is (-1)^{j0} e_sharp: lattice
+    coefficients are the double Fourier coefficients of the theta-divided Zak
+    field of f - gamma * e_sharp for |k|, |j| <= R.
     """
+    from .higher import _expand  # higher imports this module
+
     if R < 0:
         raise ValueError("cutoff must be >= 0")
     k0, j0 = int(sharp_node[0]), int(sharp_node[1])
-    gamma = (-1) ** j0 * sharp_functional(f)
-    f_sharp = f - gamma * atom(sharp_point(k0, j0), f.T, f.h)
-    coeffs = lattice_coefficients(f_sharp, R, N, refine, cfg)
+    block, coeffs = _expand(f, [sharp_point(k0, j0)], R, N, refine)
+    gamma = (-1) ** j0 * block[0]
     diag = {"l2": float(np.hypot(coeffs.l2(), abs(gamma)))}
     return RelaxedExpansion(gamma, (k0, j0), coeffs, R, diag)
 

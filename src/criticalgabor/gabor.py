@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from .numerics import DEFAULT_H, DEFAULT_T, SampledSignal, loc_integral, _chirp_sum, _sample_count
-from .phaseplane import PhasePoint, PointSet, as_point, neighborhood
+from .phaseplane import PhasePoint, PointSet, as_point, grid_points, neighborhood
 
 DEFAULT_BOX = 8.0
 DEFAULT_DLAM = 1.0 / 16.0
@@ -37,11 +37,17 @@ def atom(lam, T: float = DEFAULT_T, h: float = DEFAULT_H,
     is visibly non-normalized and an error is raised.
     """
     lam = as_point(lam)
-    if abs(lam.p) + margin > T:
-        raise ValueError(f"atom center p={lam.p} too close to the boundary T={T} (margin {margin})")
+    _check_margin(lam.p, T, margin)
     x = -T + h * np.arange(_sample_count(T, h))
     vals = 2 ** 0.25 * np.exp(-np.pi * (x - lam.p) ** 2 + 2j * np.pi * lam.theta * x)
     return SampledSignal(T, h, vals)
+
+
+def _check_margin(ps, T: float, margin: float):
+    """Every atom center p must keep `margin` units away from +-T."""
+    worst = float(np.max(np.abs(ps), initial=0.0))
+    if worst + margin > T:
+        raise ValueError(f"atom center p={worst} too close to the boundary T={T} (margin {margin})")
 
 
 def atom_inner(lam, mu) -> complex:
@@ -85,8 +91,9 @@ def _box_grids(box, dlam):
     if np.isscalar(box):
         box = (-box, box, -box, box)
     pmin, pmax, tmin, tmax = box
-    ps = pmin + dlam * np.arange(int(round((pmax - pmin) / dlam)) + 1)
-    ts = tmin + dlam * np.arange(int(round((tmax - tmin) / dlam)) + 1)
+    # floor, so the grid never passes pmax or tmax; 1e-9 absorbs the rounding of the ratio
+    ps = pmin + dlam * np.arange(int(np.floor((pmax - pmin) / dlam + 1e-9)) + 1)
+    ts = tmin + dlam * np.arange(int(np.floor((tmax - tmin) / dlam + 1e-9)) + 1)
     return ps, ts
 
 
@@ -154,9 +161,6 @@ class CoefficientSet:
     def points(self) -> list[PhasePoint]:
         off = {False: 0.0, True: 0.5}
         return [PhasePoint(k + off[s], j + off[s]) for (k, j, s) in sorted(self.entries)]
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.entries[key] for key in sorted(self.entries)])
 
     def l2(self) -> float:
         total = sum(abs(v) ** 2 for v in self.entries.values())
@@ -270,9 +274,7 @@ def synthesize(coeffs: CoefficientSet, T: float = DEFAULT_T, h: float = DEFAULT_
     if coeffs.sharp_block:
         points += [tuple(n) for n in coeffs.nodes]
         weights += list(np.asarray(coeffs.sharp_block) @ dual_mixing(coeffs.nodes))
-    for p, _ in points:
-        if abs(p) + margin > T:
-            raise ValueError(f"atom center p={p} too close to the boundary T={T} (margin {margin})")
+    _check_margin([p for p, _ in points], T, margin)
     return superpose(points, weights, T, h)
 
 
@@ -296,9 +298,7 @@ def tail_mass(coeffs: CoefficientSet, r: float, box=DEFAULT_BOX,
     box = (box[0] + dlam / 2, box[1] - dlam / 2, box[2] + dlam / 2, box[3] - dlam / 2)
     field = gabor_transform(g, box, dlam)
     support = PointSet(coeffs.points())
-    P, Th = np.meshgrid(field.p_grid, field.theta_grid, indexing="ij")
-    pts = np.column_stack([P.ravel(), Th.ravel()])
-    outside = ~neighborhood(support, r).contains(pts)
+    outside = ~neighborhood(support, r).contains(grid_points(field.p_grid, field.theta_grid))
     measured = float(np.sum(np.abs(field.values.ravel()[outside]) ** 2) * dlam ** 2)
     return measured, bound
 

@@ -32,12 +32,6 @@ def create(f: SampledSignal) -> SampledSignal:
     return SampledSignal(f.T, f.h, vals)
 
 
-def ladder_power(f: SampledSignal, k: int) -> SampledSignal:
-    for _ in range(k):
-        f = annihilate(f)
-    return f
-
-
 def harmonic_oscillator(f: SampledSignal) -> SampledSignal:
     """(a+ a + a a+)/2 = -(1/4 pi^2) d^2/dx^2 + x^2."""
     return 0.5 * (create(annihilate(f)) + annihilate(create(f)))
@@ -109,9 +103,24 @@ class OrderMExpansion:
         return synthesize(self.full_coefficients(), T, h, margin)
 
 
+def _expand(f: SampledSignal, nodes, R: int, N: int | None, refine: bool):
+    """The one expansion core at sharp nodes mu_0..mu_m: returns the sharp block
+    [gamma_sharp(a^j f) for j <= m] and the lattice coefficients of
+    f - sum_j gamma_sharp(a^j f) d_j."""
+    duals = dual_atoms(nodes, f.T, f.h)
+    block = [sharp_functional(f)]
+    g = f
+    for _ in duals.nodes[1:]:
+        g = annihilate(g)
+        block.append(sharp_functional(g))
+    f_sharp = f
+    for b, d in zip(block, duals.atoms):
+        f_sharp = f_sharp - b * d
+    return block, lattice_coefficients(f_sharp, R, N, refine)
+
+
 def order_m_coefficients(f: SampledSignal, m: int, nodes=None, R: int = 6,
-                         N: int | None = None, refine: bool = True,
-                         margin: float = DEFAULT_MARGIN) -> OrderMExpansion:
+                         N: int | None = None, refine: bool = True) -> OrderMExpansion:
     """Order-m relaxed expansion: f = sum_j gamma_sharp(a^j f) d_j + sum c_lambda e_lambda.
 
     Subtracting the dual-atom block zeroes the first m+1 sharp obstructions,
@@ -123,16 +132,7 @@ def order_m_coefficients(f: SampledSignal, m: int, nodes=None, R: int = 6,
     pts = [as_point(n) for n in nodes] if nodes is not None else default_sharp_nodes(m)
     if len(pts) != m + 1:
         raise ValueError(f"order m={m} needs exactly {m + 1} nodes, got {len(pts)}")
-    duals = dual_atoms(pts, f.T, f.h, margin)
-    block = []
-    g = f
-    for j in range(m + 1):
-        block.append(sharp_functional(g))
-        g = annihilate(g)
-    f_sharp = f
-    for b, d in zip(block, duals.atoms):
-        f_sharp = f_sharp - b * d
-    coeffs = lattice_coefficients(f_sharp, R, N, refine)
+    block, coeffs = _expand(f, pts, R, N, refine)
     exp = OrderMExpansion(block, pts, coeffs, R)
     exp.diagnostics["decay_exponent"] = decay_exponent(coeffs, rmax=R)
     return exp
@@ -140,21 +140,19 @@ def order_m_coefficients(f: SampledSignal, m: int, nodes=None, R: int = 6,
 
 def decay_exponent(coeffs: CoefficientSet, rmin: float = 1.5,
                    rmax: float | None = None) -> float:
-    """Log-log slope of shell-RMS coefficient size against 1 + |lambda|."""
-    shells: dict[int, list[float]] = {}
-    for (k, j, s), v in coeffs.entries.items():
-        if s:
-            continue
-        r = float(np.hypot(k, j))
-        if r < rmin or (rmax is not None and r > rmax) or abs(v) < 1e-14:
-            continue
-        shells.setdefault(int(round(r)), []).append(abs(v) ** 2)
-    radii = sorted(shells)
-    if len(radii) < 3:
+    """Log-log slope of shell-RMS coefficient size against 1 + |lambda|, over the
+    lattice entries with rmin <= |lambda| <= rmax and |c| >= 1e-14."""
+    keys = np.array(list(coeffs.entries), dtype=float).reshape(-1, 3)
+    size = np.abs(np.fromiter(coeffs.entries.values(), complex, len(keys)))
+    r = np.hypot(keys[:, 0], keys[:, 1])
+    keep = (keys[:, 2] == 0) & (r >= rmin) & (size >= 1e-14)
+    if rmax is not None:
+        keep &= r <= rmax
+    radii, shell = np.unique(np.round(r[keep]), return_inverse=True)
+    if radii.size < 3:
         return float("nan")
-    xs = np.log1p(np.array(radii, dtype=float))
-    ys = np.array([0.5 * np.log(np.mean(shells[r])) for r in radii])
-    slope = np.polyfit(xs, ys, 1)[0]
+    mean_sq = np.bincount(shell, weights=size[keep] ** 2) / np.bincount(shell)
+    slope = np.polyfit(np.log1p(radii), 0.5 * np.log(mean_sq), 1)[0]
     return float(-slope)
 
 
@@ -163,9 +161,8 @@ def hdelta_m_norm(f: SampledSignal, delta: float, m: int, box=8.0,
     """Ladder-graded smoothness norm (sum_{j<=m} ||a^j f||_delta^2)^{1/2}."""
     if m < 0:
         raise ValueError("order must be >= 0")
-    total = 0.0
-    g = f
-    for j in range(m + 1):
-        total += hdelta_norm(g, delta, box, dlam) ** 2
+    g, total = f, hdelta_norm(f, delta, box, dlam) ** 2
+    for _ in range(m):
         g = annihilate(g)
+        total += hdelta_norm(g, delta, box, dlam) ** 2
     return float(np.sqrt(total))

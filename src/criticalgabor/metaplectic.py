@@ -16,10 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gabor import DEFAULT_MARGIN, atom, gabor_transform
+from .gabor import DEFAULT_MARGIN, _check_margin, atom, gabor_transform
 from .higher import annihilate, create
 from .numerics import SampledSignal, _chirp_sum, inner
-from .phaseplane import PhasePoint, as_point
+from .phaseplane import PhasePoint, as_point, grid_points
 
 # |sin phi| below this would push the chirp rates past the grid Nyquist, so
 # the quadrature would alias; such angles are reached by composing with a
@@ -144,12 +144,9 @@ def hdelta_invariance_check(S: Rotation, f: SampledSignal, grid_radius: float | 
     if grid_radius is None:
         grid_radius = step * max(np.floor((f.T - DEFAULT_MARGIN) / (np.sqrt(2.0) * step)), 0.0)
     vals = np.arange(-grid_radius, grid_radius + step / 2, step)
-    P, Th = np.meshgrid(vals, vals, indexing="ij")
-    q, eta = S.a * P.ravel() + S.b * Th.ravel(), S.c * P.ravel() + S.d * Th.ravel()
-    for centers in (vals, q):
-        if np.max(np.abs(centers)) + DEFAULT_MARGIN > f.T:
-            raise ValueError(f"atom center p={np.max(np.abs(centers))} too close to the boundary "
-                             f"T={f.T} (margin {DEFAULT_MARGIN})")
+    P, Th = grid_points(vals, vals).T
+    q, eta = S.a * P + S.b * Th, S.c * P + S.d * Th
+    _check_margin(np.append(vals, q), f.T, DEFAULT_MARGIN)
     # the box spans the lambda grid's own end points, so the transform grid is that grid
     field = gabor_transform(f, (vals[0], vals[-1], vals[0], vals[-1]), step)
     rotated = metaplectic_apply(S, f)

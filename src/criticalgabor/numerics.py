@@ -130,15 +130,6 @@ def signal_from_csv(path) -> SampledSignal:
     return SampledSignal(T, h, np.asarray(vals))
 
 
-def zeros(T: float = DEFAULT_T, h: float = DEFAULT_H) -> SampledSignal:
-    return SampledSignal(T, h, np.zeros(_sample_count(T, h)))
-
-
-def signal_from_function(fn, T: float = DEFAULT_T, h: float = DEFAULT_H) -> SampledSignal:
-    x = -T + h * np.arange(_sample_count(T, h))
-    return SampledSignal(T, h, np.asarray(fn(x), dtype=complex))
-
-
 def inner(f: SampledSignal, g: SampledSignal) -> complex:
     """Discrete scalar product sum f(x_n) conj(g(x_n)) h."""
     f._require_grid(g)
@@ -172,19 +163,19 @@ def theta(z, cfg: ThetaConfig | None = None):
     the only zero in the closed unit square is 1/2 + i/2.  Im z is reduced to
     [-1/2, 1/2] before summation so the truncated series stays accurate.
     """
-    cfg = cfg or ThetaConfig()
     zarr = np.asarray(z, dtype=complex)
     k = np.round(zarr.imag).astype(int)
     zr = zarr - 1j * k
-    q = np.arange(-cfg.terms, cfg.terms + 1)
-    series = 2 ** 0.25 * np.sum(
-        np.exp(2j * np.pi * np.multiply.outer(zr, q) - np.pi * q ** 2), axis=-1
-    )
-    out = np.exp(np.pi * k ** 2 - 2j * np.pi * k * zr) * series
+    out = np.exp(np.pi * k ** 2 - 2j * np.pi * k * zr) * _theta_series(zr, cfg)
     return out if out.shape else complex(out)
 
 
-THETA_ZERO = 0.5 + 0.5j
+def _theta_series(z, cfg: ThetaConfig | None = None) -> np.ndarray:
+    """The truncated series 2^{1/4} sum_{|q| <= terms} exp(2 pi i q z - pi q^2), unreduced."""
+    cfg = cfg or ThetaConfig()
+    q = np.arange(-cfg.terms, cfg.terms + 1)
+    return 2 ** 0.25 * np.sum(np.exp(2j * np.pi * np.multiply.outer(np.asarray(z, complex), q)
+                                     - np.pi * q ** 2), axis=-1)
 
 
 def loc_integral(x):
@@ -222,10 +213,16 @@ def spectral_derivative(f: SampledSignal) -> SampledSignal:
 
     Accurate for signals that decay below roundoff at the grid boundary.
     """
-    n = f.values.size
-    freq = np.fft.fftfreq(n, d=f.h)
-    dv = np.fft.ifft(2j * np.pi * freq * np.fft.fft(f.values))
-    return SampledSignal(f.T, f.h, dv)
+    return SampledSignal(f.T, f.h, _fourier_derivative(f.values, f.h))
+
+
+def _fourier_derivative(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
+    """d/dx along one axis of values sampled with the given step, taken as one period."""
+    n = values.shape[axis]
+    shape = [1] * values.ndim
+    shape[axis] = n
+    freq = np.fft.fftfreq(n, d=step).reshape(shape)
+    return np.fft.ifft(2j * np.pi * freq * np.fft.fft(values, axis=axis), axis=axis)
 
 
 def _fft_length(n: int) -> int:

@@ -50,16 +50,9 @@ def as_point(x) -> PhasePoint:
     return PhasePoint(float(p), float(theta))
 
 
-def lattice_point(k: int, j: int) -> PhasePoint:
-    return PhasePoint(float(k), float(j))
-
-
 def sharp_point(k: int = 0, j: int = 0) -> PhasePoint:
     """Cell-midpoint translate (k + 1/2, j + 1/2) of the lattice."""
     return PhasePoint(k + 0.5, j + 0.5)
-
-
-SHARP = sharp_point(0, 0)
 
 
 def symplectic_form(u, v) -> float:
@@ -72,6 +65,12 @@ def j_transform(u) -> PhasePoint:
     """The symplectic rotation (p, theta) -> (theta, -p)."""
     u = as_point(u)
     return PhasePoint(u.theta, -u.p)
+
+
+def grid_points(ps, ts) -> np.ndarray:
+    """The (len(ps) * len(ts), 2) array of phase points (p, theta), p major."""
+    P, T = np.meshgrid(ps, ts, indexing="ij")
+    return np.column_stack([P.ravel(), T.ravel()])
 
 
 def _nearest_distance(sites: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -134,9 +133,8 @@ class PhaseDomain:
         pad = 2 * self.resolution
         ps = np.arange(pmin - pad, pmax + pad + self.resolution, self.resolution)
         ts = np.arange(tmin - pad, tmax + pad + self.resolution, self.resolution)
-        P, T = np.meshgrid(ps, ts, indexing="ij")
-        grid = np.column_stack([P.ravel(), T.ravel()])
-        inside = self._contains_xy(grid).reshape(P.shape)
+        grid = grid_points(ps, ts)
+        inside = self._contains_xy(grid).reshape(ps.size, ts.size)
         edge = np.zeros_like(inside)
         edge[:-1, :] |= inside[:-1, :] != inside[1:, :]
         edge[1:, :] |= inside[:-1, :] != inside[1:, :]
@@ -163,8 +161,8 @@ class PhaseDomain:
 
 
 class Rect(PhaseDomain):
-    def __init__(self, pmin, pmax, tmin, tmax, resolution=1.0 / 32.0):
-        super().__init__((pmin, pmax, tmin, tmax), resolution)
+    def __init__(self, pmin, pmax, tmin, tmax):
+        super().__init__((pmin, pmax, tmin, tmax))
 
     def _contains_xy(self, pts):
         pmin, pmax, tmin, tmax = self.bbox
@@ -181,13 +179,13 @@ class Rect(PhaseDomain):
 
 
 class Disk(PhaseDomain):
-    def __init__(self, center=(0.0, 0.0), radius=1.0, resolution=1.0 / 32.0):
+    def __init__(self, center=(0.0, 0.0), radius=1.0):
         cx, cy = as_point(center)
         if radius < 0:
             raise ValueError("disk radius must be >= 0")
         self.center = (float(cx), float(cy))
         self.radius = float(radius)
-        super().__init__((cx - radius, cx + radius, cy - radius, cy + radius), resolution)
+        super().__init__((cx - radius, cx + radius, cy - radius, cy + radius))
 
     def _contains_xy(self, pts):
         r = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
@@ -201,13 +199,13 @@ class Disk(PhaseDomain):
 class Polygon(PhaseDomain):
     """Closed polygon; membership by ray casting, boundary points included."""
 
-    def __init__(self, vertices, resolution=1.0 / 32.0):
+    def __init__(self, vertices):
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
             raise ValueError("polygon needs at least 3 (p, theta) vertices")
         self.vertices = verts
         bbox = (verts[:, 0].min(), verts[:, 0].max(), verts[:, 1].min(), verts[:, 1].max())
-        super().__init__(bbox, resolution)
+        super().__init__(bbox)
 
     def _edges(self):
         v = self.vertices
@@ -239,14 +237,14 @@ class Polygon(PhaseDomain):
 
 
 class UnionDomain(PhaseDomain):
-    def __init__(self, parts, resolution=1.0 / 32.0):
+    def __init__(self, parts):
         parts = list(parts)
         if not parts:
             raise ValueError("union of no domains")
         self.parts = parts
         boxes = np.array([p.bbox for p in parts])
         bbox = (boxes[:, 0].min(), boxes[:, 1].max(), boxes[:, 2].min(), boxes[:, 3].max())
-        super().__init__(bbox, resolution)
+        super().__init__(bbox)
 
     def _contains_xy(self, pts):
         out = np.zeros(len(pts), dtype=bool)
@@ -319,24 +317,30 @@ def lattice_points_in(domain: PhaseDomain, sharp: bool = False) -> list[PhasePoi
     js = np.arange(int(np.ceil(tmin - off - 1e-9)), int(np.floor(tmax - off + 1e-9)) + 1)
     if ks.size == 0 or js.size == 0:
         return []
-    K, J = np.meshgrid(ks, js, indexing="ij")
-    pts = np.column_stack([K.ravel() + off, J.ravel() + off])
+    pts = grid_points(ks + off, js + off)
     keep = domain.contains(pts)
     return [PhasePoint(p, t) for (p, t), ok in zip(pts, keep) if ok]
 
 
+_DOMAIN_KEYS = {"disk": {"center", "radius"}, "rect": {"pmin", "pmax", "tmin", "tmax"},
+                "polygon": {"vertices"}, "union": {"parts"}}
+
+
 def domain_from_json(spec) -> PhaseDomain:
-    """Build a domain from {"type": "disk"|"rect"|"polygon"|"union", ...}."""
+    """Build a domain from {"type": "disk"|"rect"|"polygon"|"union", ...}; a key
+    its type does not read is an error."""
     if isinstance(spec, (str, bytes)):
         spec = json.loads(spec)
     kind = spec.get("type")
-    res = float(spec.get("resolution", 1.0 / 32.0))
+    if kind not in _DOMAIN_KEYS:
+        raise ValueError(f"unknown domain type {kind!r}")
+    extra = set(spec) - _DOMAIN_KEYS[kind] - {"type"}
+    if extra:
+        raise ValueError(f"{kind} domain does not read {sorted(extra)}")
     if kind == "disk":
-        return Disk(tuple(spec["center"]), float(spec["radius"]), res)
+        return Disk(tuple(spec["center"]), float(spec["radius"]))
     if kind == "rect":
-        return Rect(spec["pmin"], spec["pmax"], spec["tmin"], spec["tmax"], res)
+        return Rect(spec["pmin"], spec["pmax"], spec["tmin"], spec["tmax"])
     if kind == "polygon":
-        return Polygon(spec["vertices"], res)
-    if kind == "union":
-        return UnionDomain([domain_from_json(s) for s in spec["parts"]], res)
-    raise ValueError(f"unknown domain type {kind!r}")
+        return Polygon(spec["vertices"])
+    return UnionDomain([domain_from_json(s) for s in spec["parts"]])

@@ -20,14 +20,6 @@ SOBOLEV_CONSTANT = 3.0        # frozen: fitted over hermites 0..5 (max 2.65) + r
 GD_CONSTANT = 3.0             # frozen: fitted coefficient-l2 vs smoothness norm (max 2.44)
 
 
-def _theta_raw(z, cfg):
-    """Truncated series without quasi-periodic reduction (exposes Q failures)."""
-    cfg = cfg or numerics.ThetaConfig()
-    q = np.arange(-cfg.terms, cfg.terms + 1)
-    return 2 ** 0.25 * np.sum(np.exp(2j * np.pi * np.multiply.outer(np.asarray(z, complex), q)
-                                     - np.pi * q ** 2), axis=-1)
-
-
 def _record(name, measured, tol, larger_is_ok=False):
     passed = measured >= tol if larger_is_ok else measured <= tol
     return {"name": name, "measured": float(measured), "tol": float(tol),
@@ -40,14 +32,15 @@ def run_checks(config, rng: np.random.Generator) -> list[dict]:
     cfg = numerics.ThetaConfig(Q)
     checks = []
 
-    # theta block
+    # theta block: the periodicity checks use the series without reduction (exposes Q failures)
+    series = numerics._theta_series
     grid = np.array([[x + 1j * y for x in np.linspace(0.02, 0.98, 20)]
                      for y in np.linspace(0.02, 0.98, 20)])
-    lhs = _theta_raw(grid + 1j, cfg)
-    rhs = np.exp(np.pi - 2j * np.pi * grid) * _theta_raw(grid, cfg)
+    lhs = series(grid + 1j, cfg)
+    rhs = np.exp(np.pi - 2j * np.pi * grid) * series(grid, cfg)
     checks.append(_record("theta_vertical_periodicity", np.max(np.abs(lhs - rhs)), 1e-8))
     checks.append(_record("theta_horizontal_periodicity",
-                          np.max(np.abs(_theta_raw(grid + 1, cfg) - _theta_raw(grid, cfg))), 1e-8))
+                          np.max(np.abs(series(grid + 1, cfg) - series(grid, cfg))), 1e-8))
     checks.append(_record("theta_zero_at_midpoint", abs(numerics.theta(0.5 + 0.5j, cfg)), 1e-10))
     vals = np.abs(numerics.theta(grid, cfg))
     mask = np.abs(grid - (0.5 + 0.5j)) > 0.05

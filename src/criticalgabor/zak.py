@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .numerics import SampledSignal, ThetaConfig, theta, upsample_periodic, _sample_count
+from .numerics import SampledSignal, ThetaConfig, theta, upsample_periodic, _fourier_derivative, _sample_count
 from .phaseplane import as_point
 
 
@@ -193,14 +193,6 @@ def zak_translate_check(lam, f: SampledSignal, N: int | None = None) -> float:
     return float(np.max(np.abs(left.values - factor * right.values)))
 
 
-def _spectral_axis_derivative(values: np.ndarray, axis: int) -> np.ndarray:
-    n = values.shape[axis]
-    freq = np.fft.fftfreq(n, d=1.0 / n)  # integer frequencies for period 1
-    shape = [1, 1]
-    shape[axis] = n
-    return np.fft.ifft(2j * np.pi * freq.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
-
-
 def a_operator_zak(Z: ZakField) -> ZakField:
     """Ladder operator on the Zak side: (1/2 pi i)(d_xi + i d_y) + y.
 
@@ -210,9 +202,9 @@ def a_operator_zak(Z: ZakField) -> ZakField:
     """
     y = Z.y[:, None]
     xi = Z.xi[None, :]
-    d_xi = _spectral_axis_derivative(Z.values, axis=1)
+    d_xi = _fourier_derivative(Z.values, 1.0 / Z.N, axis=1)
     twist = np.exp(2j * np.pi * y * xi)
-    d_y = np.conj(twist) * _spectral_axis_derivative(twist * Z.values, axis=0) \
+    d_y = np.conj(twist) * _fourier_derivative(twist * Z.values, 1.0 / Z.N, axis=0) \
         - 2j * np.pi * xi * Z.values
     vals = (d_xi + 1j * d_y) / (2j * np.pi) + y * Z.values
     return ZakField(Z.N, vals)

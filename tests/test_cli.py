@@ -179,6 +179,15 @@ class TestDecomposeRotate:
         assert payload["report"]["residual_norm"] <= payload["report"]["bound_value"]
         assert (workdir / "res.csv").exists()
 
+    def test_decompose_rejects_an_unread_domain_key(self, workdir, capsys):
+        spec = {"type": "disk", "center": [0, 0], "radius": 1.5, "resolution": 0.01}
+        (workdir / "res.json").write_text(json.dumps(spec))
+        rc = main(["decompose", "--input", str(workdir / "e0.csv"), "--domain", str(workdir / "res.json"),
+                   "--r", "3", "--out", str(workdir / "dec.json")])
+        assert rc == 2
+        assert "resolution" in capsys.readouterr().err
+        assert not (workdir / "dec.json").exists()
+
     @pytest.mark.parametrize("implicit, explicit", [
         (["--config", "m1.json", "--r", "3"], ["--m", "1", "--r", "3"]),
         (["--r", "6"], ["--m", "0", "--r", "6"]),

@@ -178,6 +178,16 @@ class TestDomains:
         with pytest.raises(ValueError):
             domain_from_json({"type": "blob"})
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "disk", "center": [0, 0], "radius": 1.0, "resolution": 0.01},
+        {"type": "rect", "pmin": 0, "pmax": 1, "tmin": 0, "tmax": 1, "radius": 2.0},
+        {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]], "resolution": 0.01},
+        {"type": "union", "parts": [{"type": "disk", "center": [0, 0], "radius": 1.0, "r": 1}]},
+    ], ids=["disk", "rect", "polygon", "union_part"])
+    def test_json_key_its_type_does_not_read_rejected(self, spec):
+        with pytest.raises(ValueError, match="does not read"):
+            domain_from_json(spec)
+
 
 class TestPhasePoint:
     def test_label_and_norm(self):
