@@ -88,8 +88,9 @@ def concentration(f: SampledSignal, D: PhaseDomain, box=None,
         box = min(f.T, max(abs(b) for b in D.bbox) + 2.0)
     field = gabor_transform(f, box, dlam)
     outside = ~D.contains(grid_points(field.p_grid, field.theta_grid))
-    inside_box = float(np.sum(np.abs(field.values.ravel()) ** 2) * dlam ** 2)
-    out_mass = float(np.sum(np.abs(field.values.ravel()[outside]) ** 2) * dlam ** 2)
+    power = np.abs(field.values.ravel()) ** 2
+    inside_box = float(np.sum(power) * dlam ** 2)
+    out_mass = float(np.sum(power[outside]) * dlam ** 2)
     rest = f.norm() ** 2 - inside_box
     return out_mass + (rest if rest > 64 * np.finfo(float).eps * f.norm() ** 2 else 0.0)
 
@@ -171,8 +172,10 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     gfield = gabor_transform(g, box, dlam)
     pts = grid_points(gfield.p_grid, gfield.theta_grid)
     w_g = gfield.values.ravel() * dlam ** 2
-    in_Kplus = nd.K_plus.contains(pts)
-    in_Dminus = nd.D_minus.contains(pts)
+    # K+ and D- are neighborhoods of K: one distance to K classifies the grid for both
+    dist_K = nd.K.distance(pts)
+    in_Kplus = dist_K <= nd.K_plus.r + 1e-12
+    in_Dminus = dist_K <= nd.D_minus.r + 1e-12
     mid = in_Dminus & ~in_Kplus
 
     lattice, sharp = _index_sets(nd.K, nd.D)

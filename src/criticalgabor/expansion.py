@@ -68,9 +68,10 @@ def hdelta_norm(f: SampledSignal, delta: float, box=DEFAULT_BOX,
     if delta < 0:
         raise ValueError("smoothness order must be >= 0")
     V = gabor_transform(f, box, dlam)
-    P, Th = np.meshgrid(V.p_grid, V.theta_grid, indexing="ij")
-    weight = np.hypot(P, Th) ** delta + 1.0
-    return float(np.sqrt(np.sum(weight * np.abs(V.values) ** 2) * dlam ** 2))
+    power = np.abs(V.values)
+    power *= power
+    power *= np.hypot(V.p_grid[:, None], V.theta_grid) ** delta + 1.0
+    return float(np.sqrt(np.sum(power) * dlam ** 2))
 
 
 def _divided(Z: np.ndarray, y: np.ndarray, xi: np.ndarray, cfg: ThetaConfig | None) -> np.ndarray:

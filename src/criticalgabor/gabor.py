@@ -4,9 +4,10 @@ The atom at lambda = (p, theta) is e_lambda(x) = 2^{1/4} exp(-pi (x-p)^2
 + 2 pi i theta x); atoms have unit norm and closed-form pairwise inner
 products.  On a uniform theta grid the analysis sum <f | e_lambda> is, per p,
 a chirp-z transform, so gabor_transform() costs O(n log n) per row through
-numerics._chirp_sum.  Every superposition sum c_lambda e_lambda (lattice
-and sharp series, the order-m dual-atom block, Riemann sums over a phase
-grid) goes through one separable kernel, superpose().
+the Bluestein kernel of numerics (_chirp_plan, _chirp_convolve).  Every
+superposition sum c_lambda e_lambda (lattice and sharp series, the order-m
+dual-atom block, Riemann sums over a phase grid) goes through one separable
+kernel, superpose().
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 
 import numpy as np
 
-from .numerics import DEFAULT_H, DEFAULT_T, SampledSignal, loc_integral, _chirp_sum, _sample_count
+from .numerics import DEFAULT_H, DEFAULT_T, SampledSignal, loc_integral, _chirp_convolve, _chirp_plan, _sample_count
 from .phaseplane import PhasePoint, PointSet, as_point, grid_points, neighborhood
 
 DEFAULT_BOX = 8.0
@@ -87,10 +88,13 @@ class GaborField:
                     fh.write(f"{float(p)!r},{float(t)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 
 
+def _as_box(box):
+    """A phase box (pmin, pmax, tmin, tmax); a scalar b stands for (-b, b, -b, b)."""
+    return (-box, box, -box, box) if np.isscalar(box) else tuple(box)
+
+
 def _box_grids(box, dlam):
-    if np.isscalar(box):
-        box = (-box, box, -box, box)
-    pmin, pmax, tmin, tmax = box
+    pmin, pmax, tmin, tmax = _as_box(box)
     # floor, so the grid never passes pmax or tmax; 1e-9 absorbs the rounding of the ratio
     ps = pmin + dlam * np.arange(int(np.floor((pmax - pmin) / dlam + 1e-9)) + 1)
     ts = tmin + dlam * np.arange(int(np.floor((tmax - tmin) / dlam + 1e-9)) + 1)
@@ -104,7 +108,11 @@ def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLA
     2^{1/4} h sum_n f(x_n) e^{-pi (x_n - p)^2} e^{-2 pi i theta_k x_n} is, for
     each p, the f row modulated by e^{-2 pi i theta_0 x} and the envelope, a
     chirp-z sum over k n with rate dlam h, and the post-factor
-    e^{2 pi i k dlam T}; rows go through in blocks of _ROWS.
+    e^{2 pi i k dlam T}.
+
+    The chirp constants are built once per call; rows go through in blocks
+    of _ROWS, each written into one envelope array and one FFT buffer that
+    every block reuses, so the transform allocates nothing per block.
 
     The box may not exceed the grid truncation |p| <= T; near the boundary the
     atoms are themselves truncated, which is harmless for signals whose mass
@@ -114,12 +122,23 @@ def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLA
     if np.max(np.abs(ps)) > f.T + 1e-9:
         raise ValueError(f"phase box reaches p={np.max(np.abs(ps))}, beyond the grid T={f.T}")
     x = f.x
-    g = f.values * np.exp(-2j * np.pi * ts[0] * x)
-    out = np.empty((ps.size, ts.size), dtype=complex)
+    N, K = x.size, ts.size
+    w, kernel_fft, L = _chirp_plan(dlam * f.h, N, K)
+    g = f.values * np.exp(-2j * np.pi * ts[0] * x) * w[:N].conj()
+    post = w[:K].conj() * (2 ** 0.25 * f.h * np.exp(2j * np.pi * dlam * f.T * np.arange(K)))
+    out = np.empty((ps.size, K), dtype=complex)
+    envelope = np.empty((min(_ROWS, ps.size), N))
+    buf = np.empty((envelope.shape[0], L), dtype=complex)
     for i in range(0, ps.size, _ROWS):
-        envelope = np.exp(-np.pi * (x - ps[i:i + _ROWS, None]) ** 2)
-        out[i:i + _ROWS] = _chirp_sum(envelope * g, dlam * f.h, ts.size)
-    out *= 2 ** 0.25 * f.h * np.exp(2j * np.pi * dlam * f.T * np.arange(ts.size))
+        p = ps[i:i + _ROWS, None]
+        env, blk = envelope[:p.size], buf[:p.size]
+        np.subtract(x, p, out=env)
+        np.square(env, out=env)
+        env *= -np.pi
+        np.exp(env, out=env)
+        np.multiply(env, g, out=blk[:, :N])
+        blk[:, N:] = 0.0
+        np.multiply(_chirp_convolve(blk, kernel_fft)[:, :K], post, out=out[i:i + _ROWS])
     return GaborField(ps, ts, out, dlam)
 
 
@@ -291,12 +310,10 @@ def tail_mass(coeffs: CoefficientSet, r: float, box=DEFAULT_BOX,
     if not coeffs.entries:
         return 0.0, bound
     g = synthesize(coeffs, T, h)
-    if np.isscalar(box):
-        box = (-box, box, -box, box)
     # midpoint grid: boundary cells classify by center, so the measured tail
     # approaches the continuum value from below
-    box = (box[0] + dlam / 2, box[1] - dlam / 2, box[2] + dlam / 2, box[3] - dlam / 2)
-    field = gabor_transform(g, box, dlam)
+    pmin, pmax, tmin, tmax = _as_box(box)
+    field = gabor_transform(g, (pmin + dlam / 2, pmax - dlam / 2, tmin + dlam / 2, tmax - dlam / 2), dlam)
     support = PointSet(coeffs.points())
     outside = ~neighborhood(support, r).contains(grid_points(field.p_grid, field.theta_grid))
     measured = float(np.sum(np.abs(field.values.ravel()[outside]) ** 2) * dlam ** 2)

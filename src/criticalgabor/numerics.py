@@ -258,13 +258,33 @@ def _chirp_sum(g: np.ndarray, c: float, K: int) -> np.ndarray:
     O((N + K) log(N + K)) per row instead of N K.
     """
     N = g.shape[-1]
+    w, kernel_fft, L = _chirp_plan(c, N, K)
+    buf = np.zeros(g.shape[:-1] + (L,), dtype=complex)
+    np.multiply(g, w[:N].conj(), out=buf[..., :N])
+    return w[:K].conj() * _chirp_convolve(buf, kernel_fft)[..., :K]
+
+
+def _chirp_plan(c: float, N: int, K: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The constants of a chirp-z sum of N inputs and K outputs at rate c:
+    the chirp w = exp(pi i c m^2) for m < max(N, K), the FFT of the chirp
+    kernel, and the convolution length L."""
     L = _fft_length(N + K - 1)
-    w = _chirp(c, max(N, K))  # exp(pi i c m^2), even in m
+    w = _chirp(c, max(N, K))  # even in m
     kernel = np.zeros(L, dtype=complex)
     kernel[:K] = w[:K]
     kernel[L - N + 1:] = w[N - 1:0:-1]
-    spec = np.fft.fft(g * w[:N].conj(), L, axis=-1) * np.fft.fft(kernel)
-    return w[:K].conj() * np.fft.ifft(spec, axis=-1)[..., :K]
+    return w, np.fft.fft(kernel), L
+
+
+def _chirp_convolve(buf: np.ndarray, kernel_fft: np.ndarray) -> np.ndarray:
+    """Circular convolution of each row of buf, (..., L), with the chirp kernel, in place.
+
+    buf holds the chirped input g w-bar zero-padded to L; afterwards its
+    first K columns hold the chirp-z sums before the final w-bar factor.
+    """
+    np.fft.fft(buf, axis=-1, out=buf)
+    buf *= kernel_fft
+    return np.fft.ifft(buf, axis=-1, out=buf)
 
 
 def upsample_periodic(values: np.ndarray, factor: int) -> np.ndarray:

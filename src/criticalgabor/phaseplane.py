@@ -207,28 +207,17 @@ class Polygon(PhaseDomain):
         bbox = (verts[:, 0].min(), verts[:, 0].max(), verts[:, 1].min(), verts[:, 1].max())
         super().__init__(bbox)
 
-    def _edges(self):
-        v = self.vertices
-        return v, np.roll(v, -1, axis=0)
-
-    def _edge_distance(self, pts):
-        a, b = self._edges()
-        ab = b - a  # (E,2)
-        ap = pts[:, None, :] - a[None, :, :]  # (N,E,2)
-        denom = np.maximum(np.sum(ab * ab, axis=1), 1e-300)
-        t = np.clip(np.sum(ap * ab[None, :, :], axis=2) / denom, 0.0, 1.0)
-        proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-        return np.min(np.hypot(*(pts[:, None, :] - proj).transpose(2, 0, 1)), axis=1)
-
     def _distance_xy(self, pts):
+        """One pass over the edges: ray-crossing parity and the running
+        minimum of the point-to-segment distance, on (N,) vectors."""
         x, y = pts[:, 0], pts[:, 1]
-        a, b = self._edges()
         inside = np.zeros(len(pts), dtype=bool)
-        for (x1, y1), (x2, y2) in zip(a, b):
-            cond = (y1 > y) != (y2 > y)
-            xin = x1 + (y - y1) * (x2 - x1) / np.where(y2 != y1, y2 - y1, 1e-300)
-            inside ^= cond & (x < xin)
-        d = self._edge_distance(pts)
+        d = np.full(len(pts), np.inf)
+        for (x1, y1), (x2, y2) in zip(self.vertices, np.roll(self.vertices, -1, axis=0)):
+            abx, aby = x2 - x1, y2 - y1
+            inside ^= ((y1 > y) != (y2 > y)) & (x < x1 + (y - y1) * abx / (aby if aby != 0 else 1e-300))
+            t = np.clip(((x - x1) * abx + (y - y1) * aby) / max(abx * abx + aby * aby, 1e-300), 0.0, 1.0)
+            np.minimum(d, np.hypot(x - (x1 + t * abx), y - (y1 + t * aby)), out=d)
         return np.where(inside | (d <= 1e-9), 0.0, d)
 
     def _contains_xy(self, pts):
@@ -275,7 +264,11 @@ class PointSet(PhaseDomain):
 
 
 class FunctionDomain(PhaseDomain):
-    """Arbitrary membership predicate over (p, theta) arrays, with explicit bbox."""
+    """Arbitrary membership predicate over (p, theta) arrays, with explicit bbox.
+
+    The predicate must hold only inside the bbox, as for every domain:
+    boundary sampling, lattice enumeration and neighborhood membership look
+    no further."""
 
     def __init__(self, predicate, bbox, resolution=1.0 / 32.0):
         self.predicate = predicate
@@ -297,7 +290,14 @@ class Neighborhood(PhaseDomain):
         super().__init__((pmin - r, pmax + r, tmin - r, tmax + r), base.resolution)
 
     def _contains_xy(self, pts):
-        return self.base.distance(pts) <= self.r + 1e-12
+        # a point outside the bbox widened by 1e-9 is farther than r + 1e-12 from
+        # the base, so the base distance is needed only inside it
+        pmin, pmax, tmin, tmax = self.bbox
+        near = ((pts[:, 0] >= pmin - 1e-9) & (pts[:, 0] <= pmax + 1e-9)
+                & (pts[:, 1] >= tmin - 1e-9) & (pts[:, 1] <= tmax + 1e-9))
+        out = np.zeros(len(pts), dtype=bool)
+        out[near] = self.base.distance(pts[near]) <= self.r + 1e-12
+        return out
 
     def _distance_xy(self, pts):
         return np.maximum(self.base.distance(pts) - self.r, 0.0)

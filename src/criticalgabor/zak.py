@@ -30,6 +30,11 @@ def _substep(h: float, N: int) -> int:
     return si
 
 
+def _midpoints(N: int) -> np.ndarray:
+    """The midpoint nodes (i + 1/2)/N, i < N, of the unit interval."""
+    return (np.arange(N) + 0.5) / N
+
+
 def default_zak_size(h: float) -> int:
     """Largest midpoint-compatible N for the step h (substep exactly 2)."""
     N = int(round(1.0 / (2.0 * h)))
@@ -56,7 +61,7 @@ class ZakField:
 
     @property
     def y(self) -> np.ndarray:
-        return (np.arange(self.N) + 0.5) / self.N
+        return _midpoints(self.N)
 
     xi = y  # the same midpoint nodes on both axes
 
@@ -111,7 +116,7 @@ def zak(f: SampledSignal, N: int | None = None) -> ZakField:
     """Zak transform sampled on the midpoint grid, truncated to the signal support."""
     N = default_zak_size(f.h) if N is None else int(N)
     _substep(f.h, N)
-    grid = (np.arange(N) + 0.5) / N
+    grid = _midpoints(N)
     return ZakField(N, _zak_sum(f.values, f.T, f.h, grid, grid))
 
 
@@ -147,7 +152,7 @@ def zak_atom_field(lam, N: int, cfg: ThetaConfig | None = None) -> ZakField:
     Ze_(r,eta)(y, xi) = exp(2 pi i eta y) exp(-pi (y-r)^2) Theta(xi + eta + i(y-r)).
     """
     lam = as_point(lam)
-    y = (np.arange(N) + 0.5) / N
+    y = _midpoints(N)
     Y, XI = y[:, None], y[None, :]
     vals = (
         np.exp(2j * np.pi * lam.theta * Y - np.pi * (Y - lam.p) ** 2)
