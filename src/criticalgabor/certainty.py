@@ -20,7 +20,8 @@ from .expansion import hdelta_norm, relaxed_coefficients
 from .gabor import CoefficientSet, atom, dual_mixing, gabor_transform, superpose, synthesize
 from .higher import default_sharp_nodes, order_m_coefficients
 from .numerics import SampledSignal
-from .phaseplane import PhaseDomain, PhasePoint, grid_points, lattice_points_in, neighborhood
+from .phaseplane import (PhaseDomain, PhasePoint, grid_points, lattice_points_in, neighborhood,
+                         neighborhood_masks)
 
 # Empirical constant for the residual guarantee of the decomposition bound,
 # fitted once over the in-repo test family (atom mixes in disks) and frozen.
@@ -173,9 +174,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     pts = grid_points(gfield.p_grid, gfield.theta_grid)
     w_g = gfield.values.ravel() * dlam ** 2
     # K+ and D- are neighborhoods of K: one distance to K classifies the grid for both
-    dist_K = nd.K.distance(pts)
-    in_Kplus = dist_K <= nd.K_plus.r + 1e-12
-    in_Dminus = dist_K <= nd.D_minus.r + 1e-12
+    in_Kplus, in_Dminus = neighborhood_masks(nd.K, pts, [nd.K_plus.r, nd.D_minus.r])
     mid = in_Dminus & ~in_Kplus
 
     lattice, sharp = _index_sets(nd.K, nd.D)

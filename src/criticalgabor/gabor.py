@@ -123,9 +123,9 @@ def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLA
         raise ValueError(f"phase box reaches p={np.max(np.abs(ps))}, beyond the grid T={f.T}")
     x = f.x
     N, K = x.size, ts.size
-    w, kernel_fft, L = _chirp_plan(dlam * f.h, N, K)
-    g = f.values * np.exp(-2j * np.pi * ts[0] * x) * w[:N].conj()
-    post = w[:K].conj() * (2 ** 0.25 * f.h * np.exp(2j * np.pi * dlam * f.T * np.arange(K)))
+    pre, post, kernel_fft, L = _chirp_plan(dlam * f.h, N, K)
+    g = f.values * np.exp(-2j * np.pi * ts[0] * x) * pre
+    post = post * (2 ** 0.25 * f.h * np.exp(2j * np.pi * dlam * f.T * np.arange(K)))
     out = np.empty((ps.size, K), dtype=complex)
     envelope = np.empty((min(_ROWS, ps.size), N))
     buf = np.empty((envelope.shape[0], L), dtype=complex)

@@ -257,23 +257,23 @@ def _chirp_sum(g: np.ndarray, c: float, K: int) -> np.ndarray:
     chirp, one FFT convolution of 5-smooth length >= N + K - 1, and a chirp:
     O((N + K) log(N + K)) per row instead of N K.
     """
-    N = g.shape[-1]
-    w, kernel_fft, L = _chirp_plan(c, N, K)
+    pre, post, kernel_fft, L = _chirp_plan(c, g.shape[-1], K)
     buf = np.zeros(g.shape[:-1] + (L,), dtype=complex)
-    np.multiply(g, w[:N].conj(), out=buf[..., :N])
-    return w[:K].conj() * _chirp_convolve(buf, kernel_fft)[..., :K]
+    np.multiply(g, pre, out=buf[..., :pre.size])
+    return post * _chirp_convolve(buf, kernel_fft)[..., :K]
 
 
-def _chirp_plan(c: float, N: int, K: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _chirp_plan(c: float, N: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The constants of a chirp-z sum of N inputs and K outputs at rate c:
-    the chirp w = exp(pi i c m^2) for m < max(N, K), the FFT of the chirp
-    kernel, and the convolution length L."""
+    the input factor w-bar[:N] and the output factor w-bar[:K] of the chirp
+    w = exp(pi i c m^2), the FFT of the chirp kernel, and the convolution
+    length L."""
     L = _fft_length(N + K - 1)
     w = _chirp(c, max(N, K))  # even in m
     kernel = np.zeros(L, dtype=complex)
     kernel[:K] = w[:K]
     kernel[L - N + 1:] = w[N - 1:0:-1]
-    return w, np.fft.fft(kernel), L
+    return w[:N].conj(), w[:K].conj(), np.fft.fft(kernel), L
 
 
 def _chirp_convolve(buf: np.ndarray, kernel_fft: np.ndarray) -> np.ndarray:

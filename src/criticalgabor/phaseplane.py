@@ -268,11 +268,22 @@ class FunctionDomain(PhaseDomain):
 
     The predicate must hold only inside the bbox, as for every domain:
     boundary sampling, lattice enumeration and neighborhood membership look
-    no further."""
+    no further.  A bounded domain checks this on a ring one resolution step
+    outside the bbox, sampled at the resolution, and raises ValueError if the
+    predicate holds anywhere on it."""
 
     def __init__(self, predicate, bbox, resolution=1.0 / 32.0):
         self.predicate = predicate
         super().__init__(bbox, resolution)
+        if self.is_bounded() and np.any(self._contains_xy(self._outer_ring())):
+            raise ValueError(f"predicate holds outside its bounding box {self.bbox}")
+
+    def _outer_ring(self) -> np.ndarray:
+        pmin, pmax, tmin, tmax = self.bbox
+        s = self.resolution
+        ps = np.linspace(pmin - s, pmax + s, int(np.ceil((pmax - pmin) / s)) + 3)
+        ts = np.linspace(tmin - s, tmax + s, int(np.ceil((tmax - tmin) / s)) + 3)
+        return np.vstack([grid_points(ps, ts[[0, -1]]), grid_points(ps[[0, -1]], ts)])
 
     def _contains_xy(self, pts):
         return np.asarray(self.predicate(pts[:, 0], pts[:, 1]), dtype=bool)
@@ -290,14 +301,7 @@ class Neighborhood(PhaseDomain):
         super().__init__((pmin - r, pmax + r, tmin - r, tmax + r), base.resolution)
 
     def _contains_xy(self, pts):
-        # a point outside the bbox widened by 1e-9 is farther than r + 1e-12 from
-        # the base, so the base distance is needed only inside it
-        pmin, pmax, tmin, tmax = self.bbox
-        near = ((pts[:, 0] >= pmin - 1e-9) & (pts[:, 0] <= pmax + 1e-9)
-                & (pts[:, 1] >= tmin - 1e-9) & (pts[:, 1] <= tmax + 1e-9))
-        out = np.zeros(len(pts), dtype=bool)
-        out[near] = self.base.distance(pts[near]) <= self.r + 1e-12
-        return out
+        return neighborhood_masks(self.base, pts, [self.r])[0]
 
     def _distance_xy(self, pts):
         return np.maximum(self.base.distance(pts) - self.r, 0.0)
@@ -305,6 +309,24 @@ class Neighborhood(PhaseDomain):
 
 def neighborhood(domain: PhaseDomain, r: float) -> PhaseDomain:
     return Neighborhood(domain, r)
+
+
+def neighborhood_masks(base: PhaseDomain, pts: np.ndarray, radii) -> list[np.ndarray]:
+    """Membership of the (n, 2) points in the closed r-neighborhoods of base,
+    dist(., base) <= r + 1e-12, one mask per radius, from one base distance.
+
+    A point outside the base's bbox widened by max(radii) + 1e-9 is farther
+    than every r + 1e-12 from the base, so the distance is taken only inside it.
+    """
+    reach = max(radii) + 1e-9
+    pmin, pmax, tmin, tmax = base.bbox
+    near = ((pts[:, 0] >= pmin - reach) & (pts[:, 0] <= pmax + reach)
+            & (pts[:, 1] >= tmin - reach) & (pts[:, 1] <= tmax + reach))
+    d = base.distance(pts[near])
+    masks = [np.zeros(len(pts), dtype=bool) for _ in radii]
+    for mask, r in zip(masks, radii):
+        mask[near] = d <= r + 1e-12
+    return masks
 
 
 def lattice_points_in(domain: PhaseDomain, sharp: bool = False) -> list[PhasePoint]:

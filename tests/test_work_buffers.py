@@ -25,7 +25,7 @@ from criticalgabor.gabor import _ROWS, _box_grids
 from criticalgabor.higher import annihilate, default_sharp_nodes, dual_atoms
 from criticalgabor.expansion import sharp_functional
 from criticalgabor.numerics import _chirp, _chirp_sum, _fft_length
-from criticalgabor.phaseplane import PointSet, grid_points, neighborhood
+from criticalgabor.phaseplane import PointSet, grid_points, neighborhood, neighborhood_masks
 
 T, H = 8.0, 1.0 / 64.0
 
@@ -194,6 +194,32 @@ def test_neighborhood_mask_matches_the_all_points_rule_bitwise(name, r):
     pts = grid_points(axis, axis)
     want = base.distance(pts) <= float(r) + 1e-12
     np.testing.assert_array_equal(neighborhood(base, r).contains(pts), want)
+
+
+@pytest.mark.parametrize("name", sorted(base_domains()))
+def test_masks_of_several_radii_match_one_radius_each(name):
+    base = base_domains()[name]
+    axis = np.arange(-6.0, 6.0 + 1 / 32, 1 / 16)
+    pts = grid_points(axis, axis)
+    radii = [1.5, 0.0, 0.37]
+    masks = neighborhood_masks(base, pts, radii)
+    for mask, r in zip(masks, radii):
+        np.testing.assert_array_equal(mask, base.distance(pts) <= r + 1e-12)
+
+
+@pytest.mark.parametrize("bbox", [(-1.0, 1.0, -1.0, 1.0), (-1.5, 1.5, -1.0, 1.0), (-1.0, 1.0, -1.5, 1.5)])
+def test_predicate_outside_its_bbox_is_rejected(bbox):
+    # a disk of radius 1.5 reaches past each of these boxes; clipping it to the
+    # box would make neighborhood(D, 0.5).contains((1.8, 0)) silently False
+    with pytest.raises(ValueError, match="outside its bounding box"):
+        FunctionDomain(lambda p, t: p ** 2 + t ** 2 <= 1.5 ** 2, bbox)
+
+
+def test_predicate_inside_its_bbox_is_accepted():
+    D = FunctionDomain(lambda p, t: p ** 2 + t ** 2 <= 1.5 ** 2, (-1.5, 1.5, -1.5, 1.5))
+    assert neighborhood(D, 0.5).contains((1.8, 0.0))
+    # an unbounded box has no ring to sample; nothing reads past it but membership
+    assert FunctionDomain(lambda p, t: p > 0, (0, np.inf, -1, 1)).contains((2.0, 3.0))
 
 
 @pytest.mark.parametrize("K", [Disk((0, 0), 1.0), Polygon([[-1, -0.5], [1, -0.5], [0.2, 1.0]])])
