@@ -22,7 +22,7 @@ class RunConfig:
     T: float = 8.0
     h: float = 1.0 / 64.0
     N: int = 32
-    Q: int = 8
+    Q: int = numerics.ThetaConfig.terms
     dlam: float = 1.0 / 16.0
     box: float = 8.0
     R: int = 6
@@ -116,6 +116,14 @@ def _dump_json(payload, path=None):
         print(text)
 
 
+def _require_default(config: RunConfig, command: str, name: str):
+    """Refuse a field the command cannot apply, so config_hash never records a value that was not used."""
+    value, default = getattr(config, name), getattr(RunConfig, name)
+    if value != default:
+        raise ValueError(f"config: {command} cannot apply {name}={value!r}; "
+                         f"it always runs with the default {name}={default!r}")
+
+
 def _load_signal(path, config: RunConfig) -> numerics.SampledSignal:
     """Read a signal CSV whose grid must be the config's grid (T, h)."""
     f = numerics.signal_from_csv(path)
@@ -154,6 +162,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_expand(args) -> int:
     config = load_config(args)
+    _require_default(config, "expand", "Q")  # the expansion divides by the default theta series
     f = _load_signal(args.input, config)
     if config.m == 0:
         exp = expansion.relaxed_coefficients(f, config.R, config.N, config.refine)
@@ -176,6 +185,7 @@ def cmd_expand(args) -> int:
 
 def cmd_decompose(args) -> int:
     config = load_config(args)
+    _require_default(config, "decompose", "Q")  # its expansions divide by the default theta series
     f = _load_signal(args.input, config)
     with open(args.domain) as fh:
         K = phaseplane.domain_from_json(fh.read())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gabor import CoefficientSet, DEFAULT_BOX, DEFAULT_DLAM, DEFAULT_MARGIN, gabor_transform, synthesize
-from .numerics import SampledSignal, ThetaConfig, theta, upsample_periodic
+from .numerics import Memo, SampledSignal, ThetaConfig, array_key, theta, upsample_periodic
 from .phaseplane import sharp_point
 from .zak import zak, _substep, _zak_sum
 
@@ -96,12 +96,20 @@ def _extract_block(F: np.ndarray, y: np.ndarray, xi: np.ndarray, R: int) -> np.n
     """Fourier sums of F on the (y, xi) grid against exp(2 pi i (p xi + theta y)).
 
     Returns M[p_idx, theta_idx] = sum F(y, xi) exp(-2 pi i (p xi + theta y)) for
-    p, theta in -R..R; the caller supplies the cell area.
+    p, theta in -R..R; the caller supplies the cell area.  The two Fourier-row
+    matrices are memoised per (R, y, xi).
     """
-    ks = np.arange(-R, R + 1)
-    Ep = np.exp(-2j * np.pi * np.outer(ks, xi))
-    Et = np.exp(-2j * np.pi * np.outer(ks, y))
+    Ep, Et = _BLOCK_MEMO.get((R, array_key(y), array_key(xi)), lambda: _fourier_rows(R, y, xi))
     return Ep @ F.T @ Et.T
+
+
+def _fourier_rows(R: int, y: np.ndarray, xi: np.ndarray):
+    """exp(-2 pi i k xi) and exp(-2 pi i k y) for k in -R..R, one row per k."""
+    ks = np.arange(-R, R + 1)
+    return np.exp(-2j * np.pi * np.outer(ks, xi)), np.exp(-2j * np.pi * np.outer(ks, y))
+
+
+_BLOCK_MEMO = Memo()
 
 
 _REFINE_FACTOR = 8

@@ -17,7 +17,8 @@ import json
 
 import numpy as np
 
-from .numerics import DEFAULT_H, DEFAULT_T, SampledSignal, loc_integral, _chirp_convolve, _chirp_plan, _sample_count
+from .numerics import (DEFAULT_H, DEFAULT_T, Memo, SampledSignal, loc_integral, _chirp_convolve, _chirp_plan,
+                       _sample_count)
 from .phaseplane import PhasePoint, PointSet, as_point, grid_points, neighborhood
 
 DEFAULT_BOX = 8.0
@@ -244,8 +245,14 @@ def dual_mixing(nodes) -> np.ndarray:
     gamma_sharp(a^k e_mu) = (-1)^{floor(eta)} mu_label^k for distinct sharp
     nodes mu_0..mu_m, so H is the Vandermonde inverse of the complex labels
     times the parity signs; it enforces gamma_sharp(a^k d_j) = delta_j^k.
+    H is memoised per node tuple and returned read-only.
     """
     pts = [as_point(n) for n in nodes]
+    return _MIXING_MEMO.get(tuple((float(pt.p), float(pt.theta)) for pt in pts),
+                            lambda: _mixing(pts))
+
+
+def _mixing(pts: list[PhasePoint]) -> np.ndarray:
     if len(pts) - 1 > MAX_ORDER:
         raise ValueError(f"order m={len(pts) - 1} exceeds the cap {MAX_ORDER} (Vandermonde conditioning)")
     for pt in pts:
@@ -253,6 +260,9 @@ def dual_mixing(nodes) -> np.ndarray:
             raise ValueError(f"{pt} is not a sharp (cell-midpoint) point")
     signs = np.array([(-1.0) ** round(pt.theta - 0.5) for pt in pts])
     return vandermonde_inverse([pt.label for pt in pts]) * signs[None, :]
+
+
+_MIXING_MEMO = Memo()
 
 
 def _superpose_grid(ps, ts, W, T: float, h: float) -> np.ndarray:

@@ -8,9 +8,11 @@ spectral accuracy for every integrand appearing in this package.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 import json
 import math
+import threading
 
 import numpy as np
 
@@ -19,6 +21,46 @@ DEFAULT_H = 1.0 / 64.0
 
 _TWO_PI = 2.0 * np.pi
 _erf = np.frompyfunc(math.erf, 1, 1)
+
+MEMO_SIZE = 16  # entries per Memo
+
+
+class Memo:
+    """Values that depend only on a grid, built once per key.
+
+    Holds at most MEMO_SIZE entries and evicts the least recently used. Every
+    array of a stored value is made read-only, so all callers share it
+    without copies. The key must determine the value bit for bit.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key, build):
+        """The value stored under key, built by build() and stored if absent."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                return value
+        value = build()
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):  # numpy scalars are immutable already
+                arr.setflags(write=False)
+        with self._lock:
+            self._entries[key] = value
+            while len(self._entries) > MEMO_SIZE:
+                self._entries.popitem(last=False)
+        return value
+
+
+def array_key(a: np.ndarray) -> tuple:
+    """A memo key that fixes an array exactly: its dtype, shape and bytes."""
+    return a.dtype.str, a.shape, a.tobytes()
 
 
 def _sample_count(T: float, h: float) -> int:
@@ -162,12 +204,21 @@ def theta(z, cfg: ThetaConfig | None = None):
     1-periodic in Re z and satisfies theta(z+i) = exp(pi - 2 pi i z) theta(z);
     the only zero in the closed unit square is 1/2 + i/2.  Im z is reduced to
     [-1/2, 1/2] before summation so the truncated series stays accurate.
+    Array values are memoised per (argument, terms) and returned read-only.
     """
     zarr = np.asarray(z, dtype=complex)
+    cfg = cfg or ThetaConfig()
+    out = _THETA_MEMO.get((array_key(zarr), cfg.terms), lambda: _theta_reduced(zarr, cfg))
+    return out if out.shape else complex(out)
+
+
+def _theta_reduced(zarr: np.ndarray, cfg: ThetaConfig) -> np.ndarray:
     k = np.round(zarr.imag).astype(int)
     zr = zarr - 1j * k
-    out = np.exp(np.pi * k ** 2 - 2j * np.pi * k * zr) * _theta_series(zr, cfg)
-    return out if out.shape else complex(out)
+    return np.exp(np.pi * k ** 2 - 2j * np.pi * k * zr) * _theta_series(zr, cfg)
+
+
+_THETA_MEMO = Memo()
 
 
 def _theta_series(z, cfg: ThetaConfig | None = None) -> np.ndarray:

@@ -15,7 +15,8 @@ import json
 
 import numpy as np
 
-from .numerics import SampledSignal, ThetaConfig, theta, upsample_periodic, _fourier_derivative, _sample_count
+from .numerics import (Memo, SampledSignal, ThetaConfig, array_key, theta, upsample_periodic,
+                       _fourier_derivative, _sample_count)
 from .phaseplane import as_point
 
 
@@ -103,13 +104,24 @@ def _zak_sum(values: np.ndarray, T: float, step: float, y: np.ndarray,
     """sum_q exp(2 pi i q xi) f(y + q) from samples f(-T + n step), as a (y, xi) array.
 
     The y nodes must be sample points in one unit interval [y0, y0 + 1); q runs
-    over -T - y0 .. T - y0 - 1, so every y + q stays on the grid.
+    over -T - y0 .. T - y0 - 1, so every y + q stays on the grid.  The gather
+    index and the phase matrix are memoised per (T, step, y, xi).
     """
+    n_idx, phases = _ZAK_SUM_MEMO.get((T, step, array_key(y), array_key(xi)),
+                                      lambda: _zak_sum_plan(T, step, y, xi))
+    return values[n_idx] @ phases
+
+
+def _zak_sum_plan(T: float, step: float, y: np.ndarray, xi: np.ndarray):
+    """The sample index of each f(y + q), (y, q), and the phases exp(2 pi i q xi), (q, xi)."""
     Ti = _integer_T(T)
     shift = int(np.floor(y[0]))
     qs = np.arange(-Ti - shift, Ti - shift)
     n_idx = np.round((y[:, None] + qs[None, :] + T) / step).astype(int)
-    return values[n_idx] @ np.exp(2j * np.pi * np.outer(qs, xi))
+    return n_idx, np.exp(2j * np.pi * np.outer(qs, xi))
+
+
+_ZAK_SUM_MEMO = Memo()
 
 
 def zak(f: SampledSignal, N: int | None = None) -> ZakField:

@@ -239,6 +239,18 @@ class TestConfigGrid:
         assert any(Path(".").glob("o.*"))
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("expand", []),
+    ("decompose", ["--domain", "disk.json", "--r", "3"]),
+])
+def test_unapplied_q_rejected(workdir, monkeypatch, capsys, command, extra):
+    # the expansion always divides by the default theta series, so --Q would only change the hash
+    monkeypatch.chdir(workdir)
+    assert main([command, "--input", "e0.csv", "--Q", "4", "--out", "o.json"] + extra) == 2
+    assert "Q=4" in capsys.readouterr().err
+    assert not Path("o.json").exists()
+
+
 class TestTheta:
     def test_prints_values(self, capsys):
         assert main(["theta", "--z", "0,0", "--x", "0.0"]) == 0

@@ -1,0 +1,191 @@
+"""The grid constants of the expansion core, memoised per grid.
+
+theta, the Zak sum's gather index and phases, the Fourier rows of the block
+extraction and the dual mixing matrix are each built once per key.  A memo
+hit must give the bits a fresh build gives, no entry may be served for
+another grid, stored arrays are read-only, and no memo holds more than
+MEMO_SIZE entries.  The oracles are the formulas these functions evaluated
+before they were memoised.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import criticalgabor.expansion as expansion
+import criticalgabor.gabor as gabor
+import criticalgabor.numerics as numerics
+from criticalgabor import ThetaConfig, dual_atoms, hermite_signal, theta
+from criticalgabor.expansion import _REFINE_FACTOR, _extract_block, lattice_coefficients
+from criticalgabor.gabor import dual_mixing
+from criticalgabor.higher import default_sharp_nodes
+from criticalgabor.numerics import MEMO_SIZE, Memo, upsample_periodic
+from criticalgabor.zak import _midpoints, _zak_sum, zak_atom_field
+
+zak_module = sys.modules["criticalgabor.zak"]  # the package attribute `zak` is the function
+MEMOS = [(numerics, "_THETA_MEMO"), (zak_module, "_ZAK_SUM_MEMO"),
+         (expansion, "_BLOCK_MEMO"), (gabor, "_MIXING_MEMO")]
+
+T, H, N, R = 8.0, 1.0 / 64.0, 32, 6
+MID = _midpoints(N)
+FINE = (N // 2 - 1 + (np.arange(2 * _REFINE_FACTOR) + 0.5) / _REFINE_FACTOR) / N
+
+
+@pytest.fixture()
+def cold(monkeypatch):
+    """Empty memos for the test; calling the fixture's value empties them again."""
+    def reset():
+        for mod, name in MEMOS:
+            monkeypatch.setattr(mod, name, Memo())
+    reset()
+    return reset
+
+
+def old_theta(z, cfg=None):
+    cfg = cfg or ThetaConfig()
+    zarr = np.asarray(z, dtype=complex)
+    k = np.round(zarr.imag).astype(int)
+    zr = zarr - 1j * k
+    q = np.arange(-cfg.terms, cfg.terms + 1)
+    series = 2 ** 0.25 * np.sum(np.exp(2j * np.pi * np.multiply.outer(zr, q) - np.pi * q ** 2), axis=-1)
+    return np.exp(np.pi * k ** 2 - 2j * np.pi * k * zr) * series
+
+
+def old_zak_sum(values, T, step, y, xi):
+    Ti = int(round(T))
+    shift = int(np.floor(y[0]))
+    qs = np.arange(-Ti - shift, Ti - shift)
+    n_idx = np.round((y[:, None] + qs[None, :] + T) / step).astype(int)
+    return values[n_idx] @ np.exp(2j * np.pi * np.outer(qs, xi))
+
+
+def old_extract_block(F, y, xi, R):
+    ks = np.arange(-R, R + 1)
+    Ep = np.exp(-2j * np.pi * np.outer(ks, xi))
+    Et = np.exp(-2j * np.pi * np.outer(ks, y))
+    return Ep @ F.T @ Et.T
+
+
+def old_dual_mixing(nodes):
+    labels = [complex(*n) for n in nodes]
+    signs = np.array([(-1.0) ** round(n[1] - 0.5) for n in nodes])
+    return gabor.vandermonde_inverse(labels) * signs[None, :]
+
+
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+def h2_fine():
+    return upsample_periodic(hermite_signal(2, T, H).values, _REFINE_FACTOR)
+
+
+CASES = {
+    "theta_midpoint": (lambda: theta(MID[None, :] + 1j * MID[:, None]),
+                       lambda: old_theta(MID[None, :] + 1j * MID[:, None])),
+    "theta_refined": (lambda: theta(FINE[None, :] + 1j * FINE[:, None]),
+                      lambda: old_theta(FINE[None, :] + 1j * FINE[:, None])),
+    "zak_sum_midpoint": (lambda: _zak_sum(hermite_signal(2, T, H).values, T, H, MID, MID),
+                         lambda: old_zak_sum(hermite_signal(2, T, H).values, T, H, MID, MID)),
+    "zak_sum_refined": (lambda: _zak_sum(h2_fine(), T, H / _REFINE_FACTOR, FINE, FINE),
+                        lambda: old_zak_sum(h2_fine(), T, H / _REFINE_FACTOR, FINE, FINE)),
+    "extract_block": (lambda: _extract_block(np.outer(np.cos(MID), MID + 1j), MID, MID, R),
+                      lambda: old_extract_block(np.outer(np.cos(MID), MID + 1j), MID, MID, R)),
+    "dual_mixing": (lambda: dual_mixing(default_sharp_nodes(3)),
+                    lambda: old_dual_mixing([tuple(n) for n in default_sharp_nodes(3)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cold_and_warm_calls_match_the_unmemoised_formula_bitwise(cold, case):
+    call, oracle = CASES[case]
+    first, second = call(), call()
+    assert bits(first) == bits(second) == bits(oracle())
+
+
+def test_a_warm_call_builds_nothing(cold):
+    z = MID[None, :] + 1j * MID[:, None]
+    assert theta(z) is theta(z.copy())
+    nodes = default_sharp_nodes(2)
+    assert dual_mixing(nodes) is dual_mixing([tuple(n) for n in nodes])
+
+
+def lattice(T_, h, N_, R_):
+    return lattice_coefficients(hermite_signal(2, T_, h), R_, N_).to_json()
+
+
+# pairs that share every key part but one: an entry built for one must not serve the other
+PAIRS = {
+    "theta_terms": (lambda: bits(theta(MID + 0.3j, ThetaConfig(3))), lambda: bits(theta(MID + 0.3j))),
+    "grid_step": (lambda: lattice(8.0, 1 / 32, 16, R), lambda: lattice(8.0, 1 / 64, 32, R)),
+    "step_only": (lambda: lattice(8.0, 1 / 128, 32, R), lambda: lattice(8.0, 1 / 64, 32, R)),
+    "half_width": (lambda: lattice(6.0, H, N, R), lambda: lattice(8.0, H, N, R)),
+    "cutoff": (lambda: lattice(8.0, H, N, 4), lambda: lattice(8.0, H, N, 6)),
+    "one_node": (lambda: bits(dual_mixing([(0.5, 0.5), (1.5, 0.5), (0.5, 1.5)])),
+                 lambda: bits(dual_mixing([(0.5, 0.5), (1.5, 0.5), (-0.5, 0.5)]))),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+@pytest.mark.parametrize("flip", [False, True])
+def test_no_entry_is_served_for_another_grid(cold, pair, flip):
+    first, then = PAIRS[pair][::-1] if flip else PAIRS[pair]
+    cold()
+    fresh = then()
+    cold()
+    first()
+    assert then() == fresh
+
+
+def test_stored_arrays_are_read_only(cold):
+    z = MID[None, :] + 1j * MID[:, None]
+    nodes = default_sharp_nodes(2)
+    for arr in (theta(z), dual_mixing(nodes), dual_atoms(nodes, T, H).mixing):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+    a, b = Memo().get("key", lambda: (np.zeros(3), np.ones(2)))
+    assert not a.flags.writeable and not b.flags.writeable
+
+
+def test_memo_holds_at_most_its_limit(cold):
+    rng = np.random.default_rng(11)
+    for p, th in rng.uniform(-2, 2, size=(100, 2)):
+        zak_atom_field((p, th), 16)
+        assert len(numerics._THETA_MEMO) <= MEMO_SIZE
+    assert len(numerics._THETA_MEMO) == MEMO_SIZE
+
+
+def test_memo_evicts_the_least_recently_used():
+    memo = Memo()
+    for key in range(MEMO_SIZE):
+        memo.get(key, lambda key=key: np.array([key]))
+    memo.get(0, lambda: pytest.fail("entry 0 was rebuilt"))  # 0 is now the most recent
+    memo.get(MEMO_SIZE, lambda: np.array([MEMO_SIZE]))  # evicts 1
+    assert memo.get(0, lambda: pytest.fail("entry 0 was evicted"))[0] == 0
+    assert memo.get(1, lambda: np.array([-1]))[0] == -1
+
+
+def test_memo_under_threads_keeps_its_limit_and_values():
+    memo = Memo()
+    errors = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for key in rng.integers(0, 2 * MEMO_SIZE, 300):
+            if memo.get(int(key), lambda key=key: np.array([key]))[0] != key:
+                errors.append(key)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(memo) <= MEMO_SIZE
