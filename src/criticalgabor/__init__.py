@@ -7,8 +7,8 @@ decomposition.  All operations are pure functions over immutable values with
 deterministic reduction order; everything is safe for concurrent use.
 """
 
-from .numerics import (DEFAULT_H, DEFAULT_T, SampledSignal, ThetaConfig,
-                       hermite_signal, inner, l2norm, loc_integral,
+from .numerics import (DEFAULT_H, DEFAULT_T, THETA_TERMS, SampledSignal,
+                       hermite_signal, inner, loc_integral,
                        signal_from_csv, spectral_derivative, theta)
 from .phaseplane import (Disk, FunctionDomain, Neighborhood, PhaseDomain,
                          PhasePoint, PointSet, Polygon, Rect, UnionDomain,

@@ -69,9 +69,10 @@ def nested_domains(K: PhaseDomain, r: float, m: int) -> NestedDomains:
     )
 
 
-def nesting_satisfied(nd: NestedDomains, step: float = 0.25) -> bool:
-    """Grid check of K in K+ in U in D- in D over the bounding box of D."""
+def nesting_satisfied(nd: NestedDomains) -> bool:
+    """Grid check of K in K+ in U in D- in D over the bounding box of D, step 1/4."""
     pmin, pmax, tmin, tmax = nd.D.bbox
+    step = 0.25
     pts = grid_points(np.arange(pmin, pmax + step / 2, step), np.arange(tmin, tmax + step / 2, step))
     chain = [nd.K, nd.K_plus, nd.U, nd.D_minus, nd.D]
     masks = [d.contains(pts) for d in chain]
@@ -239,25 +240,25 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     return CertaintyDecomposition(alpha, omega, residual, report)
 
 
-def domain_area(D: PhaseDomain, resolution: float = 1.0 / 16.0) -> float:
-    """Grid-cell estimate of the symplectic area of a bounded domain."""
+def domain_area(D: PhaseDomain) -> float:
+    """Grid-cell estimate of the symplectic area of a bounded domain, cells 1/16 wide."""
     if not D.is_bounded():
         raise ValueError("area needs a bounded domain")
     pmin, pmax, tmin, tmax = D.bbox
+    resolution = 1.0 / 16.0
     pts = grid_points(np.arange(pmin + resolution / 2, pmax, resolution),
                       np.arange(tmin + resolution / 2, tmax, resolution))
     return float(np.count_nonzero(D.contains(pts)) * resolution ** 2)
 
 
-def degrees_of_freedom_report(K: PhaseDomain, r: float,
-                              resolution: float = 1.0 / 16.0) -> dict:
+def degrees_of_freedom_report(K: PhaseDomain, r: float) -> dict:
     """Atom budget of the decomposition index sets against the area of D = K(r)."""
     if not K.is_bounded():
         raise ValueError("K must be bounded")
     D = neighborhood(K, r)
     lattice, sharp = _index_sets(K, D)
     n_lattice, n_sharp = len(lattice), len(sharp)
-    area = domain_area(D, resolution)
+    area = domain_area(D)
     count = n_lattice + n_sharp
     return {
         "area_D": area,
@@ -269,18 +270,17 @@ def degrees_of_freedom_report(K: PhaseDomain, r: float,
     }
 
 
-def least_squares_baseline(f: SampledSignal, K: PhaseDomain, r: float,
-                           ridge: float = 1e-8) -> float:
-    """Best-projection residual onto the same atom set (not part of the
-    constructive decomposition; a sanity floor for comparisons only)."""
+def least_squares_baseline(f: SampledSignal, K: PhaseDomain, r: float) -> float:
+    """Best-projection residual onto the same atom set, Gram matrix ridged by
+    1e-8 (not part of the constructive decomposition; a sanity floor for
+    comparisons only)."""
     from .gabor import atom_inner
     from .numerics import inner as _inner
 
     lattice, sharp = _index_sets(K, neighborhood(K, r))
     pts = lattice + sharp
-    n = len(pts)
     G = np.array([[atom_inner(a, b) for b in pts] for a in pts])
     b = np.array([_inner(f, atom(pt, f.T, f.h, margin=DECOMP_MARGIN)) for pt in pts])
-    c = np.linalg.solve(G + ridge * np.eye(n), b)
+    c = np.linalg.solve(G + 1e-8 * np.eye(len(pts)), b)
     res2 = f.norm() ** 2 - 2 * np.real(np.vdot(c, b)) + np.real(np.vdot(c, G @ c))
     return float(np.sqrt(max(res2, 0.0)))

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import certainty, expansion, gabor, higher, metaplectic, numerics, phaseplane, verify
+from .zak import default_zak_size
 
 
 @dataclass
@@ -22,7 +23,7 @@ class RunConfig:
     T: float = 8.0
     h: float = 1.0 / 64.0
     N: int = 32
-    Q: int = numerics.ThetaConfig.terms
+    Q: int = numerics.THETA_TERMS
     dlam: float = 1.0 / 16.0
     box: float = 8.0
     R: int = 6
@@ -90,21 +91,15 @@ def load_config(args) -> RunConfig:
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
+    """--config plus one flag per RunConfig field, typed by its default; a bool
+    field that defaults to True is switched off by --no-<name>."""
     p.add_argument("--config", help="JSON config file; command-line flags override it")
-    p.add_argument("--T", type=float, dest="T")
-    p.add_argument("--h", type=float, dest="h")
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--Q", type=int, dest="Q")
-    p.add_argument("--dlam", type=float, dest="dlam")
-    p.add_argument("--box", type=float, dest="box")
-    p.add_argument("--R", type=int, dest="R")
-    p.add_argument("--delta", type=float, dest="delta")
-    p.add_argument("--m", type=int, dest="m")
-    p.add_argument("--r", type=float, dest="r")
-    p.add_argument("--margin", type=float, dest="margin")
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--no-refine", dest="refine", action="store_const", const=False)
-    p.add_argument("--decomp-dlam", type=float, dest="decomp_dlam")
+    for f in fields(RunConfig):
+        name = f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(f"--no-{name}", dest=f.name, action="store_const", const=False)
+        else:
+            p.add_argument(f"--{name}", type=type(f.default), dest=f.name)
 
 
 def _dump_json(payload, path=None):
@@ -185,7 +180,14 @@ def cmd_expand(args) -> int:
 
 def cmd_decompose(args) -> int:
     config = load_config(args)
-    _require_default(config, "decompose", "Q")  # its expansions divide by the default theta series
+    # decompose fixes its theta series, cutoffs, refinement, Zak grid and margin, and sizes its
+    # phase grids from the domain and decomp_dlam: these fields would only change the hash
+    for name in ("Q", "R", "margin", "box", "dlam", "refine"):
+        _require_default(config, "decompose", name)
+    zak_size = default_zak_size(config.h)
+    if config.N != zak_size:
+        raise ValueError(f"config: decompose cannot apply N={config.N!r}; "
+                         f"it always runs with the Zak grid of the step h, N={zak_size!r}")
     f = _load_signal(args.input, config)
     with open(args.domain) as fh:
         K = phaseplane.domain_from_json(fh.read())
@@ -212,10 +214,9 @@ def cmd_rotate(args) -> int:
 
 def cmd_theta(args) -> int:
     config = load_config(args)
-    cfg = numerics.ThetaConfig(config.Q)
     if args.z is not None:
         re, im = (float(t) for t in args.z.split(","))
-        val = numerics.theta(complex(re, im), cfg)
+        val = numerics.theta(complex(re, im), config.Q)
         print(f"theta({re},{im}) = {val.real!r} {val.imag:+}i")
     if args.x is not None:
         print(f"locint({args.x}) = {numerics.loc_integral(args.x)!r}")

@@ -10,12 +10,12 @@ the sharp contribution has been removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gabor import CoefficientSet, DEFAULT_BOX, DEFAULT_DLAM, DEFAULT_MARGIN, gabor_transform, synthesize
-from .numerics import Memo, SampledSignal, ThetaConfig, array_key, theta, upsample_periodic
+from .numerics import THETA_TERMS, Memo, SampledSignal, array_key, theta, upsample_periodic
 from .phaseplane import sharp_point
 from .zak import zak, _substep, _zak_sum
 
@@ -74,22 +74,21 @@ def hdelta_norm(f: SampledSignal, delta: float, box=DEFAULT_BOX,
     return float(np.sqrt(np.sum(power) * dlam ** 2))
 
 
-def _divided(Z: np.ndarray, y: np.ndarray, xi: np.ndarray, cfg: ThetaConfig | None) -> np.ndarray:
+def _divided(Z: np.ndarray, y: np.ndarray, xi: np.ndarray, terms: int = THETA_TERMS) -> np.ndarray:
     """exp(pi y^2) Z / Theta(xi + i y) for Z sampled on the (y, xi) grid."""
-    th = theta(xi[None, :] + 1j * y[:, None], cfg)
+    th = theta(xi[None, :] + 1j * y[:, None], terms)
     assert np.min(np.abs(th)) > 0.0, "theta vanished on the grid"
     return np.exp(np.pi * y[:, None] ** 2) * Z / th
 
 
-def division_field(f_sharp: SampledSignal, N: int | None = None,
-                   cfg: ThetaConfig | None = None):
+def division_field(f_sharp: SampledSignal, N: int | None = None, terms: int = THETA_TERMS):
     """F = exp(pi y^2) Z f_sharp / Theta(xi + i y) on the midpoint grid.
 
     The midpoint grid keeps every node away from the theta zero, so the
     division is always finite there.
     """
     Z = zak(f_sharp, N)
-    return _divided(Z.values, Z.y, Z.xi, cfg), Z
+    return _divided(Z.values, Z.y, Z.xi, terms), Z
 
 
 def _extract_block(F: np.ndarray, y: np.ndarray, xi: np.ndarray, R: int) -> np.ndarray:
@@ -115,8 +114,7 @@ _BLOCK_MEMO = Memo()
 _REFINE_FACTOR = 8
 
 
-def _refine_correction(f_sharp: SampledSignal, F: np.ndarray, N: int, R: int,
-                       cfg: ThetaConfig | None) -> np.ndarray:
+def _refine_correction(f_sharp: SampledSignal, F: np.ndarray, N: int, R: int) -> np.ndarray:
     """One refined 2x2 block: the 4 cells cornered at (1/2, 1/2) as an 8x-subdivided
     Riemann sum, minus their midpoint terms in the coarse sum.
 
@@ -129,7 +127,7 @@ def _refine_correction(f_sharp: SampledSignal, F: np.ndarray, N: int, R: int,
     fine = (c + (np.arange(2 * r) + 0.5) / r) / N
     coarse = (c + np.arange(2) + 0.5) / N
     up = upsample_periodic(f_sharp.values, r)
-    Ff = _divided(_zak_sum(up, f_sharp.T, f_sharp.h / r, fine, fine), fine, fine, cfg)
+    Ff = _divided(_zak_sum(up, f_sharp.T, f_sharp.h / r, fine, fine), fine, fine)
     return (_extract_block(Ff, fine, fine, R) / (r * N) ** 2
             - _extract_block(F[c:c + 2, c:c + 2], coarse, coarse, R) / N ** 2)
 
@@ -141,7 +139,7 @@ def lattice_coefficients(f_sharp: SampledSignal, R: int, N: int | None = None,
     F, Z = division_field(f_sharp, N)
     M = _extract_block(F, Z.y, Z.xi, R) / Z.N ** 2
     if refine:
-        M = M + _refine_correction(f_sharp, F, Z.N, R, None)
+        M = M + _refine_correction(f_sharp, F, Z.N, R)
     ks = range(-R, R + 1)
     return CoefficientSet({(k, j, False): M[a, b] for a, k in enumerate(ks) for b, j in enumerate(ks)})
 
@@ -154,7 +152,6 @@ class RelaxedExpansion:
     sharp_node: tuple[int, int]
     coeffs: CoefficientSet
     cutoff: int
-    diagnostics: dict = field(default_factory=dict)
 
     def full_coefficients(self) -> CoefficientSet:
         merged = CoefficientSet(self.coeffs.entries)
@@ -181,20 +178,15 @@ def relaxed_coefficients(f: SampledSignal, R: int, N: int | None = None,
         raise ValueError("cutoff must be >= 0")
     k0, j0 = int(sharp_node[0]), int(sharp_node[1])
     block, coeffs = _expand(f, [sharp_point(k0, j0)], R, N, refine)
-    gamma = (-1) ** j0 * block[0]
-    diag = {"l2": float(np.hypot(coeffs.l2(), abs(gamma)))}
-    return RelaxedExpansion(gamma, (k0, j0), coeffs, R, diag)
+    return RelaxedExpansion((-1) ** j0 * block[0], (k0, j0), coeffs, R)
 
 
 def reconstruct(f: SampledSignal, R: int, N: int | None = None, refine: bool = True,
                 sharp_node: tuple[int, int] = (0, 0), margin: float = DEFAULT_MARGIN):
     """Synthesize the relaxed expansion back; returns (signal, relative residual)."""
-    exp = relaxed_coefficients(f, R, N, refine, sharp_node)
-    rec = exp.signal(f.T, f.h, margin)
-    scale = f.norm()
-    residual = (f - rec).norm() / scale if scale > 0 else (f - rec).norm()
-    exp.diagnostics["residual"] = residual
-    return rec, residual
+    rec = relaxed_coefficients(f, R, N, refine, sharp_node).signal(f.T, f.h, margin)
+    err, scale = (f - rec).norm(), f.norm()
+    return rec, err / scale if scale > 0 else err
 
 
 def uniqueness_probe(coeffs: CoefficientSet, T: float, h: float,
@@ -210,8 +202,7 @@ def uniqueness_probe(coeffs: CoefficientSet, T: float, h: float,
     return synthesize(coeffs, T, h, margin).norm() / size
 
 
-def seam_mismatch(f_sharp: SampledSignal, N: int | None = None,
-                  cfg: ThetaConfig | None = None) -> float:
+def seam_mismatch(f_sharp: SampledSignal, N: int | None = None, terms: int = THETA_TERMS) -> float:
     """Max deviation of F from double periodicity, measured across both seams.
 
     F on the shifted rows/columns is recomputed independently from the signal
@@ -219,7 +210,7 @@ def seam_mismatch(f_sharp: SampledSignal, N: int | None = None,
     sum and theta division as F itself.  This cross-checks the Zak boundary
     rule against the theta quasi-periodicity.
     """
-    F, Z = division_field(f_sharp, N, cfg)
+    F, Z = division_field(f_sharp, N, terms)
     shifted = ((Z.y + 1.0, Z.xi), (Z.y, Z.xi + 1.0))
     return max(float(np.max(np.abs(_divided(_zak_sum(f_sharp.values, f_sharp.T, f_sharp.h, y, xi),
-                                            y, xi, cfg) - F))) for y, xi in shifted)
+                                            y, xi, terms) - F))) for y, xi in shifted)

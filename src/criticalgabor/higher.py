@@ -10,7 +10,7 @@ shows up directly in the decay of the lattice coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,7 +94,11 @@ class OrderMExpansion:
     nodes: list[PhasePoint]
     coeffs: CoefficientSet
     cutoff: int
-    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def decay_exponent(self) -> float:
+        """Fitted decay of the lattice coefficients out to the cutoff; see decay_exponent()."""
+        return decay_exponent(self.coeffs, rmax=self.cutoff)
 
     def full_coefficients(self) -> CoefficientSet:
         return CoefficientSet(self.coeffs.entries, sharp_block=self.sharp_block, nodes=self.nodes)
@@ -133,19 +137,16 @@ def order_m_coefficients(f: SampledSignal, m: int, nodes=None, R: int = 6,
     if len(pts) != m + 1:
         raise ValueError(f"order m={m} needs exactly {m + 1} nodes, got {len(pts)}")
     block, coeffs = _expand(f, pts, R, N, refine)
-    exp = OrderMExpansion(block, pts, coeffs, R)
-    exp.diagnostics["decay_exponent"] = decay_exponent(coeffs, rmax=R)
-    return exp
+    return OrderMExpansion(block, pts, coeffs, R)
 
 
-def decay_exponent(coeffs: CoefficientSet, rmin: float = 1.5,
-                   rmax: float | None = None) -> float:
+def decay_exponent(coeffs: CoefficientSet, rmax: float | None = None) -> float:
     """Log-log slope of shell-RMS coefficient size against 1 + |lambda|, over the
-    lattice entries with rmin <= |lambda| <= rmax and |c| >= 1e-14."""
+    lattice entries with 1.5 <= |lambda| <= rmax and |c| >= 1e-14."""
     keys = np.array(list(coeffs.entries), dtype=float).reshape(-1, 3)
     size = np.abs(np.fromiter(coeffs.entries.values(), complex, len(keys)))
     r = np.hypot(keys[:, 0], keys[:, 1])
-    keep = (keys[:, 2] == 0) & (r >= rmin) & (size >= 1e-14)
+    keep = (keys[:, 2] == 0) & (r >= 1.5) & (size >= 1e-14)
     if rmax is not None:
         keep &= r <= rmax
     radii, shell = np.unique(np.round(r[keep]), return_inverse=True)
@@ -156,13 +157,12 @@ def decay_exponent(coeffs: CoefficientSet, rmin: float = 1.5,
     return float(-slope)
 
 
-def hdelta_m_norm(f: SampledSignal, delta: float, m: int, box=8.0,
-                  dlam: float = 1.0 / 16.0) -> float:
+def hdelta_m_norm(f: SampledSignal, delta: float, m: int) -> float:
     """Ladder-graded smoothness norm (sum_{j<=m} ||a^j f||_delta^2)^{1/2}."""
     if m < 0:
         raise ValueError("order must be >= 0")
-    g, total = f, hdelta_norm(f, delta, box, dlam) ** 2
+    g, total = f, hdelta_norm(f, delta) ** 2
     for _ in range(m):
         g = annihilate(g)
-        total += hdelta_norm(g, delta, box, dlam) ** 2
+        total += hdelta_norm(g, delta) ** 2
     return float(np.sqrt(total))

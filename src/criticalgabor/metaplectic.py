@@ -18,7 +18,7 @@ import numpy as np
 
 from .gabor import DEFAULT_MARGIN, _check_margin, atom, gabor_transform
 from .higher import annihilate, create
-from .numerics import SampledSignal, _chirp_sum, inner
+from .numerics import DEFAULT_H, DEFAULT_T, SampledSignal, _chirp_sum, inner
 from .phaseplane import PhasePoint, as_point, grid_points
 
 # |sin phi| below this would push the chirp rates past the grid Nyquist, so
@@ -26,7 +26,6 @@ from .phaseplane import PhasePoint, as_point, grid_points
 # quarter turn instead.  The guard is about accuracy: each kernel application
 # costs one O(n log n) chirp-z sum whatever the angle.
 _MIN_B = 0.35
-_SNAP = 0.05
 
 
 @dataclass(frozen=True)
@@ -75,14 +74,16 @@ def _kernel_apply(angle: float, f: SampledSignal) -> SampledSignal:
 def metaplectic_apply(S: Rotation, f: SampledSignal) -> SampledSignal:
     """Apply the rotation's metaplectic operator; unitary up to grid tolerance.
 
-    Angles within 0.05 of 0 or pi use the exact identity/parity form; angles
-    with |sin phi| < 0.35 are reached by composing with the quarter-turn
-    operator so the chirp-quadrature kernel never exceeds the grid bandwidth.
+    The angle is reduced mod 2 pi first.  Exactly 0 gives the identity and
+    exactly pi the parity form i f(-x); every other angle, however close to
+    those, goes through the kernel, composed with the quarter-turn operator
+    when |sin phi| < 0.35 so the chirp-quadrature kernel never exceeds the
+    grid bandwidth.
     """
     phi = float(S.angle) % (2.0 * np.pi)
-    if min(phi, 2.0 * np.pi - phi) < _SNAP:
+    if phi == 0.0:
         return SampledSignal(f.T, f.h, f.values.copy())
-    if abs(phi - np.pi) < _SNAP:
+    if phi == np.pi:
         return SampledSignal(f.T, f.h, 1j * f.values[::-1].copy())
     if abs(np.sin(phi)) >= _MIN_B:
         return _kernel_apply(phi, f)
@@ -95,8 +96,7 @@ class CovarianceResult(NamedTuple):
     fitted: complex
 
 
-def covariance_check(S: Rotation, lam, T: float | None = None,
-                     h: float | None = None, f: SampledSignal | None = None) -> CovarianceResult:
+def covariance_check(S: Rotation, lam, T: float = DEFAULT_T, h: float = DEFAULT_H) -> CovarianceResult:
     """How far M_S e_lambda is from a unimodular multiple of e_{S lambda}.
 
     Returns the optimal deviation, and the phase distance of the fitted
@@ -104,12 +104,8 @@ def covariance_check(S: Rotation, lam, T: float | None = None,
     (q, eta) = S(p, theta).
     """
     lam = as_point(lam)
-    if f is None:
-        Tv = 8.0 if T is None else T
-        hv = 1.0 / 64.0 if h is None else h
-        f = atom(lam, Tv, hv)
-    rotated = metaplectic_apply(S, f)
-    target = atom(S(lam), f.T, f.h)
+    rotated = metaplectic_apply(S, atom(lam, T, h))
+    target = atom(S(lam), T, h)
     c = inner(rotated, target)
     dev = float(np.sqrt(max(rotated.norm() ** 2 - abs(c) ** 2, 0.0)))
     q, eta = S(lam)

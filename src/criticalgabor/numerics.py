@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-import json
 import math
 import threading
 
@@ -18,6 +17,10 @@ import numpy as np
 
 DEFAULT_T = 8.0
 DEFAULT_H = 1.0 / 64.0
+# Truncation |q| <= THETA_TERMS of the theta sum.  terms >= 4 keeps the error
+# below 3*exp(-pi*terms^2 + 2*pi*terms) on |Im z| <= 1; smaller values are
+# accepted so that accuracy checks can demonstrate the failure mode.
+THETA_TERMS = 8
 
 _TWO_PI = 2.0 * np.pi
 _erf = np.frompyfunc(math.erf, 1, 1)
@@ -121,20 +124,6 @@ class SampledSignal:
     def __neg__(self):
         return SampledSignal(self.T, self.h, -self.values)
 
-    def to_json(self) -> str:
-        payload = {
-            "T": self.T,
-            "h": self.h,
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "SampledSignal":
-        payload = json.loads(text)
-        vals = np.array([complex(re, im) for re, im in payload["values"]])
-        return SampledSignal(payload["T"], payload["h"], vals)
-
     def to_csv(self, path):
         x = self.x
         with open(path, "w") as fh:
@@ -178,27 +167,7 @@ def inner(f: SampledSignal, g: SampledSignal) -> complex:
     return complex(np.vdot(g.values, f.values) * f.h)
 
 
-def l2norm(f: SampledSignal) -> float:
-    return f.norm()
-
-
-@dataclass(frozen=True)
-class ThetaConfig:
-    """Truncation |q| <= terms of the theta sum.
-
-    terms >= 4 keeps the truncation error below 3*exp(-pi*terms^2 + 2*pi*terms)
-    on |Im z| <= 1; smaller values are accepted so that accuracy checks can
-    demonstrate the failure mode.
-    """
-
-    terms: int = 8
-
-    def __post_init__(self):
-        if self.terms < 1:
-            raise ValueError("theta truncation needs terms >= 1")
-
-
-def theta(z, cfg: ThetaConfig | None = None):
+def theta(z, terms: int = THETA_TERMS):
     """2^{1/4} sum_q exp(2 pi i q z - pi q^2), quasi-periodically reduced.
 
     1-periodic in Re z and satisfies theta(z+i) = exp(pi - 2 pi i z) theta(z);
@@ -207,24 +176,24 @@ def theta(z, cfg: ThetaConfig | None = None):
     Array values are memoised per (argument, terms) and returned read-only.
     """
     zarr = np.asarray(z, dtype=complex)
-    cfg = cfg or ThetaConfig()
-    out = _THETA_MEMO.get((array_key(zarr), cfg.terms), lambda: _theta_reduced(zarr, cfg))
+    out = _THETA_MEMO.get((array_key(zarr), terms), lambda: _theta_reduced(zarr, terms))
     return out if out.shape else complex(out)
 
 
-def _theta_reduced(zarr: np.ndarray, cfg: ThetaConfig) -> np.ndarray:
+def _theta_reduced(zarr: np.ndarray, terms: int) -> np.ndarray:
     k = np.round(zarr.imag).astype(int)
     zr = zarr - 1j * k
-    return np.exp(np.pi * k ** 2 - 2j * np.pi * k * zr) * _theta_series(zr, cfg)
+    return np.exp(np.pi * k ** 2 - 2j * np.pi * k * zr) * _theta_series(zr, terms)
 
 
 _THETA_MEMO = Memo()
 
 
-def _theta_series(z, cfg: ThetaConfig | None = None) -> np.ndarray:
+def _theta_series(z, terms: int = THETA_TERMS) -> np.ndarray:
     """The truncated series 2^{1/4} sum_{|q| <= terms} exp(2 pi i q z - pi q^2), unreduced."""
-    cfg = cfg or ThetaConfig()
-    q = np.arange(-cfg.terms, cfg.terms + 1)
+    if terms < 1:
+        raise ValueError("theta truncation needs terms >= 1")
+    q = np.arange(-terms, terms + 1)
     return 2 ** 0.25 * np.sum(np.exp(2j * np.pi * np.multiply.outer(np.asarray(z, complex), q)
                                      - np.pi * q ** 2), axis=-1)
 

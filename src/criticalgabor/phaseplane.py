@@ -100,20 +100,15 @@ def _pts(x) -> tuple[np.ndarray, bool]:
 class PhaseDomain:
     """Region of the phase plane: membership predicate plus bounding box.
 
-    Subclasses implement `_contains_xy` and, with an analytic boundary,
-    `_distance_xy` over (n, 2) arrays; `contains` and `distance` accept one
-    point or an array.  The base `_distance_xy` falls back to sampling the
-    membership function on a fine grid (default resolution 1/32) and
-    measuring distance to the sampled boundary.
+    Subclasses implement `_contains_xy` and `_distance_xy` over (n, 2)
+    arrays; `contains` and `distance` accept one point or an array.
     Instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, bbox, resolution: float = 1.0 / 32.0):
+    def __init__(self, bbox):
         self.bbox = tuple(float(b) for b in bbox)
         if len(self.bbox) != 4 or self.bbox[0] > self.bbox[1] or self.bbox[2] > self.bbox[3]:
             raise ValueError(f"bad bounding box {bbox}")
-        self.resolution = float(resolution)
-        self._boundary = None
 
     def is_bounded(self) -> bool:
         return all(np.isfinite(self.bbox))
@@ -121,43 +116,19 @@ class PhaseDomain:
     def _contains_xy(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _distance_xy(self, pts: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def contains(self, x):
         pts, scalar = _pts(x)
         res = self._contains_xy(pts)
         return bool(res[0]) if scalar else res
-
-    def _boundary_samples(self) -> np.ndarray:
-        if not self.is_bounded():
-            raise ValueError("cannot sample the boundary of an unbounded domain")
-        pmin, pmax, tmin, tmax = self.bbox
-        pad = 2 * self.resolution
-        ps = np.arange(pmin - pad, pmax + pad + self.resolution, self.resolution)
-        ts = np.arange(tmin - pad, tmax + pad + self.resolution, self.resolution)
-        grid = grid_points(ps, ts)
-        inside = self._contains_xy(grid).reshape(ps.size, ts.size)
-        edge = np.zeros_like(inside)
-        edge[:-1, :] |= inside[:-1, :] != inside[1:, :]
-        edge[1:, :] |= inside[:-1, :] != inside[1:, :]
-        edge[:, :-1] |= inside[:, :-1] != inside[:, 1:]
-        edge[:, 1:] |= inside[:, :-1] != inside[:, 1:]
-        samples = grid[(edge & inside).ravel()]
-        if samples.size == 0:
-            samples = grid[inside.ravel()]
-        if samples.size == 0:
-            raise ValueError("domain has no occupied cells at this resolution")
-        return samples
 
     def distance(self, x):
         """Euclidean distance to the domain (0 inside)."""
         pts, scalar = _pts(x)
         d = self._distance_xy(pts)
         return float(d[0]) if scalar else d
-
-    def _distance_xy(self, pts: np.ndarray) -> np.ndarray:
-        """Sampled-boundary fallback."""
-        if self._boundary is None:
-            self._boundary = self._boundary_samples()
-        return np.where(self._contains_xy(pts), 0.0, _nearest_distance(self._boundary, pts))
 
 
 class Rect(PhaseDomain):
@@ -270,11 +241,15 @@ class FunctionDomain(PhaseDomain):
     boundary sampling, lattice enumeration and neighborhood membership look
     no further.  A bounded domain checks this on a ring one resolution step
     outside the bbox, sampled at the resolution, and raises ValueError if the
-    predicate holds anywhere on it."""
+    predicate holds anywhere on it.  Distance is measured to the boundary
+    as sampled at the resolution."""
 
-    def __init__(self, predicate, bbox, resolution=1.0 / 32.0):
+    resolution = 1.0 / 32.0
+
+    def __init__(self, predicate, bbox):
         self.predicate = predicate
-        super().__init__(bbox, resolution)
+        super().__init__(bbox)
+        self._boundary = None
         if self.is_bounded() and np.any(self._contains_xy(self._outer_ring())):
             raise ValueError(f"predicate holds outside its bounding box {self.bbox}")
 
@@ -288,6 +263,32 @@ class FunctionDomain(PhaseDomain):
     def _contains_xy(self, pts):
         return np.asarray(self.predicate(pts[:, 0], pts[:, 1]), dtype=bool)
 
+    def _boundary_samples(self) -> np.ndarray:
+        if not self.is_bounded():
+            raise ValueError("cannot sample the boundary of an unbounded domain")
+        pmin, pmax, tmin, tmax = self.bbox
+        pad = 2 * self.resolution
+        ps = np.arange(pmin - pad, pmax + pad + self.resolution, self.resolution)
+        ts = np.arange(tmin - pad, tmax + pad + self.resolution, self.resolution)
+        grid = grid_points(ps, ts)
+        inside = self._contains_xy(grid).reshape(ps.size, ts.size)
+        edge = np.zeros_like(inside)
+        edge[:-1, :] |= inside[:-1, :] != inside[1:, :]
+        edge[1:, :] |= inside[:-1, :] != inside[1:, :]
+        edge[:, :-1] |= inside[:, :-1] != inside[:, 1:]
+        edge[:, 1:] |= inside[:, :-1] != inside[:, 1:]
+        samples = grid[(edge & inside).ravel()]
+        if samples.size == 0:
+            samples = grid[inside.ravel()]
+        if samples.size == 0:
+            raise ValueError("domain has no occupied cells at this resolution")
+        return samples
+
+    def _distance_xy(self, pts):
+        if self._boundary is None:
+            self._boundary = self._boundary_samples()
+        return np.where(self._contains_xy(pts), 0.0, _nearest_distance(self._boundary, pts))
+
 
 class Neighborhood(PhaseDomain):
     """Closed r-neighborhood of a base domain: membership is dist(., base) <= r."""
@@ -298,7 +299,7 @@ class Neighborhood(PhaseDomain):
         self.base = base
         self.r = float(r)
         pmin, pmax, tmin, tmax = base.bbox
-        super().__init__((pmin - r, pmax + r, tmin - r, tmax + r), base.resolution)
+        super().__init__((pmin - r, pmax + r, tmin - r, tmax + r))
 
     def _contains_xy(self, pts):
         return neighborhood_masks(self.base, pts, [self.r])[0]

@@ -41,20 +41,19 @@ def _biorthogonality_gap(m: int, T: float, h: float) -> float:
 def run_checks(config, rng: np.random.Generator) -> list[dict]:
     T, h, N, Q = config.T, config.h, config.N, config.Q
     box, dlam = config.box, config.dlam
-    cfg = numerics.ThetaConfig(Q)
     checks = []
 
     # theta block: the periodicity checks use the series without reduction (exposes Q failures)
     series = numerics._theta_series
     grid = np.array([[x + 1j * y for x in np.linspace(0.02, 0.98, 20)]
                      for y in np.linspace(0.02, 0.98, 20)])
-    lhs = series(grid + 1j, cfg)
-    rhs = np.exp(np.pi - 2j * np.pi * grid) * series(grid, cfg)
+    lhs = series(grid + 1j, Q)
+    rhs = np.exp(np.pi - 2j * np.pi * grid) * series(grid, Q)
     checks.append(_record("theta_vertical_periodicity", np.max(np.abs(lhs - rhs)), 1e-8))
     checks.append(_record("theta_horizontal_periodicity",
-                          np.max(np.abs(series(grid + 1, cfg) - series(grid, cfg))), 1e-8))
-    checks.append(_record("theta_zero_at_midpoint", abs(numerics.theta(0.5 + 0.5j, cfg)), 1e-10))
-    vals = np.abs(numerics.theta(grid, cfg))
+                          np.max(np.abs(series(grid + 1, Q) - series(grid, Q))), 1e-8))
+    checks.append(_record("theta_zero_at_midpoint", abs(numerics.theta(0.5 + 0.5j, Q)), 1e-10))
+    vals = np.abs(numerics.theta(grid, Q))
     mask = np.abs(grid - (0.5 + 0.5j)) > 0.05
     checks.append(_record("theta_min_off_zero", vals[mask].min(), THETA_MIN_OFF_ZERO, larger_is_ok=True))
 
@@ -114,7 +113,7 @@ def run_checks(config, rng: np.random.Generator) -> list[dict]:
 
     Z0 = zak_transform(e0, N)
     checks.append(_record("zak_gaussian_theta_formula",
-                          np.max(np.abs(Z0.values - zak_atom_field((0, 0), N, cfg).values)), 1e-8))
+                          np.max(np.abs(Z0.values - zak_atom_field((0, 0), N, Q).values)), 1e-8))
     checks.append(_record("zak_translation_rule",
                           max(zak_translate_check((1, 0), numerics.hermite_signal(0, T, h), N),
                               zak_translate_check((0, 1), numerics.hermite_signal(1, T, h), N)), 1e-6))
@@ -148,7 +147,7 @@ def run_checks(config, rng: np.random.Generator) -> list[dict]:
 
     gam = expansion.sharp_functional(h2)
     fs = h2 - gam * gabor.atom(phaseplane.sharp_point(), T, h)
-    checks.append(_record("division_field_seam_periodicity", expansion.seam_mismatch(fs, N, cfg), 1e-4))
+    checks.append(_record("division_field_seam_periodicity", expansion.seam_mismatch(fs, N, Q), 1e-4))
 
     tot = 0.0
     exp = expansion.relaxed_coefficients(h2, R=8, N=N)

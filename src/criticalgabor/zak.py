@@ -11,11 +11,10 @@ point of the signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
-from .numerics import (Memo, SampledSignal, ThetaConfig, array_key, theta, upsample_periodic,
+from .numerics import (THETA_TERMS, Memo, SampledSignal, array_key, theta, upsample_periodic,
                        _fourier_derivative, _sample_count)
 from .phaseplane import as_point
 
@@ -69,27 +68,6 @@ class ZakField:
     def norm(self) -> float:
         """Discrete L2(Q) norm, (1/N^2) sum |Z|^2 over the unit square."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / self.N ** 2))
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"# N={self.N}\n")
-            fh.write("y,xi,re,im\n")
-            for i, yv in enumerate(self.y):
-                for j, xv in enumerate(self.xi):
-                    v = self.values[i, j]
-                    fh.write(f"{float(yv)!r},{float(xv)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "N": self.N,
-            "values": [[[v.real, v.imag] for v in row] for row in self.values],
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "ZakField":
-        payload = json.loads(text)
-        vals = np.array([[complex(re, im) for re, im in row] for row in payload["values"]])
-        return ZakField(payload["N"], vals)
 
 
 def _integer_T(T: float) -> int:
@@ -158,7 +136,7 @@ def zak_inverse(Z: ZakField, T: float, h: float) -> SampledSignal:
     return SampledSignal(T, h, vals)
 
 
-def zak_atom_field(lam, N: int, cfg: ThetaConfig | None = None) -> ZakField:
+def zak_atom_field(lam, N: int, terms: int = THETA_TERMS) -> ZakField:
     """Closed-form Zak transform of the atom e_lambda on the midpoint grid.
 
     Ze_(r,eta)(y, xi) = exp(2 pi i eta y) exp(-pi (y-r)^2) Theta(xi + eta + i(y-r)).
@@ -168,7 +146,7 @@ def zak_atom_field(lam, N: int, cfg: ThetaConfig | None = None) -> ZakField:
     Y, XI = y[:, None], y[None, :]
     vals = (
         np.exp(2j * np.pi * lam.theta * Y - np.pi * (Y - lam.p) ** 2)
-        * theta(XI + lam.theta + 1j * (Y - lam.p), cfg)
+        * theta(XI + lam.theta + 1j * (Y - lam.p), terms)
     )
     return ZakField(N, vals)
 

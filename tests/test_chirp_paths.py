@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from criticalgabor import (PhasePoint, Rotation, SampledSignal, atom, gabor_transform,
                            hdelta_invariance_check, inner, metaplectic_apply)
 from criticalgabor.gabor import _box_grids
-from criticalgabor.metaplectic import _MIN_B, _SNAP
+from criticalgabor.metaplectic import _MIN_B
 from criticalgabor.numerics import _chirp_sum
 
 GRIDS = [(8.0, 1.0 / 64.0), (6.0, 1.0 / 32.0)]
@@ -42,9 +42,9 @@ def dense_kernel_apply(angle, f):
 
 def dense_metaplectic_apply(S, f):
     phi = float(S.angle) % (2.0 * np.pi)
-    if min(phi, 2.0 * np.pi - phi) < _SNAP:
+    if phi == 0.0:
         return SampledSignal(f.T, f.h, f.values.copy())
-    if abs(phi - np.pi) < _SNAP:
+    if phi == np.pi:
         return SampledSignal(f.T, f.h, 1j * f.values[::-1].copy())
     if abs(np.sin(phi)) >= _MIN_B:
         return dense_kernel_apply(phi, f)
@@ -117,12 +117,13 @@ SMALL = float(np.arcsin(_MIN_B))
 
 
 def branch_angle(branch, u, turn):
-    """An angle in one branch of metaplectic_apply, kept 1e-6 inside its edges."""
+    """An angle in one branch of metaplectic_apply, kept 1e-6 inside its edges;
+    the snap branch is the exact multiples of pi."""
     eps = 1e-6
     if branch == "snap":
-        off = (2 * u - 1) * (_SNAP - eps)
+        off = 0.0
     elif branch == "small_sin":
-        off = (1 if u >= 0.5 else -1) * (_SNAP + eps + abs(2 * u - 1) * (SMALL - _SNAP - 2 * eps))
+        off = (1 if u >= 0.5 else -1) * (eps + abs(2 * u - 1) * (SMALL - 2 * eps))
     else:
         off = SMALL + eps + u * (np.pi - 2 * SMALL - 2 * eps)
     return turn * np.pi + off
@@ -134,7 +135,7 @@ def branch_angle(branch, u, turn):
 def test_metaplectic_apply_matches_dense(seed, grid, branch, u, turn):
     angle = branch_angle(branch, u, turn)
     phi = angle % (2 * np.pi)
-    snapped = min(phi, 2 * np.pi - phi, abs(phi - np.pi)) < _SNAP
+    snapped = phi == 0.0 or phi == np.pi
     assert snapped == (branch == "snap")
     assert snapped or (abs(np.sin(phi)) < _MIN_B) == (branch == "small_sin")
     f = mixed_signal(seed, *grid)

@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 import criticalgabor
 from criticalgabor import CoefficientSet, atom, hermite_signal, signal_from_csv
-from criticalgabor.cli import RunConfig, main
+from criticalgabor.cli import RunConfig, build_parser, main
 
 
 @pytest.fixture()
@@ -232,7 +234,7 @@ class TestConfigGrid:
         assert "h=0.03125" in err and "h=0.015625" in err
         assert not any(Path(".").glob("o.*"))
 
-    @pytest.mark.parametrize("command", ["analyze", "rotate"])
+    @pytest.mark.parametrize("command", ["analyze", "rotate", "decompose"])
     def test_csv_on_the_config_grid_accepted(self, h32, command):
         args = ["--input", "h32.csv", "--h", "0.03125", "--N", "16"] + self.COMMAND_ARGS[command]
         assert main([command] + args) == 0
@@ -249,6 +251,50 @@ def test_unapplied_q_rejected(workdir, monkeypatch, capsys, command, extra):
     assert main([command, "--input", "e0.csv", "--Q", "4", "--out", "o.json"] + extra) == 2
     assert "Q=4" in capsys.readouterr().err
     assert not Path("o.json").exists()
+
+
+@pytest.mark.parametrize("flags, shown", [
+    (["--R", "4"], "R=4"),
+    (["--margin", "3"], "margin=3.0"),
+    (["--N", "16"], "N=16"),
+    (["--box", "6"], "box=6.0"),
+    (["--dlam", "0.125"], "dlam=0.125"),
+    (["--no-refine"], "refine=False"),
+], ids=["R", "margin", "N", "box", "dlam", "refine"])
+def test_decompose_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, shown):
+    # decompose fixes its own cutoffs, margin, phase boxes, refinement and Zak grid,
+    # so each of these would only change config_hash
+    monkeypatch.chdir(workdir)
+    args = ["decompose", "--input", "e0.csv", "--domain", "disk.json", "--r", "3", "--out", "o.json"]
+    assert main(args + flags) == 2
+    assert shown in capsys.readouterr().err
+    assert not Path("o.json").exists()
+
+
+class TestConfigFlags:
+    FLAGS = {"--config", "--T", "--h", "--N", "--Q", "--dlam", "--box", "--R", "--delta", "--m",
+             "--r", "--no-refine", "--decomp-dlam", "--margin", "--seed"}
+
+    @staticmethod
+    def _subparsers():
+        action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_one_flag_per_config_field(self):
+        names = {f.name for f in fields(RunConfig)} | {"config"}
+        subs = self._subparsers()
+        assert set(subs) == {"analyze", "synthesize", "expand", "decompose", "rotate", "theta", "verify"}
+        for sub in subs.values():
+            config_actions = [a for a in sub._actions if a.dest in names]
+            assert sorted(a.dest for a in config_actions) == sorted(names)
+            assert {opt for a in config_actions for opt in a.option_strings} == self.FLAGS
+
+    def test_flag_types_follow_the_defaults(self):
+        args = build_parser().parse_args(["verify", "--N", "16", "--T", "8", "--no-refine"])
+        assert args.N == 16 and type(args.N) is int
+        assert args.T == 8.0 and type(args.T) is float
+        assert args.refine is False
+        assert args.decomp_dlam is None and args.seed is None
 
 
 class TestTheta:

@@ -14,7 +14,7 @@ import pytest
 from criticalgabor import CoefficientSet, hermite_signal, seam_mismatch, synthesize
 from criticalgabor import expansion, numerics
 from criticalgabor.expansion import _REFINE_FACTOR, _refine_correction, division_field, lattice_coefficients
-from criticalgabor.numerics import theta, upsample_periodic
+from criticalgabor.numerics import THETA_TERMS, theta, upsample_periodic
 from criticalgabor.zak import _substep, _zak_sum, zak
 
 T, H = 8.0, 1.0 / 64.0
@@ -121,7 +121,7 @@ def test_refined_block_matches_cell_loop(signal, N, R):
     old = cell_loop_refine_correction(signal, F, N, R)
     want = extract_block(F, N, R) + old
     scale = np.max(np.abs(want))
-    assert np.max(np.abs(_refine_correction(signal, F, N, R, None) - old)) <= 1e-13 * scale
+    assert np.max(np.abs(_refine_correction(signal, F, N, R) - old)) <= 1e-13 * scale
     got = lattice_coefficients(signal, R, N)
     ks = range(-R, R + 1)
     M = np.array([[got.get(k, j) for j in ks] for k in ks])
@@ -136,7 +136,7 @@ def test_seam_mismatch_matches_hand_sums(signal, N):
     assert abs(seam_mismatch(signal, N) - want) <= 1e-13 * np.max(np.abs(F))
     y = (np.arange(N) + 0.5) / N
     for ys, xis, hand in ((y + 1.0, y, Fy1), (y, y + 1.0, Fxi1)):
-        got = expansion._divided(_zak_sum(signal.values, T, H, ys, xis), ys, xis, None)
+        got = expansion._divided(_zak_sum(signal.values, T, H, ys, xis), ys, xis)
         assert np.max(np.abs(got - hand)) <= 1e-13 * np.max(np.abs(hand))
 
 
@@ -155,9 +155,9 @@ def test_zak_sum_shift_rules(signal, N):
 def test_refined_lattice_coefficients_evaluate_theta_twice(monkeypatch):
     calls = []
 
-    def counting_theta(z, cfg=None):
+    def counting_theta(z, terms=THETA_TERMS):
         calls.append(np.shape(z))
-        return theta(z, cfg)
+        return theta(z, terms)
 
     monkeypatch.setattr(numerics, "theta", counting_theta)
     monkeypatch.setattr(expansion, "theta", counting_theta)

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from criticalgabor import (CoefficientSet, SampledSignal, SIGMA0, atom,
                            atom_inner, field_synthesis, gabor_transform,
-                           half_plane_mass, inner, l2norm, synthesize,
+                           half_plane_mass, inner, synthesize,
                            tail_mass)
 
 T8, H64 = 8.0, 1.0 / 64.0
@@ -12,7 +12,7 @@ T8, H64 = 8.0, 1.0 / 64.0
 
 class TestAtom:
     def test_unit_norm(self):
-        assert abs(l2norm(atom((0, 0))) - 1.0) < 1e-10
+        assert abs(atom((0, 0)).norm() - 1.0) < 1e-10
 
     def test_modulus_independent_of_frequency(self):
         a0 = atom((0, 0))

@@ -162,7 +162,7 @@ class TestOrderMExpansion:
         f = hermite_signal(3, T=12.0, h=1 / 256)
         for m in (0, 2):
             exp = order_m_coefficients(f, m, R=10, N=128)
-            assert exp.diagnostics["decay_exponent"] > m - 0.5
+            assert exp.decay_exponent > m - 0.5
 
     def test_mixed_uniqueness_probe(self, rng):
         # random mixed representations (order-m block + lattice) have no

@@ -17,7 +17,7 @@ import pytest
 import criticalgabor.expansion as expansion
 import criticalgabor.gabor as gabor
 import criticalgabor.numerics as numerics
-from criticalgabor import ThetaConfig, dual_atoms, hermite_signal, theta
+from criticalgabor import THETA_TERMS, dual_atoms, hermite_signal, theta
 from criticalgabor.expansion import _REFINE_FACTOR, _extract_block, lattice_coefficients
 from criticalgabor.gabor import dual_mixing
 from criticalgabor.higher import default_sharp_nodes
@@ -43,12 +43,11 @@ def cold(monkeypatch):
     return reset
 
 
-def old_theta(z, cfg=None):
-    cfg = cfg or ThetaConfig()
+def old_theta(z, terms=THETA_TERMS):
     zarr = np.asarray(z, dtype=complex)
     k = np.round(zarr.imag).astype(int)
     zr = zarr - 1j * k
-    q = np.arange(-cfg.terms, cfg.terms + 1)
+    q = np.arange(-terms, terms + 1)
     series = 2 ** 0.25 * np.sum(np.exp(2j * np.pi * np.multiply.outer(zr, q) - np.pi * q ** 2), axis=-1)
     return np.exp(np.pi * k ** 2 - 2j * np.pi * k * zr) * series
 
@@ -118,7 +117,7 @@ def lattice(T_, h, N_, R_):
 
 # pairs that share every key part but one: an entry built for one must not serve the other
 PAIRS = {
-    "theta_terms": (lambda: bits(theta(MID + 0.3j, ThetaConfig(3))), lambda: bits(theta(MID + 0.3j))),
+    "theta_terms": (lambda: bits(theta(MID + 0.3j, 3)), lambda: bits(theta(MID + 0.3j))),
     "grid_step": (lambda: lattice(8.0, 1 / 32, 16, R), lambda: lattice(8.0, 1 / 64, 32, R)),
     "step_only": (lambda: lattice(8.0, 1 / 128, 32, R), lambda: lattice(8.0, 1 / 64, 32, R)),
     "half_width": (lambda: lattice(6.0, H, N, R), lambda: lattice(8.0, H, N, R)),

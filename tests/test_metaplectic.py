@@ -75,6 +75,13 @@ class TestCovariance:
         assert res.deviation <= 1e-3
         assert res.phase_error <= 1e-2
 
+    @pytest.mark.parametrize("phi", [0.03, -0.03, np.pi + 0.04])
+    def test_angles_near_identity_and_parity(self, phi):
+        # only exact multiples of pi snap; a nearby angle goes through the kernel
+        res = covariance_check(Rotation(phi), (2, 1))
+        assert res.deviation <= 1e-8
+        assert res.phase_error <= 1e-8
+
     def test_out_of_safe_region_rejected(self):
         with pytest.raises(ValueError):
             covariance_check(Rotation(np.pi / 4), (5, 0))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from criticalgabor import (CoefficientSet, SampledSignal, ThetaConfig, atom, dual_atoms,
+from criticalgabor import (THETA_TERMS, CoefficientSet, SampledSignal, atom, dual_atoms,
                            gabor_transform, hermite_signal, relaxed_coefficients,
                            sharp_functional, sharp_point, spectral_derivative, synthesize,
                            theta)
@@ -103,19 +103,17 @@ def old_spectral_derivative(f):
     return np.fft.ifft(2j * np.pi * freq * np.fft.fft(f.values))
 
 
-def old_theta_raw(z, cfg):
-    cfg = cfg or ThetaConfig()
-    q = np.arange(-cfg.terms, cfg.terms + 1)
+def old_theta_raw(z, terms=THETA_TERMS):
+    q = np.arange(-terms, terms + 1)
     return 2 ** 0.25 * np.sum(np.exp(2j * np.pi * np.multiply.outer(np.asarray(z, complex), q)
                                      - np.pi * q ** 2), axis=-1)
 
 
-def old_theta(z, cfg=None):
-    cfg = cfg or ThetaConfig()
+def old_theta(z, terms=THETA_TERMS):
     zarr = np.asarray(z, dtype=complex)
     k = np.round(zarr.imag).astype(int)
     zr = zarr - 1j * k
-    q = np.arange(-cfg.terms, cfg.terms + 1)
+    q = np.arange(-terms, terms + 1)
     series = 2 ** 0.25 * np.sum(np.exp(2j * np.pi * np.multiply.outer(zr, q) - np.pi * q ** 2), axis=-1)
     out = np.exp(np.pi * k ** 2 - 2j * np.pi * k * zr) * series
     return out if out.shape else complex(out)
@@ -187,19 +185,19 @@ def test_spectral_derivative_is_bitwise_unchanged(signal):
 
 @pytest.mark.parametrize("terms", [None, 1, 3, 8, 12])
 def test_theta_series_matches_verify_raw_sum_bitwise(terms):
-    cfg = None if terms is None else ThetaConfig(terms)
+    args = () if terms is None else (terms,)  # None: the default truncation
     grid = np.array([[x + 1j * y for x in np.linspace(0.02, 0.98, 20)]
                      for y in np.linspace(0.02, 0.98, 20)])
     for z in (grid, grid + 1j, grid + 1, 0.5 + 0.5j):
-        np.testing.assert_array_equal(_theta_series(z, cfg), old_theta_raw(z, cfg))
+        np.testing.assert_array_equal(_theta_series(z, *args), old_theta_raw(z, *args))
 
 
 @pytest.mark.parametrize("terms", [None, 2, 8])
 def test_theta_is_bitwise_unchanged(terms):
-    cfg = None if terms is None else ThetaConfig(terms)
+    args = () if terms is None else (terms,)
     z = np.random.default_rng(2).uniform(-3, 3, size=(40, 2)) @ np.array([1.0, 1j])
-    np.testing.assert_array_equal(theta(z, cfg), old_theta(z, cfg))
-    assert theta(0.25 - 1.7j, cfg) == old_theta(0.25 - 1.7j, cfg)
+    np.testing.assert_array_equal(theta(z, *args), old_theta(z, *args))
+    assert theta(0.25 - 1.7j, *args) == old_theta(0.25 - 1.7j, *args)
 
 
 def test_box_off_the_dlam_grid_stays_inside_T():

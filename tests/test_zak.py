@@ -141,20 +141,3 @@ class TestSobolevControl:
             assert sobolev_norm(zak(f), 2.0) <= SOBOLEV_CONSTANT * hdelta_norm(f, 2.0)
         for f in random_smooth(rng, count=20):
             assert sobolev_norm(zak(f), 2.0) <= SOBOLEV_CONSTANT * hdelta_norm(f, 2.0)
-
-
-class TestSerialization:
-    def test_json_roundtrip(self, e0):
-        Z = zak(e0)
-        back = ZakField.from_json(Z.to_json())
-        assert back.N == Z.N
-        np.testing.assert_array_equal(back.values, Z.values)
-
-    def test_csv_header_carries_size(self, tmp_path, e0):
-        Z = zak(e0)
-        path = tmp_path / "z.csv"
-        Z.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == f"# N={Z.N}"
-        assert lines[1] == "y,xi,re,im"
-        assert len(lines) == 2 + Z.N ** 2
