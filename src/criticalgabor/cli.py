@@ -119,6 +119,14 @@ def _require_default(config: RunConfig, command: str, name: str):
                          f"it always runs with the default {name}={default!r}")
 
 
+def _require_zak_size(config: RunConfig, command: str):
+    """Refuse an N other than the Zak grid of the step h, for a command that fixes N to it."""
+    zak_size = default_zak_size(config.h)
+    if config.N != zak_size:
+        raise ValueError(f"config: {command} cannot apply N={config.N!r}; "
+                         f"it always runs with the Zak grid of the step h, N={zak_size!r}")
+
+
 def _load_signal(path, config: RunConfig) -> numerics.SampledSignal:
     """Read a signal CSV whose grid must be the config's grid (T, h)."""
     f = numerics.signal_from_csv(path)
@@ -130,6 +138,11 @@ def _load_signal(path, config: RunConfig) -> numerics.SampledSignal:
 
 def cmd_analyze(args) -> int:
     config = load_config(args)
+    # analyze reads only the grid, the phase box and delta; validate ties N to h, so only h's own
+    # Zak grid leaves the hash honest
+    for name in ("Q", "R", "m", "r", "refine", "decomp_dlam", "margin", "seed"):
+        _require_default(config, "analyze", name)
+    _require_zak_size(config, "analyze")
     f = _load_signal(args.input, config)
     field = gabor.gabor_transform(f, config.box, config.dlam)
     if args.out_field:
@@ -157,7 +170,11 @@ def cmd_synthesize(args) -> int:
 
 def cmd_expand(args) -> int:
     config = load_config(args)
-    _require_default(config, "expand", "Q")  # the expansion divides by the default theta series
+    # expand draws nothing at random, has no domain, and divides by the default theta series;
+    # at delta = 2 the hdelta diagnostic needs no phase box, so box and dlam would feed nothing
+    unread = ("Q", "r", "decomp_dlam", "seed") + (("box", "dlam") if config.delta == 2 else ())
+    for name in unread:
+        _require_default(config, "expand", name)
     f = _load_signal(args.input, config)
     if config.m == 0:
         exp = expansion.relaxed_coefficients(f, config.R, config.N, config.refine)
@@ -180,14 +197,12 @@ def cmd_expand(args) -> int:
 
 def cmd_decompose(args) -> int:
     config = load_config(args)
-    # decompose fixes its theta series, cutoffs, refinement, Zak grid and margin, and sizes its
-    # phase grids from the domain and decomp_dlam: these fields would only change the hash
-    for name in ("Q", "R", "margin", "box", "dlam", "refine"):
+    # decompose fixes its theta series, cutoffs, refinement, Zak grid and margin, sizes its phase
+    # grids from the domain and decomp_dlam, and draws nothing at random: these fields would only
+    # change the hash
+    for name in ("Q", "R", "margin", "box", "dlam", "refine", "seed"):
         _require_default(config, "decompose", name)
-    zak_size = default_zak_size(config.h)
-    if config.N != zak_size:
-        raise ValueError(f"config: decompose cannot apply N={config.N!r}; "
-                         f"it always runs with the Zak grid of the step h, N={zak_size!r}")
+    _require_zak_size(config, "decompose")
     f = _load_signal(args.input, config)
     with open(args.domain) as fh:
         K = phaseplane.domain_from_json(fh.read())

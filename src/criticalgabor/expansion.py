@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gabor import CoefficientSet, DEFAULT_BOX, DEFAULT_DLAM, DEFAULT_MARGIN, gabor_transform, synthesize
-from .numerics import THETA_TERMS, Memo, SampledSignal, array_key, theta, upsample_periodic
+from .numerics import (THETA_TERMS, Memo, SampledSignal, _fourier_derivative, array_key, theta,
+                       upsample_periodic)
 from .phaseplane import sharp_point
 from .zak import zak, _substep, _zak_sum
 
@@ -64,9 +65,24 @@ def sharp_functional_zak(f: SampledSignal, N: int | None = None) -> complex:
 
 def hdelta_norm(f: SampledSignal, delta: float, box=DEFAULT_BOX,
                 dlam: float = DEFAULT_DLAM) -> float:
-    """Phase-space smoothness norm (int (|lambda|^delta + 1) |<f|e_lambda>|^2)^{1/2}."""
+    """Phase-space smoothness norm (int (|lambda|^delta + 1) |<f|e_lambda>|^2)^{1/2}.
+
+    At delta = 2 the norm comes from three moments of f, with no transform:
+    for the unit Gaussian window, Plancherel in theta and the window's second
+    moment 1/(4 pi) in x and in xi give
+    int (1 + |z|^2) |V f(z)|^2 dz = (1 + 1/(2 pi)) ||f||^2 + ||x f||^2 + ||f'||^2/(4 pi^2)
+    (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 3).  f' is
+    the spectral derivative, so f must be negligible at +-T, as for
+    `spectral_derivative`.  `box` and `dlam` set the Gabor grid of every other
+    delta and are unused at delta = 2.
+    """
     if delta < 0:
         raise ValueError("smoothness order must be >= 0")
+    if delta == 2:
+        power = np.abs(f.values) ** 2
+        slope = np.abs(_fourier_derivative(f.values, f.h)) ** 2
+        return float(np.sqrt(f.h * np.sum((1.0 + 0.5 / np.pi + f.x ** 2) * power
+                                          + slope / (4.0 * np.pi ** 2))))
     V = gabor_transform(f, box, dlam)
     power = np.abs(V.values)
     power *= power

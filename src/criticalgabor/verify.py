@@ -153,9 +153,9 @@ def run_checks(config, rng: np.random.Generator) -> list[dict]:
     exp = expansion.relaxed_coefficients(h2, R=8, N=N)
     tot = sum(abs(v) ** 2 for v in exp.coeffs.entries.values()) + abs(exp.sharp) ** 2
     checks.append(_record("coefficient_l2_vs_smoothness",
-                          tot / expansion.hdelta_norm(h2, 2.0, box, dlam) ** 2, GD_CONSTANT))
+                          tot / expansion.hdelta_norm(h2, 2.0) ** 2, GD_CONSTANT))
     checks.append(_record("zak_sobolev_control",
-                          sobolev_norm(zak_transform(h2, N), 2.0) / expansion.hdelta_norm(h2, 2.0, box, dlam),
+                          sobolev_norm(zak_transform(h2, N), 2.0) / expansion.hdelta_norm(h2, 2.0),
                           SOBOLEV_CONSTANT))
 
     worst = np.inf

@@ -91,12 +91,16 @@ def _zak_sum(values: np.ndarray, T: float, step: float, y: np.ndarray,
 
 
 def _zak_sum_plan(T: float, step: float, y: np.ndarray, xi: np.ndarray):
-    """The sample index of each f(y + q), (y, q), and the phases exp(2 pi i q xi), (q, xi)."""
+    """The sample index of each f(y + q), (y, q), and the phases exp(2 pi i q xi), (q, xi).
+
+    q xi is reduced mod 1 before the factor 2 pi, as in `numerics._chirp`: on
+    dyadic nodes q xi is exact, so Z(y, xi + 1) equals Z(y, xi) bit for bit.
+    """
     Ti = _integer_T(T)
     shift = int(np.floor(y[0]))
     qs = np.arange(-Ti - shift, Ti - shift)
     n_idx = np.round((y[:, None] + qs[None, :] + T) / step).astype(int)
-    return n_idx, np.exp(2j * np.pi * np.outer(qs, xi))
+    return n_idx, np.exp(2j * np.pi * np.fmod(np.outer(qs, xi), 1.0))
 
 
 _ZAK_SUM_MEMO = Memo()

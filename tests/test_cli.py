@@ -62,14 +62,14 @@ class TestConfig:
 
     def test_config_file_with_flag_override(self, workdir):
         cfg = workdir / "cfg.json"
-        cfg.write_text(json.dumps({"Q": 10, "dlam": 0.125}))
+        cfg.write_text(json.dumps({"delta": 1.5, "dlam": 0.125}))
         rc = main(["analyze", "--config", str(cfg), "--dlam", "0.25", "--box", "2.0",
                    "--input", str(workdir / "h0.csv"),
                    "--out-summary", str(workdir / "cfgsum.json")])
         assert rc == 0
         summary = json.loads((workdir / "cfgsum.json").read_text())
-        # flag override (dlam=0.25) and file value (Q=10) both land in the hash
-        assert summary["config_hash"] == RunConfig(Q=10, dlam=0.25, box=2.0).hash()
+        # flag override (dlam=0.25) and file value (delta=1.5) both land in the hash
+        assert summary["config_hash"] == RunConfig(delta=1.5, dlam=0.25, box=2.0).hash()
 
 
 class TestAnalyze:
@@ -260,7 +260,8 @@ def test_unapplied_q_rejected(workdir, monkeypatch, capsys, command, extra):
     (["--box", "6"], "box=6.0"),
     (["--dlam", "0.125"], "dlam=0.125"),
     (["--no-refine"], "refine=False"),
-], ids=["R", "margin", "N", "box", "dlam", "refine"])
+    (["--seed", "5"], "seed=5"),
+], ids=["R", "margin", "N", "box", "dlam", "refine", "seed"])
 def test_decompose_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, shown):
     # decompose fixes its own cutoffs, margin, phase boxes, refinement and Zak grid,
     # so each of these would only change config_hash
@@ -269,6 +270,50 @@ def test_decompose_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags,
     assert main(args + flags) == 2
     assert shown in capsys.readouterr().err
     assert not Path("o.json").exists()
+
+
+@pytest.mark.parametrize("flags, shown", [
+    (["--N", "16"], "N=16"),
+    (["--Q", "4"], "Q=4"),
+    (["--R", "4"], "R=4"),
+    (["--m", "1"], "m=1"),
+    (["--r", "3"], "r=3.0"),
+    (["--no-refine"], "refine=False"),
+    (["--decomp-dlam", "0.25"], "decomp_dlam=0.25"),
+    (["--margin", "3"], "margin=3.0"),
+    (["--seed", "5"], "seed=5"),
+], ids=["N", "Q", "R", "m", "r", "refine", "decomp_dlam", "margin", "seed"])
+def test_analyze_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, shown):
+    # analyze reads only the grid, the phase box and delta, so each of these would only change config_hash
+    monkeypatch.chdir(workdir)
+    assert main(["analyze", "--input", "h0.csv", "--out-summary", "o.json"] + flags) == 2
+    assert shown in capsys.readouterr().err
+    assert not Path("o.json").exists()
+
+
+@pytest.mark.parametrize("flags, shown", [
+    (["--r", "3"], "r=3.0"),
+    (["--decomp-dlam", "0.25"], "decomp_dlam=0.25"),
+    (["--seed", "5"], "seed=5"),
+    (["--box", "6"], "box=6.0"),
+    (["--dlam", "0.125"], "dlam=0.125"),
+], ids=["r", "decomp_dlam", "seed", "box", "dlam"])
+def test_expand_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, shown):
+    # at the default delta = 2 the hdelta diagnostic is a moment sum, so box and dlam feed nothing
+    monkeypatch.chdir(workdir)
+    assert main(["expand", "--input", "e0.csv", "--R", "3", "--out", "o.json"] + flags) == 2
+    assert shown in capsys.readouterr().err
+    assert not Path("o.json").exists()
+
+
+def test_expand_applies_the_phase_box_off_delta_2(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    hdelta = {}
+    for box in ("8", "2"):
+        assert main(["expand", "--input", "e0.csv", "--R", "3", "--delta", "1.5", "--box", box,
+                     "--out", f"b{box}.json"]) == 0
+        hdelta[box] = json.loads(Path(f"b{box}.json").read_text())["diagnostics"]["hdelta"]
+    assert hdelta["2"] < hdelta["8"]
 
 
 class TestConfigFlags:

@@ -107,7 +107,10 @@ def hand_seam_fields(f, N):
 
 @pytest.mark.parametrize("N", [16, 32])
 def test_zak_bitwise_equals_integer_index_formula(signal, N):
-    assert np.array_equal(zak(signal, N).values, integer_index_zak(signal, N))
+    # bitwise until the kernel reduced q xi mod 1 before the factor 2 pi; the oracle
+    # keeps the unreduced 2 pi q xi, measured <= 1.1e-15 max|Z| apart
+    want = integer_index_zak(signal, N)
+    assert np.max(np.abs(zak(signal, N).values - want)) <= 2e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("R", [3, 6])
@@ -143,13 +146,14 @@ def test_seam_mismatch_matches_hand_sums(signal, N):
 @pytest.mark.parametrize("N", [16, 32])
 def test_zak_sum_shift_rules(signal, N):
     # Z(y + 1, xi) = exp(-2 pi i xi) Z(y, xi) and Z(y, xi + 1) = Z(y, xi) on the
-    # same samples.  The phases exp(2 pi i q (xi + 1)) carry the rounding of
-    # arguments up to ~2 pi |q| (xi + 1); measured <= 1.5e-15 max|Z| here.
+    # same samples.  q xi is exact on the dyadic midpoints and is reduced mod 1
+    # before the factor 2 pi, so the xi rule holds bit for bit; the y rule
+    # multiplies by a rounded exp(-2 pi i xi), measured <= 1.1e-15 max|Z| here.
     y = (np.arange(N) + 0.5) / N
     Z = _zak_sum(signal.values, T, H, y, y)
-    tol = 2e-15 * np.max(np.abs(Z))
+    tol = 1.5e-15 * np.max(np.abs(Z))
     assert np.max(np.abs(_zak_sum(signal.values, T, H, y + 1.0, y) - np.exp(-2j * np.pi * y) * Z)) <= tol
-    assert np.max(np.abs(_zak_sum(signal.values, T, H, y, y + 1.0) - Z)) <= tol
+    assert np.array_equal(_zak_sum(signal.values, T, H, y, y + 1.0), Z)
 
 
 def test_refined_lattice_coefficients_evaluate_theta_twice(monkeypatch):

@@ -143,7 +143,20 @@ class TestHdeltaNorm:
         oracle = quad(lambda r: (r ** 2 + 1) * np.exp(-np.pi * r ** 2) * 2 * np.pi * r,
                       0, np.inf)[0]
         assert abs(oracle - (1 / np.pi + 1)) < 1e-9
-        assert abs(hdelta_norm(e0, 2.0) ** 2 - oracle) < 1e-3
+        assert hdelta_norm(e0, 2.0) ** 2 == pytest.approx(oracle, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_hermite_closed_form(self, n):
+        # ||x h_n||^2 = ||h_n'||^2 / (4 pi^2) = (2n + 1)/(4 pi)
+        assert hdelta_norm(hermite_signal(n), 2.0) == pytest.approx(np.sqrt(1 + (n + 1) / np.pi),
+                                                                  rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("lam", [(0, 0), (3, 3), (1.5, -2), (0, 6.5), (-6.5, 6.5), (6.5, -4)])
+    def test_atom_closed_form(self, lam):
+        # |<e_lam|e_mu>|^2 = e^{-pi |lam - mu|^2}, so the norm^2 is 1 + 1/pi + |lam|^2
+        f = atom(lam, T=12.0)
+        assert hdelta_norm(f, 2.0) == pytest.approx(np.sqrt(1 + 1 / np.pi + lam[0] ** 2 + lam[1] ** 2),
+                                                   rel=1e-13, abs=0)
 
     def test_monotone_in_delta(self, rng):
         for f in random_smooth(rng, count=10):
