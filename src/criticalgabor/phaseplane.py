@@ -15,7 +15,6 @@ import numpy as np
 
 # point-site pairs per nearest-distance block: bounds its scratch memory
 _PAIRS = 1 << 16
-_NEAR = 4  # sites on each side in p of a block's centre that bound its nearest distances
 
 
 @dataclass(frozen=True)
@@ -75,54 +74,18 @@ def grid_points(ps, ts) -> np.ndarray:
 
 
 def _nearest_distance(sites: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distance from each row of pts to the nearest row of sites, both (n, 2).
-
-    The points go in blocks of at most _PAIRS / len(sites) points, one square
-    tile of the plane after another.  The 2 _NEAR sites nearest in p to a
-    block's centre bound each of its points' nearest distance by `reach`, so
-    with the sites sorted by p a block scans only those within `reach` of its
-    bounding box (widened against rounding).  That set holds every point's
-    nearest site and each squared distance is formed as in a full scan, so
-    the result is the full scan's bit for bit.  A non-finite point has no
-    tile and is scanned against every site, which gives nan or inf.
-    """
+    """Distance from each row of pts to the nearest row of sites, both (n, 2),
+    in blocks of at most _PAIRS point-site pairs."""
     out = np.empty(len(pts))
-    finite = np.all(np.isfinite(pts), axis=1)
-    if not np.all(finite):
-        out[finite] = _nearest_distance(sites, pts[finite])
-        out[~finite] = [np.sqrt(np.min(_squared_distance(p, t, sites[:, 0], sites[:, 1])))
-                        for p, t in pts[~finite]]
-        return out
-    if len(pts) == 0:
-        return out
-    sp, st = sites[np.argsort(sites[:, 0], kind="stable")].T
     rows = max(1, _PAIRS // len(sites))
-    span = np.ptp(pts, axis=0)
-    side = max(np.sqrt(span[0] * span[1] * rows / len(pts)), max(span) * rows / len(pts)) or 1.0
-    tile = np.floor((pts - np.min(pts, axis=0)) / side).astype(np.int64)
-    order = np.argsort(tile[:, 0] * (np.max(tile[:, 1]) + 1) + tile[:, 1], kind="stable")
     for i in range(0, len(pts), rows):
-        idx = order[i:i + rows]
-        bp, bt = pts[idx, 0, None], pts[idx, 1, None]
-        pmin, pmax, tmin, tmax = np.min(bp), np.max(bp), np.min(bt), np.max(bt)
-        k = np.searchsorted(sp, 0.5 * (pmin + pmax))
-        a, b = max(0, k - _NEAR), min(sp.size, k + _NEAR)
-        reach = np.sqrt(np.max(np.min(_squared_distance(bp, bt, sp[a:b], st[a:b]), axis=1)))
-        reach = reach * (1.0 + 1e-9) + 1e-12
-        a, b = np.searchsorted(sp, pmin - reach, side="left"), np.searchsorted(sp, pmax + reach, side="right")
-        keep = (st[a:b] >= tmin - reach) & (st[a:b] <= tmax + reach)
-        out[idx] = np.sqrt(np.min(_squared_distance(bp, bt, sp[a:b][keep], st[a:b][keep]), axis=1))
+        dp = pts[i:i + rows, 0, None] - sites[:, 0]
+        dt = pts[i:i + rows, 1, None] - sites[:, 1]
+        dp *= dp
+        dt *= dt
+        dp += dt
+        out[i:i + rows] = np.sqrt(np.min(dp, axis=1))
     return out
-
-
-def _squared_distance(px, pt, sp, st) -> np.ndarray:
-    """(px - sp)^2 + (pt - st)^2, broadcast, in one order of operations."""
-    dp = px - sp
-    dt = pt - st
-    dp *= dp
-    dt *= dt
-    dp += dt
-    return dp
 
 
 def _pts(x) -> tuple[np.ndarray, bool]:

@@ -159,36 +159,6 @@ class TestDomains:
             ref = np.where(dom.contains(pts), 0.0, cKDTree(dom._boundary_samples()).query(pts)[0])
         assert np.max(np.abs(dom.distance(pts) - ref)) <= 1e-15
 
-    @pytest.mark.parametrize("kind", ["point_set", "sampled_boundary", "lattice_ties"])
-    def test_nearest_distance_matches_full_scan_bitwise(self, kind):
-        # the banded scan takes its minimum over a subset holding the nearest
-        # site, with the full scan's arithmetic, so the two agree bit for bit
-        def full_scan(sites, pts):
-            dp = pts[:, 0, None] - sites[:, 0]
-            dt = pts[:, 1, None] - sites[:, 1]
-            dp *= dp
-            dt *= dt
-            dp += dt
-            return np.sqrt(np.min(dp, axis=1))
-
-        rng = np.random.default_rng(5)
-        g = np.linspace(-3.0, 3.0, 120)
-        pts = np.vstack([np.column_stack([np.repeat(g, g.size), np.tile(g, g.size)]),
-                         rng.uniform(-6.0, 6.0, size=(2000, 2)),
-                         [[np.nan, 0.0], [np.inf, 1.0], [-np.inf, np.inf], [0.5, np.nan]]])
-        if kind == "point_set":
-            dom = PointSet(rng.uniform(-2.0, 2.0, size=(300, 2)))
-            want = full_scan(dom.points, pts)
-        elif kind == "lattice_ties":  # many sites share each p, many points sit on sites
-            dom = PointSet(np.column_stack([np.repeat(np.arange(-3.0, 4.0), 7),
-                                            np.tile(np.arange(-3.0, 4.0), 7)]))
-            pts = np.vstack([pts, dom.points])
-            want = full_scan(dom.points, pts)
-        else:
-            dom = FunctionDomain(lambda p, t: p ** 2 + t ** 2 <= 1.5 ** 2, (-1.5, 1.5, -1.5, 1.5))
-            want = np.where(dom.contains(pts), 0.0, full_scan(dom._boundary_samples(), pts))
-        assert np.array_equal(dom.distance(pts), want, equal_nan=True)
-
     def test_point_set_needs_finite_points(self):
         with pytest.raises(ValueError, match="finite"):
             PointSet([(0.0, 0.0), (np.nan, 1.0)])

@@ -1,50 +1,30 @@
 """Interleaved parent/change runs of the repository benchmark, written to one JSON file.
 
-    python3 tools/bench_pairs.py --parent <rev> --workload W --pairs N \
-        --seconds S --seed 4242 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --parent <rev> [--change <rev>] --workload W \
+        --pairs N --seconds S --seed 4242 --out BENCH_<n>.json
 
-Run from the root of a checkout.  The parent's committed tree is extracted
-with ``git archive <rev> | tar -x`` into a temporary directory; the change is
-the working tree.  Each pair runs ``bench/run.py --trace 0`` once in each tree,
-each tree with its own ``bench/``, alternating which tree goes first, and reads
-the last line of the report (one JSON object).
+Run from the root of a checkout.  Both sides are committed trees, the parent
+``<rev>`` and the change (``HEAD`` unless ``--change`` names another), each
+extracted with ``git archive <rev> | tar -x`` into a temporary directory, so
+uncommitted edits never enter a run.  Each pair runs ``bench/run.py --trace 0``
+once in each tree, each tree with its own ``bench/``, alternating which tree
+goes first, and reads the last line of the report (one JSON object).
 
-The output file is merged, not overwritten: ``workloads[W]`` gets, per
-end-to-end metric, every run's value, each side's median and quartiles and the
-number of pairs the change won (ties count for neither), plus the seeds and
-the ``env`` line of every run.  ``accuracy`` gets ``hdelta_norm`` at delta = 2
-on every analyze pool item, computed by each tree on the signals its own
-``bench/items.py`` builds, with the relative difference.
+The output file is merged, not overwritten: ``commits`` names the two
+revisions, and ``workloads[W]`` gets, per end-to-end metric, every run's value,
+each side's median and quartiles and the number of pairs the change won (ties
+count for neither), plus the seeds and the ``env`` line of every run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 from pathlib import Path
 import statistics
 import subprocess
 import sys
 import tempfile
-
-# Prints {item id: hdelta_norm} for the analyze pool, inside one tree.
-HDELTA_PROBE = """
-import json, items
-out = {}
-for entry in items.load_pool()["analyze"]:
-    item = items.make_item("analyze", entry)
-    out[item.id] = items.lib("expansion").hdelta_norm(item.signal, 2.0, entry["box"], entry["dlam"])
-print(json.dumps(out))
-"""
-
-
-def tree_env(root: Path) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = f"{root / 'src'}:{root / 'bench'}"
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
-    return env
-
 
 def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``bench/run.py --trace 0`` in root: its final JSON object plus its env line."""
@@ -59,12 +39,15 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def hdelta_values(root: Path) -> dict:
-    proc = subprocess.run([sys.executable, "-c", HDELTA_PROBE], cwd=root, env=tree_env(root),
-                          capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"error: hdelta probe in {root} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+def extract(repo: Path, sha: str, dest: Path) -> Path:
+    """The committed tree of sha, written into dest with git archive."""
+    dest.mkdir()
+    archive = subprocess.Popen(["git", "archive", sha], cwd=repo, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"error: git archive {sha} failed")
+    return dest
 
 
 def quartiles(values: list) -> dict:
@@ -92,6 +75,7 @@ def summarize(spec: dict, pairs: list) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent tree")
+    ap.add_argument("--change", default="HEAD", help="git revision of the changed tree (default HEAD)")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
@@ -99,17 +83,18 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
-    change_root = Path.cwd()
-    spec = json.loads((change_root / "BENCHMARK.json").read_text())
-    parent_sha = subprocess.run(["git", "rev-parse", args.parent], cwd=change_root, check=True,
-                                capture_output=True, text=True).stdout.strip()
+    repo = Path.cwd()
+    commits = {side: subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=repo, check=True,
+                                    capture_output=True, text=True).stdout.strip()
+               for side, rev in (("parent", args.parent), ("change", args.change))}
+    out_path = Path(args.out)
+    data = json.loads(out_path.read_text()) if out_path.exists() else {}
+    if data.setdefault("commits", commits) != commits:
+        raise SystemExit(f"error: {out_path} holds runs of {data['commits']}, not {commits}")
     with tempfile.TemporaryDirectory() as tmp:
-        parent_root = Path(tmp)
-        archive = subprocess.Popen(["git", "archive", parent_sha], cwd=change_root, stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", str(parent_root)], stdin=archive.stdout, check=True)
-        archive.stdout.close()
-        if archive.wait() != 0:
-            raise SystemExit(f"error: git archive {parent_sha} failed")
+        parent_root = extract(repo, commits["parent"], Path(tmp) / "parent")
+        change_root = extract(repo, commits["change"], Path(tmp) / "change")
+        spec = json.loads((change_root / "BENCHMARK.json").read_text())
 
         pairs = []
         for k in range(args.pairs):
@@ -123,11 +108,7 @@ def main(argv=None) -> int:
             ips = {name: pair[name]["metrics"]["items_per_s"]["value"] for name, _ in sides}
             print(f"pair {k + 1}/{args.pairs} ({pair['first']} first): items_per_s "
                   f"parent {ips['parent']:.4g}, change {ips['change']:.4g}", file=sys.stderr)
-        hdelta = {"parent": hdelta_values(parent_root), "change": hdelta_values(change_root)}
 
-    out_path = Path(args.out)
-    data = json.loads(out_path.read_text()) if out_path.exists() else {}
-    data["parent"] = parent_sha
     data.setdefault("workloads", {})[args.workload] = {
         "seconds": args.seconds,
         "seeds": [p["seed"] for p in pairs],
@@ -137,12 +118,6 @@ def main(argv=None) -> int:
         "metrics": summarize(spec, pairs),
         "env": {side: [p[side]["env"] for p in pairs] for side in ("parent", "change")},
     }
-    items = {}
-    for item_id, old in hdelta["parent"].items():
-        new = hdelta["change"][item_id]
-        items[item_id] = {"parent": old, "change": new, "rel_diff": abs(new - old) / abs(old)}
-    data["accuracy"] = {"hdelta_norm_delta2_analyze_pool": {
-        "items": items, "max_rel_diff": max(v["rel_diff"] for v in items.values())}}
     out_path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return 0
 
