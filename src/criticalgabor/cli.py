@@ -119,6 +119,13 @@ def _require_default(config: RunConfig, command: str, name: str):
                          f"it always runs with the default {name}={default!r}")
 
 
+def _require_unread_defaults(config: RunConfig, command: str, read):
+    """Refuse every field outside `read` that differs from its default."""
+    for f in fields(RunConfig):
+        if f.name not in read:
+            _require_default(config, command, f.name)
+
+
 def _require_zak_size(config: RunConfig, command: str):
     """Refuse an N other than the Zak grid of the step h, for a command that fixes N to it."""
     zak_size = default_zak_size(config.h)
@@ -140,8 +147,7 @@ def cmd_analyze(args) -> int:
     config = load_config(args)
     # analyze reads only the grid, the phase box and delta; validate ties N to h, so only h's own
     # Zak grid leaves the hash honest
-    for name in ("Q", "R", "m", "r", "refine", "decomp_dlam", "margin", "seed"):
-        _require_default(config, "analyze", name)
+    _require_unread_defaults(config, "analyze", ("T", "h", "N", "dlam", "box", "delta"))
     _require_zak_size(config, "analyze")
     f = _load_signal(args.input, config)
     field = gabor.gabor_transform(f, config.box, config.dlam)
@@ -161,6 +167,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_synthesize(args) -> int:
     config = load_config(args)
+    # synthesis reads the grid and the atom margin; validate ties N to h, so only h's own Zak grid
+    # leaves it unread
+    _require_unread_defaults(config, "synthesize", ("T", "h", "N", "margin"))
+    _require_zak_size(config, "synthesize")
     with open(args.coeffs) as fh:
         coeffs = gabor.CoefficientSet.from_json(fh.read())
     sig = gabor.synthesize(coeffs, config.T, config.h, config.margin)
@@ -172,9 +182,8 @@ def cmd_expand(args) -> int:
     config = load_config(args)
     # expand draws nothing at random, has no domain, and divides by the default theta series;
     # at delta = 2 the hdelta diagnostic needs no phase box, so box and dlam would feed nothing
-    unread = ("Q", "r", "decomp_dlam", "seed") + (("box", "dlam") if config.delta == 2 else ())
-    for name in unread:
-        _require_default(config, "expand", name)
+    read = ("T", "h", "N", "R", "delta", "m", "refine", "margin")
+    _require_unread_defaults(config, "expand", read if config.delta == 2 else read + ("box", "dlam"))
     f = _load_signal(args.input, config)
     if config.m == 0:
         exp = expansion.relaxed_coefficients(f, config.R, config.N, config.refine)
@@ -200,8 +209,7 @@ def cmd_decompose(args) -> int:
     # decompose fixes its theta series, cutoffs, refinement, Zak grid and margin, sizes its phase
     # grids from the domain and decomp_dlam, and draws nothing at random: these fields would only
     # change the hash
-    for name in ("Q", "R", "margin", "box", "dlam", "refine", "seed"):
-        _require_default(config, "decompose", name)
+    _require_unread_defaults(config, "decompose", ("T", "h", "N", "delta", "m", "r", "decomp_dlam"))
     _require_zak_size(config, "decompose")
     f = _load_signal(args.input, config)
     with open(args.domain) as fh:
@@ -221,6 +229,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_rotate(args) -> int:
     config = load_config(args)
+    # rotate reads only the grid; validate ties N to h, so only h's own Zak grid leaves it unread
+    _require_unread_defaults(config, "rotate", ("T", "h", "N"))
+    _require_zak_size(config, "rotate")
     f = _load_signal(args.input, config)
     out = metaplectic.metaplectic_apply(metaplectic.Rotation(args.angle), f)
     out.to_csv(args.out)
@@ -229,6 +240,8 @@ def cmd_rotate(args) -> int:
 
 def cmd_theta(args) -> int:
     config = load_config(args)
+    # theta and the localization integral take no grid: the series truncation Q is all they read
+    _require_unread_defaults(config, "theta", ("Q",))
     if args.z is not None:
         re, im = (float(t) for t in args.z.split(","))
         val = numerics.theta(complex(re, im), config.Q)

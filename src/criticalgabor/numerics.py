@@ -257,17 +257,21 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-def _chirp(c: float, M: int) -> np.ndarray:
-    """exp(pi i c m^2) for m = 0..M-1, with c m^2 reduced mod 2 before the factor pi.
+def _exp_pi_i(c: float, m: np.ndarray, m_bits: int) -> np.ndarray:
+    """exp(pi i c m) for integer-valued m with |m| < 2^m_bits, c m reduced mod 2 before the factor pi.
 
-    c is split as c_hi + c_lo with c_hi short enough that c_hi m^2 is exact
-    in float64, so phases of thousands of turns keep full relative accuracy.
+    c is split as c_hi + c_lo with c_hi short enough that c_hi m is exact in
+    float64, so phases of thousands of turns keep full relative accuracy.
     """
-    m2 = np.arange(M, dtype=float) ** 2
     frac, e = math.frexp(c)
-    bits = 53 - max(M - 1, 1).bit_length() * 2
+    bits = 53 - m_bits
     c_hi = math.ldexp(round(math.ldexp(frac, bits)), e - bits)
-    return np.exp(1j * np.pi * (np.fmod(c_hi * m2, 2.0) + (c - c_hi) * m2))
+    return np.exp(1j * np.pi * (np.fmod(c_hi * m, 2.0) + (c - c_hi) * m))
+
+
+def _chirp(c: float, M: int) -> np.ndarray:
+    """exp(pi i c m^2) for m = 0..M-1, with c m^2 reduced mod 2 before the factor pi."""
+    return _exp_pi_i(c, np.arange(M, dtype=float) ** 2, max(M - 1, 1).bit_length() * 2)
 
 
 def _chirp_sum(g: np.ndarray, c: float, K: int) -> np.ndarray:
@@ -287,13 +291,21 @@ def _chirp_plan(c: float, N: int, K: int) -> tuple[np.ndarray, np.ndarray, np.nd
     """The constants of a chirp-z sum of N inputs and K outputs at rate c:
     the input factor w-bar[:N] and the output factor w-bar[:K] of the chirp
     w = exp(pi i c m^2), the FFT of the chirp kernel, and the convolution
-    length L."""
+    length L.  Memoised per (c, N, K); the arrays are read-only."""
+    return _CHIRP_MEMO.get((c, N, K), lambda: _build_chirp_plan(c, N, K))
+
+
+def _build_chirp_plan(c: float, N: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     L = _fft_length(N + K - 1)
     w = _chirp(c, max(N, K))  # even in m
     kernel = np.zeros(L, dtype=complex)
     kernel[:K] = w[:K]
     kernel[L - N + 1:] = w[N - 1:0:-1]
-    return w[:N].conj(), w[:K].conj(), np.fft.fft(kernel), L
+    w_bar = w.conj()  # the two factors are views of one array, so a stored plan holds it once
+    return w_bar[:N], w_bar[:K], np.fft.fft(kernel), L
+
+
+_CHIRP_MEMO = Memo()
 
 
 def _chirp_convolve(buf: np.ndarray, kernel_fft: np.ndarray) -> np.ndarray:

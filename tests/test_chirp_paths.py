@@ -5,6 +5,12 @@ The oracles below are the dense formulas: an X x Theta phase matrix for
 <f | e_lambda>, an X x X kernel for the metaplectic chirp quadrature, and a
 per-atom double loop for hdelta_invariance_check.  The chirp-z forms are exact
 algebraic rewrites of the same discrete sums, so they must agree to roundoff.
+
+The Gabor transform reads only the samples within the reach _REACH of each
+row's p.  Two more oracles cover that cut: the closed-form field of an atom
+mix, sum_j c_j <e_mu_j | e_lambda>, which the transform must match to
+roundoff, and the dense sum over the samples it leaves out, which must stay
+under the bound its docstring states.
 """
 
 import numpy as np
@@ -12,11 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from criticalgabor import (PhasePoint, Rotation, SampledSignal, atom, gabor_transform,
+from criticalgabor import (PhasePoint, Rotation, SampledSignal, atom, atom_inner, gabor_transform,
                            hdelta_invariance_check, inner, metaplectic_apply)
-from criticalgabor.gabor import _box_grids
+from criticalgabor.gabor import _REACH, _box_grids
 from criticalgabor.metaplectic import _MIN_B
-from criticalgabor.numerics import _chirp_sum
+from criticalgabor.numerics import _chirp_sum, _exp_pi_i
 
 GRIDS = [(8.0, 1.0 / 64.0), (6.0, 1.0 / 32.0)]
 
@@ -111,6 +117,87 @@ def test_gabor_transform_matches_dense_named_cases(box, dlam):
     # 7.4838 at dlam 1/8: a box that is no multiple of dlam, so theta_0 is off the dlam lattice
     f = mixed_signal(24, 8.0, 1.0 / 64.0)
     assert relative_error(gabor_transform(f, box, dlam).values, dense_gabor_transform(f, box, dlam)) <= 1e-12
+
+
+def atom_mix(seed, T, h):
+    """Three atoms with margin 4 from +-T, their centers and their coefficients."""
+    rng = np.random.default_rng(seed)
+    centers = [(rng.uniform(4 - T, T - 4), rng.uniform(-4, 4)) for _ in range(3)]
+    coefs = rng.normal(size=3) + 1j * rng.normal(size=3)
+    vals = sum(c * atom(mu, T, h).values for c, mu in zip(coefs, centers))
+    return SampledSignal(T, h, vals), centers, coefs
+
+
+def closed_form_field(centers, coefs, ps, ts):
+    """sum_j c_j <e_mu_j | e_lambda> on the grid, atom_inner written for arrays."""
+    P, TH = np.meshgrid(ps, ts, indexing="ij")
+    return sum(c * np.exp(1j * np.pi * (q + P) * (eta - TH) - np.pi * ((q - P) ** 2 + (eta - TH) ** 2) / 2)
+               for c, (q, eta) in zip(coefs, centers))
+
+
+# full boxes put rows at p = +-T, where a block's window is clipped to the grid
+WINDOW_CASES = [((8.0, 1.0 / 64.0), 8.0, dlam) for dlam in (1 / 16, 0.1, 0.3, 1 / 3)]
+WINDOW_CASES += [((6.0, 1.0 / 32.0), 6.0, dlam) for dlam in (1 / 8, 0.1, 0.3, 1 / 3)]
+WINDOW_CASES += [((8.0, 1.0 / 64.0), (-8.0, -1.3, -2.05, 6.3), 0.1), ((8.0, 1.0 / 64.0), (2.2, 8.0, -8.0, 8.0), 0.3)]
+
+
+@pytest.mark.parametrize("grid,box,dlam", WINDOW_CASES)
+@pytest.mark.parametrize("seed", [3, 17])
+def test_windowed_transform_matches_the_closed_form_field(grid, box, dlam, seed):
+    f, centers, coefs = atom_mix(seed, *grid)
+    field = gabor_transform(f, box, dlam)
+    want = closed_form_field(centers, coefs, field.p_grid, field.theta_grid)
+    for i, j in [(0, 0), (-1, -1), (field.p_grid.size // 2, field.theta_grid.size // 3)]:
+        lam = (field.p_grid[i], field.theta_grid[j])
+        assert want[i, j] == pytest.approx(sum(c * atom_inner(mu, lam) for c, mu in zip(coefs, centers)),
+                                           rel=1e-14, abs=1e-300)
+    assert np.max(np.abs(field.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid,dlam", [((8.0, 1.0 / 64.0), 1 / 4), ((8.0, 1.0 / 64.0), 0.3), ((6.0, 1.0 / 32.0), 0.1)])
+def test_every_sample_within_the_reach_enters_its_row(grid, dlam):
+    # a one-sample signal at x_s: each row within the reach holds that one term, down to
+    # e^{-pi c^2}; every sample is swept, so every row block meets both edges of its window
+    T, h = grid
+    n = int(round(2 * T / h)) + 1
+    for s in range(n):
+        vals = np.zeros(n, dtype=complex)
+        vals[s] = 1.0
+        f = SampledSignal(T, h, vals)
+        field = gabor_transform(f, (-T, T, -1.0, 1.0), dlam)
+        d = field.p_grid - f.x[s]
+        near = np.abs(d) <= _REACH
+        want = 2 ** 0.25 * h * np.exp(-np.pi * d[near, None] ** 2 - 2j * np.pi * field.theta_grid * f.x[s])
+        assert np.max(np.abs(field.values[near] / want - 1)) <= 1e-12, s
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_samples_beyond_the_reach_stay_under_the_stated_bound(grid, seed):
+    # white noise puts mass on every sample, so every row leaves some out
+    T, h = grid
+    rng = np.random.default_rng(seed)
+    n = int(round(2 * T / h)) + 1
+    f = SampledSignal(T, h, rng.normal(size=n) + 1j * rng.normal(size=n))
+    ps, ts = _box_grids(T, 1 / 4)
+    x = f.x
+    far = np.abs(x[None, :] - ps[:, None]) > _REACH
+    rows = np.where(far, 2 ** 0.25 * h * f.values * np.exp(-np.pi * (x[None, :] - ps[:, None]) ** 2), 0.0)
+    left_out = rows @ np.exp(-2j * np.pi * np.outer(x, ts))
+    bound = 2 ** 0.25 * np.exp(-np.pi * _REACH ** 2) * np.sqrt(2 * T + h) * f.norm()
+    assert np.all(np.any(far, axis=1))
+    assert np.max(np.abs(left_out)) <= bound
+
+
+@pytest.mark.parametrize("c", [-2 * 0.1 / 64, -2 / (3 * 64), 0.6 / 32, -1 / 512])
+def test_exp_pi_i_reduces_the_phase_exactly(c):
+    # block phases exp(-2 pi i dlam h k n0) reach thousands of turns; unreduced, the
+    # rounding of pi c m alone would cost ~1e-13 here
+    m = 1021.0 * np.arange(513)
+    cm = np.longdouble(c) * m.astype(np.longdouble)
+    want = np.exp(1j * np.pi * (cm - 2 * np.round(cm / 2)).astype(float))
+    got = _exp_pi_i(c, m, int(m[-1]).bit_length())
+    assert np.max(np.abs(got - want)) <= 4e-15
 
 
 SMALL = float(np.arcsin(_MIN_B))

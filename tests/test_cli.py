@@ -306,6 +306,63 @@ def test_expand_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, sh
     assert not Path("o.json").exists()
 
 
+# one non-default value per RunConfig field, and how the refusal names it
+FIELD_FLAGS = {
+    "T": (["--T", "10"], "T=10.0"),
+    "h": (["--h", "0.03125", "--N", "16"], "h=0.03125"),
+    "N": (["--N", "16"], "N=16"),
+    "Q": (["--Q", "4"], "Q=4"),
+    "dlam": (["--dlam", "0.125"], "dlam=0.125"),
+    "box": (["--box", "6"], "box=6.0"),
+    "R": (["--R", "4"], "R=4"),
+    "delta": (["--delta", "1.5"], "delta=1.5"),
+    "m": (["--m", "1"], "m=1"),
+    "r": (["--r", "3"], "r=3.0"),
+    "refine": (["--no-refine"], "refine=False"),
+    "decomp_dlam": (["--decomp-dlam", "0.25"], "decomp_dlam=0.25"),
+    "margin": (["--margin", "3"], "margin=3.0"),
+    "seed": (["--seed", "5"], "seed=5"),
+}
+
+
+def unread_cases(read):
+    return [pytest.param(*FIELD_FLAGS[name], id=name) for name in FIELD_FLAGS if name not in read]
+
+
+@pytest.mark.parametrize("flags, shown", unread_cases({"T", "h"}))
+def test_rotate_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, shown):
+    # rotate reads only the grid of its input, so each of these would be silently dropped
+    monkeypatch.chdir(workdir)
+    assert main(["rotate", "--input", "h0.csv", "--angle", "0.5", "--out", "o.csv"] + flags) == 2
+    assert shown in capsys.readouterr().err
+    assert not Path("o.csv").exists()
+
+
+@pytest.mark.parametrize("flags, shown", unread_cases({"Q"}))
+def test_theta_rejects_unapplied_fields(capsys, flags, shown):
+    # theta(z) and I(x) take no grid; only the series truncation Q applies
+    assert main(["theta", "--z", "0.5,0.5", "--x", "0.0"] + flags) == 2
+    captured = capsys.readouterr()
+    assert shown in captured.err
+    assert captured.out == ""
+
+
+def test_theta_applies_q(capsys):
+    assert main(["theta", "--z", "0.3,0.2", "--Q", "2"]) == 0
+    assert main(["theta", "--z", "0.3,0.2"]) == 0
+    low_q, default_q = capsys.readouterr().out.splitlines()
+    assert low_q != default_q
+
+
+@pytest.mark.parametrize("flags, shown", unread_cases({"T", "h", "margin"}))
+def test_synthesize_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, shown):
+    # synthesis reads the grid and the atom margin only
+    monkeypatch.chdir(workdir)
+    assert main(["synthesize", "--coeffs", "c.json", "--out", "o.csv"] + flags) == 2
+    assert shown in capsys.readouterr().err
+    assert not Path("o.csv").exists()
+
+
 def test_expand_applies_the_phase_box_off_delta_2(workdir, monkeypatch):
     monkeypatch.chdir(workdir)
     hdelta = {}

@@ -1,7 +1,8 @@
 """The grid constants of the expansion core, memoised per grid.
 
 theta, the Zak sum's gather index and phases, the Fourier rows of the block
-extraction and the dual mixing matrix are each built once per key.  A memo
+extraction, the dual mixing matrix and the chirp-z plan of the Gabor
+transform and the metaplectic rotation are each built once per key.  A memo
 hit must give the bits a fresh build gives, no entry may be served for
 another grid, stored arrays are read-only, and no memo holds more than
 MEMO_SIZE entries.  The oracles are the formulas these functions evaluated
@@ -21,12 +22,12 @@ from criticalgabor import THETA_TERMS, dual_atoms, hermite_signal, theta
 from criticalgabor.expansion import _REFINE_FACTOR, _extract_block, lattice_coefficients
 from criticalgabor.gabor import dual_mixing
 from criticalgabor.higher import default_sharp_nodes
-from criticalgabor.numerics import MEMO_SIZE, Memo, upsample_periodic
+from criticalgabor.numerics import MEMO_SIZE, Memo, _chirp, _chirp_plan, _fft_length, upsample_periodic
 from criticalgabor.zak import _midpoints, _zak_sum, zak_atom_field
 
 zak_module = sys.modules["criticalgabor.zak"]  # the package attribute `zak` is the function
 MEMOS = [(numerics, "_THETA_MEMO"), (zak_module, "_ZAK_SUM_MEMO"),
-         (expansion, "_BLOCK_MEMO"), (gabor, "_MIXING_MEMO")]
+         (expansion, "_BLOCK_MEMO"), (gabor, "_MIXING_MEMO"), (numerics, "_CHIRP_MEMO")]
 
 T, H, N, R = 8.0, 1.0 / 64.0, 32, 6
 MID = _midpoints(N)
@@ -73,8 +74,22 @@ def old_dual_mixing(nodes):
     return gabor.vandermonde_inverse(labels) * signs[None, :]
 
 
+def old_chirp_plan(c, N, K):
+    L = _fft_length(N + K - 1)
+    w = _chirp(c, max(N, K))
+    kernel = np.zeros(L, dtype=complex)
+    kernel[:K] = w[:K]
+    kernel[L - N + 1:] = w[N - 1:0:-1]
+    return np.concatenate([w[:N].conj(), w[:K].conj(), np.fft.fft(kernel), [L]])
+
+
 def bits(a):
     return np.asarray(a).tobytes()
+
+
+def chirp_plan_array(c, N, K):
+    pre, post, kernel_fft, L = _chirp_plan(c, N, K)
+    return np.concatenate([pre, post, kernel_fft, [L]])
 
 
 def h2_fine():
@@ -94,6 +109,8 @@ CASES = {
                       lambda: old_extract_block(np.outer(np.cos(MID), MID + 1j), MID, MID, R)),
     "dual_mixing": (lambda: dual_mixing(default_sharp_nodes(3)),
                     lambda: old_dual_mixing([tuple(n) for n in default_sharp_nodes(3)])),
+    "chirp_plan": (lambda: chirp_plan_array(0.1 / 64, 573, 161),
+                   lambda: old_chirp_plan(0.1 / 64, 573, 161)),
 }
 
 
@@ -118,6 +135,7 @@ def test_a_warm_call_builds_nothing(cold):
     assert theta(z) is theta(z.copy())
     nodes = default_sharp_nodes(2)
     assert dual_mixing(nodes) is dual_mixing([tuple(n) for n in nodes])
+    assert _chirp_plan(1 / 1024, 573, 257) is _chirp_plan(1 / 1024, 573, 257)
 
 
 def lattice(T_, h, N_, R_):
@@ -133,6 +151,12 @@ PAIRS = {
     "cutoff": (lambda: lattice(8.0, H, N, 4), lambda: lattice(8.0, H, N, 6)),
     "one_node": (lambda: bits(dual_mixing([(0.5, 0.5), (1.5, 0.5), (0.5, 1.5)])),
                  lambda: bits(dual_mixing([(0.5, 0.5), (1.5, 0.5), (-0.5, 0.5)]))),
+    "chirp_inputs": (lambda: bits(chirp_plan_array(1 / 1024, 572, 257)),
+                     lambda: bits(chirp_plan_array(1 / 1024, 573, 257))),
+    "chirp_outputs": (lambda: bits(chirp_plan_array(1 / 1024, 573, 256)),
+                      lambda: bits(chirp_plan_array(1 / 1024, 573, 257))),
+    "chirp_rate": (lambda: bits(chirp_plan_array(1 / 1023, 573, 257)),
+                   lambda: bits(chirp_plan_array(1 / 1024, 573, 257))),
 }
 
 
@@ -153,6 +177,9 @@ def test_stored_arrays_are_read_only(cold):
     for arr in (theta(z), dual_mixing(nodes), dual_atoms(nodes, T, H).mixing):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1.0
+    for arr in _chirp_plan(1 / 1024, 573, 257)[:3]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
     a, b = Memo().get("key", lambda: (np.zeros(3), np.ones(2)))
     assert not a.flags.writeable and not b.flags.writeable
 

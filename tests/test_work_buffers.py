@@ -11,6 +11,7 @@ bit for bit; the Gabor transform folds its chirp factors into fewer products,
 so it agrees to a few units of roundoff.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -30,10 +31,18 @@ from criticalgabor.phaseplane import PointSet, grid_points, neighborhood, neighb
 T, H = 8.0, 1.0 / 64.0
 
 
+def old_chirp(c, M):
+    m2 = np.arange(M, dtype=float) ** 2
+    frac, e = math.frexp(c)
+    bits = 53 - max(M - 1, 1).bit_length() * 2
+    c_hi = math.ldexp(round(math.ldexp(frac, bits)), e - bits)
+    return np.exp(1j * np.pi * (np.fmod(c_hi * m2, 2.0) + (c - c_hi) * m2))
+
+
 def old_chirp_sum(g, c, K):
     N = g.shape[-1]
     L = _fft_length(N + K - 1)
-    w = _chirp(c, max(N, K))
+    w = old_chirp(c, max(N, K))
     kernel = np.zeros(L, dtype=complex)
     kernel[:K] = w[:K]
     kernel[L - N + 1:] = w[N - 1:0:-1]
@@ -141,6 +150,12 @@ def test_chirp_sum_is_bitwise_unchanged(shape, c, K):
     rng = np.random.default_rng(K)
     g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     np.testing.assert_array_equal(_chirp_sum(g, c, K), old_chirp_sum(g, c, K))
+
+
+@pytest.mark.parametrize("c,M", [(1 / 1024, 1025), (1 / (4096 * 0.37), 1025), (0.1 / 64, 573), (1 / 3, 40),
+                                 (-0.3, 40), (0.1, 5), (0.2, 1)])
+def test_chirp_is_bitwise_unchanged(c, M):
+    np.testing.assert_array_equal(_chirp(c, M), old_chirp(c, M))
 
 
 def test_gabor_transform_scratch_is_bounded_by_the_block_buffer(hermites):
