@@ -7,10 +7,11 @@ per-atom double loop for hdelta_invariance_check.  The chirp-z forms are exact
 algebraic rewrites of the same discrete sums, so they must agree to roundoff.
 
 The Gabor transform reads only the samples within the reach _REACH of each
-row's p.  Two more oracles cover that cut: the closed-form field of an atom
+row's p.  Three more oracles cover that cut: the closed-form field of an atom
 mix, sum_j c_j <e_mu_j | e_lambda>, which the transform must match to
-roundoff, and the dense sum over the samples it leaves out, which must stay
-under the bound its docstring states.
+roundoff; a one-sample signal at every sample in turn, whose rows within the
+reach each hold one known term; and the dense sum over the samples it leaves
+out, which must stay under the bound its docstring states.
 """
 
 import numpy as np
@@ -138,7 +139,8 @@ def closed_form_field(centers, coefs, ps, ts):
 # full boxes put rows at p = +-T, where a block's window is clipped to the grid
 WINDOW_CASES = [((8.0, 1.0 / 64.0), 8.0, dlam) for dlam in (1 / 16, 0.1, 0.3, 1 / 3)]
 WINDOW_CASES += [((6.0, 1.0 / 32.0), 6.0, dlam) for dlam in (1 / 8, 0.1, 0.3, 1 / 3)]
-WINDOW_CASES += [((8.0, 1.0 / 64.0), (-8.0, -1.3, -2.05, 6.3), 0.1), ((8.0, 1.0 / 64.0), (2.2, 8.0, -8.0, 8.0), 0.3)]
+WINDOW_CASES += [((8.0, 1.0 / 64.0), (-8.0, -1.3, -2.05, 6.3), 0.1),
+                 ((8.0, 1.0 / 64.0), (2.2, 8.0, -8.0, 8.0), 0.3)]
 
 
 @pytest.mark.parametrize("grid,box,dlam", WINDOW_CASES)
@@ -154,7 +156,8 @@ def test_windowed_transform_matches_the_closed_form_field(grid, box, dlam, seed)
     assert np.max(np.abs(field.values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("grid,dlam", [((8.0, 1.0 / 64.0), 1 / 4), ((8.0, 1.0 / 64.0), 0.3), ((6.0, 1.0 / 32.0), 0.1)])
+@pytest.mark.parametrize("grid,dlam", [((8.0, 1.0 / 64.0), 1 / 4), ((8.0, 1.0 / 64.0), 0.3),
+                                       ((6.0, 1.0 / 32.0), 0.1)])
 def test_every_sample_within_the_reach_enters_its_row(grid, dlam):
     # a one-sample signal at x_s: each row within the reach holds that one term, down to
     # e^{-pi c^2}; every sample is swept, so every row block meets both edges of its window
