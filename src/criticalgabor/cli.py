@@ -74,27 +74,51 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def load_config(args) -> RunConfig:
+# The RunConfig fields each command applies, the one place this is decided.  A command offers a flag
+# for these alone; a config file may set any other field only to the value the command runs with.
+READS = {
+    "analyze": ("T", "h", "dlam", "box", "delta"),
+    "synthesize": ("T", "h", "margin"),
+    "expand": ("T", "h", "N", "dlam", "box", "R", "delta", "m", "refine", "margin"),
+    "decompose": ("T", "h", "delta", "m", "r", "decomp_dlam"),
+    "rotate": ("T", "h"),
+    "theta": ("Q",),
+    "verify": ("T", "h", "N", "Q", "dlam", "box", "delta", "m", "refine", "decomp_dlam", "seed"),
+}
+
+
+def load_config(args, command: str) -> RunConfig:
+    read = READS[command]
     values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             values.update(json.load(fh))
-    for f in fields(RunConfig):
-        override = getattr(args, f.name, None)
-        if override is not None:
-            values[f.name] = override
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"config: unknown fields {sorted(unknown)}")
+    for name in read:
+        override = getattr(args, name, None)
+        if override is not None:
+            values[name] = override
+    # a field the command does not take runs at its default, except that N follows h to the Zak grid
+    # of the step on a command that takes h but not N (validate rejects an h <= 0)
+    h = values.get("h", RunConfig.h)
+    for f in fields(RunConfig):
+        if f.name in read:
+            continue
+        runs_with = default_zak_size(h) if f.name == "N" and "h" in read and h > 0 else f.default
+        value = values.setdefault(f.name, runs_with)
+        if value != runs_with:
+            raise ValueError(f"config: {command} cannot apply {f.name}={value!r}; "
+                             f"it always runs with {f.name}={runs_with!r}")
     return RunConfig(**values).validate()
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    """--config plus one flag per RunConfig field, typed by its default; a bool
-    field that defaults to True is switched off by --no-<name>."""
+def _add_config_flags(p: argparse.ArgumentParser, read):
+    """--config plus one flag per RunConfig field in `read`, typed by its default; a bool field that
+    defaults to True is switched off by --no-<name>."""
     p.add_argument("--config", help="JSON config file; command-line flags override it")
-    for f in fields(RunConfig):
+    for f in (f for f in fields(RunConfig) if f.name in read):
         name = f.name.replace("_", "-")
         if isinstance(f.default, bool):
             p.add_argument(f"--no-{name}", dest=f.name, action="store_const", const=False)
@@ -111,29 +135,6 @@ def _dump_json(payload, path=None):
         print(text)
 
 
-def _require_default(config: RunConfig, command: str, name: str):
-    """Refuse a field the command cannot apply, so config_hash never records a value that was not used."""
-    value, default = getattr(config, name), getattr(RunConfig, name)
-    if value != default:
-        raise ValueError(f"config: {command} cannot apply {name}={value!r}; "
-                         f"it always runs with the default {name}={default!r}")
-
-
-def _require_unread_defaults(config: RunConfig, command: str, read):
-    """Refuse every field outside `read` that differs from its default."""
-    for f in fields(RunConfig):
-        if f.name not in read:
-            _require_default(config, command, f.name)
-
-
-def _require_zak_size(config: RunConfig, command: str):
-    """Refuse an N other than the Zak grid of the step h, for a command that fixes N to it."""
-    zak_size = default_zak_size(config.h)
-    if config.N != zak_size:
-        raise ValueError(f"config: {command} cannot apply N={config.N!r}; "
-                         f"it always runs with the Zak grid of the step h, N={zak_size!r}")
-
-
 def _load_signal(path, config: RunConfig) -> numerics.SampledSignal:
     """Read a signal CSV whose grid must be the config's grid (T, h)."""
     f = numerics.signal_from_csv(path)
@@ -143,12 +144,7 @@ def _load_signal(path, config: RunConfig) -> numerics.SampledSignal:
     return f
 
 
-def cmd_analyze(args) -> int:
-    config = load_config(args)
-    # analyze reads only the grid, the phase box and delta; validate ties N to h, so only h's own
-    # Zak grid leaves the hash honest
-    _require_unread_defaults(config, "analyze", ("T", "h", "N", "dlam", "box", "delta"))
-    _require_zak_size(config, "analyze")
+def cmd_analyze(args, config: RunConfig) -> int:
     f = _load_signal(args.input, config)
     field = gabor.gabor_transform(f, config.box, config.dlam)
     if args.out_field:
@@ -165,12 +161,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_synthesize(args) -> int:
-    config = load_config(args)
-    # synthesis reads the grid and the atom margin; validate ties N to h, so only h's own Zak grid
-    # leaves it unread
-    _require_unread_defaults(config, "synthesize", ("T", "h", "N", "margin"))
-    _require_zak_size(config, "synthesize")
+def cmd_synthesize(args, config: RunConfig) -> int:
     with open(args.coeffs) as fh:
         coeffs = gabor.CoefficientSet.from_json(fh.read())
     sig = gabor.synthesize(coeffs, config.T, config.h, config.margin)
@@ -178,12 +169,13 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def cmd_expand(args) -> int:
-    config = load_config(args)
-    # expand draws nothing at random, has no domain, and divides by the default theta series;
-    # at delta = 2 the hdelta diagnostic needs no phase box, so box and dlam would feed nothing
-    read = ("T", "h", "N", "R", "delta", "m", "refine", "margin")
-    _require_unread_defaults(config, "expand", read if config.delta == 2 else read + ("box", "dlam"))
+def cmd_expand(args, config: RunConfig) -> int:
+    # box and dlam reach only the hdelta diagnostic, a moment sum with no phase grid at delta = 2
+    for name in ("box", "dlam"):
+        value, default = getattr(config, name), getattr(RunConfig, name)
+        if config.delta == 2 and value != default:
+            raise ValueError(f"config: expand cannot apply {name}={value!r} at delta = 2; "
+                             f"it runs with the default {name}={default!r} there")
     f = _load_signal(args.input, config)
     if config.m == 0:
         exp = expansion.relaxed_coefficients(f, config.R, config.N, config.refine)
@@ -204,13 +196,7 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def cmd_decompose(args) -> int:
-    config = load_config(args)
-    # decompose fixes its theta series, cutoffs, refinement, Zak grid and margin, sizes its phase
-    # grids from the domain and decomp_dlam, and draws nothing at random: these fields would only
-    # change the hash
-    _require_unread_defaults(config, "decompose", ("T", "h", "N", "delta", "m", "r", "decomp_dlam"))
-    _require_zak_size(config, "decompose")
+def cmd_decompose(args, config: RunConfig) -> int:
     f = _load_signal(args.input, config)
     with open(args.domain) as fh:
         K = phaseplane.domain_from_json(fh.read())
@@ -227,21 +213,14 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def cmd_rotate(args) -> int:
-    config = load_config(args)
-    # rotate reads only the grid; validate ties N to h, so only h's own Zak grid leaves it unread
-    _require_unread_defaults(config, "rotate", ("T", "h", "N"))
-    _require_zak_size(config, "rotate")
+def cmd_rotate(args, config: RunConfig) -> int:
     f = _load_signal(args.input, config)
     out = metaplectic.metaplectic_apply(metaplectic.Rotation(args.angle), f)
     out.to_csv(args.out)
     return 0
 
 
-def cmd_theta(args) -> int:
-    config = load_config(args)
-    # theta and the localization integral take no grid: the series truncation Q is all they read
-    _require_unread_defaults(config, "theta", ("Q",))
+def cmd_theta(args, config: RunConfig) -> int:
     if args.z is not None:
         re, im = (float(t) for t in args.z.split(","))
         val = numerics.theta(complex(re, im), config.Q)
@@ -254,8 +233,7 @@ def cmd_theta(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    config = load_config(args)
+def cmd_verify(args, config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     checks = verify.run_checks(config, rng)
     for c in checks:
@@ -281,58 +259,52 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Gabor analysis at critical density")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="Gabor-transform a signal; emit field CSV + summary JSON")
-    _add_config_flags(p)
+    def command(name, fn, help):
+        # no abbreviations: a prefix such as --h would otherwise match --help on a command without --h
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        _add_config_flags(p, READS[name])
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("analyze", cmd_analyze, "Gabor-transform a signal; emit field CSV + summary JSON")
     p.add_argument("--input", required=True)
     p.add_argument("--out-field")
     p.add_argument("--out-summary")
-    p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("synthesize", help="synthesize a signal from a coefficient JSON")
-    _add_config_flags(p)
+    p = command("synthesize", cmd_synthesize, "synthesize a signal from a coefficient JSON")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_synthesize)
 
-    p = sub.add_parser("expand", help="relaxed (m=0) or order-m expansion of a signal")
-    _add_config_flags(p)
+    p = command("expand", cmd_expand, "relaxed (m=0) or order-m expansion of a signal")
     p.add_argument("--input", required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_expand)
 
-    p = sub.add_parser("decompose", help="certainty decomposition over a domain JSON")
-    _add_config_flags(p)
+    p = command("decompose", cmd_decompose, "certainty decomposition over a domain JSON")
     p.add_argument("--input", required=True)
     p.add_argument("--domain", required=True)
     p.add_argument("--out")
     p.add_argument("--residual-csv")
-    p.set_defaults(fn=cmd_decompose)
 
-    p = sub.add_parser("rotate", help="apply the metaplectic operator of a rotation")
-    _add_config_flags(p)
+    p = command("rotate", cmd_rotate, "apply the metaplectic operator of a rotation")
     p.add_argument("--input", required=True)
     p.add_argument("--angle", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_rotate)
 
-    p = sub.add_parser("theta", help="print theta(z) and the localization integral I(x)")
-    _add_config_flags(p)
+    p = command("theta", cmd_theta, "print theta(z) and the localization integral I(x)")
     p.add_argument("--z", help="complex argument as RE,IM")
     p.add_argument("--x", type=float)
-    p.set_defaults(fn=cmd_theta)
 
-    p = sub.add_parser("verify", help="run the named invariant suite")
-    _add_config_flags(p)
+    p = command("verify", cmd_verify, "run the named invariant suite")
     p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(fn=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
-        return args.fn(args)
+        if unknown:
+            raise ValueError(f"{args.command} does not take {' '.join(unknown)}")
+        return args.fn(args, load_config(args, args.command))
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -214,8 +214,7 @@ def run_checks(config, rng: np.random.Generator) -> list[dict]:
     cset.set(1, 0, 0.5j)
     fmix = gabor.synthesize(cset, T, h)
     K = phaseplane.Disk((0, 0), 1.5)
-    dec = certainty.decompose(fmix, K, r=3.0, m=config.m if config.m <= 2 else 0,
-                              delta=config.delta, dlam=config.decomp_dlam)
+    dec = certainty.decompose(fmix, K, r=3.0, m=config.m, delta=config.delta, dlam=config.decomp_dlam)
     exact = (fmix - dec.synthesized(T, h) - dec.residual).norm()
     checks.append(_record("certainty_exactness", exact, 1e-10))
     checks.append(_record("certainty_residual_vs_bound",

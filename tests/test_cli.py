@@ -1,9 +1,10 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import criticalgabor
 from criticalgabor import CoefficientSet, atom, hermite_signal, signal_from_csv
-from criticalgabor.cli import RunConfig, build_parser, main
+from criticalgabor.cli import READS, RunConfig, build_parser, main
 
 
 @pytest.fixture()
@@ -54,7 +55,7 @@ class TestConfig:
 
         from criticalgabor.cli import load_config
         with pytest.raises(ValueError, match="unknown fields"):
-            load_config(Args())
+            load_config(Args(), "analyze")
 
     def test_hash_stable(self):
         assert RunConfig().hash() == RunConfig().hash()
@@ -236,9 +237,12 @@ class TestConfigGrid:
 
     @pytest.mark.parametrize("command", ["analyze", "rotate", "decompose"])
     def test_csv_on_the_config_grid_accepted(self, h32, command):
-        args = ["--input", "h32.csv", "--h", "0.03125", "--N", "16"] + self.COMMAND_ARGS[command]
+        # N is not a flag of these commands: it follows h to the Zak grid 1/(2h) = 16
+        args = ["--input", "h32.csv", "--h", "0.03125"] + self.COMMAND_ARGS[command]
         assert main([command] + args) == 0
         assert any(Path(".").glob("o.*"))
+        if command != "rotate":
+            assert json.loads(Path("o.json").read_text())["config_hash"] == RunConfig(h=1 / 32, N=16).hash()
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -249,52 +253,62 @@ def test_unapplied_q_rejected(workdir, monkeypatch, capsys, command, extra):
     # the expansion always divides by the default theta series, so --Q would only change the hash
     monkeypatch.chdir(workdir)
     assert main([command, "--input", "e0.csv", "--Q", "4", "--out", "o.json"] + extra) == 2
-    assert "Q=4" in capsys.readouterr().err
+    assert "does not take --Q 4" in capsys.readouterr().err
     assert not Path("o.json").exists()
 
 
-@pytest.mark.parametrize("flags, shown", [
-    (["--R", "4"], "R=4"),
-    (["--margin", "3"], "margin=3.0"),
-    (["--N", "16"], "N=16"),
-    (["--box", "6"], "box=6.0"),
-    (["--dlam", "0.125"], "dlam=0.125"),
-    (["--no-refine"], "refine=False"),
-    (["--seed", "5"], "seed=5"),
-], ids=["R", "margin", "N", "box", "dlam", "refine", "seed"])
-def test_decompose_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, shown):
+# one non-default value per RunConfig field
+FIELD_FLAGS = {
+    "T": ["--T", "10"],
+    "h": ["--h", "0.03125"],
+    "N": ["--N", "16"],
+    "Q": ["--Q", "4"],
+    "dlam": ["--dlam", "0.125"],
+    "box": ["--box", "6"],
+    "R": ["--R", "4"],
+    "delta": ["--delta", "1.5"],
+    "m": ["--m", "1"],
+    "r": ["--r", "3"],
+    "refine": ["--no-refine"],
+    "decomp_dlam": ["--decomp-dlam", "0.25"],
+    "margin": ["--margin", "3"],
+    "seed": ["--seed", "5"],
+}
+
+
+def unread_cases(read):
+    return [pytest.param(FIELD_FLAGS[name], id=name) for name in FIELD_FLAGS if name not in read]
+
+
+def refusal(command, flags):
+    """How the parser refuses a flag the command does not offer."""
+    return f"error: {command} does not take {' '.join(flags)}"
+
+
+@pytest.mark.parametrize("flags", unread_cases({"T", "h", "delta", "m", "r", "decomp_dlam"}))
+def test_decompose_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags):
     # decompose fixes its own cutoffs, margin, phase boxes, refinement and Zak grid,
     # so each of these would only change config_hash
     monkeypatch.chdir(workdir)
     args = ["decompose", "--input", "e0.csv", "--domain", "disk.json", "--r", "3", "--out", "o.json"]
     assert main(args + flags) == 2
-    assert shown in capsys.readouterr().err
+    assert refusal("decompose", flags) in capsys.readouterr().err
     assert not Path("o.json").exists()
 
 
-@pytest.mark.parametrize("flags, shown", [
-    (["--N", "16"], "N=16"),
-    (["--Q", "4"], "Q=4"),
-    (["--R", "4"], "R=4"),
-    (["--m", "1"], "m=1"),
-    (["--r", "3"], "r=3.0"),
-    (["--no-refine"], "refine=False"),
-    (["--decomp-dlam", "0.25"], "decomp_dlam=0.25"),
-    (["--margin", "3"], "margin=3.0"),
-    (["--seed", "5"], "seed=5"),
-], ids=["N", "Q", "R", "m", "r", "refine", "decomp_dlam", "margin", "seed"])
-def test_analyze_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, shown):
+@pytest.mark.parametrize("flags", unread_cases({"T", "h", "dlam", "box", "delta"}))
+def test_analyze_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags):
     # analyze reads only the grid, the phase box and delta, so each of these would only change config_hash
     monkeypatch.chdir(workdir)
     assert main(["analyze", "--input", "h0.csv", "--out-summary", "o.json"] + flags) == 2
-    assert shown in capsys.readouterr().err
+    assert refusal("analyze", flags) in capsys.readouterr().err
     assert not Path("o.json").exists()
 
 
 @pytest.mark.parametrize("flags, shown", [
-    (["--r", "3"], "r=3.0"),
-    (["--decomp-dlam", "0.25"], "decomp_dlam=0.25"),
-    (["--seed", "5"], "seed=5"),
+    (["--r", "3"], refusal("expand", ["--r", "3"])),
+    (["--decomp-dlam", "0.25"], refusal("expand", ["--decomp-dlam", "0.25"])),
+    (["--seed", "5"], refusal("expand", ["--seed", "5"])),
     (["--box", "6"], "box=6.0"),
     (["--dlam", "0.125"], "dlam=0.125"),
 ], ids=["r", "decomp_dlam", "seed", "box", "dlam"])
@@ -306,44 +320,21 @@ def test_expand_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, sh
     assert not Path("o.json").exists()
 
 
-# one non-default value per RunConfig field, and how the refusal names it
-FIELD_FLAGS = {
-    "T": (["--T", "10"], "T=10.0"),
-    "h": (["--h", "0.03125", "--N", "16"], "h=0.03125"),
-    "N": (["--N", "16"], "N=16"),
-    "Q": (["--Q", "4"], "Q=4"),
-    "dlam": (["--dlam", "0.125"], "dlam=0.125"),
-    "box": (["--box", "6"], "box=6.0"),
-    "R": (["--R", "4"], "R=4"),
-    "delta": (["--delta", "1.5"], "delta=1.5"),
-    "m": (["--m", "1"], "m=1"),
-    "r": (["--r", "3"], "r=3.0"),
-    "refine": (["--no-refine"], "refine=False"),
-    "decomp_dlam": (["--decomp-dlam", "0.25"], "decomp_dlam=0.25"),
-    "margin": (["--margin", "3"], "margin=3.0"),
-    "seed": (["--seed", "5"], "seed=5"),
-}
-
-
-def unread_cases(read):
-    return [pytest.param(*FIELD_FLAGS[name], id=name) for name in FIELD_FLAGS if name not in read]
-
-
-@pytest.mark.parametrize("flags, shown", unread_cases({"T", "h"}))
-def test_rotate_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, shown):
+@pytest.mark.parametrize("flags", unread_cases({"T", "h"}))
+def test_rotate_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags):
     # rotate reads only the grid of its input, so each of these would be silently dropped
     monkeypatch.chdir(workdir)
     assert main(["rotate", "--input", "h0.csv", "--angle", "0.5", "--out", "o.csv"] + flags) == 2
-    assert shown in capsys.readouterr().err
+    assert refusal("rotate", flags) in capsys.readouterr().err
     assert not Path("o.csv").exists()
 
 
-@pytest.mark.parametrize("flags, shown", unread_cases({"Q"}))
-def test_theta_rejects_unapplied_fields(capsys, flags, shown):
+@pytest.mark.parametrize("flags", unread_cases({"Q"}))
+def test_theta_rejects_unapplied_fields(capsys, flags):
     # theta(z) and I(x) take no grid; only the series truncation Q applies
     assert main(["theta", "--z", "0.5,0.5", "--x", "0.0"] + flags) == 2
     captured = capsys.readouterr()
-    assert shown in captured.err
+    assert refusal("theta", flags) in captured.err
     assert captured.out == ""
 
 
@@ -354,13 +345,76 @@ def test_theta_applies_q(capsys):
     assert low_q != default_q
 
 
-@pytest.mark.parametrize("flags, shown", unread_cases({"T", "h", "margin"}))
-def test_synthesize_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, shown):
+@pytest.mark.parametrize("flags", unread_cases({"T", "h", "margin"}))
+def test_synthesize_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags):
     # synthesis reads the grid and the atom margin only
     monkeypatch.chdir(workdir)
     assert main(["synthesize", "--coeffs", "c.json", "--out", "o.csv"] + flags) == 2
-    assert shown in capsys.readouterr().err
+    assert refusal("synthesize", flags) in capsys.readouterr().err
     assert not Path("o.csv").exists()
+
+
+@pytest.mark.parametrize("flags", unread_cases({"T", "h", "N", "Q", "dlam", "box", "delta", "m", "refine",
+                                                "decomp_dlam", "seed"}))
+def test_verify_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags):
+    # the invariant suite fixes its own cutoffs, certainty radius and atom margins
+    monkeypatch.chdir(workdir)
+    assert main(["verify", "--out", "o.json"] + flags) == 2
+    captured = capsys.readouterr()
+    assert refusal("verify", flags) in captured.err
+    assert captured.out == ""
+    assert not Path("o.json").exists()
+
+
+def test_verify_rejects_an_order_its_certainty_check_cannot_run(workdir, monkeypatch, capsys):
+    # the certainty block runs at r = 3, which fits orders up to 2; m = 3 is refused, not run at m = 0
+    monkeypatch.chdir(workdir)
+    assert main(["verify", "--m", "3", "--out", "o.json"]) == 2
+    assert "m=3" in capsys.readouterr().err
+    assert not Path("o.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--h", "0.03125", "--z", "0,0"],
+    ["analyze", "--input", "h0.csv", "--out-sum", "o.json"],
+    ["decompose", "--input", "e0.csv", "--domain", "disk.json", "--decomp", "0.25", "--out", "o.json"],
+], ids=["help", "out_summary", "decomp_dlam"])
+def test_flags_are_not_abbreviated(workdir, monkeypatch, capsys, argv):
+    # --h would otherwise prefix-match --help and exit 0 on a command that does not take --h
+    monkeypatch.chdir(workdir)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "does not take" in captured.err
+    assert captured.out == ""
+    assert not Path("o.json").exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("analyze", ["--input", "h0.csv", "--out-summary", "o.json"]),
+    ("expand", ["--input", "e0.csv", "--out", "o.json"]),
+    ("decompose", ["--input", "e0.csv", "--domain", "disk.json", "--out", "o.json"]),
+])
+def test_a_shared_config_file_at_the_run_values_is_accepted(workdir, monkeypatch, command, args):
+    # one file may serve every command: it names all fields, each at the value the command runs with
+    monkeypatch.chdir(workdir)
+    Path("all.json").write_text(json.dumps(asdict(RunConfig())))
+    assert main([command, "--config", "all.json"] + args) == 0
+    payload = json.loads(Path("o.json").read_text())
+    assert payload.get("diagnostics", payload)["config_hash"] == RunConfig().hash()
+
+
+@pytest.mark.parametrize("config, shown", [
+    ({"R": 4}, "R=4"),
+    ({"seed": 5}, "seed=5"),
+    ({"h": 0.03125, "N": 32}, "N=32"),
+], ids=["R", "seed", "N_off_the_zak_grid"])
+def test_a_config_file_key_the_command_does_not_apply_is_rejected(workdir, monkeypatch, capsys, config, shown):
+    # analyze takes neither R, seed nor N; N follows h to its Zak grid, 16 at h = 1/32
+    monkeypatch.chdir(workdir)
+    Path("cfg.json").write_text(json.dumps(config))
+    assert main(["analyze", "--input", "h0.csv", "--config", "cfg.json", "--out-summary", "o.json"]) == 2
+    assert shown in capsys.readouterr().err
+    assert not Path("o.json").exists()
 
 
 def test_expand_applies_the_phase_box_off_delta_2(workdir, monkeypatch):
@@ -374,22 +428,27 @@ def test_expand_applies_the_phase_box_off_delta_2(workdir, monkeypatch):
 
 
 class TestConfigFlags:
-    FLAGS = {"--config", "--T", "--h", "--N", "--Q", "--dlam", "--box", "--R", "--delta", "--m",
-             "--r", "--no-refine", "--decomp-dlam", "--margin", "--seed"}
-
     @staticmethod
     def _subparsers():
         action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         return action.choices
 
     def test_one_flag_per_config_field(self):
-        names = {f.name for f in fields(RunConfig)} | {"config"}
+        # each command offers --config plus one flag per field it applies, and nothing for the rest
+        names = {f.name for f in fields(RunConfig)}
         subs = self._subparsers()
-        assert set(subs) == {"analyze", "synthesize", "expand", "decompose", "rotate", "theta", "verify"}
-        for sub in subs.values():
-            config_actions = [a for a in sub._actions if a.dest in names]
-            assert sorted(a.dest for a in config_actions) == sorted(names)
-            assert {opt for a in config_actions for opt in a.option_strings} == self.FLAGS
+        assert set(subs) == set(READS) == {"analyze", "synthesize", "expand", "decompose", "rotate", "theta",
+                                           "verify"}
+        for command, sub in subs.items():
+            config_actions = [a for a in sub._actions if a.dest in names | {"config"}]
+            assert sorted(a.dest for a in config_actions) == sorted(set(READS[command]) | {"config"})
+            flags = {opt for a in config_actions for opt in a.option_strings}
+            assert flags == {"--config"} | {"--no-refine" if name == "refine" else "--" + name.replace("_", "-")
+                                            for name in READS[command]}
+
+    def test_reads_cover_every_config_field(self):
+        # every RunConfig field is applied by some command, so none is a flag no command offers
+        assert set().union(*READS.values()) == {f.name for f in fields(RunConfig)}
 
     def test_flag_types_follow_the_defaults(self):
         args = build_parser().parse_args(["verify", "--N", "16", "--T", "8", "--no-refine"])
@@ -397,6 +456,16 @@ class TestConfigFlags:
         assert args.T == 8.0 and type(args.T) is float
         assert args.refine is False
         assert args.decomp_dlam is None and args.seed is None
+
+
+def test_readme_cli_table_matches_reads():
+    # README's CLI section lists each command's config flags; parse the table back into fields
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", readme, flags=re.M)
+    table = {command: tuple(flag.removeprefix("--").removeprefix("no-").replace("-", "_")
+                            for flag in flags.split())
+             for command, flags in rows}
+    assert table == READS
 
 
 class TestTheta:
