@@ -36,6 +36,6 @@ for row in table:
 print("\n== decay improvement on an odd Hermite function ==")
 f = hermite_signal(3, T=12.0, h=1 / 256)
 for order in (0, 2):
-    exp = order_m_coefficients(f, order, R=10, N=128)
+    exp = order_m_coefficients(f, order, R=10)  # the Zak grid N = 1/(2h) = 128
     print(f"m={order}: fitted decay exponent {exp.decay_exponent:.3f}, "
           f"sharp block magnitudes {[f'{abs(b):.3f}' for b in exp.sharp_block]}")

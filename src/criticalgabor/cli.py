@@ -15,14 +15,12 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import certainty, expansion, gabor, higher, metaplectic, numerics, phaseplane, verify
-from .zak import default_zak_size
 
 
 @dataclass
 class RunConfig:
     T: float = 8.0
     h: float = 1.0 / 64.0
-    N: int = 32
     Q: int = numerics.THETA_TERMS
     dlam: float = 1.0 / 16.0
     box: float = 8.0
@@ -30,12 +28,17 @@ class RunConfig:
     delta: float = 2.0
     m: int = 0
     r: float = 4.0
-    refine: bool = True
     decomp_dlam: float = 1.0 / 8.0
     margin: float = 4.0
     seed: int = 0
 
     def validate(self):
+        for f in fields(self):  # a float field takes a JSON integer too; a boolean is neither kind
+            value, number = getattr(self, f.name), type(f.default) is float
+            if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+                raise ValueError(f"config: {f.name} must be {'a number' if number else 'an integer'}, got {value!r}")
+            if number and not abs(value) <= sys.float_info.max:  # nan, inf or an integer past the float range
+                raise ValueError(f"config: {f.name} must be finite, got {value!r}")
         if self.T <= 0 or self.h <= 0:
             raise ValueError("config: T and h must be positive")
         n = 2 * self.T / self.h
@@ -46,11 +49,6 @@ class RunConfig:
         half = 0.5 / self.h
         if abs(half - round(half)) > 1e-9:
             raise ValueError("config: 1/(2h) must be an integer so half-integer points are sampled")
-        if self.N % 2 != 0:
-            raise ValueError("config: N must be even (midpoint-grid rule)")
-        s = 1.0 / (self.N * self.h)
-        if abs(s - round(s)) > 1e-9 or round(s) % 2 != 0:
-            raise ValueError("config: 1/(N h) must be an even integer (midpoint grid on samples)")
         if self.Q < 1:
             raise ValueError("config: Q must be >= 1")
         if self.dlam <= 0 or self.decomp_dlam <= 0:
@@ -79,11 +77,11 @@ class RunConfig:
 READS = {
     "analyze": ("T", "h", "dlam", "box", "delta"),
     "synthesize": ("T", "h", "margin"),
-    "expand": ("T", "h", "N", "dlam", "box", "R", "delta", "m", "refine", "margin"),
+    "expand": ("T", "h", "dlam", "box", "R", "delta", "m", "margin"),
     "decompose": ("T", "h", "delta", "m", "r", "decomp_dlam"),
     "rotate": ("T", "h"),
     "theta": ("Q",),
-    "verify": ("T", "h", "N", "Q", "dlam", "box", "delta", "m", "refine", "decomp_dlam", "seed"),
+    "verify": ("T", "h", "Q", "dlam", "box", "delta", "m", "decomp_dlam", "seed"),
 }
 
 
@@ -92,7 +90,9 @@ def load_config(args, command: str) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            values.update(json.load(fh))
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError(f"{args.config}: a config file holds one JSON object")
     unknown = set(values) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"config: unknown fields {sorted(unknown)}")
@@ -100,30 +100,22 @@ def load_config(args, command: str) -> RunConfig:
         override = getattr(args, name, None)
         if override is not None:
             values[name] = override
-    # a field the command does not take runs at its default, except that N follows h to the Zak grid
-    # of the step on a command that takes h but not N (validate rejects an h <= 0)
-    h = values.get("h", RunConfig.h)
+    # a field the command does not take runs at its default
     for f in fields(RunConfig):
         if f.name in read:
             continue
-        runs_with = default_zak_size(h) if f.name == "N" and "h" in read and h > 0 else f.default
-        value = values.setdefault(f.name, runs_with)
-        if value != runs_with:
+        value = values.setdefault(f.name, f.default)
+        if value != f.default:
             raise ValueError(f"config: {command} cannot apply {f.name}={value!r}; "
-                             f"it always runs with {f.name}={runs_with!r}")
+                             f"it always runs with {f.name}={f.default!r}")
     return RunConfig(**values).validate()
 
 
 def _add_config_flags(p: argparse.ArgumentParser, read):
-    """--config plus one flag per RunConfig field in `read`, typed by its default; a bool field that
-    defaults to True is switched off by --no-<name>."""
+    """--config plus one flag per RunConfig field in `read`, typed by its default."""
     p.add_argument("--config", help="JSON config file; command-line flags override it")
     for f in (f for f in fields(RunConfig) if f.name in read):
-        name = f.name.replace("_", "-")
-        if isinstance(f.default, bool):
-            p.add_argument(f"--no-{name}", dest=f.name, action="store_const", const=False)
-        else:
-            p.add_argument(f"--{name}", type=type(f.default), dest=f.name)
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), dest=f.name)
 
 
 def _dump_json(payload, path=None):
@@ -178,9 +170,9 @@ def cmd_expand(args, config: RunConfig) -> int:
                              f"it runs with the default {name}={default!r} there")
     f = _load_signal(args.input, config)
     if config.m == 0:
-        exp = expansion.relaxed_coefficients(f, config.R, config.N, config.refine)
+        exp = expansion.relaxed_coefficients(f, config.R)
     else:
-        exp = higher.order_m_coefficients(f, config.m, R=config.R, N=config.N, refine=config.refine)
+        exp = higher.order_m_coefficients(f, config.m, R=config.R)
     # residual diagnostics must synthesize atoms out to |p| = R
     rec = exp.signal(f.T, f.h, max(0.0, min(config.margin, f.T - config.R)))
     coeffs = exp.full_coefficients()

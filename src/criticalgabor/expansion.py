@@ -148,14 +148,11 @@ def _refine_correction(f_sharp: SampledSignal, F: np.ndarray, N: int, R: int) ->
             - _extract_block(F[c:c + 2, c:c + 2], coarse, coarse, R) / N ** 2)
 
 
-def lattice_coefficients(f_sharp: SampledSignal, R: int, N: int | None = None,
-                         refine: bool = True) -> CoefficientSet:
+def lattice_coefficients(f_sharp: SampledSignal, R: int, N: int | None = None) -> CoefficientSet:
     """Lattice coefficients |k|, |j| <= R of f_sharp: double Fourier coefficients of
-    division_field, the cells at the theta zero refined unless `refine` is off."""
+    division_field, the cells at the theta zero refined."""
     F, Z = division_field(f_sharp, N)
-    M = _extract_block(F, Z.y, Z.xi, R) / Z.N ** 2
-    if refine:
-        M = M + _refine_correction(f_sharp, F, Z.N, R)
+    M = _extract_block(F, Z.y, Z.xi, R) / Z.N ** 2 + _refine_correction(f_sharp, F, Z.N, R)
     ks = range(-R, R + 1)
     return CoefficientSet({(k, j, False): M[a, b] for a, k in enumerate(ks) for b, j in enumerate(ks)})
 
@@ -178,8 +175,8 @@ class RelaxedExpansion:
         return synthesize(self.full_coefficients(), T, h, margin)
 
 
-def relaxed_coefficients(f: SampledSignal, R: int, N: int | None = None,
-                         refine: bool = True, sharp_node: tuple[int, int] = (0, 0)) -> RelaxedExpansion:
+def relaxed_coefficients(f: SampledSignal, R: int, N: int | None = None, *,
+                         sharp_node: tuple[int, int] = (0, 0)) -> RelaxedExpansion:
     """Expansion coefficients of f over the lattice plus one sharp atom.
 
     The sharp atom may sit at any cell midpoint (k0 + 1/2, j0 + 1/2); its
@@ -193,14 +190,14 @@ def relaxed_coefficients(f: SampledSignal, R: int, N: int | None = None,
     if R < 0:
         raise ValueError("cutoff must be >= 0")
     k0, j0 = int(sharp_node[0]), int(sharp_node[1])
-    block, coeffs = _expand(f, [sharp_point(k0, j0)], R, N, refine)
+    block, coeffs = _expand(f, [sharp_point(k0, j0)], R, N)
     return RelaxedExpansion((-1) ** j0 * block[0], (k0, j0), coeffs, R)
 
 
-def reconstruct(f: SampledSignal, R: int, N: int | None = None, refine: bool = True,
+def reconstruct(f: SampledSignal, R: int, N: int | None = None, *,
                 sharp_node: tuple[int, int] = (0, 0), margin: float = DEFAULT_MARGIN):
     """Synthesize the relaxed expansion back; returns (signal, relative residual)."""
-    rec = relaxed_coefficients(f, R, N, refine, sharp_node).signal(f.T, f.h, margin)
+    rec = relaxed_coefficients(f, R, N, sharp_node=sharp_node).signal(f.T, f.h, margin)
     err, scale = (f - rec).norm(), f.norm()
     return rec, err / scale if scale > 0 else err
 

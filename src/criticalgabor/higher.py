@@ -107,7 +107,7 @@ class OrderMExpansion:
         return synthesize(self.full_coefficients(), T, h, margin)
 
 
-def _expand(f: SampledSignal, nodes, R: int, N: int | None, refine: bool):
+def _expand(f: SampledSignal, nodes, R: int, N: int | None):
     """The one expansion core at sharp nodes mu_0..mu_m: returns the sharp block
     [gamma_sharp(a^j f) for j <= m] and the lattice coefficients of
     f - sum_j gamma_sharp(a^j f) d_j."""
@@ -120,11 +120,11 @@ def _expand(f: SampledSignal, nodes, R: int, N: int | None, refine: bool):
     f_sharp = f
     for b, d in zip(block, duals.atoms):
         f_sharp = f_sharp - b * d
-    return block, lattice_coefficients(f_sharp, R, N, refine)
+    return block, lattice_coefficients(f_sharp, R, N)
 
 
 def order_m_coefficients(f: SampledSignal, m: int, nodes=None, R: int = 6,
-                         N: int | None = None, refine: bool = True) -> OrderMExpansion:
+                         N: int | None = None) -> OrderMExpansion:
     """Order-m relaxed expansion: f = sum_j gamma_sharp(a^j f) d_j + sum c_lambda e_lambda.
 
     Subtracting the dual-atom block zeroes the first m+1 sharp obstructions,
@@ -136,7 +136,7 @@ def order_m_coefficients(f: SampledSignal, m: int, nodes=None, R: int = 6,
     pts = [as_point(n) for n in nodes] if nodes is not None else default_sharp_nodes(m)
     if len(pts) != m + 1:
         raise ValueError(f"order m={m} needs exactly {m + 1} nodes, got {len(pts)}")
-    block, coeffs = _expand(f, pts, R, N, refine)
+    block, coeffs = _expand(f, pts, R, N)
     return OrderMExpansion(block, pts, coeffs, R)
 
 

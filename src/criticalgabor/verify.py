@@ -11,13 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import certainty, expansion, gabor, higher, metaplectic, numerics, phaseplane
-from .zak import (a_operator_zak, sobolev_norm, zak as zak_transform,
+from .zak import (a_operator_zak, default_zak_size, sobolev_norm, zak as zak_transform,
                   zak_atom_field, zak_inverse, zak_translate_check)
 
 THETA_MIN_OFF_ZERO = 0.32     # frozen: min |Theta| off a 0.05-disk, 400x400 grid oracle
 UNIQUENESS_FLOOR = 0.15       # frozen: sqrt of min Gram eigenvalue, 5x5 block + sharp
 SOBOLEV_CONSTANT = 3.0        # frozen: fitted over hermites 0..5 (max 2.65) + random combos
 GD_CONSTANT = 3.0             # frozen: fitted coefficient-l2 vs smoothness norm (max 2.44)
+CERTAINTY_R = 3.0             # collar width of the small certainty configuration
 
 
 def _record(name, measured, tol, larger_is_ok=False):
@@ -39,7 +40,9 @@ def _biorthogonality_gap(m: int, T: float, h: float) -> float:
 
 
 def run_checks(config, rng: np.random.Generator) -> list[dict]:
-    T, h, N, Q = config.T, config.h, config.N, config.Q
+    if config.m > CERTAINTY_R - 1:  # refused before any check runs
+        raise ValueError(f"config: order m={config.m} exceeds r-1 of the certainty check at r={CERTAINTY_R:g}")
+    T, h, N, Q = config.T, config.h, default_zak_size(config.h), config.Q
     box, dlam = config.box, config.dlam
     checks = []
 
@@ -136,7 +139,7 @@ def run_checks(config, rng: np.random.Generator) -> list[dict]:
 
     worst = 0.0
     for lam in [(0, 0), (1, 0), (0, 1)]:
-        exp = expansion.relaxed_coefficients(gabor.atom(lam, T, h), R=3, N=N, refine=config.refine)
+        exp = expansion.relaxed_coefficients(gabor.atom(lam, T, h), R=3, N=N)
         unit = exp.coeffs.get(*lam)
         others = max(abs(v) for key, v in exp.coeffs.entries.items()
                      if key != (lam[0], lam[1], False))
@@ -214,7 +217,7 @@ def run_checks(config, rng: np.random.Generator) -> list[dict]:
     cset.set(1, 0, 0.5j)
     fmix = gabor.synthesize(cset, T, h)
     K = phaseplane.Disk((0, 0), 1.5)
-    dec = certainty.decompose(fmix, K, r=3.0, m=config.m, delta=config.delta, dlam=config.decomp_dlam)
+    dec = certainty.decompose(fmix, K, CERTAINTY_R, config.m, config.delta, config.decomp_dlam)
     exact = (fmix - dec.synthesized(T, h) - dec.residual).norm()
     checks.append(_record("certainty_exactness", exact, 1e-10))
     checks.append(_record("certainty_residual_vs_bound",

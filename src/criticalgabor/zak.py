@@ -36,9 +36,12 @@ def _midpoints(N: int) -> np.ndarray:
 
 
 def default_zak_size(h: float) -> int:
-    """Largest midpoint-compatible N for the step h (substep exactly 2)."""
-    N = int(round(1.0 / (2.0 * h)))
-    _substep(h, N)
+    """The Zak grid N = 1/(2h) the step fixes, the finest midpoint grid on its samples (substep 2).
+    Every other one has N/k nodes, k dividing N, so an odd N leaves the step no even grid."""
+    n = 0.5 / h if h > 0 else 0.0
+    N = int(round(n))
+    if abs(n - N) > 1e-9 or N < 2 or N % 2 != 0:
+        raise ValueError(f"grid step h={h} has no even Zak midpoint grid: 1/(2h) must be an even integer")
     return N
 
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import criticalgabor
-from criticalgabor import CoefficientSet, atom, hermite_signal, signal_from_csv
+from criticalgabor import (CoefficientSet, atom, default_zak_size, hermite_signal, numerics,
+                           order_m_coefficients, relaxed_coefficients, signal_from_csv)
 from criticalgabor.cli import READS, RunConfig, build_parser, main
 
 
@@ -31,12 +32,15 @@ class TestConfig:
         RunConfig().validate()
 
     def test_odd_n_rejected(self):
-        with pytest.raises(ValueError, match="midpoint"):
-            RunConfig(N=33).validate()
+        # the step fixes N = 1/(2h); at h = 1/2 that is 1, and every coarser grid divides it
+        with pytest.raises(ValueError, match=r"h=0\.5 has no even Zak midpoint grid"):
+            default_zak_size(0.5)
 
     def test_incompatible_n_rejected(self):
-        with pytest.raises(ValueError, match="even integer"):
-            RunConfig(N=64).validate()  # 1/(N h) = 1 is odd at h = 1/64
+        for h in (0.3, 0.024, 0.0, -1.0 / 64.0):  # 1/(2h) is no positive integer
+            with pytest.raises(ValueError, match=f"h={h} has no even Zak midpoint grid"):
+                default_zak_size(h)
+        assert default_zak_size(1.0 / 64.0) == 32 and default_zak_size(1.0 / 32.0) == 16
 
     def test_order_cap(self):
         with pytest.raises(ValueError, match="m must be"):
@@ -149,18 +153,31 @@ class TestSynthesizeExpand:
 
 
     @pytest.mark.parametrize("m", [0, 2])
-    def test_expand_honours_config_n(self, workdir, m):
-        (workdir / "n16.json").write_text(json.dumps({"N": 16}))
-        coeffs = {}
-        for name, extra in (("auto", []), ("n16", ["--config", str(workdir / "n16.json")])):
-            out = workdir / f"exp_{name}.json"
-            assert main(["expand", "--input", str(workdir / "h0.csv"), "--m", str(m),
-                         "--R", "3", "--out", str(out)] + extra) == 0
-            payload = json.loads(out.read_text())
-            coeffs[name] = np.array([complex(c["re"], c["im"]) for c in payload["coefficients"]])
-            assert len(payload.get("sharp_block", [])) == (m + 1 if m else 0)
-        assert coeffs["auto"].shape == coeffs["n16"].shape
-        assert np.max(np.abs(coeffs["auto"] - coeffs["n16"])) > 1e-12
+    def test_expand_runs_on_the_zak_grid_of_its_step(self, workdir, monkeypatch, capsys, m):
+        # h = 1/32 fixes the Zak grid N = 16; no flag or config key may set another
+        monkeypatch.chdir(workdir)
+        f = hermite_signal(2, 8.0, 1.0 / 32.0)
+        f.to_csv("h32.csv")
+        grid = ["expand", "--input", "h32.csv", "--h", "0.03125", "--m", str(m), "--R", "3"]
+        assert main(grid + ["--out", "o.json"]) == 0
+        exp = relaxed_coefficients(f, 3) if m == 0 else order_m_coefficients(f, m, R=3)
+        assert json.loads(Path("o.json").read_text())["coefficients"] == \
+            json.loads(exp.full_coefficients().to_json())["coefficients"]
+        assert main(grid + ["--N", "16", "--out", "n.json"]) == 2
+        assert refusal("expand", ["--N", "16"]) in capsys.readouterr().err
+        assert not Path("n.json").exists()
+
+    @pytest.mark.parametrize("command", ["expand", "verify"])
+    def test_a_step_with_no_even_zak_grid_is_refused(self, workdir, monkeypatch, capsys, command):
+        # at h = 1/2 the Zak grid would be N = 1/(2h) = 1, which has the theta zero as its node
+        monkeypatch.chdir(workdir)
+        hermite_signal(0, 8.0, 0.5).to_csv("h05.csv")
+        args = ["--input", "h05.csv"] if command == "expand" else []
+        assert main([command, "--h", "0.5", "--out", "o.json"] + args) == 2
+        captured = capsys.readouterr()
+        assert "h=0.5 has no even Zak midpoint grid" in captured.err
+        assert captured.out == ""
+        assert not Path("o.json").exists()
 
     def test_nonuniform_csv_rejected(self, workdir, capsys):
         lines = (workdir / "e0.csv").read_text().splitlines()
@@ -235,14 +252,18 @@ class TestConfigGrid:
         assert "h=0.03125" in err and "h=0.015625" in err
         assert not any(Path(".").glob("o.*"))
 
-    @pytest.mark.parametrize("command", ["analyze", "rotate", "decompose"])
+    @pytest.mark.parametrize("command", ["analyze", "rotate", "decompose", "expand", "verify"])
     def test_csv_on_the_config_grid_accepted(self, h32, command):
-        # N is not a flag of these commands: it follows h to the Zak grid 1/(2h) = 16
-        args = ["--input", "h32.csv", "--h", "0.03125"] + self.COMMAND_ARGS[command]
-        assert main([command] + args) == 0
+        # the Zak grid follows h to 1/(2h) = 16 on every command that builds one
+        if command == "verify":
+            # exit 1 is a check that misses its tolerance on the coarser grid, not a refusal (2)
+            assert main(["verify", "--h", "0.03125", "--out", "o.json"]) in (0, 1)
+        else:
+            assert main([command, "--input", "h32.csv", "--h", "0.03125"] + self.COMMAND_ARGS[command]) == 0
         assert any(Path(".").glob("o.*"))
         if command != "rotate":
-            assert json.loads(Path("o.json").read_text())["config_hash"] == RunConfig(h=1 / 32, N=16).hash()
+            payload = json.loads(Path("o.json").read_text())
+            assert payload.get("diagnostics", payload)["config_hash"] == RunConfig(h=1 / 32).hash()
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -257,7 +278,8 @@ def test_unapplied_q_rejected(workdir, monkeypatch, capsys, command, extra):
     assert not Path("o.json").exists()
 
 
-# one non-default value per RunConfig field
+# one non-default value per RunConfig field, and the two flags no command takes: the Zak grid N
+# follows the step h, and the refined quadrature at the theta zero always runs
 FIELD_FLAGS = {
     "T": ["--T", "10"],
     "h": ["--h", "0.03125"],
@@ -311,7 +333,9 @@ def test_analyze_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags):
     (["--seed", "5"], refusal("expand", ["--seed", "5"])),
     (["--box", "6"], "box=6.0"),
     (["--dlam", "0.125"], "dlam=0.125"),
-], ids=["r", "decomp_dlam", "seed", "box", "dlam"])
+    (["--N", "16"], refusal("expand", ["--N", "16"])),
+    (["--no-refine"], refusal("expand", ["--no-refine"])),
+], ids=["r", "decomp_dlam", "seed", "box", "dlam", "N", "refine"])
 def test_expand_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, shown):
     # at the default delta = 2 the hdelta diagnostic is a moment sum, so box and dlam feed nothing
     monkeypatch.chdir(workdir)
@@ -354,8 +378,7 @@ def test_synthesize_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags
     assert not Path("o.csv").exists()
 
 
-@pytest.mark.parametrize("flags", unread_cases({"T", "h", "N", "Q", "dlam", "box", "delta", "m", "refine",
-                                                "decomp_dlam", "seed"}))
+@pytest.mark.parametrize("flags", unread_cases({"T", "h", "Q", "dlam", "box", "delta", "m", "decomp_dlam", "seed"}))
 def test_verify_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags):
     # the invariant suite fixes its own cutoffs, certainty radius and atom margins
     monkeypatch.chdir(workdir)
@@ -367,10 +390,54 @@ def test_verify_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags):
 
 
 def test_verify_rejects_an_order_its_certainty_check_cannot_run(workdir, monkeypatch, capsys):
-    # the certainty block runs at r = 3, which fits orders up to 2; m = 3 is refused, not run at m = 0
+    # the certainty block runs at r = 3, which fits orders up to 2; m = 3 is refused before any
+    # check runs (the first ones evaluate the theta series)
     monkeypatch.chdir(workdir)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return series(*args)
+
+    series = numerics._theta_series
+    monkeypatch.setattr(numerics, "_theta_series", spy)
     assert main(["verify", "--m", "3", "--out", "o.json"]) == 2
     assert "m=3" in capsys.readouterr().err
+    assert not Path("o.json").exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("text, shown", [
+    ('[["T", 8.0]]', "cfg.json: a config file holds one JSON object"),
+    ("[1, 2]", "cfg.json: a config file holds one JSON object"),
+    ('{"T": "8"}', "T must be a number, got '8'"),
+    ('{"delta": null}', "delta must be a number, got None"),
+    ('{"R": 6.5}', "R must be an integer, got 6.5"),
+    ('{"m": true}', "m must be an integer, got True"),
+    ('{"delta": NaN}', "delta must be finite, got nan"),
+    ('{"T": Infinity}', "T must be finite, got inf"),
+    ('{"T": 1' + "0" * 400 + "}", "T must be finite, got 1000"),
+], ids=["pairs", "list", "string", "null", "fraction", "bool", "nan", "inf", "past_the_float_range"])
+def test_config_values_are_typed_and_finite(workdir, monkeypatch, capsys, text, shown):
+    monkeypatch.chdir(workdir)
+    Path("cfg.json").write_text(text)
+    assert main(["expand", "--input", "e0.csv", "--config", "cfg.json", "--out", "o.json"]) == 2
+    assert shown in capsys.readouterr().err
+    assert not Path("o.json").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("expand", ["--input", "e0.csv", "--T", "inf", "--out", "o.json"]),
+    ("expand", ["--input", "e0.csv", "--margin", "nan", "--out", "o.json"]),
+    ("analyze", ["--input", "h0.csv", "--delta", "nan", "--out-summary", "o.json"]),
+    ("analyze", ["--input", "h0.csv", "--dlam", "inf", "--out-summary", "o.json"]),
+    ("analyze", ["--input", "h0.csv", "--box", "nan", "--out-summary", "o.json"]),
+], ids=["T_inf", "margin_nan", "delta_nan", "dlam_inf", "box_nan"])
+def test_non_finite_flags_are_refused(workdir, monkeypatch, capsys, command, flags):
+    monkeypatch.chdir(workdir)
+    assert main([command] + flags) == 2
+    name = flags[2].removeprefix("--")
+    assert f"config: {name} must be finite" in capsys.readouterr().err
     assert not Path("o.json").exists()
 
 
@@ -406,10 +473,10 @@ def test_a_shared_config_file_at_the_run_values_is_accepted(workdir, monkeypatch
 @pytest.mark.parametrize("config, shown", [
     ({"R": 4}, "R=4"),
     ({"seed": 5}, "seed=5"),
-    ({"h": 0.03125, "N": 32}, "N=32"),
+    ({"h": 0.03125, "N": 32}, "unknown fields ['N']"),
 ], ids=["R", "seed", "N_off_the_zak_grid"])
 def test_a_config_file_key_the_command_does_not_apply_is_rejected(workdir, monkeypatch, capsys, config, shown):
-    # analyze takes neither R, seed nor N; N follows h to its Zak grid, 16 at h = 1/32
+    # analyze takes neither R nor seed; N is no field, as every Zak grid follows h
     monkeypatch.chdir(workdir)
     Path("cfg.json").write_text(json.dumps(config))
     assert main(["analyze", "--input", "h0.csv", "--config", "cfg.json", "--out-summary", "o.json"]) == 2
@@ -443,18 +510,16 @@ class TestConfigFlags:
             config_actions = [a for a in sub._actions if a.dest in names | {"config"}]
             assert sorted(a.dest for a in config_actions) == sorted(set(READS[command]) | {"config"})
             flags = {opt for a in config_actions for opt in a.option_strings}
-            assert flags == {"--config"} | {"--no-refine" if name == "refine" else "--" + name.replace("_", "-")
-                                            for name in READS[command]}
+            assert flags == {"--config"} | {"--" + name.replace("_", "-") for name in READS[command]}
 
     def test_reads_cover_every_config_field(self):
         # every RunConfig field is applied by some command, so none is a flag no command offers
         assert set().union(*READS.values()) == {f.name for f in fields(RunConfig)}
 
     def test_flag_types_follow_the_defaults(self):
-        args = build_parser().parse_args(["verify", "--N", "16", "--T", "8", "--no-refine"])
-        assert args.N == 16 and type(args.N) is int
+        args = build_parser().parse_args(["verify", "--Q", "4", "--T", "8"])
+        assert args.Q == 4 and type(args.Q) is int
         assert args.T == 8.0 and type(args.T) is float
-        assert args.refine is False
         assert args.decomp_dlam is None and args.seed is None
 
 
@@ -462,7 +527,7 @@ def test_readme_cli_table_matches_reads():
     # README's CLI section lists each command's config flags; parse the table back into fields
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", readme, flags=re.M)
-    table = {command: tuple(flag.removeprefix("--").removeprefix("no-").replace("-", "_")
+    table = {command: tuple(flag.removeprefix("--").replace("-", "_")
                             for flag in flags.split())
              for command, flags in rows}
     assert table == READS

@@ -52,14 +52,14 @@ def signal(request):
     return SIGNALS[request.param]()
 
 
-def old_relaxed(f, R, N=None, refine=True, sharp_node=(0, 0)):
+def old_relaxed(f, R, N=None, sharp_node=(0, 0)):
     k0, j0 = int(sharp_node[0]), int(sharp_node[1])
     gamma = (-1) ** j0 * sharp_functional(f)
     f_sharp = f - gamma * atom(sharp_point(k0, j0), f.T, f.h)
-    return gamma, lattice_coefficients(f_sharp, R, N, refine)
+    return gamma, lattice_coefficients(f_sharp, R, N)
 
 
-def old_order_m(f, m, R=6, N=None, refine=True):
+def old_order_m(f, m, R=6, N=None):
     pts = default_sharp_nodes(m)
     duals = dual_atoms(pts, f.T, f.h)
     block = []
@@ -70,7 +70,7 @@ def old_order_m(f, m, R=6, N=None, refine=True):
     f_sharp = f
     for b, d in zip(block, duals.atoms):
         f_sharp = f_sharp - b * d
-    return block, lattice_coefficients(f_sharp, R, N, refine)
+    return block, lattice_coefficients(f_sharp, R, N)
 
 
 def old_decay_exponent(coeffs, rmin=1.5, rmax=None):
@@ -125,11 +125,11 @@ def old_box_grids(box, dlam):
             tmin + dlam * np.arange(int(round((tmax - tmin) / dlam)) + 1))
 
 
-@pytest.mark.parametrize("node", NODES)
-@pytest.mark.parametrize("refine", [True, False])
-def test_relaxed_matches_its_own_body_bitwise(signal, node, refine):
-    gamma, coeffs = old_relaxed(signal, 4, 16, refine, node)
-    exp = relaxed_coefficients(signal, 4, 16, refine, sharp_node=node)
+# "True": the refined quadrature at the theta zero, the one lattice_coefficients runs
+@pytest.mark.parametrize("node", NODES, ids=[f"True-node{i}" for i in range(len(NODES))])
+def test_relaxed_matches_its_own_body_bitwise(signal, node):
+    gamma, coeffs = old_relaxed(signal, 4, 16, node)
+    exp = relaxed_coefficients(signal, 4, 16, sharp_node=node)
     assert exp.sharp == gamma
     assert exp.sharp_node == node
     assert list(exp.coeffs.entries) == list(coeffs.entries)
