@@ -167,7 +167,8 @@ class RelaxedExpansion:
     cutoff: int
 
     def full_coefficients(self) -> CoefficientSet:
-        merged = CoefficientSet(self.coeffs.entries)
+        merged = CoefficientSet()
+        merged.entries = dict(self.coeffs.entries)  # already normalised: copy, do not rebuild
         merged.set(self.sharp_node[0], self.sharp_node[1], self.sharp, sharp=True)
         return merged
 

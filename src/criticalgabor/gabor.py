@@ -7,15 +7,26 @@ a chirp-z transform, so gabor_transform() costs O(n log n) per row through
 the Bluestein kernel of numerics (_chirp_plan, _chirp_convolve).  Each row
 reads only the samples within the reach c = 4 of its p; the samples left out
 move a value by at most 2^{1/4} e^{-pi c^2} sqrt(2T + h) ||f||, about
-7e-22 ||f|| on the default grid.  Every superposition sum c_lambda e_lambda
-(lattice and sharp series, the order-m dual-atom block, Riemann sums over a
-phase grid) goes through one separable kernel, superpose().
+7e-22 ||f|| on the default grid.
+
+Every superposition sum c_lambda e_lambda (lattice and sharp series, the
+order-m dual-atom block, Riemann sums over a phase grid) goes through one
+kernel, _superpose_grid(), which works on the sample lattice
+x_n = -T + n h.  When the thetas step by a common delta with M = 1/(delta h)
+an integer, e^{2 pi i theta x_n} is e^{2 pi i theta_0 x_n} times an M-th root
+of unity in n, so each envelope's phase row is one length-M inverse FFT; when
+the centers p step by whole samples, every envelope is a window of one
+Gaussian profile.  Phases are reduced mod 1 before the factor 2 pi, so the sum
+keeps full accuracy at any |theta x|.  Points on no such progression take the
+same kernel with one phase row per theta (M = N) and one exp per p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 import json
+import math
 
 import numpy as np
 
@@ -30,6 +41,10 @@ DEFAULT_MARGIN = 4.0
 _ROWS = 16
 # the transform reads each row's samples within this many units of its p
 _REACH = 4.0
+
+# superpose reads theta differences on the dyadic grid 2^-_DYADIC_BITS
+_DYADIC_BITS = 40
+_DYADIC = 2.0 ** _DYADIC_BITS
 
 SIGMA0 = float(sum(np.exp(-np.pi * k ** 2 / 2.0) for k in range(-40, 41)))
 
@@ -284,21 +299,100 @@ def _mixing(pts: list[PhasePoint]) -> np.ndarray:
 
 
 _MIXING_MEMO = Memo()
+_PHASE_MEMO = Memo()
+
+
+def _grid_phase(c: float, N: int) -> np.ndarray:
+    """exp(pi i c m_n) for m_n = 2n - (N - 1), n < N; at c = theta h this is exp(2 pi i theta x_n).
+
+    _exp_pi_i reduces each c m_n mod 2 before the factor pi, so every phase is
+    good to an ulp whatever theta is.  m_{N-1-n} = -m_n, and the reduction is
+    odd in m, so the second half is the mirrored conjugate of the first.
+    """
+    first = _exp_pi_i(c, 2.0 * np.arange((N + 1) // 2) - (N - 1), max(N - 1, 1).bit_length())
+    return np.concatenate([first, first[:N // 2][::-1].conj()])
+
+
+def _phase_rows(ts, W, h: float, N: int) -> tuple[np.ndarray, int, float]:
+    """(rows, M, t0) with sum_b W[:, b] e^{2 pi i ts[b] x_n} = e^{2 pi i t0 x_n} rows[:, n mod M].
+
+    ts ascends.  With x_n = (h/2)(2n - (N - 1)) and ts[b] = ts[0] + k_b/(h M)
+    for integers k_b, the factor e^{2 pi i (ts[b] - ts[0]) x_n} is
+    e^{-pi i k_b (N - 1)/M} w_M^{k_b n}, w_M = e^{2 pi i/M}: each row is one
+    length-M inverse FFT of its weights scattered to k_b mod M, where thetas
+    that alias on the grid add.  M is the least such period: the differences
+    are read on the dyadic grid 2^-40 and their gcd gives the common step.
+    Then t0 = ts[0].  Without a step, or when M would exceed N, the rows are
+    the product with the (theta x N) table of the phases themselves: M = N,
+    t0 = 0.
+    """
+    if ts.size == 1:  # M = 1: the row is the weight itself, and a single point needs no FFT
+        return W, 1, ts[0]
+    q = (ts - ts[0]) * _DYADIC
+    H = round(1.0 / h)
+    qi = q.astype(np.int64) if q[-1] < 2.0 ** 53 else None
+    if H * h == 1.0 and qi is not None and (qi == q).all():
+        L = H << _DYADIC_BITS  # k_b = (ts[b] - ts[0]) h M = q_b M / L
+        M = L // math.gcd(int(np.gcd.reduce(qi)), L)
+        if M <= N:
+            k = qi // (L // M)
+            Z = np.zeros((W.shape[0], M), dtype=complex)
+            np.add.at(Z.T, k % M, (W * np.exp(-1j * np.pi * ((k * (N - 1)) % (2 * M) / M))).T)
+            return np.fft.ifft(Z, axis=1, norm="forward"), M, ts[0]
+    return W @ np.array([_grid_phase(t * h, N) for t in ts]), N, 0.0
+
+
+def _envelopes(ps, T: float, h: float, N: int) -> np.ndarray:
+    """The (P, N) envelopes e^{-pi (x_n - p)^2}, ps ascending, without the factor 2^{1/4}.
+
+    When every (p - ps[0])/h is an integer s_p (below 2N), row p is the
+    window at s_p samples of one Gaussian profile about ps[0], built once
+    over the extended range and read through a strided view; otherwise each
+    p gets its own exp.
+    """
+    s = (ps - ps[0]) / h
+    si = s.astype(np.int64) if s[-1] < 2 * N else None
+    if si is not None and (si == s).all():
+        top = int(si[-1])
+        u = h * np.arange(-top, N) - T  # x_{n - top}, exact
+        u -= ps[0]
+        u *= u
+        u *= -np.pi
+        profile = np.exp(u, out=u)
+        return np.ndarray((top + 1, N), float, profile, 0, profile.strides * 2)[top - si]
+    return np.exp(-np.pi * (-T + h * np.arange(N) - ps[:, None]) ** 2)
 
 
 def _superpose_grid(ps, ts, W, T: float, h: float) -> np.ndarray:
-    """sum_{a,b} W[a, b] e_{(ps[a], ts[b])} on the grid, as sum_p envelope_p (W @ phase)."""
-    x = -T + h * np.arange(_sample_count(T, h))
-    phase = np.exp(2j * np.pi * np.outer(ts, x))  # (Th, X)
-    envelope = 2 ** 0.25 * np.exp(-np.pi * (x[None, :] - ps[:, None]) ** 2)
-    return np.sum((W @ phase) * envelope, axis=0)
+    """sum_{a,b} W[a, b] e_{(ps[a], ts[b])} on the grid, for ascending ps and ts.
+
+    The sum is e^{2 pi i t0 x_n} sum_a envelope_a[n] rows[a, n mod M]
+    (_phase_rows, _envelopes).  The first N - N mod M samples are a (N // M, M)
+    reshape, so the sum over a runs as two real contractions with no P x N
+    complex temporary; the last N mod M samples are one more.
+    """
+    N = _sample_count(T, h)
+    if W.size == 0:
+        return np.zeros(N, dtype=complex)
+    rows, M, t0 = _phase_rows(ts, 2 ** 0.25 * W, h, N)
+    env = _envelopes(ps, T, h, N)
+    R = N // M
+    out = np.empty(N, dtype=complex)
+    full, env_full = out[:R * M].reshape(R, M), env[:, :R * M].reshape(-1, R, M)
+    full.real = np.einsum("arm,am->rm", env_full, rows.real)
+    full.imag = np.einsum("arm,am->rm", env_full, rows.imag)
+    if R * M < N:
+        out[R * M:] = np.einsum("an,an->n", env[:, R * M:], rows[:, :N - R * M])
+    if t0:  # memoised: the calls of one decomposition share the few theta offsets of its grid
+        out *= _PHASE_MEMO.get((t0 * h, N), lambda: _grid_phase(t0 * h, N))
+    return out
 
 
 def superpose(points, weights, T: float, h: float) -> SampledSignal:
     """sum_mu w_mu e_mu on the grid, for phase points (n, 2) and weights (n,).
 
-    The weights scatter into a (distinct p) x (distinct theta) matrix: one
-    Gaussian envelope per distinct p, one phase row per distinct theta.
+    The weights scatter into a (distinct p) x (distinct theta) matrix, so
+    repeated points add; _superpose_grid sums it on the sample lattice.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     ps, ip = np.unique(pts[:, 0], return_inverse=True)
@@ -317,14 +411,16 @@ def synthesize(coeffs: CoefficientSet, T: float = DEFAULT_T, h: float = DEFAULT_
     Satisfies ||f|| <= sigma0 * (sum |c|^2)^{1/2} with sigma0 = sum_k
     exp(-pi k^2 / 2) ~ 1.41950.
     """
-    off = {False: 0.0, True: 0.5}
-    nonzero = [(key, c) for key, c in coeffs.entries.items() if c != 0]
-    points = [(k + off[s], j + off[s]) for (k, j, s), _ in nonzero]
-    weights = [c for _, c in nonzero]
+    n = len(coeffs.entries)
+    keys = np.fromiter(chain.from_iterable(coeffs.entries), float, 3 * n).reshape(n, 3)  # (k, j, sharp)
+    values = np.fromiter(coeffs.entries.values(), complex, n)
+    nonzero = values != 0
+    points = keys[nonzero, :2] + 0.5 * keys[nonzero, 2:]
+    weights = values[nonzero]
     if coeffs.sharp_block:
-        points += [tuple(n) for n in coeffs.nodes]
-        weights += list(np.asarray(coeffs.sharp_block) @ dual_mixing(coeffs.nodes))
-    _check_margin([p for p, _ in points], T, margin)
+        points = np.concatenate([points, np.array([tuple(n) for n in coeffs.nodes], dtype=float)])
+        weights = np.concatenate([weights, np.asarray(coeffs.sharp_block) @ dual_mixing(coeffs.nodes)])
+    _check_margin(points[:, 0], T, margin)
     return superpose(points, weights, T, h)
 
 
@@ -357,6 +453,10 @@ def half_plane_mass(f: SampledSignal, q: float) -> float:
 
 
 def field_synthesis(field: GaborField, T: float, h: float) -> SampledSignal:
-    """Riemann sum of V(lambda) e_lambda d lambda over the field's grid."""
+    """Riemann sum of V(lambda) e_lambda d lambda over the field's grid.
+
+    The grid steps by dlam in theta, so at dlam = 1/16, h = 1/64 each of its
+    p rows is one inverse FFT of 1024 points (see _superpose_grid).
+    """
     vals = _superpose_grid(field.p_grid, field.theta_grid, field.values, T, h) * field.dlam ** 2
     return SampledSignal(T, h, vals)

@@ -101,7 +101,9 @@ class OrderMExpansion:
         return decay_exponent(self.coeffs, rmax=self.cutoff)
 
     def full_coefficients(self) -> CoefficientSet:
-        return CoefficientSet(self.coeffs.entries, sharp_block=self.sharp_block, nodes=self.nodes)
+        full = CoefficientSet(sharp_block=self.sharp_block, nodes=self.nodes)
+        full.entries = dict(self.coeffs.entries)  # already normalised: copy, do not rebuild
+        return full
 
     def signal(self, T: float, h: float, margin: float = DEFAULT_MARGIN) -> SampledSignal:
         return synthesize(self.full_coefficients(), T, h, margin)

@@ -1,22 +1,28 @@
 """Property tests for the single synthesis kernel and the shared lattice block.
 
-synthesize() superposes every coefficient set through one separable kernel;
-these tests hold it against a direct atom-by-atom sum.  The relaxed expansion
-and the order-0 expansion share one lattice-coefficient core, so with the
-same sharp node they must agree bit for bit.
+synthesize() and superpose() run through one kernel on the sample lattice;
+these tests hold it against an atom-by-atom sum in long double, whose phases
+are reduced mod 1 before the factor 2 pi.  A float64 atom sum cannot referee
+a 1e-13 bound: its own rounding grows with |theta x| and with the size of the
+order-m block weights.  The relaxed expansion and the order-0 expansion share
+one lattice-coefficient core, so with the same sharp node they must agree bit
+for bit.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from criticalgabor import (CoefficientSet, SampledSignal, atom, default_sharp_nodes,
-                           dual_atoms, hermite_signal, order_m_coefficients,
-                           relaxed_coefficients, sharp_point, synthesize)
-from criticalgabor.gabor import superpose
+                           hermite_signal, order_m_coefficients, relaxed_coefficients,
+                           sharp_point, synthesize)
+from criticalgabor.gabor import _box_grids, _phase_rows, dual_mixing, superpose
 
 T8, H64 = 8.0, 1.0 / 64.0
+N = atom((0, 0), T8, H64).values.size
+PI_LD = 4 * np.arctan(np.longdouble(1))
+X_LD = -np.longdouble(T8) + np.longdouble(H64) * np.arange(N).astype(np.longdouble)
 
 complexes = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 # lattice keys whose atom centers keep the default margin 4 inside T = 8
@@ -25,38 +31,57 @@ sharp_keys = st.tuples(st.integers(-4, 3), st.integers(-6, 6), st.just(True))
 entries = st.dictionaries(st.one_of(lattice_keys, sharp_keys), complexes, max_size=12)
 
 
-def direct_sum(coeffs: CoefficientSet) -> np.ndarray:
-    """sum c e_lambda atom by atom, plus sum_j b_j d_j over the sampled dual atoms."""
-    vals = np.zeros(atom((0, 0), T8, H64).values.size, dtype=complex)
-    for (k, j, sharp), c in coeffs.entries.items():
-        off = 0.5 if sharp else 0.0
-        vals += c * atom((k + off, j + off), T8, H64).values
+def long_double_sum(points, weights) -> np.ndarray:
+    """sum w e_(p, theta) on the grid in long double, theta x reduced mod 1 before the factor 2 pi."""
+    out = np.zeros(N, dtype=np.clongdouble)
+    for (p, theta), w in zip(points, weights):
+        turns = np.longdouble(theta) * X_LD
+        turns -= np.round(turns)
+        out += np.clongdouble(w) * np.exp(-PI_LD * (X_LD - np.longdouble(p)) ** 2 + 2j * PI_LD * turns)
+    return np.longdouble(2) ** np.longdouble(0.25) * out
+
+
+def long_double_synthesis(coeffs: CoefficientSet) -> np.ndarray:
+    """sum c e_lambda plus sum_j b_j d_j, with d_j = sum_s H[j, s] e_{mu_s}, all in long double."""
+    off = {False: 0.0, True: 0.5}
+    points = [(k + off[s], j + off[s]) for (k, j, s) in coeffs.entries]
+    weights = [np.clongdouble(c) for c in coeffs.entries.values()]
     if coeffs.sharp_block:
-        duals = dual_atoms(coeffs.nodes, T8, H64)
-        for b, d in zip(coeffs.sharp_block, duals.atoms):
-            vals += b * d.values
-    return vals
+        points += [tuple(n) for n in coeffs.nodes]
+        H = dual_mixing(coeffs.nodes).astype(np.clongdouble)
+        weights += list(np.array(coeffs.sharp_block, dtype=np.clongdouble) @ H)
+    return long_double_sum(points, weights)
 
 
-def assert_matches_direct(coeffs: CoefficientSet):
+def max_error(got, want) -> float:
+    return float(np.max(np.abs(got.astype(np.clongdouble) - want), initial=0.0))
+
+
+def assert_matches_long_double(coeffs: CoefficientSet, rel: float):
+    """Error at most rel times the magnitudes summed: sum |c| and, for a block, sum_{j,s} |b_j H[j, s]|."""
     got = synthesize(coeffs, T8, H64).values
-    want = direct_sum(coeffs)
-    scale = sum(abs(c) for c in coeffs.entries.values()) + sum(abs(b) for b in coeffs.sharp_block)
-    assert np.max(np.abs(got - want)) <= 1e-13 * max(scale, 1.0)
+    scale = sum(abs(c) for c in coeffs.entries.values())
+    if coeffs.sharp_block:
+        scale += float(np.sum(np.abs(coeffs.sharp_block) @ np.abs(dual_mixing(coeffs.nodes))))
+    assert max_error(got, long_double_synthesis(coeffs)) <= rel * max(scale, 1.0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(entries)
 def test_synthesize_lattice_and_sharp_sets_match_direct_sum(ents):
-    assert_matches_direct(CoefficientSet(ents))
+    assert_matches_long_double(CoefficientSet(ents), 1e-13)
 
 
 @settings(max_examples=25, deadline=None)
 @given(entries, st.integers(0, 4), st.tuples(st.integers(-2, 2), st.integers(-3, 3)),
        st.lists(complexes, min_size=5, max_size=5))
+@example({}, 4, (0, 2), [0j, 1, 0j, 0j, 0j])
+@example({}, 4, (2, 3), [(1 + 1j) / 2 ** 0.5, 0j, 0j, 0j, 0j])
 def test_synthesize_order_m_sets_match_direct_sum(ents, m, center, block):
+    # the block enters as the weights b H over its nodes; at m = 4 a row of H sums
+    # to 690 in magnitude and d_j reaches 353, so the error scales with sum |b||H|
     nodes = default_sharp_nodes(m, center)
-    assert_matches_direct(CoefficientSet(ents, sharp_block=block[: m + 1], nodes=nodes))
+    assert_matches_long_double(CoefficientSet(ents, sharp_block=block[: m + 1], nodes=nodes), 2e-15)
 
 
 @settings(max_examples=20, deadline=None)
@@ -65,16 +90,83 @@ def test_synthesize_order_m_sets_match_direct_sum(ents, m, center, block):
                 max_size=10))
 def test_superpose_repeated_points_add_up(terms):
     # points may repeat: their weights must add, as in the atom-by-atom sum
-    got = superpose([(p, t) for p, t, _ in terms], [w for _, _, w in terms], T8, H64).values
-    want = sum((w * atom((p, t), T8, H64).values for p, t, w in terms),
-               np.zeros(atom((0, 0), T8, H64).values.size, dtype=complex))
-    assert np.max(np.abs(got - want)) <= 1e-13 * max(sum(abs(w) for *_, w in terms), 1.0)
+    assert_superpose_matches([(p, t) for p, t, _ in terms], [w for _, _, w in terms])
+
+
+def assert_superpose_matches(points, weights, rel=1e-13):
+    got = superpose(points, weights, T8, H64).values
+    assert max_error(got, long_double_sum(points, weights)) <= rel * max(sum(abs(w) for w in weights), 1.0)
+
+
+def theta_period(points) -> int:
+    """The period M in samples at which the kernel runs the theta axis of these points."""
+    ts = np.unique(np.asarray(points, dtype=float)[:, 1])
+    return _phase_rows(ts, np.ones((1, ts.size), dtype=complex), H64, N)[1]
 
 
 def test_empty_set_synthesizes_zero():
     sig = synthesize(CoefficientSet(), T8, H64)
     assert sig.values.size == atom((0, 0), T8, H64).values.size
     assert np.all(sig.values == 0)
+
+
+def test_superpose_of_no_points_is_zero():
+    sig = superpose(np.zeros((0, 2)), [], T8, H64)
+    assert sig.values.shape == (N,) and np.all(sig.values == 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3.7, 4.45, 5.3, 5.7]), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 200), st.integers(0, 200), complexes), min_size=1, max_size=40))
+def test_superpose_on_decompose_grids(box, in_cell, terms):
+    # decompose's g grid starts at the non-dyadic -box and steps by 1/8; its collar
+    # patches move the points of one cell to the cell's lattice point
+    ps, ts = _box_grids(box, 1.0 / 8.0)
+    pts = np.array([(ps[i % ps.size], ts[j % ts.size]) for i, j, _ in terms])
+    weights = [w for *_, w in terms]
+    if in_cell:
+        cells = np.floor(pts + 0.5)
+        keep = np.all(cells == cells[0], axis=1)
+        pts, weights = pts[keep] - cells[0], [w for w, k in zip(weights, keep) if k]
+    assert theta_period(pts) <= 512
+    assert_superpose_matches(pts, weights)
+
+
+def test_superpose_finds_the_true_common_step():
+    # the smallest theta difference is 1, the common step 1/2: a period of 2/h samples
+    pts = [(p, t) for p in (-1.0, 0.0, 0.75) for t in (-1.0, 0.5, 1.5)]
+    weights = [complex(k + 1, (-1) ** k) for k in range(len(pts))]
+    assert theta_period(pts) == 128
+    assert_superpose_matches(pts, weights)
+
+
+def test_superpose_adds_thetas_that_alias_on_the_grid():
+    # theta and theta + 1/h give the same samples, so their weights add
+    pts = [(0.5, 0.25), (0.5, 0.25 + 1 / H64), (-1.0, 0.75), (2.0, 0.75 - 1 / H64)]
+    weights = [1.0, 0.5j, -0.25, 2.0 - 1j]
+    assert theta_period(pts) == 128
+    assert_superpose_matches(pts, weights)
+    got = superpose(pts, weights, T8, H64).values
+    want = (1.0 + 0.5j) * atom((0.5, 0.25), T8, H64).values
+    want += -0.25 * atom((-1.0, 0.75), T8, H64).values + (2.0 - 1j) * atom((2.0, 0.75), T8, H64).values
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_superpose_points_on_no_progression():
+    # p = 0.3 is no whole number of samples from the other centers, and 1/3 is
+    # no dyadic step from 0.1: one envelope per p and the direct phase table
+    pts = [(0.3, 1 / 3), (0.3, 0.1), (0.0, 1 / 3), (-1.25, 0.1), (-1.25, 2.0)]
+    weights = [1.0, -0.5j, 0.75, 0.25 + 1j, -1.0]
+    assert theta_period(pts) == N
+    assert_superpose_matches(pts, weights, rel=2e-15)
+
+
+@pytest.mark.parametrize("theta", [6.5, -6.5, 6.25, -5.75])
+@pytest.mark.parametrize("p", [-3.5, 0.0, 2.5])
+def test_superpose_high_frequency_atoms_to_roundoff(p, theta):
+    # phases reduced mod 1 before the factor 2 pi keep full accuracy at |theta x| ~ 50
+    assert_superpose_matches([(p, theta)], [1.0], rel=2e-15)
+    assert_superpose_matches([(p, theta), (p + 0.5, -theta)], [0.5, 0.5j], rel=2e-15)
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +197,18 @@ def test_margin_applies_only_to_nonzero_coefficients(k, j, sharp, sign):
     c.set(k, j, 1e-3, sharp=sharp)
     with pytest.raises(ValueError, match="too close to the boundary"):
         synthesize(c, T8, H64)
+
+
+def test_full_coefficients_copy_the_lattice_entries(smooth_signal):
+    rel = relaxed_coefficients(smooth_signal, 3, sharp_node=(1, -1))
+    om = order_m_coefficients(smooth_signal, 2, R=3)
+    for exp in (rel, om):
+        before = dict(exp.coeffs.entries)
+        full = exp.full_coefficients()
+        full.set(0, 0, 123.0)  # the full set is a copy: the expansion keeps its own entries
+        assert exp.coeffs.entries == before
+    full = rel.full_coefficients()
+    assert full.entries == {**rel.coeffs.entries, (1, -1, True): rel.sharp}
+    full = om.full_coefficients()
+    assert full.entries == om.coeffs.entries
+    assert (full.sharp_block, full.nodes) == (list(om.sharp_block), list(om.nodes))

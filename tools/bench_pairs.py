@@ -1,30 +1,45 @@
 """Interleaved parent/change runs of the repository benchmark, written to one JSON file.
 
     python3 tools/bench_pairs.py --parent <rev> [--change <rev>] --workload W \
-        --pairs N --seconds S --seed 4242 --out BENCH_<n>.json
+        --pairs N --seconds S --seed 4242 [5151 ...] --out BENCH_<n>.json
 
 Run from the root of a checkout.  Both sides are committed trees, the parent
 ``<rev>`` and the change (``HEAD`` unless ``--change`` names another), each
 extracted with ``git archive <rev> | tar -x`` into a temporary directory, so
 uncommitted edits never enter a run.  Each pair runs ``bench/run.py --trace 0``
 once in each tree, each tree with its own ``bench/``, alternating which tree
-goes first, and reads the last line of the report (one JSON object).
+goes first, and reads the last line of the report (one JSON object).  Each
+seed given runs ``--pairs`` pairs, seed after seed.
 
 The output file is merged, not overwritten: ``commits`` names the two
 revisions, and ``workloads[W]`` gets, per end-to-end metric, every run's value,
 each side's median and quartiles and the number of pairs the change won (ties
-count for neither), plus the seeds and the ``env`` line of every run.
+count for neither), plus the seeds and the ``env`` line of every run.  With
+more than one seed, ``metrics_by_seed`` gives the same summary per seed.
+
+``workloads[W]["accuracy"]`` compares the change's outputs with the parent's,
+item by item.  Each tree runs every pool item once (phase 1) through the
+benchmark's own runner, ``bench/items.py::RUNNERS[W]``, in a fresh interpreter.
+Every output is cut into leaves: a coefficient set gives its JSON, compared
+bitwise, and its values; a signal or field gives its samples; a dataclass or
+dict gives its fields; a number stays a number.  A numeric leaf records
+max |change - parent| / max |parent|, 0.0 when bitwise equal.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 from pathlib import Path
+import pickle
 import statistics
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
+
 
 def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``bench/run.py --trace 0`` in root: its final JSON object plus its env line."""
@@ -37,6 +52,80 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     result["env"] = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
     return result
+
+
+def leaves(name: str, obj, out: dict) -> dict:
+    """The comparable leaves of one runner output, keyed by dotted name."""
+    if hasattr(obj, "to_json"):  # CoefficientSet
+        out[name] = obj.to_json()
+        out[name + ".values"] = np.array([v for _, v in sorted(obj.entries.items())] + list(obj.sharp_block))
+    elif isinstance(getattr(obj, "values", None), np.ndarray):  # SampledSignal, GaborField
+        out[name] = obj.values
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            leaves(f"{name}.{f.name}" if name else f.name, getattr(obj, f.name), out)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            leaves(f"{name}.{key}" if name else str(key), value, out)
+    elif isinstance(obj, str):
+        out[name] = obj
+    else:
+        out[name] = np.asarray(obj)
+    return out
+
+
+def dump_outputs(workload: str, path: str):
+    """Run every pool item of workload in the checkout at the working directory; pickle its leaves to path."""
+    sys.path[:0] = ["src", "bench"]
+    import items
+
+    outputs = {}
+    for entry in items.load_pool()[workload]:
+        item = items.make_item(workload, entry)
+        outputs[item.id] = leaves("", items.RUNNERS[workload](item), {})
+    Path(path).write_bytes(pickle.dumps(outputs))
+
+
+def item_outputs(root: Path, workload: str, path: Path) -> dict:
+    """The pool outputs of the checkout at root, from a fresh interpreter."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+            f"import bench_pairs; bench_pairs.dump_outputs({workload!r}, {str(path)!r})")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: the pool outputs in {root} failed:\n{proc.stderr}")
+    return pickle.loads(path.read_bytes())
+
+
+def compare(change, parent):
+    """True/False for text; the largest difference relative to the parent's largest magnitude for numbers."""
+    if change is None:
+        return "missing"
+    if isinstance(parent, str) or isinstance(change, str):
+        return change == parent
+    if change.shape != parent.shape:
+        return f"shape {change.shape} against {parent.shape}"
+    if np.array_equal(change, parent):
+        return 0.0
+    diff = float(np.max(np.abs(change.astype(complex) - parent.astype(complex))))
+    size = float(np.max(np.abs(parent)))
+    return diff / size if size else diff
+
+
+def accuracy(change: dict, parent: dict) -> dict:
+    """Per item and leaf, compare(); per leaf, the worst item: bitwise-equal count or largest difference."""
+    per_item = {item: {leaf: compare(change[item].get(leaf), value) for leaf, value in outs.items()}
+                for item, outs in sorted(parent.items())}
+    worst = {}
+    for leaf in sorted({leaf for outs in per_item.values() for leaf in outs}):
+        vals = [outs[leaf] for outs in per_item.values()]
+        if all(isinstance(v, bool) for v in vals):
+            worst[leaf] = {"bitwise_equal": sum(vals), "items": len(vals)}
+        elif all(isinstance(v, float) for v in vals):
+            worst[leaf] = {"max_rel_diff": max(vals), "bitwise_equal": sum(v == 0.0 for v in vals),
+                           "items": len(vals)}
+        else:
+            worst[leaf] = {"mismatched": [v for v in vals if not isinstance(v, (bool, float))]}
+    return {"items": per_item, "worst": worst}
 
 
 def extract(repo: Path, sha: str, dest: Path) -> Path:
@@ -79,7 +168,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=int, nargs="+", required=True, help="one or more seeds, --pairs pairs each")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
@@ -95,19 +184,22 @@ def main(argv=None) -> int:
         parent_root = extract(repo, commits["parent"], Path(tmp) / "parent")
         change_root = extract(repo, commits["change"], Path(tmp) / "change")
         spec = json.loads((change_root / "BENCHMARK.json").read_text())
+        acc = accuracy(item_outputs(change_root, args.workload, Path(tmp) / "change.pkl"),
+                       item_outputs(parent_root, args.workload, Path(tmp) / "parent.pkl"))
 
         pairs = []
-        for k in range(args.pairs):
-            sides = [("parent", parent_root), ("change", change_root)]
-            if k % 2:
-                sides.reverse()
-            pair = {"seed": args.seed, "first": sides[0][0]}
-            for name, root in sides:
-                pair[name] = bench_run(root, args.workload, args.seed, args.seconds)
-            pairs.append(pair)
-            ips = {name: pair[name]["metrics"]["items_per_s"]["value"] for name, _ in sides}
-            print(f"pair {k + 1}/{args.pairs} ({pair['first']} first): items_per_s "
-                  f"parent {ips['parent']:.4g}, change {ips['change']:.4g}", file=sys.stderr)
+        for seed in args.seed:
+            for k in range(args.pairs):
+                sides = [("parent", parent_root), ("change", change_root)]
+                if k % 2:
+                    sides.reverse()
+                pair = {"seed": seed, "first": sides[0][0]}
+                for name, root in sides:
+                    pair[name] = bench_run(root, args.workload, seed, args.seconds)
+                pairs.append(pair)
+                ips = {name: pair[name]["metrics"]["items_per_s"]["value"] for name, _ in sides}
+                print(f"seed {seed} pair {k + 1}/{args.pairs} ({pair['first']} first): items_per_s "
+                      f"parent {ips['parent']:.4g}, change {ips['change']:.4g}", file=sys.stderr)
 
     data.setdefault("workloads", {})[args.workload] = {
         "seconds": args.seconds,
@@ -116,6 +208,9 @@ def main(argv=None) -> int:
         "attempted_failed": {side: [[p[side]["attempted"], p[side]["failed"]] for p in pairs]
                              for side in ("parent", "change")},
         "metrics": summarize(spec, pairs),
+        **({"metrics_by_seed": {seed: summarize(spec, [p for p in pairs if p["seed"] == seed])
+                                for seed in args.seed}} if len(args.seed) > 1 else {}),
+        "accuracy": acc,
         "env": {side: [p[side]["env"] for p in pairs] for side in ("parent", "change")},
     }
     out_path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
