@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from criticalgabor import (CoefficientSet, SampledSignal, atom, default_sharp_nodes,
-                           hermite_signal, order_m_coefficients, relaxed_coefficients,
+from criticalgabor import (CoefficientSet, GaborField, SampledSignal, atom, default_sharp_nodes,
+                           field_synthesis, hermite_signal, order_m_coefficients, relaxed_coefficients,
                            sharp_point, synthesize)
 from criticalgabor.gabor import _box_grids, _phase_rows, dual_mixing, superpose
 
@@ -57,19 +57,21 @@ def max_error(got, want) -> float:
     return float(np.max(np.abs(got.astype(np.clongdouble) - want), initial=0.0))
 
 
-def assert_matches_long_double(coeffs: CoefficientSet, rel: float):
-    """Error at most rel times the magnitudes summed: sum |c| and, for a block, sum_{j,s} |b_j H[j, s]|."""
+def assert_matches_long_double(coeffs: CoefficientSet, resolution: float = 0.0):
+    """Error at most 1e-13 (sum |c| + sum |b|), or resolution (sum |c| + sum_{j,s} |b_j H[j, s]|) if larger."""
     got = synthesize(coeffs, T8, H64).values
-    scale = sum(abs(c) for c in coeffs.entries.values())
+    c_sum = sum(abs(c) for c in coeffs.entries.values())
+    bound = 1e-13 * max(c_sum + sum(abs(b) for b in coeffs.sharp_block), 1.0)
     if coeffs.sharp_block:
-        scale += float(np.sum(np.abs(coeffs.sharp_block) @ np.abs(dual_mixing(coeffs.nodes))))
-    assert max_error(got, long_double_synthesis(coeffs)) <= rel * max(scale, 1.0)
+        node_sum = float(np.sum(np.abs(coeffs.sharp_block) @ np.abs(dual_mixing(coeffs.nodes))))
+        bound = max(bound, resolution * max(c_sum + node_sum, 1.0))
+    assert max_error(got, long_double_synthesis(coeffs)) <= bound
 
 
 @settings(max_examples=40, deadline=None)
 @given(entries)
 def test_synthesize_lattice_and_sharp_sets_match_direct_sum(ents):
-    assert_matches_long_double(CoefficientSet(ents), 1e-13)
+    assert_matches_long_double(CoefficientSet(ents))
 
 
 @settings(max_examples=25, deadline=None)
@@ -78,10 +80,15 @@ def test_synthesize_lattice_and_sharp_sets_match_direct_sum(ents):
 @example({}, 4, (0, 2), [0j, 1, 0j, 0j, 0j])
 @example({}, 4, (2, 3), [(1 + 1j) / 2 ** 0.5, 0j, 0j, 0j, 0j])
 def test_synthesize_order_m_sets_match_direct_sum(ents, m, center, block):
-    # the block enters as the weights b H over its nodes; at m = 4 a row of H sums
-    # to 690 in magnitude and d_j reaches 353, so the error scales with sum |b||H|
+    # The block enters as node weights b H.  At m = 4 a row of H sums to 690 in
+    # magnitude and d_0 at center (2, 3) reaches 353, so 1e-13 |b| is below what
+    # float64 resolves there: even correctly rounded atoms, weighted by correctly
+    # rounded b H and summed atom by atom, miss it by 1.16e-13 at the second
+    # example.  So the bound also admits 7e-16 (about six ulps) of the magnitudes
+    # summed; through m = 3, where a row of |H| sums to at most 134, that term
+    # stays below 1e-13 (sum |c| + sum |b|).
     nodes = default_sharp_nodes(m, center)
-    assert_matches_long_double(CoefficientSet(ents, sharp_block=block[: m + 1], nodes=nodes), 2e-15)
+    assert_matches_long_double(CoefficientSet(ents, sharp_block=block[: m + 1], nodes=nodes), 7e-16)
 
 
 @settings(max_examples=20, deadline=None)
@@ -140,15 +147,19 @@ def test_superpose_finds_the_true_common_step():
     assert_superpose_matches(pts, weights)
 
 
-def test_superpose_adds_thetas_that_alias_on_the_grid():
-    # theta and theta + 1/h give the same samples, so their weights add
+@pytest.mark.parametrize("shift, period", [(0.0, 256), (2.0 ** -20, 128)])
+def test_superpose_adds_thetas_that_alias_on_the_grid(shift, period):
+    # theta and theta + 1/h give the same samples, so their weights add.  Unshifted,
+    # the thetas lie on the step 1/4 through 0; shifted by 2^-20 (exactly, so they
+    # still alias) they step by 1/2 from the first, with a common phase
     pts = [(0.5, 0.25), (0.5, 0.25 + 1 / H64), (-1.0, 0.75), (2.0, 0.75 - 1 / H64)]
+    pts = [(p, t + shift) for p, t in pts]
     weights = [1.0, 0.5j, -0.25, 2.0 - 1j]
-    assert theta_period(pts) == 128
+    assert theta_period(pts) == period
     assert_superpose_matches(pts, weights)
     got = superpose(pts, weights, T8, H64).values
-    want = (1.0 + 0.5j) * atom((0.5, 0.25), T8, H64).values
-    want += -0.25 * atom((-1.0, 0.75), T8, H64).values + (2.0 - 1j) * atom((2.0, 0.75), T8, H64).values
+    want = (1.0 + 0.5j) * atom((0.5, 0.25 + shift), T8, H64).values
+    want += -0.25 * atom((-1.0, 0.75 + shift), T8, H64).values + (2.0 - 1j) * atom((2.0, 0.75 + shift), T8, H64).values
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
@@ -167,6 +178,21 @@ def test_superpose_high_frequency_atoms_to_roundoff(p, theta):
     # phases reduced mod 1 before the factor 2 pi keep full accuracy at |theta x| ~ 50
     assert_superpose_matches([(p, theta)], [1.0], rel=2e-15)
     assert_superpose_matches([(p, theta), (p + 0.5, -theta)], [0.5, 0.5j], rel=2e-15)
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_field_synthesis_takes_grids_in_any_order(order):
+    # GaborField does not sort its grids: the kernel must not assume ascending p or theta
+    ps, ts = -0.5 + np.arange(6) / 8, np.array([-1.0, 0.25, 0.5, 1.5])
+    if order == "reversed":
+        ps, ts = ps[::-1], ts[::-1]
+    else:
+        ps, ts = ps[[3, 0, 5, 1, 4, 2]], ts[[2, 0, 3, 1]]
+    values = np.arange(ps.size * ts.size).reshape(ps.size, ts.size) * (0.5 - 0.25j) + 1.0
+    got = field_synthesis(GaborField(ps, ts, values, 0.125), T8, H64).values
+    pts = [(p, t) for p in ps for t in ts]
+    want = long_double_sum(pts, values.ravel() * np.longdouble(0.125) ** 2)
+    assert max_error(got, want) <= 1e-15 * np.abs(values).sum() * 0.125 ** 2
 
 
 @pytest.fixture(scope="module")
