@@ -82,8 +82,8 @@ def test_synthesize_lattice_and_sharp_sets_match_direct_sum(ents):
 def test_synthesize_order_m_sets_match_direct_sum(ents, m, center, block):
     # The block enters as node weights b H.  At m = 4 a row of H sums to 690 in
     # magnitude and d_0 at center (2, 3) reaches 353, so 1e-13 |b| is below what
-    # float64 resolves there: even correctly rounded atoms, weighted by correctly
-    # rounded b H and summed atom by atom, miss it by 1.16e-13 at the second
+    # float64 resolves there: correctly rounded atoms, weighted by correctly
+    # rounded b H and summed atom by atom, are 1.16e-13 off at the second
     # example.  So the bound also admits 7e-16 (about six ulps) of the magnitudes
     # summed; through m = 3, where a row of |H| sums to at most 134, that term
     # stays below 1e-13 (sum |c| + sum |b|).
