@@ -2,20 +2,20 @@
 
 The atom at lambda = (p, theta) is e_lambda(x) = 2^{1/4} exp(-pi (x-p)^2
 + 2 pi i theta x); atoms have unit norm and closed-form pairwise inner
-products.  On a uniform theta grid the analysis sum <f | e_lambda> is, per p,
-a chirp-z transform, so gabor_transform() costs O(n log n) per row through
-the Bluestein kernel of numerics (_chirp_plan, _chirp_convolve).  Each row
-reads only the samples within the reach c = 4 of its p; the samples left out
-move a value by at most 2^{1/4} e^{-pi c^2} sqrt(2T + h) ||f||, about
-7e-22 ||f|| on the default grid.
+products.  Analysis and synthesis rest on one fact of the sample lattice
+x_n = -T + n h: a theta step delta with delta h = a/M makes
+e^{2 pi i k delta x_n} periodic in n with period M.  gabor_transform() takes
+only steps dlam of that kind (every other raises ValueError); it folds each
+row's samples onto n mod M, runs one length-M FFT and reads theta_k at bin
+a k mod M.  Each row reads only the samples within the reach c = 4 of its p;
+the samples left out move a value by at most 2^{1/4} e^{-pi c^2}
+sqrt(2T + h) ||f||, about 7e-22 ||f|| on the default grid.
 
 Every superposition sum c_lambda e_lambda (lattice and sharp series, the
 order-m dual-atom block, Riemann sums over a phase grid) goes through one
-kernel, _superpose_grid(), which works on the sample lattice
-x_n = -T + n h.  When the thetas step by a common delta with M = 1/(delta h)
-an integer, e^{2 pi i theta x_n} is e^{2 pi i theta_0 x_n} times an M-th root
-of unity in n, so each envelope's phase row is one length-M inverse FFT; for
-lattice and sharp points theta_0 = 0, and no common phase is left.  When the
+kernel, _superpose_grid().  When the thetas step by a common delta with
+M = 1/(delta h) an integer, each envelope's phase row is one length-M inverse
+FFT; for lattice and sharp points theta_0 = 0, and no common phase is left.  When the
 centers p step by whole samples, every envelope is a window of one Gaussian
 profile.  Phases are reduced mod 1 before the factor 2 pi, so the sum keeps
 full accuracy at any |theta x|.  Points on no such progression take the same
@@ -25,23 +25,25 @@ kernel with one phase row per theta (M = N) and one exp per p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
 import json
 import math
 
 import numpy as np
 
-from .numerics import (DEFAULT_H, DEFAULT_T, Memo, SampledSignal, loc_integral, _chirp_convolve, _chirp_plan,
-                       _exp_pi_i, _sample_count)
+from .numerics import DEFAULT_H, DEFAULT_T, Memo, SampledSignal, loc_integral, _exp_pi_i, _sample_count
 from .phaseplane import PhasePoint, PointSet, as_point, grid_points, neighborhood
 
 DEFAULT_BOX = 8.0
 DEFAULT_DLAM = 1.0 / 16.0
 DEFAULT_MARGIN = 4.0
-# phase-box rows per chirp-z batch: bounds the transform's scratch memory
+# phase-box rows per FFT batch: bounds the transform's scratch memory
 _ROWS = 16
 # the transform reads each row's samples within this many units of its p
 _REACH = 4.0
+# the transform's theta period M on the samples may reach this many times N
+_STEP_DENOMINATOR = 16
 
 # superpose reads theta differences on the dyadic grid 2^-_DYADIC_BITS
 _DYADIC_BITS = 40
@@ -115,7 +117,11 @@ def _as_box(box):
 
 
 def _box_grids(box, dlam):
+    if not dlam > 0:
+        raise ValueError(f"phase step dlam={dlam!r} must be positive")
     pmin, pmax, tmin, tmax = _as_box(box)
+    if not (pmin <= pmax and tmin <= tmax):
+        raise ValueError(f"phase box {(pmin, pmax, tmin, tmax)!r} needs pmin <= pmax and tmin <= tmax")
     # floor, so the grid never passes pmax or tmax; 1e-9 absorbs the rounding of the ratio
     ps = pmin + dlam * np.arange(int(np.floor((pmax - pmin) / dlam + 1e-9)) + 1)
     ts = tmin + dlam * np.arange(int(np.floor((tmax - tmin) / dlam + 1e-9)) + 1)
@@ -125,58 +131,63 @@ def _box_grids(box, dlam):
 def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLAM) -> GaborField:
     """Sample <f | e_lambda> on a rectangular grid of the phase plane.
 
-    With theta_k = theta_0 + k dlam and x_n = -T + n h, the sum
-    2^{1/4} h sum_n f(x_n) e^{-pi (x_n - p)^2} e^{-2 pi i theta_k x_n} is, for
-    each p, the f row modulated by e^{-2 pi i theta_0 x} and the envelope, a
-    chirp-z sum over k n with rate dlam h, and the post-factor
-    e^{2 pi i k dlam T}.
+    The step must satisfy dlam h = a/M, a fraction with M <= 16 N that rounds
+    to the float dlam h exactly (0.1 at h = 1/64 is 1/640); every other step
+    raises ValueError.  With theta_k = theta_0 + k dlam and
+    x_n = (h/2)(2n - (N - 1)),
 
-    Each row reads only the samples within the reach c = _REACH of its p:
-    rows go through in blocks of _ROWS, and a block starting at sample n0
-    sums the W samples n0..n0+W-1 that cover its p-span +- c, so the chirp
-    plan is built once for (W, K).  Writing n = n0 + m gives the block the
-    output phase e^{-2 pi i dlam h k n0}, reduced mod 1 exactly.  The samples
-    left out lie farther than c from p, so by Cauchy-Schwarz each value moves
-    by at most
+        e^{-2 pi i theta_k x_n} = e^{-2 pi i theta_0 x_n} e^{pi i (a/M) k (N - 1)} w_M^{-a k n},
+
+    w_M = e^{2 pi i/M}: each row's samples of f e^{-2 pi i theta_0 x} times its
+    envelope fold onto n mod M, one length-M FFT sums them, and theta_k reads
+    bin a k mod M.  The first factor is _grid_phase and the second is reduced
+    mod 2 in integers, so every phase is good to a few ulps.
+
+    Rows go through in blocks of _ROWS; a block starting at sample n0 folds
+    only the W samples n0..n0+W-1 within the reach c = _REACH of its p-span
+    into one (rows, M) buffer that all blocks reuse.  By Cauchy-Schwarz the
+    samples left out move each value by at most
 
         |Delta V| <= 2^{1/4} e^{-pi c^2} sqrt(2T + h) ||f||,
 
     about 7e-22 ||f|| at c = 4, T = 8: far below the transform's own roundoff.
-    When W reaches the whole grid, n0 = 0 and the sum is the full one.  Every
-    block is written into one envelope array and one FFT buffer that all
-    blocks reuse.
-
-    The box may not exceed the grid truncation |p| <= T; near the boundary the
-    atoms are themselves truncated, which is harmless for signals whose mass
-    stays well inside the grid.
+    The box may not exceed the grid truncation |p| <= T.
     """
     ps, ts = _box_grids(box, dlam)
     if np.max(np.abs(ps)) > f.T + 1e-9:
         raise ValueError(f"phase box reaches p={np.max(np.abs(ps))}, beyond the grid T={f.T}")
-    x = f.x
+    x, h = f.x, f.h
     N, K = x.size, ts.size
+    step = Fraction(dlam * h).limit_denominator(_STEP_DENOMINATOR * N)  # a/M
+    if float(step) != dlam * h:
+        raise ValueError(f"phase step dlam={dlam!r} at h={h!r}: dlam h is no fraction a/M with "
+                         f"M <= {_STEP_DENOMINATOR * N}, so the theta grid has no period on the samples")
+    a, M = step.numerator, step.denominator
     rows = min(_ROWS, ps.size)
     # the span's samples counted inclusively, plus one spare against the rounding of the ratio
-    W = min(N, int(np.ceil(((rows - 1) * dlam + 2 * _REACH) / f.h)) + 2)
-    pre, post, kernel_fft, L = _chirp_plan(dlam * f.h, W, K)
-    g = f.values * np.exp(-2j * np.pi * ts[0] * x)
-    post = post * (2 ** 0.25 * f.h * np.exp(2j * np.pi * dlam * f.T * np.arange(K)))
-    k = np.arange(K, dtype=float)
+    W = min(N, int(np.ceil(((rows - 1) * dlam + 2 * _REACH) / h)) + 2)
+    g = f.values * _grid_phase(-ts[0] * h, N)
+    ak = a * np.arange(K)
+    post = 2 ** 0.25 * h * np.exp(1j * np.pi * (ak * (N - 1) % (2 * M) / M))
     out = np.empty((ps.size, K), dtype=complex)
     envelope = np.empty((rows, W))
-    buf = np.empty((rows, L), dtype=complex)
+    buf = np.empty((rows, M), dtype=complex)
     for i in range(0, ps.size, _ROWS):
         p = ps[i:i + _ROWS, None]
-        n0 = min(max(int(np.floor((ps[i] - _REACH + f.T) / f.h)), 0), N - W)
+        n0 = min(max(int(np.floor((ps[i] - _REACH + f.T) / h)), 0), N - W)
         env, blk = envelope[:p.size], buf[:p.size]
         np.subtract(x[n0:n0 + W], p, out=env)
         np.square(env, out=env)
         env *= -np.pi
         np.exp(env, out=env)
-        np.multiply(env, g[n0:n0 + W] * pre, out=blk[:, :W])
-        blk[:, W:] = 0.0
-        shift = _exp_pi_i(-2.0 * dlam * f.h, n0 * k, max(n0 * (K - 1), 1).bit_length())
-        np.multiply(_chirp_convolve(blk, kernel_fft)[:, :K], post * shift, out=out[i:i + _ROWS])
+        blk.fill(0.0)
+        # sample n adds to column n mod M: one run of columns per period the window meets
+        for lo in (n0, *range(n0 - n0 % M + M, n0 + W, M)):
+            hi, c = min(lo - lo % M + M, n0 + W), lo % M
+            blk[:, c:c + hi - lo] += env[:, lo - n0:hi - n0] * g[lo:hi]
+        np.fft.fft(blk, axis=1, out=blk)
+        np.take(blk, ak % M, axis=1, out=out[i:i + _ROWS])
+        out[i:i + _ROWS] *= post
     return GaborField(ps, ts, out, dlam)
 
 
@@ -337,8 +348,6 @@ def _phase_rows(ts, W, h: float, N: int) -> tuple[np.ndarray, int, float]:
     or when M would exceed N, the rows are the product with the (theta x N)
     table of the phases themselves: M = N, t0 = 0.
     """
-    if ts.size == 1:  # M = 1, the row is W: skips the FFT set-up, about 45 of a 130 us single-point call
-        return W, 1, ts[0]
     H = round(1.0 / h)
     L = H << _DYADIC_BITS  # k_b = (ts[b] - t0) h M = q_b M / L
     for t0 in (0.0, ts[0]) if H * h == 1.0 else ():

@@ -278,45 +278,32 @@ def _chirp_sum(g: np.ndarray, c: float, K: int) -> np.ndarray:
     """out[..., k] = sum_n g[..., n] exp(-2 pi i c k n) for k < K (chirp-z transform).
 
     Bluestein's identity kn = (k^2 + n^2 - (k-n)^2)/2 turns the sum into a
-    chirp, one FFT convolution of 5-smooth length >= N + K - 1, and a chirp:
-    O((N + K) log(N + K)) per row instead of N K.
+    chirp, one FFT convolution of 5-smooth length L >= N + K - 1, and a chirp:
+    O((N + K) log(N + K)) per row instead of N K.  The constants, the input
+    factor w-bar[:N] and the output factor w-bar[:K] of the chirp
+    w = exp(pi i c m^2) and the FFT of the chirp kernel, are memoised per
+    (c, N, K) and read-only.
     """
-    pre, post, kernel_fft, L = _chirp_plan(c, g.shape[-1], K)
-    buf = np.zeros(g.shape[:-1] + (L,), dtype=complex)
-    np.multiply(g, pre, out=buf[..., :pre.size])
-    return post * _chirp_convolve(buf, kernel_fft)[..., :K]
+    N = g.shape[-1]
 
+    def plan():
+        L = _fft_length(N + K - 1)
+        w = _chirp(c, max(N, K))  # even in m
+        kernel = np.zeros(L, dtype=complex)
+        kernel[:K] = w[:K]
+        kernel[L - N + 1:] = w[N - 1:0:-1]
+        w_bar = w.conj()  # the two factors are views of one array, so a stored plan holds it once
+        return w_bar[:N], w_bar[:K], np.fft.fft(kernel)
 
-def _chirp_plan(c: float, N: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The constants of a chirp-z sum of N inputs and K outputs at rate c:
-    the input factor w-bar[:N] and the output factor w-bar[:K] of the chirp
-    w = exp(pi i c m^2), the FFT of the chirp kernel, and the convolution
-    length L.  Memoised per (c, N, K); the arrays are read-only."""
-    return _CHIRP_MEMO.get((c, N, K), lambda: _build_chirp_plan(c, N, K))
-
-
-def _build_chirp_plan(c: float, N: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    L = _fft_length(N + K - 1)
-    w = _chirp(c, max(N, K))  # even in m
-    kernel = np.zeros(L, dtype=complex)
-    kernel[:K] = w[:K]
-    kernel[L - N + 1:] = w[N - 1:0:-1]
-    w_bar = w.conj()  # the two factors are views of one array, so a stored plan holds it once
-    return w_bar[:N], w_bar[:K], np.fft.fft(kernel), L
+    pre, post, kernel_fft = _CHIRP_MEMO.get((c, N, K), plan)
+    buf = np.zeros(g.shape[:-1] + kernel_fft.shape, dtype=complex)
+    np.multiply(g, pre, out=buf[..., :N])
+    np.fft.fft(buf, axis=-1, out=buf)
+    buf *= kernel_fft
+    return post * np.fft.ifft(buf, axis=-1, out=buf)[..., :K]
 
 
 _CHIRP_MEMO = Memo()
-
-
-def _chirp_convolve(buf: np.ndarray, kernel_fft: np.ndarray) -> np.ndarray:
-    """Circular convolution of each row of buf, (..., L), with the chirp kernel, in place.
-
-    buf holds the chirped input g w-bar zero-padded to L; afterwards its
-    first K columns hold the chirp-z sums before the final w-bar factor.
-    """
-    np.fft.fft(buf, axis=-1, out=buf)
-    buf *= kernel_fft
-    return np.fft.ifft(buf, axis=-1, out=buf)
 
 
 def upsample_periodic(values: np.ndarray, factor: int) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""The chirp-z paths of the Gabor transform and the metaplectic rotation
-against the dense sums they replace.
+"""The FFT paths of the Gabor transform (the fold onto n mod M) and the
+metaplectic rotation (a chirp-z sum) against the dense sums they replace.
 
 The oracles below are the dense formulas: an X x Theta phase matrix for
 <f | e_lambda>, an X x X kernel for the metaplectic chirp quadrature, and a
-per-atom double loop for hdelta_invariance_check.  The chirp-z forms are exact
-algebraic rewrites of the same discrete sums, so they must agree to roundoff.
+per-atom double loop for hdelta_invariance_check.  The fold and the chirp-z
+form are exact algebraic rewrites of the same discrete sums, so they must
+agree to roundoff.
 
 The Gabor transform reads only the samples within the reach _REACH of each
 row's p.  Three more oracles cover that cut: the closed-form field of an atom
@@ -194,7 +195,7 @@ def test_samples_beyond_the_reach_stay_under_the_stated_bound(grid, seed):
 
 @pytest.mark.parametrize("c", [-2 * 0.1 / 64, -2 / (3 * 64), 0.6 / 32, -1 / 512])
 def test_exp_pi_i_reduces_the_phase_exactly(c):
-    # block phases exp(-2 pi i dlam h k n0) reach thousands of turns; unreduced, the
+    # the chirp and lattice phases reach thousands of turns; unreduced, the
     # rounding of pi c m alone would cost ~1e-13 here
     m = 1021.0 * np.arange(513)
     cm = np.longdouble(c) * m.astype(np.longdouble)

@@ -109,6 +109,14 @@ class TestAnalyze:
         assert rc == 0
         assert (workdir / "f.csv").read_text().startswith("p,theta,re,im")
 
+    def test_step_with_no_period_is_refused_before_any_output(self, workdir, capsys):
+        field, summary = workdir / "f_refused.csv", workdir / "s_refused.json"
+        rc = main(["analyze", "--input", str(workdir / "h0.csv"), "--dlam", "0.123456789",
+                   "--out-field", str(field), "--out-summary", str(summary)])
+        assert rc == 2
+        assert "dlam=0.123456789" in capsys.readouterr().err
+        assert not field.exists() and not summary.exists()
+
 
 class TestSynthesizeExpand:
     def test_roundtrip_atom(self, workdir):

@@ -78,6 +78,31 @@ class TestGaborTransform:
         with pytest.raises(ValueError):
             gabor_transform(hermites[0], box=9.0)
 
+    def test_inverted_box_rejected(self, hermites):
+        with pytest.raises(ValueError, match=r"phase box \(0, 1, 1, 0\)"):
+            gabor_transform(hermites[0], (0, 1, 1, 0), 0.1)
+
+    def test_zero_step_rejected(self, hermites):
+        with pytest.raises(ValueError, match="dlam=0.0 must be positive"):
+            gabor_transform(hermites[0], 4.0, 0.0)
+
+    def test_negative_step_rejected(self, hermites):
+        with pytest.raises(ValueError, match="dlam=-0.0625 must be positive"):
+            gabor_transform(hermites[0], 4.0, -1 / 16)
+
+    def test_step_with_no_period_on_the_samples_rejected(self, hermites):
+        with pytest.raises(ValueError, match=r"dlam=0\.3183.* at h=0\.015625"):
+            gabor_transform(hermites[0], 4.0, 1 / np.pi)
+
+    @pytest.mark.parametrize("h", [1 / 64, 1 / 32])
+    @pytest.mark.parametrize("dlam", [1 / 16, 1 / 8, 1 / 4, 1 / 2, 0.1, 0.3, 1 / 3])
+    def test_rational_steps_accepted(self, h, dlam):
+        # dlam h = a/M with M = 1024 ... 128, 640 (a = 1 or 3) and 192 at h = 1/64
+        mu = (0.5, -0.3)
+        field = gabor_transform(atom(mu, T8, h), 2.0, dlam)
+        want = [[atom_inner(mu, (p, t)) for t in field.theta_grid] for p in field.p_grid]
+        assert np.max(np.abs(field.values - want)) < 1e-13
+
     def test_real_even_signal_symmetry(self, hermites, h2_field):
         vals = np.abs(h2_field.values)
         assert np.max(np.abs(vals - vals[::-1, ::-1])) < 1e-10

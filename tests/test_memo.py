@@ -1,8 +1,8 @@
 """The grid constants of the expansion core, memoised per grid.
 
 theta, the Zak sum's gather index and phases, the Fourier rows of the block
-extraction, the dual mixing matrix and the chirp-z plan of the Gabor
-transform and the metaplectic rotation are each built once per key.  A memo
+extraction, the dual mixing matrix and the chirp-z constants of the
+metaplectic rotation are each built once per key.  A memo
 hit must give the bits a fresh build gives, no entry may be served for
 another grid, stored arrays are read-only, and no memo holds more than
 MEMO_SIZE entries.  The oracles are the formulas these functions evaluated
@@ -22,7 +22,7 @@ from criticalgabor import THETA_TERMS, dual_atoms, hermite_signal, theta
 from criticalgabor.expansion import _REFINE_FACTOR, _extract_block, lattice_coefficients
 from criticalgabor.gabor import dual_mixing
 from criticalgabor.higher import default_sharp_nodes
-from criticalgabor.numerics import MEMO_SIZE, Memo, _chirp, _chirp_plan, _fft_length, upsample_periodic
+from criticalgabor.numerics import MEMO_SIZE, Memo, _chirp, _chirp_sum, _fft_length, upsample_periodic
 from criticalgabor.zak import _midpoints, _zak_sum, zak_atom_field
 
 zak_module = sys.modules["criticalgabor.zak"]  # the package attribute `zak` is the function
@@ -74,22 +74,29 @@ def old_dual_mixing(nodes):
     return gabor.vandermonde_inverse(labels) * signs[None, :]
 
 
-def old_chirp_plan(c, N, K):
+def old_chirp_sum(g, c, K):
+    N = g.shape[-1]
     L = _fft_length(N + K - 1)
     w = _chirp(c, max(N, K))
     kernel = np.zeros(L, dtype=complex)
     kernel[:K] = w[:K]
     kernel[L - N + 1:] = w[N - 1:0:-1]
-    return np.concatenate([w[:N].conj(), w[:K].conj(), np.fft.fft(kernel), [L]])
+    spec = np.fft.fft(g * w[:N].conj(), L, axis=-1) * np.fft.fft(kernel)
+    return w[:K].conj() * np.fft.ifft(spec, axis=-1)[..., :K]
 
 
 def bits(a):
     return np.asarray(a).tobytes()
 
 
-def chirp_plan_array(c, N, K):
-    pre, post, kernel_fft, L = _chirp_plan(c, N, K)
-    return np.concatenate([pre, post, kernel_fft, [L]])
+def chirp_input(N):
+    rng = np.random.default_rng(N)
+    return rng.normal(size=(2, N)) + 1j * rng.normal(size=(2, N))
+
+
+def stored_chirp_plan(c, N, K):
+    """The chirp constants _chirp_sum stored under (c, N, K); fails if there are none."""
+    return numerics._CHIRP_MEMO.get((c, N, K), lambda: pytest.fail(f"no chirp plan for {(c, N, K)}"))
 
 
 def h2_fine():
@@ -109,8 +116,8 @@ CASES = {
                       lambda: old_extract_block(np.outer(np.cos(MID), MID + 1j), MID, MID, R)),
     "dual_mixing": (lambda: dual_mixing(default_sharp_nodes(3)),
                     lambda: old_dual_mixing([tuple(n) for n in default_sharp_nodes(3)])),
-    "chirp_plan": (lambda: chirp_plan_array(0.1 / 64, 573, 161),
-                   lambda: old_chirp_plan(0.1 / 64, 573, 161)),
+    "chirp_plan": (lambda: _chirp_sum(chirp_input(573), 0.1 / 64, 161),
+                   lambda: old_chirp_sum(chirp_input(573), 0.1 / 64, 161)),
 }
 
 
@@ -135,7 +142,10 @@ def test_a_warm_call_builds_nothing(cold):
     assert theta(z) is theta(z.copy())
     nodes = default_sharp_nodes(2)
     assert dual_mixing(nodes) is dual_mixing([tuple(n) for n in nodes])
-    assert _chirp_plan(1 / 1024, 573, 257) is _chirp_plan(1 / 1024, 573, 257)
+    _chirp_sum(chirp_input(573), 1 / 1024, 257)
+    plan = stored_chirp_plan(1 / 1024, 573, 257)
+    _chirp_sum(chirp_input(573), 1 / 1024, 257)
+    assert stored_chirp_plan(1 / 1024, 573, 257) is plan
 
 
 def lattice(T_, h, N_, R_):
@@ -151,12 +161,12 @@ PAIRS = {
     "cutoff": (lambda: lattice(8.0, H, N, 4), lambda: lattice(8.0, H, N, 6)),
     "one_node": (lambda: bits(dual_mixing([(0.5, 0.5), (1.5, 0.5), (0.5, 1.5)])),
                  lambda: bits(dual_mixing([(0.5, 0.5), (1.5, 0.5), (-0.5, 0.5)]))),
-    "chirp_inputs": (lambda: bits(chirp_plan_array(1 / 1024, 572, 257)),
-                     lambda: bits(chirp_plan_array(1 / 1024, 573, 257))),
-    "chirp_outputs": (lambda: bits(chirp_plan_array(1 / 1024, 573, 256)),
-                      lambda: bits(chirp_plan_array(1 / 1024, 573, 257))),
-    "chirp_rate": (lambda: bits(chirp_plan_array(1 / 1023, 573, 257)),
-                   lambda: bits(chirp_plan_array(1 / 1024, 573, 257))),
+    "chirp_inputs": (lambda: bits(_chirp_sum(chirp_input(573)[:, :572], 1 / 1024, 257)),
+                     lambda: bits(_chirp_sum(chirp_input(573), 1 / 1024, 257))),
+    "chirp_outputs": (lambda: bits(_chirp_sum(chirp_input(573), 1 / 1024, 256)),
+                      lambda: bits(_chirp_sum(chirp_input(573), 1 / 1024, 257))),
+    "chirp_rate": (lambda: bits(_chirp_sum(chirp_input(573), 1 / 1023, 257)),
+                   lambda: bits(_chirp_sum(chirp_input(573), 1 / 1024, 257))),
 }
 
 
@@ -177,7 +187,8 @@ def test_stored_arrays_are_read_only(cold):
     for arr in (theta(z), dual_mixing(nodes), dual_atoms(nodes, T, H).mixing):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1.0
-    for arr in _chirp_plan(1 / 1024, 573, 257)[:3]:
+    _chirp_sum(chirp_input(573), 1 / 1024, 257)
+    for arr in stored_chirp_plan(1 / 1024, 573, 257):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     a, b = Memo().get("key", lambda: (np.zeros(3), np.ones(2)))

@@ -172,10 +172,11 @@ def test_superpose_points_on_no_progression():
     assert_superpose_matches(pts, weights, rel=2e-15)
 
 
-@pytest.mark.parametrize("theta", [6.5, -6.5, 6.25, -5.75])
+@pytest.mark.parametrize("theta", [6.5, -6.5, 6.25, -5.75, 6.3])
 @pytest.mark.parametrize("p", [-3.5, 0.0, 2.5])
 def test_superpose_high_frequency_atoms_to_roundoff(p, theta):
-    # phases reduced mod 1 before the factor 2 pi keep full accuracy at |theta x| ~ 50
+    # phases reduced mod 1 before the factor 2 pi keep full accuracy at |theta x| ~ 50;
+    # 6.3 is on no dyadic step, so one point alone runs at M = 1 with its common phase
     assert_superpose_matches([(p, theta)], [1.0], rel=2e-15)
     assert_superpose_matches([(p, theta), (p + 0.5, -theta)], [0.5, 0.5j], rel=2e-15)
 
