@@ -15,11 +15,11 @@ Every superposition sum c_lambda e_lambda (lattice and sharp series, the
 order-m dual-atom block, Riemann sums over a phase grid) goes through one
 kernel, _superpose_grid().  When the thetas step by a common delta with
 M = 1/(delta h) an integer, each envelope's phase row is one length-M inverse
-FFT; for lattice and sharp points theta_0 = 0, and no common phase is left.  When the
-centers p step by whole samples, every envelope is a window of one Gaussian
-profile.  Phases are reduced mod 1 before the factor 2 pi, so the sum keeps
-full accuracy at any |theta x|.  Points on no such progression take the same
-kernel with one phase row per theta (M = N) and one exp per p.
+FFT; for lattice and sharp points theta_0 = 0, and no common phase is left.
+When the centers p step by whole samples, every envelope is a window of one
+Gaussian profile.  Phases are reduced mod 1 before the factor 2 pi, so the
+sum keeps full accuracy at any |theta x|.  Points on no such progression take
+the same kernel with one phase row per theta (M = N) and one exp per p.
 """
 
 from __future__ import annotations
@@ -151,7 +151,9 @@ def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLA
         |Delta V| <= 2^{1/4} e^{-pi c^2} sqrt(2T + h) ||f||,
 
     about 7e-22 ||f|| at c = 4, T = 8: far below the transform's own roundoff.
-    The box may not exceed the grid truncation |p| <= T.
+    The box may not exceed the grid truncation |p| <= T; near the boundary the
+    atoms are themselves truncated, which is harmless for signals whose mass
+    stays well inside the grid.
     """
     ps, ts = _box_grids(box, dlam)
     if np.max(np.abs(ps)) > f.T + 1e-9:
