@@ -53,6 +53,11 @@ class RunConfig:
             raise ValueError("config: Q must be >= 1")
         if self.dlam <= 0 or self.decomp_dlam <= 0:
             raise ValueError("config: phase-grid spacings must be positive")
+        for name in ("dlam", "decomp_dlam"):  # the step rule of every Gabor transform, before any of them runs
+            try:
+                gabor.step_periods(getattr(self, name), self.h, numerics._sample_count(self.T, self.h))
+            except ValueError as exc:
+                raise ValueError(f"config: {name}: {exc}") from None
         if self.box <= 0 or self.box > self.T + 1e-9:
             raise ValueError("config: phase box must lie within the grid, 0 < box <= T")
         if self.R < 0:

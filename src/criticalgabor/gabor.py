@@ -2,14 +2,18 @@
 
 The atom at lambda = (p, theta) is e_lambda(x) = 2^{1/4} exp(-pi (x-p)^2
 + 2 pi i theta x); atoms have unit norm and closed-form pairwise inner
-products.  Analysis and synthesis rest on one fact of the sample lattice
-x_n = -T + n h: a theta step delta with delta h = a/M makes
-e^{2 pi i k delta x_n} periodic in n with period M.  gabor_transform() takes
-only steps dlam of that kind (every other raises ValueError); it folds each
-row's samples onto n mod M, runs one length-M FFT and reads theta_k at bin
-a k mod M.  Each row reads only the samples within the reach c = 4 of its p;
-the samples left out move a value by at most 2^{1/4} e^{-pi c^2}
-sqrt(2T + h) ||f||, about 7e-22 ||f|| on the default grid.
+products.  Analysis and synthesis rest on the sample lattice x_n = -T + n h.
+A theta step delta with delta h = a/M makes e^{2 pi i k delta x_n} periodic
+in n with period M.
+
+gabor_transform() runs on the spectrum of f.  The Gaussian is its own Fourier
+transform, so V f(p, theta) = e^{-2 pi i p theta} V f^(theta, -p), and each
+theta row is a sum over the spectrum bins within the reach c = 4 of its
+theta, one shared window over the length-L FFT of f.  The p step over L,
+b/M', folds that sum onto one length-M' inverse FFT per row.  It takes only
+steps that pass step_periods() (every other raises ValueError).  The bins and
+envelope images left out move a value by about 1.5e-21 ||f|| on the default
+grid.
 
 Every superposition sum c_lambda e_lambda (lattice and sharp series, the
 order-m dual-atom block, Riemann sums over a phase grid) goes through one
@@ -38,11 +42,11 @@ from .phaseplane import PhasePoint, PointSet, as_point, grid_points, neighborhoo
 DEFAULT_BOX = 8.0
 DEFAULT_DLAM = 1.0 / 16.0
 DEFAULT_MARGIN = 4.0
-# phase-box rows per FFT batch: bounds the transform's scratch memory
+# theta rows per FFT batch: bounds the transform's scratch memory
 _ROWS = 16
-# the transform reads each row's samples within this many units of its p
+# the transform reads each row's spectrum within this many units of its theta
 _REACH = 4.0
-# the transform's theta period M on the samples may reach this many times N
+# the transform's theta period M and p period M' may reach this many times N
 _STEP_DENOMINATOR = 16
 
 # superpose reads theta differences on the dyadic grid 2^-_DYADIC_BITS
@@ -128,29 +132,70 @@ def _box_grids(box, dlam):
     return ps, ts
 
 
+def step_periods(dlam: float, h: float, N: int) -> tuple[int, int, int, int, int, int]:
+    """(H, a, M, L, b, M') of the step rule for a step dlam > 0 on N samples of step h.
+
+    The rule has three clauses, and a step that breaks one raises ValueError:
+    - h = 1/H for an integer H, tested as H h == 1.0;
+    - the theta fold: dlam h = a/M, a fraction with M <= 16 N that rounds to
+      the float dlam h exactly (0.1 at h = 1/64 is 1/640);
+    - the p fold: with L the least multiple of M with L >= N - 1 + c/h,
+      c = _REACH, the p step r = dlam/h = a H^2/M in samples gives
+      r/L = b/M' in lowest terms, and M' <= 16 N.
+    gabor_transform() takes its periods from here, and the CLI checks its
+    phase steps here when it reads a config.
+    """
+    H = round(1.0 / h)
+    if H * h != 1.0:
+        raise ValueError(f"sample step h={h!r} is no 1/H for an integer H, so the p grid has no period "
+                         f"on the spectrum")
+    cap = _STEP_DENOMINATOR * N
+    step = Fraction(dlam * h).limit_denominator(cap)  # a/M
+    if float(step) != dlam * h:
+        raise ValueError(f"phase step dlam={dlam!r} at h={h!r}: dlam h is no fraction a/M with "
+                         f"M <= {cap}, so the theta grid has no period on the samples")
+    a, M = step.numerator, step.denominator
+    L = M * -(-(N - 1 + math.ceil(_REACH * H)) // M)
+    rate = Fraction(a * H * H, M * L)  # b/M'
+    if rate.denominator > cap:
+        raise ValueError(f"phase step dlam={dlam!r} at h={h!r}: the p step folds onto "
+                         f"M'={rate.denominator} > {cap} spectrum bins")
+    return H, a, M, L, rate.numerator, rate.denominator
+
+
 def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLAM) -> GaborField:
-    """Sample <f | e_lambda> on a rectangular grid of the phase plane.
+    """Sample <f | e_lambda> on a rectangular grid of the phase plane, from the spectrum of f.
 
-    The step must satisfy dlam h = a/M, a fraction with M <= 16 N that rounds
-    to the float dlam h exactly (0.1 at h = 1/64 is 1/640); every other step
-    raises ValueError.  With theta_k = theta_0 + k dlam and
-    x_n = (h/2)(2n - (N - 1)),
+    The step must pass the rule of step_periods(); every other step raises
+    ValueError.  With g_n = f(x_n) e^{-2 pi i theta_0 x_n} (_grid_phase) and G
+    its length-L FFT, theta_l = theta_0 + l dlam sits s = a L/M bins after
+    theta_0.  The Gaussian is its own Fourier transform, so Parseval on the
+    length-L DFT turns each row into a sum over the 2J + 1 bins within the
+    reach c = _REACH of it, J = floor(c L h):
 
-        e^{-2 pi i theta_k x_n} = e^{-2 pi i theta_0 x_n} e^{pi i (a/M) k (N - 1)} w_M^{-a k n},
+        V(p_0 + k dlam, theta_l) = e^{pi i l a (N - 1)/M}
+            sum_{|m| <= J} G[(s l + m) mod L] w_m e^{2 pi i m k b/M'},
 
-    w_M = e^{2 pi i/M}: each row's samples of f e^{-2 pi i theta_0 x} times its
-    envelope fold onto n mod M, one length-M FFT sums them, and theta_k reads
-    bin a k mod M.  The first factor is _grid_phase and the second is reduced
-    mod 2 in integers, so every phase is good to a few ulps.
+        w_m = 2^{1/4} e^{-pi (m H/L)^2} e^{2 pi i m c_0/L} / L,  c_0 = (p_0 + T) H.
 
-    Rows go through in blocks of _ROWS; a block starting at sample n0 folds
-    only the W samples n0..n0+W-1 within the reach c = _REACH of its p-span
-    into one (rows, M) buffer that all blocks reuse.  By Cauchy-Schwarz the
-    samples left out move each value by at most
+    One window w serves every row.  Each block of _ROWS rows folds m onto
+    m mod M' in one (rows, M') buffer, runs one inverse FFT, and reads p_k at
+    bin b k mod M'.  The integer part of c_0 m and the row phase are reduced
+    in integers, so every phase is good to a few ulps.
 
-        |Delta V| <= 2^{1/4} e^{-pi c^2} sqrt(2T + h) ||f||,
+    The sum stands for the DFT of the envelope's L-periodic extension: since
+    L h >= 2T + c, its images stay c away from every sample.  Three terms
+    bound what the window leaves out, each through
+    max |G| <= sum_n |f(x_n)| <= sqrt(N/h) ||f||:
 
-    about 7e-22 ||f|| at c = 4, T = 8: far below the transform's own roundoff.
+        |Delta V| <= 2^{5/4} sqrt(2T + h) ||f|| (e^{-pi c^2} (1/(L h) + 1/(2 pi c))
+                                                 + e^{-pi c^2}
+                                                 + e^{-pi H^2/4} (1/(L h) + 1/(pi H))),
+
+    the bins J < |m| <= L/2 beyond the reach, the envelope images (at most
+    2 e^{-pi c^2} on a sample), and the xi-aliasing of the bins |m| > L/2 that
+    the periodic sum folds back; about 1.5e-21 ||f|| at c = 4, T = 8,
+    h = 1/64: far below the transform's own roundoff.
     The box may not exceed the grid truncation |p| <= T; near the boundary the
     atoms are themselves truncated, which is harmless for signals whose mass
     stays well inside the grid.
@@ -158,39 +203,47 @@ def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLA
     ps, ts = _box_grids(box, dlam)
     if np.max(np.abs(ps)) > f.T + 1e-9:
         raise ValueError(f"phase box reaches p={np.max(np.abs(ps))}, beyond the grid T={f.T}")
-    x, h = f.x, f.h
-    N, K = x.size, ts.size
-    step = Fraction(dlam * h).limit_denominator(_STEP_DENOMINATOR * N)  # a/M
-    if float(step) != dlam * h:
-        raise ValueError(f"phase step dlam={dlam!r} at h={h!r}: dlam h is no fraction a/M with "
-                         f"M <= {_STEP_DENOMINATOR * N}, so the theta grid has no period on the samples")
-    a, M = step.numerator, step.denominator
-    rows = min(_ROWS, ps.size)
-    # the span's samples counted inclusively, plus one spare against the rounding of the ratio
-    W = min(N, int(np.ceil(((rows - 1) * dlam + 2 * _REACH) / h)) + 2)
-    g = f.values * _grid_phase(-ts[0] * h, N)
-    ak = a * np.arange(K)
-    post = 2 ** 0.25 * h * np.exp(1j * np.pi * (ak * (N - 1) % (2 * M) / M))
-    out = np.empty((ps.size, K), dtype=complex)
-    envelope = np.empty((rows, W))
-    buf = np.empty((rows, M), dtype=complex)
-    for i in range(0, ps.size, _ROWS):
-        p = ps[i:i + _ROWS, None]
-        n0 = min(max(int(np.floor((ps[i] - _REACH + f.T) / h)), 0), N - W)
-        env, blk = envelope[:p.size], buf[:p.size]
-        np.subtract(x[n0:n0 + W], p, out=env)
-        np.square(env, out=env)
-        env *= -np.pi
-        np.exp(env, out=env)
-        blk.fill(0.0)
-        # sample n adds to column n mod M: one run of columns per period the window meets
-        for lo in (n0, *range(n0 - n0 % M + M, n0 + W, M)):
-            hi, c = min(lo - lo % M + M, n0 + W), lo % M
-            blk[:, c:c + hi - lo] += env[:, lo - n0:hi - n0] * g[lo:hi]
-        np.fft.fft(blk, axis=1, out=blk)
-        np.take(blk, ak % M, axis=1, out=out[i:i + _ROWS])
-        out[i:i + _ROWS] *= post
+    N = f.values.size
+    periods = H, a, M, L, _, _ = step_periods(dlam, f.h, N)
+    G = np.fft.fft(f.values * _grid_phase(-ts[0] * f.h, N), L)
+    out = _spectrum_rows(G, (ps[0] + f.T) * H, ps.size, ts.size, periods)
+    out *= np.exp(1j * np.pi * (a * np.arange(ts.size) * (N - 1) % (2 * M) / M))
     return GaborField(ps, ts, out, dlam)
+
+
+def _spectrum_rows(G: np.ndarray, c0: float, P: int, K: int, periods) -> np.ndarray:
+    """out[k, l] = sum_{|m| <= J} G[(s l + m) mod L] w_m e^{2 pi i m k b/M'}.
+
+    This is gabor_transform() before its row phase; c0 = (p_0 + T) H, and
+    periods come from step_periods().  The window
+    position t = m + J lands on slot m mod M'; the first M' positions meet
+    every slot at most once and assign, later ones add, so the slots that no
+    m meets stay zero from one block to the next.
+    """
+    H, a, M, L, b, Mp = periods
+    J, s = math.floor(_REACH * L / H), a * L // M
+    m = np.arange(-J, J + 1)
+    c_int = math.floor(c0)
+    turns = (m * c_int % L + m * (c0 - c_int)) / L
+    w = 2 ** 0.25 / L * np.exp(-np.pi * (m * (H / L)) ** 2 + 2j * np.pi * turns)
+    spec = np.lib.stride_tricks.sliding_window_view(G[np.arange(-J, s * (K - 1) + J + 1) % L], m.size)[::s]
+    cuts = sorted({0, m.size, min(Mp, m.size), *range(J % Mp, m.size, Mp)})
+    runs = [(t0, t1, (t0 - J) % Mp) for t0, t1 in zip(cuts, cuts[1:])]
+    fold = np.zeros((min(_ROWS, K), Mp), dtype=complex)
+    sums = np.empty_like(fold)
+    bins = b * np.arange(P) % Mp
+    out = np.empty((P, K), dtype=complex)
+    for l in range(0, K, _ROWS):
+        rows, blk = spec[l:l + _ROWS], fold[:min(_ROWS, K - l)]
+        for t0, t1, c in runs:
+            if t0 < Mp:
+                np.multiply(rows[:, t0:t1], w[t0:t1], out=blk[:, c:c + t1 - t0])
+            else:
+                blk[:, c:c + t1 - t0] += rows[:, t0:t1] * w[t0:t1]
+        np.fft.ifft(blk, axis=1, norm="forward", out=sums[:blk.shape[0]])
+        # every bin is in range, and mode "clip" writes into the strided columns without a buffer
+        np.take(sums[:blk.shape[0]], bins, axis=1, out=out[:, l:l + _ROWS].T, mode="clip")
+    return out
 
 
 class CoefficientSet:

@@ -37,3 +37,31 @@ def test_accuracy_reports_bitwise_text_and_relative_differences():
     assert acc["worst"]["report.tag"] == {"bitwise_equal": 2, "items": 2}
     assert acc["worst"]["rec"]["bitwise_equal"] == 1
     assert acc["worst"]["rec"]["max_rel_diff"] == acc["items"]["b"]["rec"]
+
+
+def conc(value):
+    return {"report.concentration": np.asarray(value)}
+
+
+def test_a_leaf_below_the_floor_on_both_sides_is_roundoff():
+    # decompose's concentration on a pool of signals inside D: the parent's largest value is
+    # 1.4e-13, and on d24 both sides are the rounding of |V|^2 outside D
+    parent = {"d02": conc(1.4e-13), "d23": conc(2.5e-15), "d24": conc(5.5e-32)}
+    change = {"d02": conc(1.4e-13), "d23": conc(2.5e-15), "d24": conc(4.0e-33)}
+    acc = bench_pairs.accuracy(change, parent)
+    assert acc["items"]["d24"]["report.concentration"] > 0.9
+    worst = acc["worst"]["report.concentration"]
+    assert worst["floor"] == bench_pairs.ROUNDOFF * 1.4e-13
+    assert worst["roundoff"] == 1 and worst["bitwise_equal"] == 2
+    assert worst["max_rel_diff"] == 0.0
+    assert worst["max_abs_diff"] == 5.5e-32 - 4.0e-33
+
+
+def test_a_real_change_is_still_reported():
+    # a 10 % change on d23 is no roundoff: its values lie far above the floor
+    parent = {"d02": conc(1.4e-13), "d23": conc(2.5e-15), "d24": conc(5.5e-32)}
+    change = {"d02": conc(1.4e-13), "d23": conc(2.75e-15), "d24": conc(4.0e-33)}
+    worst = bench_pairs.accuracy(change, parent)["worst"]["report.concentration"]
+    assert worst["roundoff"] == 1
+    assert abs(worst["max_rel_diff"] - 0.1) < 1e-12
+    assert abs(worst["max_abs_diff"] - 2.5e-16) < 1e-28

@@ -1,18 +1,20 @@
-"""The FFT paths of the Gabor transform (the fold onto n mod M) and the
-metaplectic rotation (a chirp-z sum) against the dense sums they replace.
+"""The FFT paths of the Gabor transform (a window over the spectrum, folded
+onto m mod M') and the metaplectic rotation (a chirp-z sum) against the dense
+sums they replace.
 
 The oracles below are the dense formulas: an X x Theta phase matrix for
 <f | e_lambda>, an X x X kernel for the metaplectic chirp quadrature, and a
-per-atom double loop for hdelta_invariance_check.  The fold and the chirp-z
-form are exact algebraic rewrites of the same discrete sums, so they must
-agree to roundoff.
+per-atom double loop for hdelta_invariance_check.  The chirp-z form is an
+exact algebraic rewrite of its discrete sum, so it must agree to roundoff.
 
-The Gabor transform reads only the samples within the reach _REACH of each
-row's p.  Three more oracles cover that cut: the closed-form field of an atom
-mix, sum_j c_j <e_mu_j | e_lambda>, which the transform must match to
-roundoff; a one-sample signal at every sample in turn, whose rows within the
-reach each hold one known term; and the dense sum over the samples it leaves
-out, which must stay under the bound its docstring states.
+The Gabor transform sums each row over the spectrum bins within the reach
+_REACH of its theta, with the envelope's periodic extension.  Three more
+oracles cover that cut: the closed-form field of an atom mix,
+sum_j c_j <e_mu_j | e_lambda>, which the transform must match to roundoff; a
+one-bin spectrum at every bin in turn, whose rows within the reach each hold
+one known term and whose other rows hold 0; and the dense sum over the bins
+it leaves out plus the envelope images, which must stay under the bound its
+docstring states.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from criticalgabor import (PhasePoint, Rotation, SampledSignal, atom, atom_inner, gabor_transform,
                            hdelta_invariance_check, inner, metaplectic_apply)
-from criticalgabor.gabor import _REACH, _box_grids
+from criticalgabor.gabor import _REACH, _box_grids, _spectrum_rows, step_periods
 from criticalgabor.metaplectic import _MIN_B
 from criticalgabor.numerics import _chirp_sum, _exp_pi_i
 
@@ -157,40 +159,75 @@ def test_windowed_transform_matches_the_closed_form_field(grid, box, dlam, seed)
     assert np.max(np.abs(field.values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def spectrum_window(f, box, dlam):
+    """The periods of gabor_transform, its grids, J, s, c_0 and the spectrum G of f e^{-2 pi i theta_0 x}."""
+    ps, ts = _box_grids(box, dlam)
+    N = f.values.size
+    periods = H, a, M, L, _, _ = step_periods(dlam, f.h, N)
+    G = np.fft.fft(f.values * np.exp(-2j * np.pi * ts[0] * f.x), L)
+    return periods, ps, ts, int(_REACH * L / H), a * L // M, (ps[0] + f.T) * H, G
+
+
+def window_terms(ms, k, c0, dlam, periods):
+    """w_m e^{2 pi i m k r/L} for bins ms and p indices k, r = dlam/h, phases reduced mod 1 in long double."""
+    H, _, _, L, _, _ = periods
+    ms, k = np.asarray(ms, dtype=np.longdouble), np.asarray(k, dtype=np.longdouble)
+    turns = np.multiply.outer(ms, np.longdouble(c0) + k * np.longdouble(dlam) * H) / L
+    turns -= np.round(turns)
+    gauss = np.exp(-np.pi * (ms * H / L) ** 2)[:, None]
+    return (2 ** 0.25 / L * gauss * np.exp(2j * np.pi * turns.astype(float))).astype(complex)
+
+
 @pytest.mark.parametrize("grid,dlam", [((8.0, 1.0 / 64.0), 1 / 4), ((8.0, 1.0 / 64.0), 0.3),
                                        ((6.0, 1.0 / 32.0), 0.1)])
 def test_every_sample_within_the_reach_enters_its_row(grid, dlam):
-    # a one-sample signal at x_s: each row within the reach holds that one term, down to
-    # e^{-pi c^2}; every sample is swept, so every row block meets both edges of its window
+    # the samples are the spectrum's: a one-bin spectrum at bin j, swept over every bin,
+    # puts one term w_m e^{2 pi i m k r/L}, m = j - s l, into each row l within the reach
+    # |m| <= J and nothing into the others.  dlam 1/4 folds 161 bins onto M' = 80, so its
+    # later bins add; the other two steps fold onto distinct slots
     T, h = grid
-    n = int(round(2 * T / h)) + 1
-    for s in range(n):
-        vals = np.zeros(n, dtype=complex)
-        vals[s] = 1.0
-        f = SampledSignal(T, h, vals)
-        field = gabor_transform(f, (-T, T, -1.0, 1.0), dlam)
-        d = field.p_grid - f.x[s]
-        near = np.abs(d) <= _REACH
-        want = 2 ** 0.25 * h * np.exp(-np.pi * d[near, None] ** 2 - 2j * np.pi * field.theta_grid * f.x[s])
-        assert np.max(np.abs(field.values[near] / want - 1)) <= 1e-12, s
+    f = SampledSignal(T, h, np.zeros(int(round(2 * T / h)) + 1))
+    periods, ps, ts, J, s, c0, _ = spectrum_window(f, (-T, T, -1.0, 1.0), dlam)
+    L = periods[3]
+    assert 2 * J < L
+    k = np.arange(ps.size)
+    for j in range(L):
+        G = np.zeros(L, dtype=complex)
+        G[j] = 1.0
+        rows = _spectrum_rows(G, c0, ps.size, ts.size, periods)
+        m = (j - s * np.arange(ts.size) + L // 2) % L - L // 2
+        near = np.abs(m) <= J
+        want = window_terms(m[near], k, c0, dlam, periods).T
+        assert np.max(np.abs(rows[:, near] / want - 1), initial=0.0) <= 1e-12, j
+        assert not np.any(rows[:, ~near]), j
 
 
 @pytest.mark.parametrize("grid", GRIDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_samples_beyond_the_reach_stay_under_the_stated_bound(grid, seed):
-    # white noise puts mass on every sample, so every row leaves some out
+    # white noise puts mass on every bin.  What the window leaves out is the bins
+    # J < |m| (taken to 3 L, beyond which they vanish in float) and the periodic
+    # envelope's images at p -+ q L h; the docstring of gabor_transform bounds both
     T, h = grid
     rng = np.random.default_rng(seed)
     n = int(round(2 * T / h)) + 1
     f = SampledSignal(T, h, rng.normal(size=n) + 1j * rng.normal(size=n))
-    ps, ts = _box_grids(T, 1 / 4)
+    dlam = 1 / 4
+    periods, ps, ts, J, s, c0, G = spectrum_window(f, T, dlam)
+    H, a, M, L, _, _ = periods
+    ms = np.concatenate([np.arange(-3 * L, -J), np.arange(J + 1, 3 * L + 1)])
+    terms = window_terms(ms, np.arange(ps.size), c0, dlam, periods)
+    post = np.exp(1j * np.pi * (a * np.arange(ts.size) * (n - 1) % (2 * M) / M))
+    bins = np.stack([G[(s * l + ms) % L] @ terms for l in range(ts.size)], axis=1) * post
     x = f.x
-    far = np.abs(x[None, :] - ps[:, None]) > _REACH
-    rows = np.where(far, 2 ** 0.25 * h * f.values * np.exp(-np.pi * (x[None, :] - ps[:, None]) ** 2), 0.0)
-    left_out = rows @ np.exp(-2j * np.pi * np.outer(x, ts))
-    bound = 2 ** 0.25 * np.exp(-np.pi * _REACH ** 2) * np.sqrt(2 * T + h) * f.norm()
-    assert np.all(np.any(far, axis=1))
-    assert np.max(np.abs(left_out)) <= bound
+    images = sum(np.exp(-np.pi * (x[None, :] - ps[:, None] + q * L * h) ** 2) for q in (-2, -1, 1, 2))
+    envelope_images = (2 ** 0.25 * h * f.values * images) @ np.exp(-2j * np.pi * np.outer(x, ts))
+    c = _REACH
+    bound = 2 ** 1.25 * np.sqrt(2 * T + h) * f.norm() * (
+        np.exp(-np.pi * c ** 2) * (1 / (L * h) + 1 / (2 * np.pi * c)) + np.exp(-np.pi * c ** 2)
+        + np.exp(-np.pi * H ** 2 / 4) * (1 / (L * h) + 1 / (np.pi * H)))
+    assert np.all(bins != 0) and np.all(envelope_images != 0)
+    assert np.max(np.abs(bins)) + np.max(np.abs(envelope_images)) <= bound
 
 
 @pytest.mark.parametrize("c", [-2 * 0.1 / 64, -2 / (3 * 64), 0.6 / 32, -1 / 512])

@@ -117,6 +117,15 @@ class TestAnalyze:
         assert "dlam=0.123456789" in capsys.readouterr().err
         assert not field.exists() and not summary.exists()
 
+    def test_step_with_too_many_spectrum_bins_is_refused_before_any_output(self, workdir, capsys):
+        # 16/49: dlam h = 1/196 has a theta period, but the p step folds onto 16807 > 16 N bins
+        field, summary = workdir / "f_bins.csv", workdir / "s_bins.json"
+        rc = main(["analyze", "--input", str(workdir / "h0.csv"), "--dlam", "0.32653061224489793",
+                   "--out-field", str(field), "--out-summary", str(summary)])
+        assert rc == 2
+        assert "dlam=0.32653061224489793" in capsys.readouterr().err
+        assert not field.exists() and not summary.exists()
+
 
 class TestSynthesizeExpand:
     def test_roundtrip_atom(self, workdir):
@@ -411,6 +420,27 @@ def test_verify_rejects_an_order_its_certainty_check_cannot_run(workdir, monkeyp
     monkeypatch.setattr(numerics, "_theta_series", spy)
     assert main(["verify", "--m", "3", "--out", "o.json"]) == 2
     assert "m=3" in capsys.readouterr().err
+    assert not Path("o.json").exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("flag", ["--dlam", "--decomp-dlam"])
+def test_verify_refuses_a_step_with_no_period_before_any_check(workdir, monkeypatch, capsys, flag):
+    # the step rule is part of reading the config, so no check line is printed and the
+    # first checks (theta series) never run
+    monkeypatch.chdir(workdir)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return series(*args)
+
+    series = numerics._theta_series
+    monkeypatch.setattr(numerics, "_theta_series", spy)
+    assert main(["verify", flag, "0.123456789", "--out", "o.json"]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag[2:].replace('-', '_')}: phase step dlam=0.123456789" in captured.err
+    assert captured.out == ""
     assert not Path("o.json").exists()
     assert calls == []
 

@@ -94,6 +94,19 @@ class TestGaborTransform:
         with pytest.raises(ValueError, match=r"dlam=0\.3183.* at h=0\.015625"):
             gabor_transform(hermites[0], 4.0, 1 / np.pi)
 
+    def test_step_with_too_many_spectrum_bins_rejected(self, hermites):
+        # dlam h = 1/196 passes the theta fold, but the p step 1024/49 samples over
+        # L = 1372 folds onto M' = 16807 > 16 N = 16400
+        with pytest.raises(ValueError, match=r"dlam=0\.3265.* at h=0\.015625.* M'=16807 > 16400"):
+            gabor_transform(hermites[0], 4.0, 16 / 49)
+
+    def test_sample_step_with_no_integer_inverse_rejected(self):
+        # 3 * 0.3 rounds below 1, so the spectrum has no whole-bin p step; 1/(2h) is no
+        # integer either, so the CLI never reads this grid
+        f = SampledSignal(7.5, 0.3, np.ones(51))
+        with pytest.raises(ValueError, match=r"sample step h=0\.3 "):
+            gabor_transform(f, 2.0, 0.3)
+
     @pytest.mark.parametrize("h", [1 / 64, 1 / 32])
     @pytest.mark.parametrize("dlam", [1 / 16, 1 / 8, 1 / 4, 1 / 2, 0.1, 0.3, 1 / 3])
     def test_rational_steps_accepted(self, h, dlam):

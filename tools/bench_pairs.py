@@ -23,7 +23,11 @@ benchmark's own runner, ``bench/items.py::RUNNERS[W]``, in a fresh interpreter.
 Every output is cut into leaves: a coefficient set gives its JSON, compared
 bitwise, and its values; a signal or field gives its samples; a dataclass or
 dict gives its fields; a number stays a number.  A numeric leaf records
-max |change - parent| / max |parent|, 0.0 when bitwise equal.
+max |change - parent| / max |parent|, 0.0 when bitwise equal.  Per leaf,
+``worst`` gives the largest such ratio, the largest max |change - parent|,
+and how many items are bitwise equal or roundoff: an item is roundoff when
+both of its sides lie below ROUNDOFF times the leaf's largest parent magnitude
+over the pool (``floor``), and its ratio counts for no change.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ import sys
 import tempfile
 
 import numpy as np
+
+# Below this fraction of a leaf's largest parent magnitude over the pool, a value keeps fewer than
+# half of float64's digits against the scale the leaf is computed at: its changes are roundoff.
+ROUNDOFF = 1e-8
 
 
 def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -111,6 +119,10 @@ def compare(change, parent):
     return diff / size if size else diff
 
 
+def magnitude(value) -> float:
+    return float(np.max(np.abs(value), initial=0.0))
+
+
 def accuracy(change: dict, parent: dict) -> dict:
     """Per item and leaf, compare(); per leaf, the worst item: bitwise-equal count or largest difference."""
     per_item = {item: {leaf: compare(change[item].get(leaf), value) for leaf, value in outs.items()}
@@ -121,8 +133,14 @@ def accuracy(change: dict, parent: dict) -> dict:
         if all(isinstance(v, bool) for v in vals):
             worst[leaf] = {"bitwise_equal": sum(vals), "items": len(vals)}
         elif all(isinstance(v, float) for v in vals):
-            worst[leaf] = {"max_rel_diff": max(vals), "bitwise_equal": sum(v == 0.0 for v in vals),
-                           "items": len(vals)}
+            sides = [(change[item][leaf], parent[item][leaf]) for item in per_item]
+            floor = ROUNDOFF * max(magnitude(p) for _, p in sides)
+            roundoff = [v != 0.0 and magnitude(c) <= floor and magnitude(p) <= floor
+                        for v, (c, p) in zip(vals, sides)]
+            worst[leaf] = {"max_rel_diff": max((v for v, r in zip(vals, roundoff) if not r), default=0.0),
+                           "max_abs_diff": max(magnitude(c.astype(complex) - p) for c, p in sides),
+                           "bitwise_equal": sum(v == 0.0 for v in vals), "roundoff": sum(roundoff),
+                           "floor": floor, "items": len(vals)}
         else:
             worst[leaf] = {"mismatched": [v for v in vals if not isinstance(v, (bool, float))]}
     return {"items": per_item, "worst": worst}
