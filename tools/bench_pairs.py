@@ -114,17 +114,18 @@ def compare(change, parent):
         return f"shape {change.shape} against {parent.shape}"
     if np.array_equal(change, parent):
         return 0.0
-    diff = float(np.max(np.abs(change.astype(complex) - parent.astype(complex))))
-    size = float(np.max(np.abs(parent)))
+    diff, size = magnitude(change.astype(complex) - parent), magnitude(parent)
     return diff / size if size else diff
 
 
 def magnitude(value) -> float:
+    """max |value|, 0.0 for an empty array."""
     return float(np.max(np.abs(value), initial=0.0))
 
 
 def accuracy(change: dict, parent: dict) -> dict:
-    """Per item and leaf, compare(); per leaf, the worst item: bitwise-equal count or largest difference."""
+    """Per item and leaf, compare(); per leaf, the worst item: bitwise-equal count or largest difference
+    (roundoff items set aside)."""
     per_item = {item: {leaf: compare(change[item].get(leaf), value) for leaf, value in outs.items()}
                 for item, outs in sorted(parent.items())}
     worst = {}
