@@ -32,7 +32,9 @@ class RunConfig:
     margin: float = 4.0
     seed: int = 0
 
-    def validate(self):
+    def validate(self, steps=("dlam", "decomp_dlam")):
+        """Raise ValueError on the first field out of range; `steps` are the phase steps held to
+        the step rule of the Gabor transform, those the command runs with."""
         for f in fields(self):  # a float field takes a JSON integer too; a boolean is neither kind
             value, number = getattr(self, f.name), type(f.default) is float
             if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
@@ -53,7 +55,7 @@ class RunConfig:
             raise ValueError("config: Q must be >= 1")
         if self.dlam <= 0 or self.decomp_dlam <= 0:
             raise ValueError("config: phase-grid spacings must be positive")
-        for name in ("dlam", "decomp_dlam"):  # the step rule of every Gabor transform, before any of them runs
+        for name in steps:  # the step rule of the Gabor transform, before it runs
             try:
                 gabor.step_periods(getattr(self, name), self.h, numerics._sample_count(self.T, self.h))
             except ValueError as exc:
@@ -113,7 +115,7 @@ def load_config(args, command: str) -> RunConfig:
         if value != f.default:
             raise ValueError(f"config: {command} cannot apply {f.name}={value!r}; "
                              f"it always runs with {f.name}={f.default!r}")
-    return RunConfig(**values).validate()
+    return RunConfig(**values).validate(steps=[name for name in ("dlam", "decomp_dlam") if name in read])
 
 
 def _add_config_flags(p: argparse.ArgumentParser, read):

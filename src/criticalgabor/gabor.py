@@ -132,11 +132,22 @@ def _box_grids(box, dlam):
     return ps, ts
 
 
+def _samples_per_unit(h: float) -> int | None:
+    """H when h is 1/H for an integer H, else None.
+
+    The float nearest 1/H may miss it by half an ulp (H = 49, 98, 103, ...),
+    so H h is held to 1 within one ulp: reading h as 1/H then moves a grid
+    point by about 1e-16 of its distance from the origin.
+    """
+    H = round(1.0 / h)
+    return H if H >= 1 and abs(H * h - 1.0) <= math.ulp(1.0) else None
+
+
 def step_periods(dlam: float, h: float, N: int) -> tuple[int, int, int, int, int, int]:
     """(H, a, M, L, b, M') of the step rule for a step dlam > 0 on N samples of step h.
 
     The rule has three clauses, and a step that breaks one raises ValueError:
-    - h = 1/H for an integer H, tested as H h == 1.0;
+    - h = 1/H for an integer H, as _samples_per_unit() reads it;
     - the theta fold: dlam h = a/M, a fraction with M <= 16 N that rounds to
       the float dlam h exactly (0.1 at h = 1/64 is 1/640);
     - the p fold: with L the least multiple of M with L >= N - 1 + c/h,
@@ -145,8 +156,8 @@ def step_periods(dlam: float, h: float, N: int) -> tuple[int, int, int, int, int
     gabor_transform() takes its periods from here, and the CLI checks its
     phase steps here when it reads a config.
     """
-    H = round(1.0 / h)
-    if H * h != 1.0:
+    H = _samples_per_unit(h)
+    if H is None:
         raise ValueError(f"sample step h={h!r} is no 1/H for an integer H, so the p grid has no period "
                          f"on the spectrum")
     cap = _STEP_DENOMINATOR * N
@@ -218,7 +229,8 @@ def _spectrum_rows(G: np.ndarray, c0: float, P: int, K: int, periods) -> np.ndar
     periods come from step_periods().  The window
     position t = m + J lands on slot m mod M'; the first M' positions meet
     every slot at most once and assign, later ones add, so the slots that no
-    m meets stay zero from one block to the next.
+    m meets stay zero from one block to the next: no fill, and no add for the
+    first M' positions, which is all of them at the default step.
     """
     H, a, M, L, b, Mp = periods
     J, s = math.floor(_REACH * L / H), a * L // M
@@ -400,12 +412,13 @@ def _phase_rows(ts, W, h: float, N: int) -> tuple[np.ndarray, int, float]:
     dyadic grid 2^-40 and their gcd gives the common step.  t0 is 0 when the
     thetas themselves lie on such a progression (lattice and sharp points), so
     no common phase is left to multiply; otherwise t0 = ts[0].  Without a step,
-    or when M would exceed N, the rows are the product with the (theta x N)
-    table of the phases themselves: M = N, t0 = 0.
+    when h is no 1/H (_samples_per_unit()) or when M would exceed N, the rows
+    are the product with the (theta x N) table of the phases themselves:
+    M = N, t0 = 0.
     """
-    H = round(1.0 / h)
+    H = _samples_per_unit(h) or 0
     L = H << _DYADIC_BITS  # k_b = (ts[b] - t0) h M = q_b M / L
-    for t0 in (0.0, ts[0]) if H * h == 1.0 else ():
+    for t0 in (0.0, ts[0]) if H else ():
         q = (ts - t0) * _DYADIC
         qi = q.astype(np.int64) if np.abs(q).max() < 2.0 ** 53 else None
         if qi is not None and (qi == q).all():

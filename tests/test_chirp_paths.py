@@ -123,6 +123,14 @@ def test_gabor_transform_matches_dense_named_cases(box, dlam):
     assert relative_error(gabor_transform(f, box, dlam).values, dense_gabor_transform(f, box, dlam)) <= 1e-12
 
 
+@pytest.mark.parametrize("dlam", [1 / 16, 1 / 8])
+def test_gabor_transform_reads_a_step_half_an_ulp_off_1_over_h(dlam):
+    # 98 fl(1/98) rounds to 1 - 2^-53; the transform reads h as 1/98 and keeps full accuracy
+    f = mixed_signal(5, 8.0, 1.0 / 98.0)
+    assert 98 * f.h != 1.0
+    assert relative_error(gabor_transform(f, 6.0, dlam).values, dense_gabor_transform(f, 6.0, dlam)) <= 1e-12
+
+
 def atom_mix(seed, T, h):
     """Three atoms with margin 4 from +-T, their centers and their coefficients."""
     rng = np.random.default_rng(seed)

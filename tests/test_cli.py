@@ -242,6 +242,24 @@ class TestDecomposeRotate:
             assert main(["decompose", "--out", name] + grid + flags) == 0
         assert Path("implicit.json").read_text() == Path("explicit.json").read_text()
 
+    @pytest.mark.parametrize("h", [1.0 / 98.0, 0.0102040816326531])
+    @pytest.mark.parametrize("command", ["rotate", "synthesize"])
+    def test_a_step_off_1_over_h_runs_where_no_transform_runs(self, workdir, monkeypatch, command, h):
+        # 98 fl(1/98) rounds to 1 - 2^-53, and the rule reads that h as 1/98; the 16-digit h
+        # misses 1/98 by 4e-15 of it, so the rule refuses it, but only where a transform runs
+        monkeypatch.chdir(workdir)
+        hermite_signal(0, 8.0, h).to_csv("h98.csv")
+        args = {"rotate": ["--input", "h98.csv", "--angle", "0.5", "--out", "o.csv"],
+                "synthesize": ["--coeffs", "c.json", "--out", "o.csv"]}[command]
+        assert main([command, "--h", repr(h)] + args) == 0
+        if command == "synthesize":
+            want = atom((0, 0), 8.0, h).values + 0.5j * atom((1, 0), 8.0, h).values
+            assert np.abs(signal_from_csv("o.csv").values - want).max() < 1e-12
+        if h != 1.0 / 98.0:
+            with pytest.raises(ValueError, match=r"config: dlam: sample step h=0\.0102040816326531 "):
+                RunConfig(h=h).validate()
+        RunConfig(h=1.0 / 98.0).validate()
+
     def test_rotate_preserves_norm(self, workdir):
         rc = main(["rotate", "--input", str(workdir / "h0.csv"),
                    "--angle", str(np.pi / 4), "--out", str(workdir / "rot.csv")])
