@@ -20,8 +20,7 @@ from .expansion import hdelta_norm, relaxed_coefficients
 from .gabor import CoefficientSet, atom, dual_mixing, gabor_transform, superpose, synthesize
 from .higher import default_sharp_nodes, order_m_coefficients
 from .numerics import SampledSignal
-from .phaseplane import (PhaseDomain, PhasePoint, grid_points, lattice_points_in, neighborhood,
-                         neighborhood_masks)
+from .phaseplane import PhaseDomain, PhasePoint, lattice_points_in, neighborhood, neighborhood_masks
 
 # Empirical constant for the residual guarantee of the decomposition bound,
 # fitted once over the in-repo test family (atom mixes in disks) and frozen.
@@ -70,13 +69,9 @@ def nested_domains(K: PhaseDomain, r: float, m: int) -> NestedDomains:
 
 
 def nesting_satisfied(nd: NestedDomains) -> bool:
-    """Grid check of K in K+ in U in D- in D over the bounding box of D, step 1/4."""
-    pmin, pmax, tmin, tmax = nd.D.bbox
-    step = 0.25
-    pts = grid_points(np.arange(pmin, pmax + step / 2, step), np.arange(tmin, tmax + step / 2, step))
-    chain = [nd.K, nd.K_plus, nd.U, nd.D_minus, nd.D]
-    masks = [d.contains(pts) for d in chain]
-    return all(not np.any(a & ~b) for a, b in zip(masks[:-1], masks[1:]))
+    """K in K+ in U in D- in D: neighborhoods of one bounded K nest exactly
+    when their radii 0 <= l <= r/2 <= max(r - l, 0) <= r do, that is l <= r/2."""
+    return nd.l <= nd.r / 2.0
 
 
 def concentration(f: SampledSignal, D: PhaseDomain, box=None,
@@ -89,7 +84,7 @@ def concentration(f: SampledSignal, D: PhaseDomain, box=None,
     if box is None:
         box = min(f.T, max(abs(b) for b in D.bbox) + 2.0)
     field = gabor_transform(f, box, dlam)
-    outside = ~D.contains(grid_points(field.p_grid, field.theta_grid))
+    outside = ~D.contains_grid(field.p_grid, field.theta_grid).ravel()
     power = np.abs(field.values.ravel()) ** 2
     inside_box = float(np.sum(power) * dlam ** 2)
     out_mass = float(np.sum(power[outside]) * dlam ** 2)
@@ -172,11 +167,12 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     g = f - f_U
 
     gfield = gabor_transform(g, box, dlam)
-    pts = grid_points(gfield.p_grid, gfield.theta_grid)
-    w_g = gfield.values.ravel() * dlam ** 2
+    ps, ts = gfield.p_grid[:, None], gfield.theta_grid[None, :]
+    w_g = gfield.values * dlam ** 2
     # K+ and D- are neighborhoods of K: one distance to K classifies the grid for both
-    in_Kplus, in_Dminus = neighborhood_masks(nd.K, pts, [nd.K_plus.r, nd.D_minus.r])
+    in_Kplus, in_Dminus = neighborhood_masks(nd.K, ps, ts, [nd.K_plus.r, nd.D_minus.r])
     mid = in_Dminus & ~in_Kplus
+    grid = np.broadcast_arrays(ps, ts)  # (P, Theta) views: a mask picks its points from them
 
     lattice, sharp = _index_sets(nd.K, nd.D)
     alpha = CoefficientSet()  # f_U's lattice coefficients, zero on D \ U
@@ -194,9 +190,10 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     # mid point l + w of weight c: c exp(2 pi i w_theta l_p) times the local expansion
     # of e_w, shifted to l with the phase exp(-2 pi i j l_p) at index j, which is 1
     # on lattice indices and (-1)^{l_p} on the sharp nodes
-    cells, cell_of = np.unique(np.floor(pts[mid] + 0.5), axis=0, return_inverse=True)
+    pts_mid = np.column_stack([x[mid] for x in grid])
+    cells, cell_of = np.unique(np.floor(pts_mid + 0.5), axis=0, return_inverse=True)
     cell_of = cell_of.ravel()
-    offsets, w_mid = pts[mid] - cells[cell_of], w_g[mid]
+    offsets, w_mid = pts_mid - cells[cell_of], w_g[mid]
     for c, (lp, lt) in enumerate(cells.astype(int)):
         sel = cell_of == c
         patch = superpose(offsets[sel], w_mid[sel] * np.exp(2j * np.pi * offsets[sel, 1] * lp),
@@ -215,7 +212,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     conc = concentration(f, nd.D, box, min(dlam, 1.0 / 16.0))
     fnorm = f.norm()
     hnorm = hdelta_norm(f, delta, box=min(f.T, 8.0))
-    g_plus = superpose(pts[in_Kplus], w_g[in_Kplus], f.T, f.h)
+    g_plus = superpose(np.column_stack([x[in_Kplus] for x in grid]), w_g[in_Kplus], f.T, f.h)
     n_lattice, n_sharp = len(lattice), len(sharp)
     area = domain_area(nd.D)
     report = {
@@ -246,9 +243,9 @@ def domain_area(D: PhaseDomain) -> float:
         raise ValueError("area needs a bounded domain")
     pmin, pmax, tmin, tmax = D.bbox
     resolution = 1.0 / 16.0
-    pts = grid_points(np.arange(pmin + resolution / 2, pmax, resolution),
-                      np.arange(tmin + resolution / 2, tmax, resolution))
-    return float(np.count_nonzero(D.contains(pts)) * resolution ** 2)
+    inside = D.contains_grid(np.arange(pmin + resolution / 2, pmax, resolution),
+                             np.arange(tmin + resolution / 2, tmax, resolution))
+    return float(np.count_nonzero(inside) * resolution ** 2)
 
 
 def degrees_of_freedom_report(K: PhaseDomain, r: float) -> dict:

@@ -135,12 +135,12 @@ def _dump_json(payload, path=None):
 
 
 def _load_signal(path, config: RunConfig) -> numerics.SampledSignal:
-    """Read a signal CSV whose grid must be the config's grid (T, h)."""
+    """Read a signal CSV whose grid must match the config's (T, h), onto that exact grid."""
     f = numerics.signal_from_csv(path)
     if abs(f.T - config.T) > 1e-9 or abs(f.h - config.h) > 1e-9:
         raise ValueError(f"{path}: signal grid T={f.T!r}, h={f.h!r} differs from the config grid "
                          f"T={config.T!r}, h={config.h!r}")
-    return f
+    return numerics.SampledSignal(config.T, config.h, f.values)
 
 
 def cmd_analyze(args, config: RunConfig) -> int:

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .numerics import DEFAULT_H, DEFAULT_T, Memo, SampledSignal, loc_integral, _exp_pi_i, _sample_count
-from .phaseplane import PhasePoint, PointSet, as_point, grid_points, neighborhood
+from .phaseplane import PhasePoint, PointSet, as_point, neighborhood
 
 DEFAULT_BOX = 8.0
 DEFAULT_DLAM = 1.0 / 16.0
@@ -534,8 +534,8 @@ def tail_mass(coeffs: CoefficientSet, r: float, box=DEFAULT_BOX,
     pmin, pmax, tmin, tmax = _as_box(box)
     field = gabor_transform(g, (pmin + dlam / 2, pmax - dlam / 2, tmin + dlam / 2, tmax - dlam / 2), dlam)
     support = PointSet(coeffs.points())
-    outside = ~neighborhood(support, r).contains(grid_points(field.p_grid, field.theta_grid))
-    measured = float(np.sum(np.abs(field.values.ravel()[outside]) ** 2) * dlam ** 2)
+    outside = ~neighborhood(support, r).contains_grid(field.p_grid, field.theta_grid)
+    measured = float(np.sum(np.abs(field.values[outside]) ** 2) * dlam ** 2)
     return measured, bound
 
 

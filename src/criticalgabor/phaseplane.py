@@ -124,6 +124,10 @@ class PhaseDomain:
         res = self._contains_xy(pts)
         return bool(res[0]) if scalar else res
 
+    def contains_grid(self, ps, ts) -> np.ndarray:
+        """Membership of the product grid ps x ts as a (len(ps), len(ts)) mask."""
+        return self.contains(grid_points(ps, ts)).reshape(np.size(ps), np.size(ts))
+
     def distance(self, x):
         """Euclidean distance to the domain (0 inside)."""
         pts, scalar = _pts(x)
@@ -307,7 +311,10 @@ class Neighborhood(PhaseDomain):
         super().__init__((pmin - r, pmax + r, tmin - r, tmax + r))
 
     def _contains_xy(self, pts):
-        return neighborhood_masks(self.base, pts, [self.r])[0]
+        return neighborhood_masks(self.base, pts[:, 0], pts[:, 1], [self.r])[0]
+
+    def contains_grid(self, ps, ts):
+        return neighborhood_masks(self.base, np.reshape(ps, (-1, 1)), np.reshape(ts, (1, -1)), [self.r])[0]
 
     def _distance_xy(self, pts):
         return np.maximum(self.base.distance(pts) - self.r, 0.0)
@@ -317,21 +324,27 @@ def neighborhood(domain: PhaseDomain, r: float) -> PhaseDomain:
     return Neighborhood(domain, r)
 
 
-def neighborhood_masks(base: PhaseDomain, pts: np.ndarray, radii) -> list[np.ndarray]:
-    """Membership of the (n, 2) points in the closed r-neighborhoods of base,
-    dist(., base) <= r + 1e-12, one mask per radius, from one base distance.
+def neighborhood_masks(base: PhaseDomain, p, t, radii) -> list[np.ndarray]:
+    """Membership of the points (p, t) in the closed r-neighborhoods of base,
+    dist(., base) <= r + 1e-12, one mask per radius, over the broadcast shape of
+    the arrays p and t: 1-D p and t give a point list, ps[:, None] and ts[None, :] a grid.
 
-    A point outside the base's bbox widened by max(radii) + 1e-9 is farther
-    than every r + 1e-12 from the base, so the distance is taken only inside it.
+    The base lies in its bbox and is not empty, so dist(x, bbox) <= dist(x, base)
+    <= dist(x, the bbox's farthest corner), each squared a p part plus a theta part.
+    Upper bound <= r - 1e-9 is inside (none is for r <= 1e-9), lower bound > r + 1e-9
+    outside, and one base distance decides the ring between, taken even when the
+    ring is empty, so an empty base (a FunctionDomain true nowhere) raises.  The
+    slack is far above a distance's roundoff, so every mask is the rule itself.
     """
-    reach = max(radii) + 1e-9
     pmin, pmax, tmin, tmax = base.bbox
-    near = ((pts[:, 0] >= pmin - reach) & (pts[:, 0] <= pmax + reach)
-            & (pts[:, 1] >= tmin - reach) & (pts[:, 1] <= tmax + reach))
-    d = base.distance(pts[near])
-    masks = [np.zeros(len(pts), dtype=bool) for _ in radii]
+    lo_p, lo_t = np.maximum(pmin - p, p - pmax).clip(0) ** 2, np.maximum(tmin - t, t - tmax).clip(0) ** 2
+    hi_p, hi_t = np.maximum(p - pmin, pmax - p) ** 2, np.maximum(t - tmin, tmax - t) ** 2
+    masks = [hi_p <= (r - 1e-9) * abs(r - 1e-9) - hi_t for r in radii]  # sign-keeping square
+    # the ring: within reach (lower bound <= r + 1e-9) and not inside, for some radius
+    ring = np.logical_or.reduce([(lo_p <= (r + 1e-9) ** 2 - lo_t) > m for m, r in zip(masks, radii)])
+    d = base.distance(np.column_stack([np.broadcast_to(x, ring.shape)[ring] for x in (p, t)]))
     for mask, r in zip(masks, radii):
-        mask[near] = d <= r + 1e-12
+        mask[ring] = d <= r + 1e-12
     return masks
 
 
@@ -345,9 +358,9 @@ def lattice_points_in(domain: PhaseDomain, sharp: bool = False) -> list[PhasePoi
     js = np.arange(int(np.ceil(tmin - off - 1e-9)), int(np.floor(tmax - off + 1e-9)) + 1)
     if ks.size == 0 or js.size == 0:
         return []
-    pts = grid_points(ks + off, js + off)
-    keep = domain.contains(pts)
-    return [PhasePoint(p, t) for (p, t), ok in zip(pts, keep) if ok]
+    ps, ts = ks + off, js + off
+    i, j = np.nonzero(domain.contains_grid(ps, ts))
+    return [PhasePoint(p, t) for p, t in zip(ps[i], ts[j])]
 
 
 _DOMAIN_KEYS = {"disk": {"center", "radius"}, "rect": {"pmin", "pmax", "tmin", "tmax"},

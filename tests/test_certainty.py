@@ -86,6 +86,25 @@ class TestNestedDomains:
     def test_nesting_fails_for_oversized_order(self):
         assert not nesting_satisfied(nested_domains(Disk((0, 0), 2.0), 4.0, 2))
 
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("K", [Disk((0, 0), 0.3), Rect(-0.5, 0.25, -0.3, 0.4)], ids=["disk", "rect"])
+    def test_a_thin_gap_is_not_nested(self, K, m):
+        # l - r/2 = 1e-3: the point l straight out from K's right edge is in K+ but not
+        # in U (a step-1/4 grid scan used to miss it for the disk at m = 2, 3, 4, the rect at m = 2)
+        l = np.sqrt((m + 1) / 2.0) + 1.0
+        nd = nested_domains(K, 2.0 * (l - 1e-3), m)
+        assert not nesting_satisfied(nd)
+        edge = (K.bbox[1] + l, 0.5 * (K.bbox[2] + K.bbox[3]))
+        assert nd.K_plus.contains(edge) and not nd.U.contains(edge)
+
+    def test_the_documented_thin_gap_is_not_nested(self):
+        assert not nesting_satisfied(nested_domains(Disk((0, 0), 0.3), 4.4475, 2))
+
+    def test_equal_radii_nest(self):
+        nd = nested_domains(Disk((0, 0), 0.3), 4.0, 1)  # l = 2 = r/2, so K+ = U
+        assert nd.K_plus.r == nd.U.r
+        assert nesting_satisfied(nd)
+
     def test_default_order(self):
         assert default_order(4.0) == 0
         assert default_order(6.0) == 1

@@ -260,6 +260,16 @@ class TestDecomposeRotate:
                 RunConfig(h=h).validate()
         RunConfig(h=1.0 / 98.0).validate()
 
+    def test_a_csv_at_1_over_98_is_read_on_the_config_grid(self, workdir, monkeypatch):
+        # the CSV's x[1] - x[0] reads h 34 ulps off 1/98; the grid match holds, so the
+        # samples go onto the config's (T, h) and the step rule sees the h it was given
+        monkeypatch.chdir(workdir)
+        hermite_signal(0, 8.0, 1.0 / 98.0).to_csv("h98.csv")
+        assert signal_from_csv("h98.csv").h != 1.0 / 98.0
+        assert main(["analyze", "--h", repr(1.0 / 98.0), "--input", "h98.csv",
+                     "--out-summary", "s.json"]) == 0
+        assert json.loads(Path("s.json").read_text())["grid"]["h"] == 1.0 / 98.0
+
     def test_rotate_preserves_norm(self, workdir):
         rc = main(["rotate", "--input", str(workdir / "h0.csv"),
                    "--angle", str(np.pi / 4), "--out", str(workdir / "rot.csv")])

@@ -199,6 +199,8 @@ def base_domains():
         "union": UnionDomain([Disk((1.0, 1.0), 0.5), Polygon(random_polygons()[0]), Rect(-2, -1, 0, 0.5)]),
         # predicate true only inside its bbox, as the bbox contract asks
         "function": FunctionDomain(lambda p, t: (p ** 2 + 2 * t ** 2 <= 1.0), (-1.0, 1.0, -0.75, 0.75)),
+        "pointset": PointSet([(0.0, 0.0), (1.5, -0.5), (-2.0, 1.25)]),
+        "neighborhood": neighborhood(Polygon(random_polygons()[1]), 0.25),
     }
 
 
@@ -218,9 +220,65 @@ def test_masks_of_several_radii_match_one_radius_each(name):
     axis = np.arange(-6.0, 6.0 + 1 / 32, 1 / 16)
     pts = grid_points(axis, axis)
     radii = [1.5, 0.0, 0.37]
-    masks = neighborhood_masks(base, pts, radii)
+    masks = neighborhood_masks(base, pts[:, 0], pts[:, 1], radii)
     for mask, r in zip(masks, radii):
         np.testing.assert_array_equal(mask, base.distance(pts) <= r + 1e-12)
+
+
+GRID_P = np.arange(-6.0, 6.0 + 1 / 32, 1 / 16)
+GRID_T = np.arange(-5.0, 5.0 + 1 / 32, 1 / 8)
+
+
+@pytest.mark.parametrize("name", sorted(base_domains()))
+@pytest.mark.parametrize("r", [0.0, 0.37, 1.5, 3.0])
+def test_contains_grid_is_contains_on_the_grid_points_bitwise(name, r):
+    base = base_domains()[name]
+    pts = grid_points(GRID_P, GRID_T)
+    for dom in (base, neighborhood(base, r)):
+        want = dom.contains(pts).reshape(GRID_P.size, GRID_T.size)
+        np.testing.assert_array_equal(dom.contains_grid(GRID_P, GRID_T), want)
+
+
+@pytest.mark.parametrize("name", sorted(base_domains()))
+def test_grid_masks_match_the_distance_rule_bitwise(name):
+    base = base_domains()[name]
+    d = base.distance(grid_points(GRID_P, GRID_T)).reshape(GRID_P.size, GRID_T.size)
+    radii = [1.5, 0.0, 0.37, 3.0]
+    masks = neighborhood_masks(base, GRID_P[:, None], GRID_T[None, :], radii)
+    for mask, r in zip(masks, radii):
+        np.testing.assert_array_equal(mask, d <= r + 1e-12)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.5, 3.0])
+def test_grid_points_at_exactly_r_from_a_rect_are_inside(r):
+    # the edges and r are multiples of 1/16, so whole grid rows lie at distance r
+    base = Rect(-1.0, 0.5, -0.25, 1.5)
+    d = base.distance(grid_points(GRID_P, GRID_T)).reshape(GRID_P.size, GRID_T.size)
+    assert np.count_nonzero(d == r) >= 4
+    mask = neighborhood(base, r).contains_grid(GRID_P, GRID_T)
+    np.testing.assert_array_equal(mask, d <= r + 1e-12)
+    assert np.all(mask[d == r])
+
+
+def test_a_zero_radius_d_minus_is_the_closure_of_k():
+    nd = nested_domains(Disk((0.25, 0.0), 0.5), 2.0, 1)  # l = 2, so D- = K(max(r - l, 0)) = K(0)
+    assert nd.D_minus.r == 0.0
+    d = nd.K.distance(grid_points(GRID_P, GRID_T)).reshape(GRID_P.size, GRID_T.size)
+    np.testing.assert_array_equal(nd.D_minus.contains_grid(GRID_P, GRID_T), d <= 1e-12)
+
+
+def test_an_empty_base_raises_rather_than_pass_on_its_bbox():
+    # every point here lies within 1.5 of each corner of the bbox, below r = 3,
+    # so the upper bound alone would call it inside; the base has no point at all
+    empty = FunctionDomain(lambda p, t: np.zeros(np.shape(p), dtype=bool), (-1.0, 1.0, -1.0, 1.0))
+    axis = np.linspace(-0.25, 0.25, 5)
+    near = neighborhood(empty, 3.0)
+    with pytest.raises(ValueError, match="no occupied cells"):
+        near.contains_grid(axis, axis)
+    with pytest.raises(ValueError, match="no occupied cells"):
+        near.contains((0.0, 0.0))
+    with pytest.raises(ValueError, match="no occupied cells"):
+        neighborhood_masks(empty, axis[:, None], axis[None, :], [3.0])
 
 
 @pytest.mark.parametrize("bbox", [(-1.0, 1.0, -1.0, 1.0), (-1.5, 1.5, -1.0, 1.0), (-1.0, 1.0, -1.5, 1.5)])
