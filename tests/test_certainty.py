@@ -97,9 +97,6 @@ class TestNestedDomains:
         edge = (K.bbox[1] + l, 0.5 * (K.bbox[2] + K.bbox[3]))
         assert nd.K_plus.contains(edge) and not nd.U.contains(edge)
 
-    def test_the_documented_thin_gap_is_not_nested(self):
-        assert not nesting_satisfied(nested_domains(Disk((0, 0), 0.3), 4.4475, 2))
-
     def test_equal_radii_nest(self):
         nd = nested_domains(Disk((0, 0), 0.3), 4.0, 1)  # l = 2 = r/2, so K+ = U
         assert nd.K_plus.r == nd.U.r

@@ -268,7 +268,7 @@ def test_a_zero_radius_d_minus_is_the_closure_of_k():
 
 
 def test_an_empty_base_raises_rather_than_pass_on_its_bbox():
-    # every point here lies within 1.5 of each corner of the bbox, below r = 3,
+    # every point here lies within 1.8 of each corner of the bbox, below r = 3,
     # so the upper bound alone would call it inside; the base has no point at all
     empty = FunctionDomain(lambda p, t: np.zeros(np.shape(p), dtype=bool), (-1.0, 1.0, -1.0, 1.0))
     axis = np.linspace(-0.25, 0.25, 5)
