@@ -6,8 +6,9 @@ The construction follows the constructive proof: expand f with a sharp node
 relocated into U \\ K, keep the part supported in U, and re-expand the Gabor
 density of the remainder over the collar through local order-m expansions
 around the nearest lattice points, by linearity one patch signal per
-collar cell.  The residual is always the exact difference
-f - (synthesized terms); the theory only claims it is small.
+collar cell, all patches expanded by one stacked call.  The residual is
+always the exact difference f - (synthesized terms); the theory only claims
+it is small.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import hdelta_norm, relaxed_coefficients
-from .gabor import CoefficientSet, atom, dual_mixing, gabor_transform, superpose, synthesize
+from .gabor import (CoefficientSet, _STACK, _superpose_grid, atom, dual_mixing, gabor_transform, superpose,
+                    synthesize)
 from .higher import default_sharp_nodes, order_m_coefficients
 from .numerics import SampledSignal
 from .phaseplane import PhaseDomain, PhasePoint, lattice_points_in, neighborhood, neighborhood_masks
@@ -135,7 +137,8 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     The Gabor density of g = f - f_U on D- \\ K+ is re-expanded per cell: the
     points with nearest lattice point l form one patch signal, given one
     order-m expansion (R_local) about the origin and shifted to l, which by
-    linearity equals the sum of the points' own local expansions.
+    linearity equals the sum of the points' own local expansions
+    (_add_collar).
 
     The residual signal is the exact difference, so the identity
     f = sum(alpha) + sum(omega) + residual holds to roundoff by construction;
@@ -185,26 +188,9 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     omega.add(node[0], node[1], rexp.sharp, sharp=True)
 
     omega_out = CoefficientSet()  # lattice leakage outside D; stays in the residual
-    nodes = default_sharp_nodes(m)
-    mixing = dual_mixing(nodes)
-    # mid point l + w of weight c: c exp(2 pi i w_theta l_p) times the local expansion
-    # of e_w, shifted to l with the phase exp(-2 pi i j l_p) at index j, which is 1
-    # on lattice indices and (-1)^{l_p} on the sharp nodes
-    pts_mid = np.column_stack([x[mid] for x in grid])
-    cells, cell_of = np.unique(np.floor(pts_mid + 0.5), axis=0, return_inverse=True)
-    cell_of = cell_of.ravel()
-    offsets, w_mid = pts_mid - cells[cell_of], w_g[mid]
-    for c, (lp, lt) in enumerate(cells.astype(int)):
-        sel = cell_of == c
-        patch = superpose(offsets[sel], w_mid[sel] * np.exp(2j * np.pi * offsets[sel, 1] * lp),
-                          f.T, f.h)
-        loc = order_m_coefficients(patch, m, nodes=nodes, R=R_local)
-        for nu, b in zip(nodes, (-1.0) ** lp * np.asarray(loc.sharp_block) @ mixing):
-            omega.add(round(nu.p - 0.5) + lp, round(nu.theta - 0.5) + lt, b, sharp=True)
-        kj = np.array([key[:2] for key in loc.coeffs.entries]) + (lp, lt)
-        in_D = nd.D.contains(kj.astype(float))
-        for (k, j), cv, ok in zip(kj, loc.coeffs.entries.values(), in_D):
-            (alpha if ok else omega_out).add(k, j, cv)
+    if np.any(mid):
+        _add_collar(np.column_stack([x[mid] for x in grid]), w_g[mid], f, nd, R_local,
+                    alpha, omega, omega_out)
 
     residual = (f - synthesize(alpha, f.T, f.h, DECOMP_MARGIN)
                 - synthesize(omega, f.T, f.h, DECOMP_MARGIN))
@@ -235,6 +221,65 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
         "nesting_satisfied": nesting_satisfied(nd),
     }
     return CertaintyDecomposition(alpha, omega, residual, report)
+
+
+def _add_collar(pts: np.ndarray, weights: np.ndarray, f: SampledSignal, nd: NestedDomains,
+                R_local: int, alpha: CoefficientSet, omega: CoefficientSet, leak: CoefficientSet):
+    """Add the local order-m expansions of the mid points pts (n, 2) of the given
+    weights: lattice terms in D to alpha, outside D to leak, sharp terms to omega.
+
+    A mid point l + w of weight c adds c exp(2 pi i w_theta l_p) times the
+    local expansion of e_w, shifted to l with the phase exp(-2 pi i j l_p) at
+    index j, which is 1 on lattice indices and (-1)^{l_p} on the sharp nodes.
+    The points with one nearest lattice point l form one patch signal; the
+    mid points lie on one phase grid, so every cell's offsets w come from one
+    shared offset grid, and the patches are the rows of one stacked
+    superposition, _STACK cells at a time, all expanded by one
+    order_m_coefficients call.  Each key's terms add in cell order, as
+    repeated CoefficientSet.add calls would.
+    """
+    cells, cell_of = _distinct_pairs(np.floor(pts + 0.5).astype(int))
+    lp = cells[:, 0]
+    offsets = pts - cells[cell_of]
+    ps, ip = np.unique(offsets[:, 0], return_inverse=True)
+    ts, it = np.unique(offsets[:, 1], return_inverse=True)
+    W = np.zeros((len(cells), ps.size, ts.size), dtype=complex)
+    W[cell_of, ip, it] = weights * np.exp(2j * np.pi * offsets[:, 1] * lp[cell_of])
+    patches = (SampledSignal(f.T, f.h, row) for c in range(0, len(cells), _STACK)
+               for row in _superpose_grid(ps, ts, W[c:c + _STACK], f.T, f.h))
+    nodes = default_sharp_nodes(nd.m)
+    locs = order_m_coefficients(patches, nd.m, nodes=nodes, R=R_local)
+
+    cell_kj = cells[:, None, :]
+    node_kj = np.array([(round(nu.p - 0.5), round(nu.theta - 0.5)) for nu in nodes])
+    node_w = (-1.0) ** lp[:, None] * np.array([loc.sharp_block for loc in locs]) @ dual_mixing(nodes)
+    pairs, at = _distinct_pairs(node_kj + cell_kj)
+    keys = [(k, j, True) for k, j in pairs.tolist()]
+    total = np.array([omega.entries.get(key, 0j) for key in keys])
+    np.add.at(total, at, node_w.ravel())
+    omega.entries.update(zip(keys, total.tolist()))
+
+    # every local expansion lists the same -R..R block of keys in the same order
+    lattice_kj = np.array([key[:2] for key in locs[0].coeffs.entries])
+    lattice_c = np.array([list(loc.coeffs.entries.values()) for loc in locs])
+    pairs, at = _distinct_pairs(lattice_kj + cell_kj)
+    keys = [(k, j, False) for k, j in pairs.tolist()]
+    in_D = nd.D.contains(pairs.astype(float))
+    total = np.array([alpha.entries.get(key, 0j) if ok else 0j for key, ok in zip(keys, in_D)])
+    np.add.at(total, at, lattice_c.ravel())
+    for key, v, ok in zip(keys, total.tolist(), in_D):
+        (alpha if ok else leak).entries[key] = v
+
+
+def _distinct_pairs(kj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct integer pairs among kj (..., 2), sorted, and the index of each
+    pair among them, in row-major order: np.unique(axis=0), through one integer
+    code per pair, which sorts far faster than rows do."""
+    kj = kj.reshape(-1, 2)
+    lo = kj.min(axis=0)
+    span = int(kj[:, 1].max() - lo[1]) + 1
+    codes, at = np.unique((kj[:, 0] - lo[0]) * span + (kj[:, 1] - lo[1]), return_inverse=True)
+    return np.column_stack([codes // span, codes % span]) + lo, at
 
 
 def domain_area(D: PhaseDomain) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gabor import CoefficientSet, DEFAULT_BOX, DEFAULT_DLAM, DEFAULT_MARGIN, gabor_transform, synthesize
-from .numerics import (THETA_TERMS, Memo, SampledSignal, _fourier_derivative, array_key, theta,
+from .numerics import (THETA_TERMS, Memo, SampledSignal, _fourier_derivative, array_key, stacked, theta,
                        upsample_periodic)
 from .phaseplane import sharp_point
 from .zak import zak, _substep, _zak_sum
@@ -97,11 +97,12 @@ def _divided(Z: np.ndarray, y: np.ndarray, xi: np.ndarray, terms: int = THETA_TE
     return np.exp(np.pi * y[:, None] ** 2) * Z / th
 
 
-def division_field(f_sharp: SampledSignal, N: int | None = None, terms: int = THETA_TERMS):
+def division_field(f_sharp, N: int | None = None, terms: int = THETA_TERMS):
     """F = exp(pi y^2) Z f_sharp / Theta(xi + i y) on the midpoint grid.
 
     The midpoint grid keeps every node away from the theta zero, so the
-    division is always finite there.
+    division is always finite there.  For a sequence of signals on one grid,
+    F and the Zak field carry their stack axis first.
     """
     Z = zak(f_sharp, N)
     return _divided(Z.values, Z.y, Z.xi, terms), Z
@@ -111,11 +112,12 @@ def _extract_block(F: np.ndarray, y: np.ndarray, xi: np.ndarray, R: int) -> np.n
     """Fourier sums of F on the (y, xi) grid against exp(2 pi i (p xi + theta y)).
 
     Returns M[p_idx, theta_idx] = sum F(y, xi) exp(-2 pi i (p xi + theta y)) for
-    p, theta in -R..R; the caller supplies the cell area.  The two Fourier-row
-    matrices are memoised per (R, y, xi).
+    p, theta in -R..R; the caller supplies the cell area.  Leading axes of F (a
+    stack of fields) lead the result.  The two Fourier-row matrices are
+    memoised per (R, y, xi).
     """
     Ep, Et = _BLOCK_MEMO.get((R, array_key(y), array_key(xi)), lambda: _fourier_rows(R, y, xi))
-    return Ep @ F.T @ Et.T
+    return Ep @ F.mT @ Et.T
 
 
 def _fourier_rows(R: int, y: np.ndarray, xi: np.ndarray):
@@ -130,31 +132,42 @@ _BLOCK_MEMO = Memo()
 _REFINE_FACTOR = 8
 
 
-def _refine_correction(f_sharp: SampledSignal, F: np.ndarray, N: int, R: int) -> np.ndarray:
+def _refine_correction(f_sharp, F: np.ndarray, N: int, R: int) -> np.ndarray:
     """One refined 2x2 block: the 4 cells cornered at (1/2, 1/2) as an 8x-subdivided
     Riemann sum, minus their midpoint terms in the coarse sum.
 
     F behaves like |z - sharp|^{eps-1} near the theta zero; plain midpoint
     quadrature converges slowly there, so the adjacent cells are integrated
-    on a locally refined grid.
+    on a locally refined grid.  f_sharp and F may be a stack, as in
+    division_field.
     """
-    _substep(f_sharp.h, N)  # the fine nodes are samples of the x8 grid only for an even substep
+    values, T, h = stacked(f_sharp)
+    _substep(h, N)  # the fine nodes are samples of the x8 grid only for an even substep
     r, c = _REFINE_FACTOR, N // 2 - 1
     fine = (c + (np.arange(2 * r) + 0.5) / r) / N
     coarse = (c + np.arange(2) + 0.5) / N
-    up = upsample_periodic(f_sharp.values, r)
-    Ff = _divided(_zak_sum(up, f_sharp.T, f_sharp.h / r, fine, fine), fine, fine)
+    up = upsample_periodic(values, r)
+    Ff = _divided(_zak_sum(up, T, h / r, fine, fine), fine, fine)
     return (_extract_block(Ff, fine, fine, R) / (r * N) ** 2
-            - _extract_block(F[c:c + 2, c:c + 2], coarse, coarse, R) / N ** 2)
+            - _extract_block(F[..., c:c + 2, c:c + 2], coarse, coarse, R) / N ** 2)
 
 
-def lattice_coefficients(f_sharp: SampledSignal, R: int, N: int | None = None) -> CoefficientSet:
+def lattice_coefficients(f_sharp, R: int, N: int | None = None):
     """Lattice coefficients |k|, |j| <= R of f_sharp: double Fourier coefficients of
-    division_field, the cells at the theta zero refined."""
+    division_field, the cells at the theta zero refined.
+
+    f_sharp is one signal, or a sequence of signals on one grid, which run as
+    one stack and give one CoefficientSet each, in a list.
+    """
     F, Z = division_field(f_sharp, N)
     M = _extract_block(F, Z.y, Z.xi, R) / Z.N ** 2 + _refine_correction(f_sharp, F, Z.N, R)
-    ks = range(-R, R + 1)
-    return CoefficientSet({(k, j, False): M[a, b] for a, k in enumerate(ks) for b, j in enumerate(ks)})
+    keys = [(k, j, False) for k in range(-R, R + 1) for j in range(-R, R + 1)]
+    sets = []
+    for block in M.reshape(-1, len(keys)).tolist():
+        coeffs = CoefficientSet()
+        coeffs.entries = dict(zip(keys, block))  # already normalised: python ints, bools and complexes
+        sets.append(coeffs)
+    return sets[0] if isinstance(f_sharp, SampledSignal) else sets
 
 
 @dataclass
@@ -191,7 +204,7 @@ def relaxed_coefficients(f: SampledSignal, R: int, N: int | None = None, *,
     if R < 0:
         raise ValueError("cutoff must be >= 0")
     k0, j0 = int(sharp_node[0]), int(sharp_node[1])
-    block, coeffs = _expand(f, [sharp_point(k0, j0)], R, N)
+    [(block, coeffs)] = _expand([f], [sharp_point(k0, j0)], R, N)
     return RelaxedExpansion((-1) ** j0 * block[0], (k0, j0), coeffs, R)
 
 

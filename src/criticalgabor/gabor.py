@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+import cmath
 import json
 import math
 
@@ -44,6 +45,8 @@ DEFAULT_DLAM = 1.0 / 16.0
 DEFAULT_MARGIN = 4.0
 # theta rows per FFT batch: bounds the transform's scratch memory
 _ROWS = 16
+# signals per batch of a stack of patch sums or expansions: bounds their scratch memory
+_STACK = 4
 # the transform reads each row's spectrum within this many units of its theta
 _REACH = 4.0
 # the transform's theta period M and p period M' may reach this many times N
@@ -274,7 +277,7 @@ class CoefficientSet:
                 self.entries[(int(k), int(j), bool(sharp))] = complex(val)
         self.sharp_block = [complex(b) for b in (sharp_block or [])]
         self.nodes = [as_point(n) for n in (nodes or [])]
-        if self.sharp_block and len(self.nodes) != len(self.sharp_block):
+        if len(self.nodes) != len(self.sharp_block):
             raise ValueError("order-m block needs one node per coefficient")
 
     def __len__(self):
@@ -316,14 +319,31 @@ class CoefficientSet:
 
     @staticmethod
     def from_json(text: str) -> "CoefficientSet":
+        """The set that to_json() wrote.  Whatever to_json() would not write raises
+        ValueError: a k or j that is no JSON integer, a sharp that is no boolean,
+        a re or im that is no finite number, a (k, j, sharp) given twice, or a
+        node list that does not match the sharp_block."""
         payload = json.loads(text)
-        entries = {
-            (c["k"], c["j"], bool(c.get("sharp", False))): complex(c["re"], c["im"])
-            for c in payload["coefficients"]
-        }
-        block = [complex(re, im) for re, im in payload.get("sharp_block", [])]
-        nodes = [tuple(n) for n in payload.get("nodes", [])]
-        return CoefficientSet(entries, sharp_block=block, nodes=nodes)
+        entries = {}
+        for c in payload["coefficients"]:
+            key = (c["k"], c["j"], c.get("sharp", False))
+            if type(key[0]) is not int or type(key[1]) is not int or type(key[2]) is not bool:
+                raise ValueError(f"coefficient {c!r}: k and j must be integers and sharp a boolean")
+            if key in entries:
+                raise ValueError(f"coefficient (k, j, sharp) = {key} is given twice")
+            entries[key] = _finite(c["re"], c["im"])
+        block = [_finite(re, im) for re, im in payload.get("sharp_block", [])]
+        out = CoefficientSet(sharp_block=block, nodes=[tuple(n) for n in payload.get("nodes", [])])
+        out.entries = entries  # already normalised: python ints, bools and complexes
+        return out
+
+
+def _finite(re, im) -> complex:
+    """re + i im for two finite JSON numbers; ValueError otherwise."""
+    numbers = type(re) in (float, int) and type(im) in (float, int)
+    if not (numbers and cmath.isfinite(z := complex(re, im))):
+        raise ValueError(f"coefficient value ({re!r}, {im!r}) is no pair of finite numbers")
+    return z
 
 
 MAX_ORDER = 6
@@ -402,7 +422,7 @@ def _grid_phase(c: float, N: int) -> np.ndarray:
 
 
 def _phase_rows(ts, W, h: float, N: int) -> tuple[np.ndarray, int, float]:
-    """(rows, M, t0) with sum_b W[:, b] e^{2 pi i ts[b] x_n} = e^{2 pi i t0 x_n} rows[:, n mod M].
+    """(rows, M, t0) with sum_b W[..., b] e^{2 pi i ts[b] x_n} = e^{2 pi i t0 x_n} rows[..., n mod M].
 
     With x_n = (h/2)(2n - (N - 1)) and ts[b] = t0 + k_b/(h M) for integers
     k_b, the factor e^{2 pi i (ts[b] - t0) x_n} is e^{-pi i k_b (N - 1)/M}
@@ -425,9 +445,9 @@ def _phase_rows(ts, W, h: float, N: int) -> tuple[np.ndarray, int, float]:
             M = L // math.gcd(int(np.gcd.reduce(qi)), L)
             if M <= N:
                 k = qi // (L // M)
-                Z = np.zeros((W.shape[0], M), dtype=complex)
+                Z = np.zeros(W.shape[:-1] + (M,), dtype=complex)
                 np.add.at(Z.T, k % M, (W * np.exp(-1j * np.pi * ((k * (N - 1)) % (2 * M) / M))).T)
-                return np.fft.ifft(Z, axis=1, norm="forward"), M, t0
+                return np.fft.ifft(Z, axis=-1, norm="forward", out=Z), M, t0
     return W @ np.array([_grid_phase(t * h, N) for t in ts]), N, 0.0
 
 
@@ -455,25 +475,28 @@ def _envelopes(ps, T: float, h: float, N: int) -> np.ndarray:
 
 
 def _superpose_grid(ps, ts, W, T: float, h: float) -> np.ndarray:
-    """sum_{a,b} W[a, b] e_{(ps[a], ts[b])} on the grid, for ps and ts in any order.
+    """sum_{a,b} W[..., a, b] e_{(ps[a], ts[b])} on the grid, for ps and ts in any order.
 
-    The sum is e^{2 pi i t0 x_n} sum_a envelope_a[n] rows[a, n mod M]
-    (_phase_rows, _envelopes).  The first N - N mod M samples are a (N // M, M)
-    reshape, so the sum over a runs as two real contractions with no P x N
-    complex temporary; the last N mod M samples are one more.
+    Leading axes of W give a stack of sums that share the (ps, ts) grid, one
+    envelope table and one phase-row transform.  The sum is
+    e^{2 pi i t0 x_n} sum_a envelope_a[n] rows[..., a, n mod M] (_phase_rows,
+    _envelopes).  The first N - N mod M samples are a (N // M, M) reshape, so
+    the sum over a runs as two real contractions with no P x N complex
+    temporary; the last N mod M samples are one more.
     """
     N = _sample_count(T, h)
+    lead = W.shape[:-2]
     if W.size == 0:
-        return np.zeros(N, dtype=complex)
+        return np.zeros(lead + (N,), dtype=complex)
     rows, M, t0 = _phase_rows(ts, W, h, N)
     env = _envelopes(ps, T, h, N)
     R = N // M
-    out = np.empty(N, dtype=complex)
-    full, env_full = out[:R * M].reshape(R, M), env[:, :R * M].reshape(-1, R, M)
-    full.real = np.einsum("arm,am->rm", env_full, rows.real)
-    full.imag = np.einsum("arm,am->rm", env_full, rows.imag)
+    out = np.empty(lead + (N,), dtype=complex)
+    full, env_full = out[..., :R * M].reshape(lead + (R, M)), env[:, :R * M].reshape(-1, R, M)
+    full.real = np.einsum("arm,...am->...rm", env_full, rows.real)
+    full.imag = np.einsum("arm,...am->...rm", env_full, rows.imag)
     if R * M < N:
-        out[R * M:] = np.einsum("an,an->n", env[:, R * M:], rows[:, :N - R * M])
+        out[..., R * M:] = np.einsum("an,...an->...n", env[:, R * M:], rows[..., :N - R * M])
     if t0:
         out *= _grid_phase(t0 * h, N)
     return out

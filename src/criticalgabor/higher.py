@@ -11,10 +11,11 @@ shows up directly in the decay of the lattice coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .gabor import CoefficientSet, DEFAULT_MARGIN, MAX_ORDER, atom, dual_mixing, synthesize
+from .gabor import CoefficientSet, DEFAULT_MARGIN, MAX_ORDER, _STACK, atom, dual_mixing, synthesize
 from .numerics import SampledSignal, spectral_derivative
 from .phaseplane import PhasePoint, as_point, sharp_point
 from .expansion import hdelta_norm, lattice_coefficients, sharp_functional
@@ -109,37 +110,54 @@ class OrderMExpansion:
         return synthesize(self.full_coefficients(), T, h, margin)
 
 
-def _expand(f: SampledSignal, nodes, R: int, N: int | None):
-    """The one expansion core at sharp nodes mu_0..mu_m: returns the sharp block
-    [gamma_sharp(a^j f) for j <= m] and the lattice coefficients of
-    f - sum_j gamma_sharp(a^j f) d_j."""
-    duals = dual_atoms(nodes, f.T, f.h)
-    block = [sharp_functional(f)]
-    g = f
-    for _ in duals.nodes[1:]:
-        g = annihilate(g)
-        block.append(sharp_functional(g))
-    f_sharp = f
-    for b, d in zip(block, duals.atoms):
-        f_sharp = f_sharp - b * d
-    return block, lattice_coefficients(f_sharp, R, N)
+def _expand(signals, nodes, R: int, N: int | None) -> list[tuple[list[complex], CoefficientSet]]:
+    """The one expansion core at sharp nodes mu_0..mu_m, for an iterable of signals
+    on one grid: per signal f, the sharp block [gamma_sharp(a^j f) for j <= m]
+    and the lattice coefficients of f - sum_j gamma_sharp(a^j f) d_j.
+
+    The dual atoms are built once.  The signals are drawn _STACK at a time, and
+    each batch runs as one stack through lattice_coefficients, so the scratch
+    of its Zak sums and 8x refinement stays bounded, and a generator of
+    signals keeps only one batch alive.
+    """
+    out, duals, signals = [], None, iter(signals)
+    while batch := list(islice(signals, _STACK)):
+        if duals is None:
+            duals = dual_atoms(nodes, batch[0].T, batch[0].h)
+        blocks, f_sharp = [], []
+        for f in batch:
+            block, g = [sharp_functional(f)], f
+            for _ in duals.nodes[1:]:
+                g = annihilate(g)
+                block.append(sharp_functional(g))
+            for b, d in zip(block, duals.atoms):
+                f = f - b * d
+            blocks.append(block)
+            f_sharp.append(f)
+        out.extend(zip(blocks, lattice_coefficients(f_sharp, R, N)))
+    return out
 
 
-def order_m_coefficients(f: SampledSignal, m: int, nodes=None, R: int = 6,
-                         N: int | None = None) -> OrderMExpansion:
+def order_m_coefficients(f, m: int, nodes=None, R: int = 6, N: int | None = None):
     """Order-m relaxed expansion: f = sum_j gamma_sharp(a^j f) d_j + sum c_lambda e_lambda.
 
     Subtracting the dual-atom block zeroes the first m+1 sharp obstructions,
     so the theta-divided Zak field of the remainder is m times smoother and
     its Fourier coefficients decay accordingly.
+
+    f is one signal, or an iterable of signals on one grid: then the result
+    is a list with one expansion per signal, from one set of dual atoms and
+    stacked batches of the core (_expand).
     """
     if m < 0 or m > MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
     pts = [as_point(n) for n in nodes] if nodes is not None else default_sharp_nodes(m)
     if len(pts) != m + 1:
         raise ValueError(f"order m={m} needs exactly {m + 1} nodes, got {len(pts)}")
-    block, coeffs = _expand(f, pts, R, N)
-    return OrderMExpansion(block, pts, coeffs, R)
+    single = isinstance(f, SampledSignal)
+    out = [OrderMExpansion(block, pts, coeffs, R)
+           for block, coeffs in _expand([f] if single else f, pts, R, N)]
+    return out[0] if single else out
 
 
 def decay_exponent(coeffs: CoefficientSet, rmax: float | None = None) -> float:

@@ -161,6 +161,19 @@ def signal_from_csv(path) -> SampledSignal:
     return SampledSignal(T, h, np.asarray(vals))
 
 
+def stacked(signals) -> tuple[np.ndarray, float, float]:
+    """(values, T, h) of one signal, or of a sequence of signals on one grid with
+    their values stacked along a leading axis, one row per signal."""
+    if isinstance(signals, SampledSignal):
+        return signals.values, signals.T, signals.h
+    if not signals:
+        raise ValueError("a stack needs at least one signal")
+    first = signals[0]
+    for g in signals[1:]:
+        first._require_grid(g)
+    return np.array([g.values for g in signals]), first.T, first.h
+
+
 def inner(f: SampledSignal, g: SampledSignal) -> complex:
     """Discrete scalar product sum f(x_n) conj(g(x_n)) h."""
     f._require_grid(g)
@@ -329,4 +342,6 @@ def upsample_periodic(values: np.ndarray, factor: int) -> np.ndarray:
         half = (n + 1) // 2
         out[..., :half] = spec[..., :half]
         out[..., N - (n - half):] = spec[..., half:]
-    return np.fft.ifft(out, axis=-1) * factor
+    np.fft.ifft(out, axis=-1, out=out)
+    out *= factor
+    return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (THETA_TERMS, Memo, SampledSignal, array_key, theta, upsample_periodic,
+from .numerics import (THETA_TERMS, Memo, SampledSignal, array_key, stacked, theta, upsample_periodic,
                        _fourier_derivative, _sample_count)
 from .phaseplane import as_point
 
@@ -47,7 +47,8 @@ def default_zak_size(h: float) -> int:
 
 @dataclass(frozen=True)
 class ZakField:
-    """Values on the N x N midpoint grid of the unit square."""
+    """Values on the N x N midpoint grid of the unit square, (N, N); a stack of
+    fields, one per signal of a sequence, is (C, N, N)."""
 
     N: int
     values: np.ndarray
@@ -56,8 +57,8 @@ class ZakField:
         vals = np.asarray(self.values, dtype=complex)
         if self.N % 2 != 0:
             raise ValueError("midpoint grid needs even N so (1/2, 1/2) is never a node")
-        if vals.shape != (self.N, self.N):
-            raise ValueError(f"expected {self.N}x{self.N} values, got {vals.shape}")
+        if vals.shape[-2:] != (self.N, self.N) or vals.ndim not in (2, 3):
+            raise ValueError(f"expected {self.N}x{self.N} values or a stack of them, got {vals.shape}")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -68,9 +69,14 @@ class ZakField:
 
     xi = y  # the same midpoint nodes on both axes
 
-    def norm(self) -> float:
-        """Discrete L2(Q) norm, (1/N^2) sum |Z|^2 over the unit square."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / self.N ** 2))
+    def norm(self):
+        """Discrete L2(Q) norm, (1/N^2) sum |Z|^2 over the unit square; one per field of a stack."""
+        norms = np.sqrt(np.sum(np.abs(self.values) ** 2, axis=(-2, -1)) / self.N ** 2)
+        return float(norms) if norms.ndim == 0 else norms
+
+    def _one(self, what: str):
+        if self.values.ndim != 2:
+            raise ValueError(f"{what} takes one Zak field, not a stack")
 
 
 def _integer_T(T: float) -> int:
@@ -85,12 +91,13 @@ def _zak_sum(values: np.ndarray, T: float, step: float, y: np.ndarray,
     """sum_q exp(2 pi i q xi) f(y + q) from samples f(-T + n step), as a (y, xi) array.
 
     The y nodes must be sample points in one unit interval [y0, y0 + 1); q runs
-    over -T - y0 .. T - y0 - 1, so every y + q stays on the grid.  The gather
-    index and the phase matrix are memoised per (T, step, y, xi).
+    over -T - y0 .. T - y0 - 1, so every y + q stays on the grid.  Leading axes
+    of values (a stack of signals) lead the result.  The gather index and the
+    phase matrix are memoised per (T, step, y, xi).
     """
     n_idx, phases = _ZAK_SUM_MEMO.get((T, step, array_key(y), array_key(xi)),
                                       lambda: _zak_sum_plan(T, step, y, xi))
-    return values[n_idx] @ phases
+    return values[..., n_idx] @ phases
 
 
 def _zak_sum_plan(T: float, step: float, y: np.ndarray, xi: np.ndarray):
@@ -109,12 +116,17 @@ def _zak_sum_plan(T: float, step: float, y: np.ndarray, xi: np.ndarray):
 _ZAK_SUM_MEMO = Memo()
 
 
-def zak(f: SampledSignal, N: int | None = None) -> ZakField:
-    """Zak transform sampled on the midpoint grid, truncated to the signal support."""
-    N = default_zak_size(f.h) if N is None else int(N)
-    _substep(f.h, N)
+def zak(f, N: int | None = None) -> ZakField:
+    """Zak transform sampled on the midpoint grid, truncated to the signal support.
+
+    f is one signal, or a sequence of signals on one grid, whose fields come
+    as one stack from one Zak sum.
+    """
+    values, T, h = stacked(f)
+    N = default_zak_size(h) if N is None else int(N)
+    _substep(h, N)
     grid = _midpoints(N)
-    return ZakField(N, _zak_sum(f.values, f.T, f.h, grid, grid))
+    return ZakField(N, _zak_sum(values, T, h, grid, grid))
 
 
 def zak_inverse(Z: ZakField, T: float, h: float) -> SampledSignal:
@@ -124,6 +136,7 @@ def zak_inverse(Z: ZakField, T: float, h: float) -> SampledSignal:
     remaining sample points are filled by trigonometric interpolation, which
     is exact to roundoff for signals that are negligible at the boundary.
     """
+    Z._one("zak_inverse")
     N = Z.N
     s = _substep(h, N)
     Ti = _integer_T(T)
@@ -204,9 +217,9 @@ def a_operator_zak(Z: ZakField) -> ZakField:
     """
     y = Z.y[:, None]
     xi = Z.xi[None, :]
-    d_xi = _fourier_derivative(Z.values, 1.0 / Z.N, axis=1)
+    d_xi = _fourier_derivative(Z.values, 1.0 / Z.N, axis=-1)
     twist = np.exp(2j * np.pi * y * xi)
-    d_y = np.conj(twist) * _fourier_derivative(twist * Z.values, 1.0 / Z.N, axis=0) \
+    d_y = np.conj(twist) * _fourier_derivative(twist * Z.values, 1.0 / Z.N, axis=-2) \
         - 2j * np.pi * xi * Z.values
     vals = (d_xi + 1j * d_y) / (2j * np.pi) + y * Z.values
     return ZakField(Z.N, vals)
@@ -228,6 +241,7 @@ def sobolev_norm(Z: ZakField, delta: float) -> float:
     multiplied by a smooth cutoff equal to one on the fundamental square, and
     measured through the Fourier multiplier (1 + |s| + |t|)^{delta/2}.
     """
+    Z._one("sobolev_norm")
     N = Z.N
     # patch y, xi in [-1/2, 3/2), midpoints at resolution 1/N
     idx = np.arange(2 * N) - N // 2

@@ -262,6 +262,20 @@ def per_point_collar(f, K, r, m, dlam, R_local):
             "cells": len(cells), "weight": float(np.sum(np.abs(w_g[mid])))}
 
 
+def count_expanded_signals(monkeypatch) -> list[int]:
+    """Patch certainty's order_m_coefficients to record the number of signals of each call."""
+    counts, expand = [], certainty.order_m_coefficients
+
+    def counting(f, *args, **kwargs):
+        signals = [f] if isinstance(f, SampledSignal) else list(f)
+        counts.append(len(signals))
+        out = expand(signals, *args, **kwargs)
+        return out[0] if isinstance(f, SampledSignal) else out
+
+    monkeypatch.setattr(certainty, "order_m_coefficients", counting)
+    return counts
+
+
 class TestCollarCells:
     @pytest.mark.parametrize("dlam, r, m", [(1.0 / 8.0, 4.0, 0), (1.0 / 16.0, 4.0, 0),
                                             (1.0 / 8.0, 5.0, 2)])
@@ -272,19 +286,21 @@ class TestCollarCells:
         f = SampledSignal(T, H64, atom((0.5, 0.25), T, H64).values
                           + 0.6j * atom((2.3, -1.7), T, H64).values)
         ref = per_point_collar(f, K, r, m, dlam, R_local)
-        calls = []
-        expand = certainty.order_m_coefficients
-        monkeypatch.setattr(certainty, "order_m_coefficients",
-                            lambda *a, **kw: calls.append(1) or expand(*a, **kw))
+        signals = count_expanded_signals(monkeypatch)
         dec = decompose(f, K, r, m, dlam=dlam, R_local=R_local)
 
         assert ref["mid"] > 0 and dec.report["mid_region_points"] == ref["mid"]
-        assert len(calls) == ref["cells"]
+        assert sum(signals) == ref["cells"]  # one patch signal per cell, over all calls
         tol = 1e-12 * ref["weight"]
         for got, want in ((dec.alpha, ref["alpha"]), (dec.omega, ref["omega"])):
             assert set(got.entries) == set(want.entries)
             assert max(abs(got.entries[key] - v) for key, v in want.entries.items()) <= tol
         assert dec.report["omega_outside_l2"] == pytest.approx(ref["leak"], abs=tol)
+
+    def test_no_collar_no_local_expansion(self, monkeypatch):
+        signals = count_expanded_signals(monkeypatch)
+        dec = decompose(atom((0.3, -0.2), 8.0, H64), Disk((0, 0), 0.3), 3.0, 1)
+        assert dec.report["mid_region_points"] == 0 and signals == []
 
 
 class TestDegreesOfFreedom:

@@ -414,6 +414,32 @@ def test_theta_applies_q(capsys):
     assert low_q != default_q
 
 
+def coefficient(**fields) -> dict:
+    return {"k": 0, "j": 0, "sharp": False, "re": 1.0, "im": 0.0, **fields}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"coefficients": [coefficient(k=1.5)]}, "k and j must be integers"),
+    ({"coefficients": [coefficient(j=True)]}, "k and j must be integers"),
+    ({"coefficients": [coefficient(sharp="false")]}, "sharp a boolean"),
+    ({"coefficients": [coefficient(), coefficient(re=2.0)]}, "given twice"),
+    ({"coefficients": [coefficient()], "nodes": [[0.5, 0.5]]}, "one node per coefficient"),
+    ({"coefficients": [coefficient(re=float("nan"))]}, "no pair of finite numbers"),
+    ({"coefficients": [coefficient(im=float("inf"))]}, "no pair of finite numbers"),
+    ({"coefficients": [coefficient(re="1.0")]}, "no pair of finite numbers"),
+    ({"coefficients": [], "sharp_block": [[float("-inf"), 0.0]], "nodes": [[0.5, 0.5]]},
+     "no pair of finite numbers"),
+], ids=["fractional-k", "boolean-j", "string-sharp", "duplicate-key", "nodes-without-block",
+        "nan-re", "infinite-im", "string-re", "infinite-block"])
+def test_synthesize_refuses_coefficients_to_json_would_not_write(workdir, monkeypatch, capsys,
+                                                                  payload, message):
+    monkeypatch.chdir(workdir)
+    Path("bad.json").write_text(json.dumps(payload))
+    assert main(["synthesize", "--coeffs", "bad.json", "--out", "o.csv"]) == 2
+    assert message in capsys.readouterr().err
+    assert not Path("o.csv").exists()
+
+
 @pytest.mark.parametrize("flags", unread_cases({"T", "h", "margin"}))
 def test_synthesize_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags):
     # synthesis reads the grid and the atom margin only

@@ -7,6 +7,8 @@ from criticalgabor import (CoefficientSet, SampledSignal, SIGMA0, atom,
                            half_plane_mass, inner, synthesize,
                            tail_mass)
 
+from criticalgabor.gabor import _superpose_grid
+
 T8, H64 = 8.0, 1.0 / 64.0
 
 
@@ -161,6 +163,17 @@ class TestSynthesize:
                     c.set(k, j, v[i])
                     i += 1
             assert synthesize(c, T8, H64).norm() <= SIGMA0 * c.l2() * (1 + 1e-9)
+
+    def test_stacked_weights_give_one_sum_per_row(self, rng):
+        # the rows share the grid of centers, one all-zero row included
+        ps, ts = np.array([-0.5, 0.0, 0.375]), np.array([-0.375, 0.125, 0.25])
+        W = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        W[1] = 0.0
+        out = _superpose_grid(ps, ts, W, T8, H64)
+        assert out.shape == (5, 1025) and not np.any(out[1])
+        for w, row in zip(W, out):
+            single = _superpose_grid(ps, ts, w, T8, H64)
+            assert np.max(np.abs(row - single)) <= 1e-15 * np.max(np.abs(single), initial=1.0)
 
     def test_out_of_safe_region_rejected(self):
         c = CoefficientSet({(7, 0, False): 1.0})

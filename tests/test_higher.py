@@ -8,6 +8,9 @@ from criticalgabor import (CoefficientSet, annihilate, atom, create,
                            sharp_functional, sharp_point, synthesize,
                            vandermonde_inverse, PhasePoint, SampledSignal)
 
+from criticalgabor import higher
+from criticalgabor.gabor import _STACK
+
 T8, H64 = 8.0, 1.0 / 64.0
 
 
@@ -184,6 +187,67 @@ class TestOrderMExpansion:
             order_m_coefficients(hermites[0], 7)
         with pytest.raises(ValueError):
             order_m_coefficients(hermites[0], 1, nodes=[sharp_point()])
+
+
+def unit_mixes(C: int) -> list[SampledSignal]:
+    """C unit-norm signals, an atom plus a Hermite function each, all different."""
+    out = []
+    for c in range(C):
+        f = atom((0.3 * c - 0.7, 0.2 - 0.15 * c)) + (0.5 - 0.3j) * hermite_signal(c % 4)
+        out.append(f * (1.0 / f.norm()))
+    return out
+
+
+def expansion_gap(a, b) -> float:
+    """Largest difference between two order-m expansions over the sharp block and the lattice."""
+    assert a.nodes == b.nodes and set(a.coeffs.entries) == set(b.coeffs.entries)
+    return max(max(abs(x - y) for x, y in zip(a.sharp_block, b.sharp_block)),
+               max(abs(a.coeffs.entries[key] - v) for key, v in b.coeffs.entries.items()))
+
+
+class TestStackedExpansion:
+    # A stack of signals runs the core along a leading axis, in batches of _STACK.  Its
+    # batched matrix products may sum in another order than single ones (BLAS blocking),
+    # so rows agree with single calls to roundoff: a few ulps of the unit-norm signals'
+    # coefficients, well under 1e-14 (the stack has matched single calls bitwise on an
+    # x86-64 OpenBLAS build).
+    TOL = 1e-14
+
+    @pytest.mark.parametrize("C", [1, _STACK - 1, _STACK, _STACK + 1])
+    @pytest.mark.parametrize("m", range(4))
+    def test_stack_matches_single_calls(self, m, C):
+        signals = unit_mixes(C)
+        stacked = order_m_coefficients(signals, m, R=5)
+        assert len(stacked) == C
+        for f, got in zip(signals, stacked):
+            assert expansion_gap(got, order_m_coefficients(f, m, R=5)) <= self.TOL
+
+    def test_sequence_of_one_is_the_single_call(self, hermites):
+        [got] = order_m_coefficients([hermites[2]], 2, R=6)
+        want = order_m_coefficients(hermites[2], 2, R=6)
+        assert got.sharp_block == want.sharp_block and got.coeffs.entries == want.coeffs.entries
+
+    def test_generator_is_drawn_in_batches(self, monkeypatch):
+        # a generator of signals gives the list's result, drawn _STACK signals at a time:
+        # each batch reaches the lattice core before the next one is drawn
+        signals, drawn, seen = unit_mixes(2 * _STACK + 1), [], []
+
+        def lazily():
+            for f in signals:
+                drawn.append(f)
+                yield f
+
+        lattice = higher.lattice_coefficients
+        monkeypatch.setattr(higher, "lattice_coefficients",
+                            lambda f, *a: seen.append((len(f), len(drawn))) or lattice(f, *a))
+        got = order_m_coefficients(lazily(), 1, R=4)
+        assert seen == [(_STACK, _STACK), (_STACK, 2 * _STACK), (1, 2 * _STACK + 1)]
+        want = order_m_coefficients(signals, 1, R=4)
+        assert all(expansion_gap(a, b) == 0.0 for a, b in zip(got, want))
+
+    def test_signals_on_two_grids_are_refused(self):
+        with pytest.raises(ValueError, match="different grids"):
+            order_m_coefficients([atom((0, 0)), atom((0, 0), 8.0, 1.0 / 32.0)], 1, R=3)
 
 
 class TestNormBound:

@@ -40,6 +40,18 @@ class TestZakTransform:
         with pytest.raises(ValueError):
             zak(hermites[0], N=64)  # 1/(N h) = 1 is odd
 
+    def test_stack_of_signals(self, hermites):
+        # one Zak sum for the stack; each field is the single signal's, to roundoff
+        Z = zak(hermites, 32)
+        assert Z.values.shape == (len(hermites), 32, 32)
+        for f, field, norm in zip(hermites, Z.values, Z.norm()):
+            single = zak(f, 32)
+            assert np.max(np.abs(field - single.values)) <= 1e-15 * np.max(np.abs(single.values))
+            assert norm == pytest.approx(single.norm(), rel=1e-14)
+        for one_field_only in (lambda: zak_inverse(Z, T8, H64), lambda: sobolev_norm(Z, 2.0)):
+            with pytest.raises(ValueError, match="one Zak field, not a stack"):
+                one_field_only()
+
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
             ZakField(33, np.zeros((33, 33)))
