@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import hdelta_norm, relaxed_coefficients
-from .gabor import (CoefficientSet, _STACK, _superpose_grid, atom, dual_mixing, gabor_transform, superpose,
+from .gabor import (CoefficientSet, _STACK, _box_grids, _superpose_grid, atom, dual_mixing, gabor_transform,
                     synthesize)
 from .higher import default_sharp_nodes, order_m_coefficients
 from .numerics import SampledSignal
@@ -94,26 +94,29 @@ def concentration(f: SampledSignal, D: PhaseDomain, box=None,
     return out_mass + (rest if rest > 64 * np.finfo(float).eps * f.norm() ** 2 else 0.0)
 
 
-def _index_sets(K: PhaseDomain, D: PhaseDomain) -> tuple[list[PhasePoint], list[PhasePoint]]:
-    """The atom sites of the decomposition: lattice points in D, and sharp
-    points in D off K (distance to K above 1e-9)."""
+def _atom_sites(K: PhaseDomain, r: float) -> tuple[list[PhasePoint], list[PhasePoint], tuple[int, int] | None]:
+    """The atom sites of the decomposition over D = K(r) and its relocation node.
+
+    Returns the lattice points in D, the sharp points in D off K (distance d
+    to K above 1e-9), and the sharp node in U \\ K, 1e-9 < d <= r/2 + 1e-12 by
+    U's own rule: centered in the annulus when possible, largest clearance,
+    ties broken by the smallest index (k0, j0); None when U \\ K holds no
+    sharp point.  One enumeration of D's sharp points and one distance to K
+    decide both sharp sets.
+    """
+    D = neighborhood(K, r)
     sharp = lattice_points_in(D, sharp=True)
-    dist = K.distance(np.array([tuple(mu) for mu in sharp], dtype=float).reshape(-1, 2))
-    return lattice_points_in(D, sharp=False), [mu for mu, d in zip(sharp, dist) if d > 1e-9]
-
-
-def _choose_sharp_node(nd: NestedDomains) -> tuple[int, int]:
-    """Deterministic sharp node in U \\ K, centered in the annulus when possible:
-    largest clearance, ties broken by the smallest index (k0, j0)."""
-    pts = np.array([tuple(mu) for mu in lattice_points_in(nd.U, sharp=True)], dtype=float).reshape(-1, 2)
-    dk = nd.K.distance(pts)
-    off_K = dk > 1e-9
-    if not np.any(off_K):
-        raise ValueError("no sharp point available in U \\ K for relocation")
-    clearance = np.minimum(dk, nd.r / 2.0 - dk + 1e-12)[off_K]
-    k0, j0 = np.round(pts[off_K] - 0.5).astype(int).T
-    best = np.lexsort((j0, k0, -clearance))[0]
-    return int(k0[best]), int(j0[best])
+    pts = np.array([tuple(mu) for mu in sharp], dtype=float).reshape(-1, 2)
+    d = K.distance(pts)
+    off_K = d > 1e-9
+    in_U = off_K & (d <= r / 2.0 + 1e-12)
+    node = None
+    if np.any(in_U):
+        clearance = np.minimum(d, r / 2.0 - d + 1e-12)[in_U]
+        k0, j0 = np.round(pts[in_U] - 0.5).astype(int).T
+        best = np.lexsort((j0, k0, -clearance))[0]
+        node = int(k0[best]), int(j0[best])
+    return lattice_points_in(D), [mu for mu, ok in zip(sharp, off_K) if ok], node
 
 
 @dataclass
@@ -140,6 +143,13 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     linearity equals the sum of the points' own local expansions
     (_add_collar).
 
+    The field of g is read only on K+ (for g+) and on D- (for the mid
+    points), so it is transformed only on the window of the box grid that
+    holds bbox(K) grown by max(l, r - l): both sets are neighborhoods of K
+    within that reach.  The window covers K+ as well as D-, since K+ lies in
+    D- only when the chain nests (l <= r/2).  Masks, mid points and collar
+    cells are read from slices of the box grid, so they are the box's own.
+
     The residual signal is the exact difference, so the identity
     f = sum(alpha) + sum(omega) + residual holds to roundoff by construction;
     the report carries its norm together with the concentration-plus-
@@ -157,7 +167,9 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
         raise ValueError(f"grid T={f.T} too small for D reaching {need}; need T >= {need + 2}")
     box = min(f.T, need + 2.0)
 
-    node = _choose_sharp_node(nd)
+    lattice, sharp, node = _atom_sites(nd.K, nd.r)
+    if node is None:
+        raise ValueError("no sharp point available in U \\ K for relocation")
     R_big = int(np.ceil(need)) + 2
     rexp = relaxed_coefficients(f, R_big, sharp_node=node)
 
@@ -169,15 +181,19 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     f_U = synthesize(fU_coeffs, f.T, f.h, DECOMP_MARGIN)
     g = f - f_U
 
-    gfield = gabor_transform(g, box, dlam)
-    ps, ts = gfield.p_grid[:, None], gfield.theta_grid[None, :]
+    # K+ and D- lie within max(l, r - l) of bbox(K); the slack 1e-9 covers their rule's 1e-12
+    ps, ts = _box_grids(box, dlam)
+    reach = max(nd.K_plus.r, nd.D_minus.r) + 1e-9
+    pmin, pmax, tmin, tmax = nd.K.bbox
+    ps = ps[np.searchsorted(ps, pmin - reach):np.searchsorted(ps, pmax + reach, side="right")]
+    ts = ts[np.searchsorted(ts, tmin - reach):np.searchsorted(ts, tmax + reach, side="right")]
+    gfield = gabor_transform(g, (ps[0], ps[-1], ts[0], ts[-1]), dlam)
+    assert gfield.values.shape == (ps.size, ts.size)
     w_g = gfield.values * dlam ** 2
-    # K+ and D- are neighborhoods of K: one distance to K classifies the grid for both
-    in_Kplus, in_Dminus = neighborhood_masks(nd.K, ps, ts, [nd.K_plus.r, nd.D_minus.r])
+    # K+ and D- are neighborhoods of K: one distance to K classifies the window for both
+    in_Kplus, in_Dminus = neighborhood_masks(nd.K, ps[:, None], ts[None, :], [nd.K_plus.r, nd.D_minus.r])
     mid = in_Dminus & ~in_Kplus
-    grid = np.broadcast_arrays(ps, ts)  # (P, Theta) views: a mask picks its points from them
 
-    lattice, sharp = _index_sets(nd.K, nd.D)
     alpha = CoefficientSet()  # f_U's lattice coefficients, zero on D \ U
     for lam in lattice:
         k, j = int(round(lam.p)), int(round(lam.theta))
@@ -189,16 +205,18 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
 
     omega_out = CoefficientSet()  # lattice leakage outside D; stays in the residual
     if np.any(mid):
+        grid = np.broadcast_arrays(ps[:, None], ts[None, :])  # (P, Theta) views: the mask picks from them
         _add_collar(np.column_stack([x[mid] for x in grid]), w_g[mid], f, nd, R_local,
                     alpha, omega, omega_out)
 
-    residual = (f - synthesize(alpha, f.T, f.h, DECOMP_MARGIN)
-                - synthesize(omega, f.T, f.h, DECOMP_MARGIN))
+    # alpha holds only lattice keys and omega only sharp ones: one synthesis of both
+    both = CoefficientSet({**alpha.entries, **omega.entries})
+    residual = f - synthesize(both, f.T, f.h, DECOMP_MARGIN)
 
     conc = concentration(f, nd.D, box, min(dlam, 1.0 / 16.0))
     fnorm = f.norm()
     hnorm = hdelta_norm(f, delta, box=min(f.T, 8.0))
-    g_plus = superpose(np.column_stack([x[in_Kplus] for x in grid]), w_g[in_Kplus], f.T, f.h)
+    g_plus = SampledSignal(f.T, f.h, _superpose_grid(ps, ts, np.where(in_Kplus, w_g, 0), f.T, f.h))
     n_lattice, n_sharp = len(lattice), len(sharp)
     area = domain_area(nd.D)
     report = {
@@ -297,10 +315,9 @@ def degrees_of_freedom_report(K: PhaseDomain, r: float) -> dict:
     """Atom budget of the decomposition index sets against the area of D = K(r)."""
     if not K.is_bounded():
         raise ValueError("K must be bounded")
-    D = neighborhood(K, r)
-    lattice, sharp = _index_sets(K, D)
+    lattice, sharp, _ = _atom_sites(K, r)
     n_lattice, n_sharp = len(lattice), len(sharp)
-    area = domain_area(D)
+    area = domain_area(neighborhood(K, r))
     count = n_lattice + n_sharp
     return {
         "area_D": area,
@@ -319,7 +336,7 @@ def least_squares_baseline(f: SampledSignal, K: PhaseDomain, r: float) -> float:
     from .gabor import atom_inner
     from .numerics import inner as _inner
 
-    lattice, sharp = _index_sets(K, neighborhood(K, r))
+    lattice, sharp, _ = _atom_sites(K, r)
     pts = lattice + sharp
     G = np.array([[atom_inner(a, b) for b in pts] for a in pts])
     b = np.array([_inner(f, atom(pt, f.T, f.h, margin=DECOMP_MARGIN)) for pt in pts])

@@ -24,19 +24,26 @@ THETA0 = float(np.real(theta(0.0)))
 
 
 def _half_integer_indices(f: SampledSignal):
-    Ti = int(round(f.T))
-    half = 0.5 / f.h
-    if abs(f.T - Ti) > 1e-9 or abs(half - round(half)) > 1e-9:
+    """The signs (-1)^q and the sample indices of the half-integer points q + 1/2,
+    |q + 1/2| < T, memoised per (T, h)."""
+    return _HALF_INTEGER_MEMO.get((f.T, f.h), lambda: _half_integer_grid(f.T, f.h))
+
+
+def _half_integer_grid(T: float, h: float):
+    Ti = int(round(T))
+    half = 0.5 / h
+    if abs(T - Ti) > 1e-9 or abs(half - round(half)) > 1e-9:
         raise ValueError("sharp functional needs half-integer points on the grid")
     qs = np.arange(-Ti, Ti)
-    idx = np.round((qs + 0.5 + f.T) / f.h).astype(int)
-    return qs, idx
+    return np.where(qs % 2 == 0, 1.0, -1.0), np.round((qs + 0.5 + T) / h).astype(int)
+
+
+_HALF_INTEGER_MEMO = Memo()
 
 
 def sharp_series(f: SampledSignal) -> complex:
     """Alternating half-integer sample sum sum_q (-1)^q f(q + 1/2)."""
-    qs, idx = _half_integer_indices(f)
-    signs = np.where(qs % 2 == 0, 1.0, -1.0)
+    signs, idx = _half_integer_indices(f)
     return complex(np.sum(signs * f.values[idx]))
 
 

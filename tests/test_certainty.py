@@ -11,7 +11,7 @@ from criticalgabor import (CoefficientSet, Disk, FunctionDomain, PhasePoint, Rec
                            lattice_points_in, least_squares_baseline,
                            nested_domains, nesting_satisfied, relaxed_coefficients,
                            synthesize)
-from criticalgabor.gabor import dual_mixing
+from criticalgabor.gabor import dual_mixing, superpose
 from criticalgabor.higher import default_sharp_nodes, order_m_coefficients
 from criticalgabor.phaseplane import domain_from_json
 
@@ -131,7 +131,7 @@ _NODE_CASES += [
                          ids=[e["id"] for e in _POOL["decompose"]] + ["function_disk", "tied_disk"])
 def test_sharp_node_matches_scalar_loop(K, r, m):
     nd = nested_domains(K, r, default_order(r) if m is None else m)
-    assert certainty._choose_sharp_node(nd) == sharp_node_loop(nd)
+    assert certainty._atom_sites(nd.K, nd.r)[2] == sharp_node_loop(nd)
 
 
 class TestDecompose:
@@ -213,6 +213,20 @@ class TestDecompose:
         assert floor <= dec.report["residual_norm"] + 1e-9
 
 
+def remainder(f, nd):
+    """decompose's g = f - f_U written out, f_U the relaxed expansion with the
+    relocated sharp node kept on U; also its box, the node and the expansion."""
+    need = max(abs(b) for b in nd.D.bbox)
+    node = certainty._atom_sites(nd.K, nd.r)[2]
+    rexp = relaxed_coefficients(f, int(np.ceil(need)) + 2, sharp_node=node)
+    fU = CoefficientSet()
+    for (k, j, s), v in rexp.coeffs.entries.items():
+        if nd.U.contains(PhasePoint(k, j)):
+            fU.set(k, j, v)
+    fU.set(node[0], node[1], rexp.sharp, sharp=True)
+    return f - synthesize(fU, f.T, f.h, 2.0), need + 2.0, node, rexp
+
+
 def per_point_collar(f, K, r, m, dlam, R_local):
     """decompose's alpha, omega and collar leakage, written one mid point at a
     time: each point lambda = l + w of weight c adds c exp(2 pi i w_theta l_p)
@@ -220,15 +234,8 @@ def per_point_collar(f, K, r, m, dlam, R_local):
     shift's phase exp(-2 pi i j l_p) at every index j.  Nothing is shared
     between points."""
     nd = nested_domains(K, r, m)
-    need = max(abs(b) for b in nd.D.bbox)
-    node = certainty._choose_sharp_node(nd)
-    rexp = relaxed_coefficients(f, int(np.ceil(need)) + 2, sharp_node=node)
-    fU = CoefficientSet()
-    for (k, j, s), v in rexp.coeffs.entries.items():
-        if nd.U.contains(PhasePoint(k, j)):
-            fU.set(k, j, v)
-    fU.set(node[0], node[1], rexp.sharp, sharp=True)
-    gfield = gabor_transform(f - synthesize(fU, f.T, f.h, 2.0), need + 2.0, dlam)
+    g, box, node, rexp = remainder(f, nd)
+    gfield = gabor_transform(g, box, dlam)
     P, Th = np.meshgrid(gfield.p_grid, gfield.theta_grid, indexing="ij")
     pts = np.column_stack([P.ravel(), Th.ravel()])
     w_g = gfield.values.ravel() * dlam ** 2
@@ -274,6 +281,33 @@ def count_expanded_signals(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(certainty, "order_m_coefficients", counting)
     return counts
+
+
+def pool_signal(spec, T=8.0, h=1.0 / 64.0):
+    """A pool signal of kind "atoms" on the benchmark's grid, written out."""
+    x = -T + h * np.arange(int(round(2 * T / h)) + 1)
+    return SampledSignal(T, h, sum(complex(re, im) * 2 ** 0.25 * np.exp(-np.pi * (x - p) ** 2 + 2j * np.pi * th * x)
+                                   for p, th, re, im in spec["atoms"]))
+
+
+@pytest.mark.parametrize("entry", _POOL["decompose"], ids=[e["id"] for e in _POOL["decompose"]])
+def test_window_matches_the_full_box(entry):
+    # the g field is transformed only on the window of K+ and D-; counts are the
+    # pool's recorded ones, and g+ is the full-box field's K+ sum, nesting or not
+    f, K, dlam = pool_signal(entry["signal"]), domain_from_json(entry["domain"]), 1.0 / 8.0
+    nd = nested_domains(K, entry["r"], default_order(entry["r"]) if entry["m"] is None else entry["m"])
+    rep = decompose(f, K, nd.r, nd.m, 2.0, dlam).report
+    assert rep["atom_count"] == entry["ref"]["atom_count"]
+    assert rep["mid_region_points"] == entry["ref"]["mid_region_points"]
+
+    g, box, _, _ = remainder(f, nd)
+    gfield = gabor_transform(g, box, dlam)
+    in_Kplus = nd.K_plus.contains_grid(gfield.p_grid, gfield.theta_grid)
+    P, Th = np.meshgrid(gfield.p_grid, gfield.theta_grid, indexing="ij")
+    g_plus = superpose(np.column_stack([P[in_Kplus], Th[in_Kplus]]), gfield.values[in_Kplus] * dlam ** 2, f.T, f.h)
+    tol = 1e-12 * f.norm()
+    assert rep["g_norm"] == pytest.approx(g.norm(), abs=tol)
+    assert rep["g_plus_norm"] == pytest.approx(g_plus.norm(), abs=tol)
 
 
 class TestCollarCells:

@@ -1,8 +1,9 @@
 """The grid constants of the expansion core, memoised per grid.
 
 theta, the Zak sum's gather index and phases, the Fourier rows of the block
-extraction, the dual mixing matrix and the chirp-z constants of the
-metaplectic rotation are each built once per key.  A memo
+extraction, the dual mixing matrix, the chirp-z constants of the
+metaplectic rotation and the half-integer samples of the sharp functional
+are each built once per key.  A memo
 hit must give the bits a fresh build gives, no entry may be served for
 another grid, stored arrays are read-only, and no memo holds more than
 MEMO_SIZE entries.  The oracles are the formulas these functions evaluated
@@ -19,7 +20,7 @@ import criticalgabor.expansion as expansion
 import criticalgabor.gabor as gabor
 import criticalgabor.numerics as numerics
 from criticalgabor import THETA_TERMS, dual_atoms, hermite_signal, theta
-from criticalgabor.expansion import _REFINE_FACTOR, _extract_block, lattice_coefficients
+from criticalgabor.expansion import _REFINE_FACTOR, _extract_block, lattice_coefficients, sharp_series
 from criticalgabor.gabor import dual_mixing
 from criticalgabor.higher import default_sharp_nodes
 from criticalgabor.numerics import MEMO_SIZE, Memo, _chirp, _chirp_sum, _fft_length, upsample_periodic
@@ -27,7 +28,8 @@ from criticalgabor.zak import _midpoints, _zak_sum, zak_atom_field
 
 zak_module = sys.modules["criticalgabor.zak"]  # the package attribute `zak` is the function
 MEMOS = [(numerics, "_THETA_MEMO"), (zak_module, "_ZAK_SUM_MEMO"),
-         (expansion, "_BLOCK_MEMO"), (gabor, "_MIXING_MEMO"), (numerics, "_CHIRP_MEMO")]
+         (expansion, "_BLOCK_MEMO"), (gabor, "_MIXING_MEMO"), (numerics, "_CHIRP_MEMO"),
+         (expansion, "_HALF_INTEGER_MEMO")]
 
 T, H, N, R = 8.0, 1.0 / 64.0, 32, 6
 MID = _midpoints(N)
@@ -85,6 +87,14 @@ def old_chirp_sum(g, c, K):
     return w[:K].conj() * np.fft.ifft(spec, axis=-1)[..., :K]
 
 
+def old_sharp_series(f):
+    Ti = int(round(f.T))
+    qs = np.arange(-Ti, Ti)
+    idx = np.round((qs + 0.5 + f.T) / f.h).astype(int)
+    signs = np.where(qs % 2 == 0, 1.0, -1.0)
+    return complex(np.sum(signs * f.values[idx]))
+
+
 def bits(a):
     return np.asarray(a).tobytes()
 
@@ -118,6 +128,8 @@ CASES = {
                     lambda: old_dual_mixing([tuple(n) for n in default_sharp_nodes(3)])),
     "chirp_plan": (lambda: _chirp_sum(chirp_input(573), 0.1 / 64, 161),
                    lambda: old_chirp_sum(chirp_input(573), 0.1 / 64, 161)),
+    "sharp_series": (lambda: sharp_series(hermite_signal(3, T, H)),
+                     lambda: old_sharp_series(hermite_signal(3, T, H))),
 }
 
 
@@ -167,6 +179,10 @@ PAIRS = {
                       lambda: bits(_chirp_sum(chirp_input(573), 1 / 1024, 257))),
     "chirp_rate": (lambda: bits(_chirp_sum(chirp_input(573), 1 / 1023, 257)),
                    lambda: bits(_chirp_sum(chirp_input(573), 1 / 1024, 257))),
+    "sharp_half_width": (lambda: sharp_series(hermite_signal(3, 6.0, H)),
+                         lambda: sharp_series(hermite_signal(3, 8.0, H))),
+    "sharp_step": (lambda: sharp_series(hermite_signal(3, T, 1 / 32)),
+                   lambda: sharp_series(hermite_signal(3, T, H))),
 }
 
 
@@ -191,6 +207,9 @@ def test_stored_arrays_are_read_only(cold):
     for arr in stored_chirp_plan(1 / 1024, 573, 257):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+    for arr in expansion._half_integer_indices(hermite_signal(3, T, H)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
     a, b = Memo().get("key", lambda: (np.zeros(3), np.ones(2)))
     assert not a.flags.writeable and not b.flags.writeable
 
