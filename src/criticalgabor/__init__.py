@@ -10,14 +10,13 @@ deterministic reduction order; everything is safe for concurrent use.
 from .numerics import (DEFAULT_H, DEFAULT_T, THETA_TERMS, SampledSignal,
                        hermite_signal, inner, loc_integral,
                        signal_from_csv, spectral_derivative, theta)
-from .phaseplane import (Disk, FunctionDomain, Neighborhood, PhaseDomain,
-                         PhasePoint, PointSet, Polygon, Rect, UnionDomain,
-                         as_point, domain_from_json, j_transform,
-                         lattice_points_in, neighborhood, sharp_point,
-                         symplectic_form)
+from .phaseplane import (Disk, Neighborhood, PhaseDomain, PhasePoint,
+                         PointSet, Polygon, Rect, UnionDomain, as_point,
+                         domain_from_json, lattice_points_in, neighborhood,
+                         sharp_point)
 from .gabor import (MAX_ORDER, SIGMA0, CoefficientSet, GaborField, atom, atom_inner,
-                    field_synthesis, gabor_transform, half_plane_mass,
-                    synthesize, tail_mass, vandermonde_inverse)
+                    field_synthesis, gabor_transform, synthesize, tail_mass,
+                    vandermonde_inverse)
 from .zak import (ZakField, a_operator_zak, default_zak_size, sobolev_norm,
                   wh_shift, zak, zak_atom_field, zak_inverse,
                   zak_translate_check)
@@ -27,13 +26,11 @@ from .expansion import (RelaxedExpansion, division_field, hdelta_norm,
                         uniqueness_probe)
 from .higher import (DualAtomSet, OrderMExpansion, annihilate, create,
                      decay_exponent, default_sharp_nodes, dual_atoms,
-                     harmonic_oscillator, hdelta_m_norm, order_m_coefficients)
+                     order_m_coefficients)
 from .metaplectic import (CovarianceResult, Rotation, commutation_check,
-                          covariance_check, hdelta_invariance_check,
-                          metaplectic_apply)
+                          covariance_check, metaplectic_apply)
 from .certainty import (CertaintyDecomposition, NestedDomains, concentration,
                         decompose, default_order, degrees_of_freedom_report,
-                        domain_area, least_squares_baseline, nested_domains,
-                        nesting_satisfied)
+                        domain_area, nested_domains, nesting_satisfied)
 
 __version__ = "0.1.0"

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import hdelta_norm, relaxed_coefficients
-from .gabor import (CoefficientSet, _STACK, _box_grids, _superpose_grid, atom, dual_mixing, gabor_transform,
+from .gabor import (CoefficientSet, _STACK, _box_grids, _superpose_grid, dual_mixing, gabor_transform,
                     synthesize)
 from .higher import default_sharp_nodes, order_m_coefficients
 from .numerics import SampledSignal
-from .phaseplane import PhaseDomain, PhasePoint, lattice_points_in, neighborhood, neighborhood_masks
+from .phaseplane import PhaseDomain, lattice_points_in, neighborhood, neighborhood_masks
 
 # Empirical constant for the residual guarantee of the decomposition bound,
 # fitted once over the in-repo test family (atom mixes in disks) and frozen.
@@ -94,11 +94,12 @@ def concentration(f: SampledSignal, D: PhaseDomain, box=None,
     return out_mass + (rest if rest > 64 * np.finfo(float).eps * f.norm() ** 2 else 0.0)
 
 
-def _atom_sites(K: PhaseDomain, r: float) -> tuple[list[PhasePoint], list[PhasePoint], tuple[int, int] | None]:
+def _atom_sites(K: PhaseDomain, r: float) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
     """The atom sites of the decomposition over D = K(r) and its relocation node.
 
-    Returns the lattice points in D, the sharp points in D off K (distance d
-    to K above 1e-9), and the sharp node in U \\ K, 1e-9 < d <= r/2 + 1e-12 by
+    Returns the indices (k, j) of the lattice points in D and of the sharp
+    points (k + 1/2, j + 1/2) in D off K (distance d to K above 1e-9), as
+    sorted (n, 2) arrays, and the sharp node in U \\ K, 1e-9 < d <= r/2 + 1e-12 by
     U's own rule: centered in the annulus when possible, largest clearance,
     ties broken by the smallest index (k0, j0); None when U \\ K holds no
     sharp point.  One enumeration of D's sharp points and one distance to K
@@ -106,17 +107,16 @@ def _atom_sites(K: PhaseDomain, r: float) -> tuple[list[PhasePoint], list[PhaseP
     """
     D = neighborhood(K, r)
     sharp = lattice_points_in(D, sharp=True)
-    pts = np.array([tuple(mu) for mu in sharp], dtype=float).reshape(-1, 2)
-    d = K.distance(pts)
+    d = K.distance(sharp + 0.5)
     off_K = d > 1e-9
     in_U = off_K & (d <= r / 2.0 + 1e-12)
     node = None
     if np.any(in_U):
         clearance = np.minimum(d, r / 2.0 - d + 1e-12)[in_U]
-        k0, j0 = np.round(pts[in_U] - 0.5).astype(int).T
+        k0, j0 = sharp[in_U].T
         best = np.lexsort((j0, k0, -clearance))[0]
         node = int(k0[best]), int(j0[best])
-    return lattice_points_in(D), [mu for mu, ok in zip(sharp, off_K) if ok], node
+    return lattice_points_in(D), sharp[off_K], node
 
 
 @dataclass
@@ -194,13 +194,9 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     in_Kplus, in_Dminus = neighborhood_masks(nd.K, ps[:, None], ts[None, :], [nd.K_plus.r, nd.D_minus.r])
     mid = in_Dminus & ~in_Kplus
 
-    alpha = CoefficientSet()  # f_U's lattice coefficients, zero on D \ U
-    for lam in lattice:
-        k, j = int(round(lam.p)), int(round(lam.theta))
-        alpha.set(k, j, fU_coeffs.get(k, j))
-    omega = CoefficientSet()
-    for mu in sharp:
-        omega.set(int(round(mu.p - 0.5)), int(round(mu.theta - 0.5)), 0j, sharp=True)
+    alpha, omega = CoefficientSet(), CoefficientSet()
+    alpha.entries = {(k, j, False): fU_coeffs.get(k, j) for k, j in lattice.tolist()}  # zero on D \ U
+    omega.entries = {(k, j, True): 0j for k, j in sharp.tolist()}
     omega.add(node[0], node[1], rexp.sharp, sharp=True)
 
     omega_out = CoefficientSet()  # lattice leakage outside D; stays in the residual
@@ -327,19 +323,3 @@ def degrees_of_freedom_report(K: PhaseDomain, r: float) -> dict:
         "excess": count - area,
         "normalized_excess": (count - area) / (r * np.sqrt(area)) if area > 0 else float("inf"),
     }
-
-
-def least_squares_baseline(f: SampledSignal, K: PhaseDomain, r: float) -> float:
-    """Best-projection residual onto the same atom set, Gram matrix ridged by
-    1e-8 (not part of the constructive decomposition; a sanity floor for
-    comparisons only)."""
-    from .gabor import atom_inner
-    from .numerics import inner as _inner
-
-    lattice, sharp, _ = _atom_sites(K, r)
-    pts = lattice + sharp
-    G = np.array([[atom_inner(a, b) for b in pts] for a in pts])
-    b = np.array([_inner(f, atom(pt, f.T, f.h, margin=DECOMP_MARGIN)) for pt in pts])
-    c = np.linalg.solve(G + 1e-8 * np.eye(len(pts)), b)
-    res2 = f.norm() ** 2 - 2 * np.real(np.vdot(c, b)) + np.real(np.vdot(c, G @ c))
-    return float(np.sqrt(max(res2, 0.0)))

@@ -37,8 +37,8 @@ import math
 
 import numpy as np
 
-from .numerics import DEFAULT_H, DEFAULT_T, Memo, SampledSignal, loc_integral, _exp_pi_i, _sample_count
-from .phaseplane import PhasePoint, PointSet, as_point, neighborhood
+from .numerics import DEFAULT_H, DEFAULT_T, Memo, SampledSignal, _exp_pi_i, _sample_count
+from .phaseplane import PhasePoint, PointSet, _json_pairs, as_point, neighborhood
 
 DEFAULT_BOX = 8.0
 DEFAULT_DLAM = 1.0 / 16.0
@@ -321,19 +321,24 @@ class CoefficientSet:
     def from_json(text: str) -> "CoefficientSet":
         """The set that to_json() wrote.  Whatever to_json() would not write raises
         ValueError: a k or j that is no JSON integer, a sharp that is no boolean,
-        a re or im that is no finite number, a (k, j, sharp) given twice, or a
-        node list that does not match the sharp_block."""
+        a re or im that is no finite number, a (k, j, sharp) given twice, a
+        node list that does not match the sharp_block, or a payload, coefficient,
+        sharp_block or node list of another JSON shape."""
         payload = json.loads(text)
+        if not isinstance(payload, dict) or not isinstance(payload.get("coefficients"), list):
+            raise ValueError("a coefficient set is a JSON object with a list of coefficients")
         entries = {}
         for c in payload["coefficients"]:
+            if not isinstance(c, dict):
+                raise ValueError(f"coefficient {c!r} is no JSON object")
             key = (c["k"], c["j"], c.get("sharp", False))
             if type(key[0]) is not int or type(key[1]) is not int or type(key[2]) is not bool:
                 raise ValueError(f"coefficient {c!r}: k and j must be integers and sharp a boolean")
             if key in entries:
                 raise ValueError(f"coefficient (k, j, sharp) = {key} is given twice")
             entries[key] = _finite(c["re"], c["im"])
-        block = [_finite(re, im) for re, im in payload.get("sharp_block", [])]
-        out = CoefficientSet(sharp_block=block, nodes=[tuple(n) for n in payload.get("nodes", [])])
+        block = [_finite(re, im) for re, im in _json_pairs(payload.get("sharp_block", []), "sharp_block")]
+        out = CoefficientSet(sharp_block=block, nodes=_json_pairs(payload.get("nodes", []), "nodes"))
         out.entries = entries  # already normalised: python ints, bools and complexes
         return out
 
@@ -560,11 +565,6 @@ def tail_mass(coeffs: CoefficientSet, r: float, box=DEFAULT_BOX,
     outside = ~neighborhood(support, r).contains_grid(field.p_grid, field.theta_grid)
     measured = float(np.sum(np.abs(field.values[outside]) ** 2) * dlam ** 2)
     return measured, bound
-
-
-def half_plane_mass(f: SampledSignal, q: float) -> float:
-    """Gabor mass over the half-plane p >= q, via int I(x - q) |f(x)|^2 dx."""
-    return float(np.sum(loc_integral(f.x - q) * np.abs(f.values) ** 2) * f.h)
 
 
 def field_synthesis(field: GaborField, T: float, h: float) -> SampledSignal:

@@ -18,7 +18,7 @@ import numpy as np
 from .gabor import CoefficientSet, DEFAULT_MARGIN, MAX_ORDER, _STACK, atom, dual_mixing, synthesize
 from .numerics import SampledSignal, spectral_derivative
 from .phaseplane import PhasePoint, as_point, sharp_point
-from .expansion import hdelta_norm, lattice_coefficients, sharp_functional
+from .expansion import lattice_coefficients, sharp_functional
 
 
 def annihilate(f: SampledSignal) -> SampledSignal:
@@ -33,11 +33,6 @@ def create(f: SampledSignal) -> SampledSignal:
     return SampledSignal(f.T, f.h, vals)
 
 
-def harmonic_oscillator(f: SampledSignal) -> SampledSignal:
-    """(a+ a + a a+)/2 = -(1/4 pi^2) d^2/dx^2 + x^2."""
-    return 0.5 * (create(annihilate(f)) + annihilate(create(f)))
-
-
 @dataclass
 class DualAtomSet:
     """Atoms d_j = sum_s H[j, s] e_{mu_s} biorthogonal to the sharp values of a^k."""
@@ -45,10 +40,6 @@ class DualAtomSet:
     nodes: list[PhasePoint]
     mixing: np.ndarray  # H[j, s]
     atoms: list[SampledSignal]
-
-    @property
-    def order(self) -> int:
-        return len(self.nodes) - 1
 
 
 def dual_atoms(nodes, T: float, h: float, margin: float = DEFAULT_MARGIN) -> DualAtomSet:
@@ -175,14 +166,3 @@ def decay_exponent(coeffs: CoefficientSet, rmax: float | None = None) -> float:
     mean_sq = np.bincount(shell, weights=size[keep] ** 2) / np.bincount(shell)
     slope = np.polyfit(np.log1p(radii), 0.5 * np.log(mean_sq), 1)[0]
     return float(-slope)
-
-
-def hdelta_m_norm(f: SampledSignal, delta: float, m: int) -> float:
-    """Ladder-graded smoothness norm (sum_{j<=m} ||a^j f||_delta^2)^{1/2}."""
-    if m < 0:
-        raise ValueError("order must be >= 0")
-    g, total = f, hdelta_norm(f, delta) ** 2
-    for _ in range(m):
-        g = annihilate(g)
-        total += hdelta_norm(g, delta) ** 2
-    return float(np.sqrt(total))

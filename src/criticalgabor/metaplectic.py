@@ -16,10 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gabor import DEFAULT_MARGIN, _check_margin, atom, gabor_transform
+from .gabor import atom
 from .higher import annihilate, create
 from .numerics import DEFAULT_H, DEFAULT_T, SampledSignal, _chirp_sum, inner
-from .phaseplane import PhasePoint, as_point, grid_points
+from .phaseplane import PhasePoint, as_point
 
 # |sin phi| below this would push the chirp rates past the grid Nyquist, so
 # the quadrature would alias; such angles are reached by composing with a
@@ -124,29 +124,3 @@ def commutation_check(S: Rotation, f: SampledSignal, adjoint: bool = False) -> f
         lhs = metaplectic_apply(S, annihilate(f))
         rhs = np.exp(-1j * S.angle) * annihilate(metaplectic_apply(S, f))
     return (lhs - rhs).norm()
-
-
-def hdelta_invariance_check(S: Rotation, f: SampledSignal, grid_radius: float | None = None,
-                            step: float = 0.25) -> float:
-    """Max over a lambda grid of ||<M_S f | e_{S lambda}>| - |<f | e_lambda>||.
-
-    |<f | e_lambda>| comes from one gabor_transform over the grid; the rotated
-    points S lambda are off-grid, so their atoms enter as one envelope x phase
-    product.  Every atom center keeps DEFAULT_MARGIN away from +-T, as in atom(),
-    else ValueError.  The default grid_radius is the largest multiple of step
-    with grid_radius sqrt(2) + DEFAULT_MARGIN <= T, so the grid corners stay
-    clear of the margin at every angle (2.75 on the T=8 grid).
-    """
-    if grid_radius is None:
-        grid_radius = step * max(np.floor((f.T - DEFAULT_MARGIN) / (np.sqrt(2.0) * step)), 0.0)
-    vals = np.arange(-grid_radius, grid_radius + step / 2, step)
-    P, Th = grid_points(vals, vals).T
-    q, eta = S.a * P + S.b * Th, S.c * P + S.d * Th
-    _check_margin(np.append(vals, q), f.T, DEFAULT_MARGIN)
-    # the box spans the lambda grid's own end points, so the transform grid is that grid
-    field = gabor_transform(f, (vals[0], vals[-1], vals[0], vals[-1]), step)
-    rotated = metaplectic_apply(S, f)
-    x = f.x
-    atoms_conj = np.exp(-np.pi * (x[None, :] - q[:, None]) ** 2 - 2j * np.pi * eta[:, None] * x[None, :])
-    v2 = np.abs(atoms_conj @ rotated.values) * 2 ** 0.25 * f.h
-    return float(np.max(np.abs(np.abs(field.values.ravel()) - v2)))

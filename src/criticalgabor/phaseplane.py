@@ -1,8 +1,8 @@
-"""Phase-plane geometry: points, the unit lattice, symplectic form, domains.
+"""Phase-plane geometry: points, the unit lattice, domains.
 
-The phase plane carries the Euclidean metric |lambda|^2 = p^2 + theta^2 and
-the symplectic form sigma[(x,xi),(y,eta)] = eta*x - xi*y.  The unit lattice
-has cell area one; "sharp" points are the lattice translated by the cell
+The phase plane carries the Euclidean metric |lambda|^2 = p^2 + theta^2,
+which every domain's distance and neighborhood use.  The unit lattice has
+cell area one; "sharp" points are the lattice translated by the cell
 midpoint (1/2, 1/2).
 """
 
@@ -53,18 +53,6 @@ def as_point(x) -> PhasePoint:
 def sharp_point(k: int = 0, j: int = 0) -> PhasePoint:
     """Cell-midpoint translate (k + 1/2, j + 1/2) of the lattice."""
     return PhasePoint(k + 0.5, j + 0.5)
-
-
-def symplectic_form(u, v) -> float:
-    """sigma[(x,xi),(y,eta)] = eta*x - xi*y; antisymmetric, rotation invariant."""
-    u, v = as_point(u), as_point(v)
-    return v.theta * u.p - u.theta * v.p
-
-
-def j_transform(u) -> PhasePoint:
-    """The symplectic rotation (p, theta) -> (theta, -p)."""
-    u = as_point(u)
-    return PhasePoint(u.theta, -u.p)
 
 
 def grid_points(ps, ts) -> np.ndarray:
@@ -240,65 +228,6 @@ class PointSet(PhaseDomain):
         return _nearest_distance(self.points, pts)
 
 
-class FunctionDomain(PhaseDomain):
-    """Arbitrary membership predicate over (p, theta) arrays, with explicit bbox.
-
-    The predicate must hold only inside the bbox, as for every domain:
-    boundary sampling, lattice enumeration and neighborhood membership look
-    no further.  A bounded domain checks this on a ring one resolution step
-    outside the bbox, sampled at the resolution, and raises ValueError if the
-    predicate holds anywhere on it.  Distance is measured to the boundary
-    as sampled at the resolution."""
-
-    resolution = 1.0 / 32.0
-
-    def __init__(self, predicate, bbox):
-        self.predicate = predicate
-        super().__init__(bbox)
-        self._boundary = None
-        if self.is_bounded() and np.any(self._contains_xy(self._outer_ring())):
-            raise ValueError(f"predicate holds outside its bounding box {self.bbox}")
-
-    def _outer_ring(self) -> np.ndarray:
-        pmin, pmax, tmin, tmax = self.bbox
-        s = self.resolution
-        ps = np.linspace(pmin - s, pmax + s, int(np.ceil((pmax - pmin) / s)) + 3)
-        ts = np.linspace(tmin - s, tmax + s, int(np.ceil((tmax - tmin) / s)) + 3)
-        return np.vstack([grid_points(ps, ts[[0, -1]]), grid_points(ps[[0, -1]], ts)])
-
-    def _contains_xy(self, pts):
-        return np.asarray(self.predicate(pts[:, 0], pts[:, 1]), dtype=bool)
-
-    def _boundary_samples(self) -> np.ndarray:
-        if not self.is_bounded():
-            raise ValueError("cannot sample the boundary of an unbounded domain")
-        pmin, pmax, tmin, tmax = self.bbox
-        pad = 2 * self.resolution
-        ps = np.arange(pmin - pad, pmax + pad + self.resolution, self.resolution)
-        ts = np.arange(tmin - pad, tmax + pad + self.resolution, self.resolution)
-        grid = grid_points(ps, ts)
-        inside = self._contains_xy(grid).reshape(ps.size, ts.size)
-        edge = np.zeros_like(inside)
-        edge[:-1, :] |= inside[:-1, :] != inside[1:, :]
-        edge[1:, :] |= inside[:-1, :] != inside[1:, :]
-        edge[:, :-1] |= inside[:, :-1] != inside[:, 1:]
-        edge[:, 1:] |= inside[:, :-1] != inside[:, 1:]
-        samples = grid[(edge & inside).ravel()]
-        if samples.size == 0:
-            samples = grid[inside.ravel()]
-        if samples.size == 0:
-            raise ValueError("domain has no occupied cells at this resolution")
-        return samples
-
-    def _distance_xy(self, pts):
-        if self._boundary is None:
-            self._boundary = self._boundary_samples()
-        out = np.zeros(len(pts))
-        outside = ~self._contains_xy(pts)
-        out[outside] = _nearest_distance(self._boundary, pts[outside])
-        return out
-
-
 class Neighborhood(PhaseDomain):
     """Closed r-neighborhood of a base domain: membership is dist(., base) <= r."""
 
@@ -333,7 +262,7 @@ def neighborhood_masks(base: PhaseDomain, p, t, radii) -> list[np.ndarray]:
     <= dist(x, the bbox's farthest corner), each squared a p part plus a theta part.
     Upper bound <= r - 1e-9 is inside (none is for r <= 1e-9), lower bound > r + 1e-9
     outside, and one base distance decides the ring between, taken even when the
-    ring is empty, so an empty base (a FunctionDomain true nowhere) raises.  The
+    ring is empty, so an empty base (a user-defined domain that is empty) raises.  The
     slack is far above a distance's roundoff, so every mask is the rule itself.
     """
     pmin, pmax, tmin, tmax = base.bbox
@@ -348,8 +277,9 @@ def neighborhood_masks(base: PhaseDomain, p, t, radii) -> list[np.ndarray]:
     return masks
 
 
-def lattice_points_in(domain: PhaseDomain, sharp: bool = False) -> list[PhasePoint]:
-    """All lattice (or sharp) points inside the domain, sorted by index (k, j)."""
+def lattice_points_in(domain: PhaseDomain, sharp: bool = False) -> np.ndarray:
+    """The indices (k, j) of all lattice points (k, j) in the domain, or of all
+    sharp points (k + 1/2, j + 1/2) with sharp=True, as a sorted (n, 2) integer array."""
     if not domain.is_bounded():
         raise ValueError("lattice enumeration needs a bounded domain")
     off = 0.5 if sharp else 0.0
@@ -357,21 +287,36 @@ def lattice_points_in(domain: PhaseDomain, sharp: bool = False) -> list[PhasePoi
     ks = np.arange(int(np.ceil(pmin - off - 1e-9)), int(np.floor(pmax - off + 1e-9)) + 1)
     js = np.arange(int(np.ceil(tmin - off - 1e-9)), int(np.floor(tmax - off + 1e-9)) + 1)
     if ks.size == 0 or js.size == 0:
-        return []
-    ps, ts = ks + off, js + off
-    i, j = np.nonzero(domain.contains_grid(ps, ts))
-    return [PhasePoint(p, t) for p, t in zip(ps[i], ts[j])]
+        return np.empty((0, 2), dtype=int)
+    i, j = np.nonzero(domain.contains_grid(ks + off, js + off))
+    return np.column_stack([ks[i], js[j]])
 
 
 _DOMAIN_KEYS = {"disk": {"center", "radius"}, "rect": {"pmin", "pmax", "tmin", "tmax"},
                 "polygon": {"vertices"}, "union": {"parts"}}
 
 
+def _json_number(x, what: str) -> float:
+    """x as a float when it is a number (a bool is none); ValueError otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
+def _json_pairs(x, what: str) -> list[tuple[float, float]]:
+    """x as a list of (a, b) when it is a list of two-number lists; ValueError otherwise."""
+    if not isinstance(x, (list, tuple)) or not all(isinstance(v, (list, tuple)) and len(v) == 2 for v in x):
+        raise ValueError(f"{what} must be a list of [a, b] number pairs, got {x!r}")
+    return [(_json_number(a, what), _json_number(b, what)) for a, b in x]
+
+
 def domain_from_json(spec) -> PhaseDomain:
     """Build a domain from {"type": "disk"|"rect"|"polygon"|"union", ...}; a key
-    its type does not read is an error."""
+    its type does not read, or a value of the wrong shape, is a ValueError."""
     if isinstance(spec, (str, bytes)):
         spec = json.loads(spec)
+    if not isinstance(spec, dict):
+        raise ValueError(f"a domain is a JSON object, got {spec!r}")
     kind = spec.get("type")
     if kind not in _DOMAIN_KEYS:
         raise ValueError(f"unknown domain type {kind!r}")
@@ -379,9 +324,11 @@ def domain_from_json(spec) -> PhaseDomain:
     if extra:
         raise ValueError(f"{kind} domain does not read {sorted(extra)}")
     if kind == "disk":
-        return Disk(tuple(spec["center"]), float(spec["radius"]))
+        return Disk(_json_pairs([spec["center"]], "disk center")[0], _json_number(spec["radius"], "disk radius"))
     if kind == "rect":
-        return Rect(spec["pmin"], spec["pmax"], spec["tmin"], spec["tmax"])
+        return Rect(*(_json_number(spec[key], f"rect {key}") for key in ("pmin", "pmax", "tmin", "tmax")))
     if kind == "polygon":
-        return Polygon(spec["vertices"])
+        return Polygon(_json_pairs(spec["vertices"], "polygon vertices"))
+    if not isinstance(spec["parts"], list):
+        raise ValueError(f"union parts must be a list of domains, got {spec['parts']!r}")
     return UnionDomain([domain_from_json(s) for s in spec["parts"]])

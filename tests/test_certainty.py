@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from criticalgabor import certainty
-from criticalgabor import (CoefficientSet, Disk, FunctionDomain, PhasePoint, Rect, SampledSignal, atom,
-                           concentration, decompose, default_order,
-                           degrees_of_freedom_report, domain_area, gabor_transform,
-                           lattice_points_in, least_squares_baseline,
-                           nested_domains, nesting_satisfied, relaxed_coefficients,
-                           synthesize)
+from criticalgabor import (CoefficientSet, Disk, PhasePoint, Rect, SampledSignal, atom,
+                           atom_inner, concentration, decompose, default_order,
+                           degrees_of_freedom_report, domain_area, gabor_transform, inner,
+                           lattice_points_in, nested_domains, nesting_satisfied,
+                           relaxed_coefficients, synthesize)
+from criticalgabor.certainty import DECOMP_MARGIN
 from criticalgabor.gabor import dual_mixing, superpose
 from criticalgabor.higher import default_sharp_nodes, order_m_coefficients
 from criticalgabor.phaseplane import domain_from_json
+from conftest import FunctionDomain
 
 T12, H64 = 12.0, 1.0 / 64.0
 
@@ -66,7 +67,6 @@ class TestConcentration:
         assert concentration(f, D, box=6.5, dlam=dlam) == out_mass
 
     def test_unbounded_rejected(self, three_atom_mix):
-        from criticalgabor import FunctionDomain
         dom = FunctionDomain(lambda p, t: t > 0, (-1, 1, 0, np.inf))
         with pytest.raises(ValueError):
             concentration(three_atom_mix, dom)
@@ -111,11 +111,11 @@ class TestNestedDomains:
 def sharp_node_loop(nd):
     """The sharp-node choice as a scalar loop over the sharp points of U."""
     candidates = []
-    for pt in lattice_points_in(nd.U, sharp=True):
-        dk = nd.K.distance(pt)
+    for k, j in lattice_points_in(nd.U, sharp=True).tolist():
+        dk = nd.K.distance((k + 0.5, j + 0.5))
         if dk > 1e-9:
             clearance = min(dk, nd.r / 2.0 - dk + 1e-12)
-            candidates.append((-clearance, int(round(pt.p - 0.5)), int(round(pt.theta - 0.5))))
+            candidates.append((-clearance, k, j))
     return min(candidates)[1:]
 
 
@@ -213,6 +213,19 @@ class TestDecompose:
         assert floor <= dec.report["residual_norm"] + 1e-9
 
 
+def least_squares_baseline(f: SampledSignal, K, r: float) -> float:
+    """Best-projection residual onto the same atom set, Gram matrix ridged by
+    1e-8 (not part of the constructive decomposition; a sanity floor for
+    comparisons only)."""
+    lattice, sharp, _ = certainty._atom_sites(K, r)
+    pts = np.vstack([lattice, sharp + 0.5])
+    G = np.array([[atom_inner(a, b) for b in pts] for a in pts])
+    b = np.array([inner(f, atom(pt, f.T, f.h, margin=DECOMP_MARGIN)) for pt in pts])
+    c = np.linalg.solve(G + 1e-8 * np.eye(len(pts)), b)
+    res2 = f.norm() ** 2 - 2 * np.real(np.vdot(c, b)) + np.real(np.vdot(c, G @ c))
+    return float(np.sqrt(max(res2, 0.0)))
+
+
 def remainder(f, nd):
     """decompose's g = f - f_U written out, f_U the relaxed expansion with the
     relocated sharp node kept on U; also its box, the node and the expansion."""
@@ -242,12 +255,11 @@ def per_point_collar(f, K, r, m, dlam, R_local):
     mid = nd.D_minus.contains(pts) & ~nd.K_plus.contains(pts)
 
     alpha, omega, leak = CoefficientSet(), CoefficientSet(), CoefficientSet()
-    for lam in lattice_points_in(nd.D):
-        k, j = int(round(lam.p)), int(round(lam.theta))
-        alpha.set(k, j, rexp.coeffs.get(k, j) if nd.U.contains(lam) else 0j)
-    for mu in lattice_points_in(nd.D, sharp=True):
-        if K.distance(mu) > 1e-9:
-            omega.set(int(round(mu.p - 0.5)), int(round(mu.theta - 0.5)), 0j, sharp=True)
+    for k, j in lattice_points_in(nd.D).tolist():
+        alpha.set(k, j, rexp.coeffs.get(k, j) if nd.U.contains((k, j)) else 0j)
+    for k, j in lattice_points_in(nd.D, sharp=True).tolist():
+        if K.distance((k + 0.5, j + 0.5)) > 1e-9:
+            omega.set(k, j, 0j, sharp=True)
     omega.add(node[0], node[1], rexp.sharp, sharp=True)
     nodes = default_sharp_nodes(m)
     mixing = dual_mixing(nodes)

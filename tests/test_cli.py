@@ -440,6 +440,30 @@ def test_synthesize_refuses_coefficients_to_json_would_not_write(workdir, monkey
     assert not Path("o.csv").exists()
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("synthesize", []),
+    ("synthesize", None),
+    ("synthesize", {"coefficients": [1]}),
+    ("synthesize", {"coefficients": {"k": 0}}),
+    ("synthesize", {"coefficients": [coefficient()], "sharp_block": [[1.0, 0.0]], "nodes": [1]}),
+    ("decompose", []),
+    ("decompose", None),
+    ("decompose", {"type": "disk", "center": 1, "radius": 1.5}),
+    ("decompose", {"type": "union", "parts": 5}),
+    ("decompose", {"type": "disk", "center": [0, 0], "radius": None}),
+], ids=["coeffs-list", "coeffs-null", "coefficient-number", "coefficients-object", "node-number",
+        "domain-list", "domain-null", "center-number", "parts-number", "radius-null"])
+def test_malformed_json_input_exits_2(workdir, monkeypatch, capsys, command, payload):
+    # a JSON input of the wrong shape is a bad input (exit 2), not an uncaught TypeError
+    monkeypatch.chdir(workdir)
+    Path("bad.json").write_text(json.dumps(payload))
+    args = {"synthesize": ["--coeffs", "bad.json"],
+            "decompose": ["--input", "e0.csv", "--domain", "bad.json", "--r", "3"]}[command]
+    assert main([command, *args, "--out", "o.out"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not Path("o.out").exists()
+
+
 @pytest.mark.parametrize("flags", unread_cases({"T", "h", "margin"}))
 def test_synthesize_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags):
     # synthesis reads the grid and the atom margin only

@@ -4,8 +4,7 @@ from scipy.integrate import quad
 
 from criticalgabor import (CoefficientSet, SampledSignal, SIGMA0, atom,
                            atom_inner, field_synthesis, gabor_transform,
-                           half_plane_mass, inner, synthesize,
-                           tail_mass)
+                           inner, loc_integral, synthesize, tail_mass)
 
 from criticalgabor.gabor import _superpose_grid
 
@@ -208,6 +207,11 @@ class TestTailMass:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             tail_mass(CoefficientSet({(0, 0, False): 1.0}), 0.0)
+
+
+def half_plane_mass(f: SampledSignal, q: float) -> float:
+    """Gabor mass over the half-plane p >= q, via int I(x - q) |f(x)|^2 dx."""
+    return float(np.sum(loc_integral(f.x - q) * np.abs(f.values) ** 2) * f.h)
 
 
 class TestHalfPlaneMass:

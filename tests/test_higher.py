@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from criticalgabor import (CoefficientSet, annihilate, atom, create,
-                           decay_exponent, default_sharp_nodes, dual_atoms,
-                           harmonic_oscillator, hdelta_m_norm, hdelta_norm,
+                           decay_exponent, default_sharp_nodes, dual_atoms, hdelta_norm,
                            hermite_signal, inner, order_m_coefficients,
                            sharp_functional, sharp_point, synthesize,
                            vandermonde_inverse, PhasePoint, SampledSignal)
@@ -12,6 +11,22 @@ from criticalgabor import higher
 from criticalgabor.gabor import _STACK
 
 T8, H64 = 8.0, 1.0 / 64.0
+
+
+def harmonic_oscillator(f: SampledSignal) -> SampledSignal:
+    """(a+ a + a a+)/2 = -(1/4 pi^2) d^2/dx^2 + x^2."""
+    return 0.5 * (create(annihilate(f)) + annihilate(create(f)))
+
+
+def hdelta_m_norm(f: SampledSignal, delta: float, m: int) -> float:
+    """Ladder-graded smoothness norm (sum_{j<=m} ||a^j f||_delta^2)^{1/2}."""
+    if m < 0:
+        raise ValueError("order must be >= 0")
+    g, total = f, hdelta_norm(f, delta) ** 2
+    for _ in range(m):
+        g = annihilate(g)
+        total += hdelta_norm(g, delta) ** 2
+    return float(np.sqrt(total))
 
 
 class TestLadderOperators:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from criticalgabor import (Disk, Rotation, atom, commutation_check,
-                           covariance_check, gabor_transform,
-                           hdelta_invariance_check, hdelta_norm, inner,
-                           loc_integral, metaplectic_apply)
+                           covariance_check, gabor_transform, hdelta_norm,
+                           inner, loc_integral, metaplectic_apply)
+from conftest import hdelta_invariance_check
 
 T8, H64 = 8.0, 1.0 / 64.0
 

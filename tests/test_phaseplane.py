@@ -6,12 +6,24 @@ from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from criticalgabor import (Disk, FunctionDomain, PhasePoint, PointSet, Polygon,
-                           Rect, UnionDomain, as_point, domain_from_json,
-                           j_transform, lattice_points_in, neighborhood,
-                           sharp_point, symplectic_form)
+from criticalgabor import (Disk, PhasePoint, PointSet, Polygon, Rect,
+                           UnionDomain, as_point, domain_from_json,
+                           lattice_points_in, neighborhood, sharp_point)
+from conftest import FunctionDomain
 
 coords = st.floats(-10, 10, allow_nan=False)
+
+
+def symplectic_form(u, v) -> float:
+    """sigma[(x,xi),(y,eta)] = eta*x - xi*y; antisymmetric, rotation invariant."""
+    u, v = as_point(u), as_point(v)
+    return v.theta * u.p - u.theta * v.p
+
+
+def j_transform(u) -> PhasePoint:
+    """The symplectic rotation (p, theta) -> (theta, -p)."""
+    u = as_point(u)
+    return PhasePoint(u.theta, -u.p)
 
 
 class TestSymplectic:
@@ -53,7 +65,7 @@ class TestLatticeEnumeration:
         assert len(pts) == 9
 
     def test_sharp_unit_square_single(self):
-        pts = lattice_points_in(Rect(0, 1, 0, 1), sharp=True)
+        pts = [sharp_point(k, j) for k, j in lattice_points_in(Rect(0, 1, 0, 1), sharp=True).tolist()]
         assert pts == [sharp_point(0, 0)]
 
     def test_disk_count_against_brute_force(self):
@@ -63,7 +75,7 @@ class TestLatticeEnumeration:
 
     def test_sorted_lexicographically(self):
         pts = lattice_points_in(Disk((0, 0), 2.0))
-        keys = [(p.p, p.theta) for p in pts]
+        keys = [(k, j) for k, j in pts.tolist()]
         assert keys == sorted(keys)
 
     def test_unbounded_rejected(self):
@@ -81,8 +93,8 @@ class TestLatticeEnumeration:
 
     def test_sharp_and_plain_disjoint(self):
         dom = Rect(-2, 2, -2, 2)
-        plain = {(p.p, p.theta) for p in lattice_points_in(dom)}
-        sharp = {(p.p, p.theta) for p in lattice_points_in(dom, sharp=True)}
+        plain = {(k, j) for k, j in lattice_points_in(dom).tolist()}
+        sharp = {(k + 0.5, j + 0.5) for k, j in lattice_points_in(dom, sharp=True).tolist()}
         assert not plain & sharp
 
 

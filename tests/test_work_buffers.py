@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from criticalgabor import (CoefficientSet, Disk, FunctionDomain, Polygon, Rect, SampledSignal,
+from criticalgabor import (CoefficientSet, Disk, Polygon, Rect, SampledSignal,
                            UnionDomain, atom, concentration, decompose, gabor_transform,
                            hdelta_norm, synthesize, tail_mass, theta, zak, zak_atom_field)
 from criticalgabor import higher, verify
@@ -25,6 +25,7 @@ from criticalgabor.higher import annihilate, default_sharp_nodes, dual_atoms
 from criticalgabor.expansion import sharp_functional
 from criticalgabor.numerics import _chirp, _chirp_sum, _fft_length
 from criticalgabor.phaseplane import PointSet, grid_points, neighborhood, neighborhood_masks
+from conftest import FunctionDomain
 
 T, H = 8.0, 1.0 / 64.0
 
