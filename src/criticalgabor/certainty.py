@@ -195,6 +195,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     mid = in_Dminus & ~in_Kplus
 
     alpha, omega = CoefficientSet(), CoefficientSet()
+    # written in CoefficientSet's own entry format: .tolist() gives python ints, get() complexes
     alpha.entries = {(k, j, False): fU_coeffs.get(k, j) for k, j in lattice.tolist()}  # zero on D \ U
     omega.entries = {(k, j, True): 0j for k, j in sharp.tolist()}
     omega.add(node[0], node[1], rexp.sharp, sharp=True)

@@ -31,14 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-import cmath
 import json
 import math
 
 import numpy as np
 
 from .numerics import DEFAULT_H, DEFAULT_T, Memo, SampledSignal, _exp_pi_i, _sample_count
-from .phaseplane import PhasePoint, PointSet, _json_pairs, as_point, neighborhood
+from .phaseplane import PhasePoint, PointSet, _json_number, _json_pair_list, _json_pairs, as_point, neighborhood
 
 DEFAULT_BOX = 8.0
 DEFAULT_DLAM = 1.0 / 16.0
@@ -321,9 +320,9 @@ class CoefficientSet:
     def from_json(text: str) -> "CoefficientSet":
         """The set that to_json() wrote.  Whatever to_json() would not write raises
         ValueError: a k or j that is no JSON integer, a sharp that is no boolean,
-        a re or im that is no finite number, a (k, j, sharp) given twice, a
-        node list that does not match the sharp_block, or a payload, coefficient,
-        sharp_block or node list of another JSON shape."""
+        a re, im or node coordinate that is no finite number, a (k, j, sharp)
+        given twice, a node list that does not match the sharp_block, or a
+        payload, coefficient, sharp_block or node list of another JSON shape."""
         payload = json.loads(text)
         if not isinstance(payload, dict) or not isinstance(payload.get("coefficients"), list):
             raise ValueError("a coefficient set is a JSON object with a list of coefficients")
@@ -337,7 +336,7 @@ class CoefficientSet:
             if key in entries:
                 raise ValueError(f"coefficient (k, j, sharp) = {key} is given twice")
             entries[key] = _finite(c["re"], c["im"])
-        block = [_finite(re, im) for re, im in _json_pairs(payload.get("sharp_block", []), "sharp_block")]
+        block = [_finite(re, im) for re, im in _json_pair_list(payload.get("sharp_block", []), "sharp_block")]
         out = CoefficientSet(sharp_block=block, nodes=_json_pairs(payload.get("nodes", []), "nodes"))
         out.entries = entries  # already normalised: python ints, bools and complexes
         return out
@@ -345,10 +344,10 @@ class CoefficientSet:
 
 def _finite(re, im) -> complex:
     """re + i im for two finite JSON numbers; ValueError otherwise."""
-    numbers = type(re) in (float, int) and type(im) in (float, int)
-    if not (numbers and cmath.isfinite(z := complex(re, im))):
-        raise ValueError(f"coefficient value ({re!r}, {im!r}) is no pair of finite numbers")
-    return z
+    try:
+        return complex(_json_number(re, "re"), _json_number(im, "im"))
+    except ValueError:
+        raise ValueError(f"coefficient value ({re!r}, {im!r}) is no pair of finite numbers") from None
 
 
 MAX_ORDER = 6

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import json
+import sys
 
 import numpy as np
 
@@ -296,23 +297,34 @@ _DOMAIN_KEYS = {"disk": {"center", "radius"}, "rect": {"pmin", "pmax", "tmin", "
                 "polygon": {"vertices"}, "union": {"parts"}}
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _json_number(x, what: str) -> float:
-    """x as a float when it is a number (a bool is none); ValueError otherwise."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"{what} must be a number, got {x!r}")
+    """x as a float when it is a finite JSON number, an int or a float but no bool;
+    ValueError otherwise.  A NaN fails the comparison, and an integer past the float
+    range is refused before float() would overflow."""
+    if type(x) not in (int, float) or not abs(x) <= _FLOAT_MAX:
+        raise ValueError(f"{what} must be a finite number, got {x!r}")
     return float(x)
+
+
+def _json_pair_list(x, what: str) -> list:
+    """x when it is a list of two-element lists; ValueError otherwise."""
+    if not isinstance(x, (list, tuple)) or not all(isinstance(v, (list, tuple)) and len(v) == 2 for v in x):
+        raise ValueError(f"{what} must be a list of [a, b] number pairs, got {x!r}")
+    return x
 
 
 def _json_pairs(x, what: str) -> list[tuple[float, float]]:
     """x as a list of (a, b) when it is a list of two-number lists; ValueError otherwise."""
-    if not isinstance(x, (list, tuple)) or not all(isinstance(v, (list, tuple)) and len(v) == 2 for v in x):
-        raise ValueError(f"{what} must be a list of [a, b] number pairs, got {x!r}")
-    return [(_json_number(a, what), _json_number(b, what)) for a, b in x]
+    return [(_json_number(a, what), _json_number(b, what)) for a, b in _json_pair_list(x, what)]
 
 
 def domain_from_json(spec) -> PhaseDomain:
     """Build a domain from {"type": "disk"|"rect"|"polygon"|"union", ...}; a key
-    its type does not read, or a value of the wrong shape, is a ValueError."""
+    its type does not read, a value of the wrong shape or a number that is not
+    finite is a ValueError."""
     if isinstance(spec, (str, bytes)):
         spec = json.loads(spec)
     if not isinstance(spec, dict):

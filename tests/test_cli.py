@@ -440,27 +440,34 @@ def test_synthesize_refuses_coefficients_to_json_would_not_write(workdir, monkey
     assert not Path("o.csv").exists()
 
 
-@pytest.mark.parametrize("command, payload", [
-    ("synthesize", []),
-    ("synthesize", None),
-    ("synthesize", {"coefficients": [1]}),
-    ("synthesize", {"coefficients": {"k": 0}}),
-    ("synthesize", {"coefficients": [coefficient()], "sharp_block": [[1.0, 0.0]], "nodes": [1]}),
-    ("decompose", []),
-    ("decompose", None),
-    ("decompose", {"type": "disk", "center": 1, "radius": 1.5}),
-    ("decompose", {"type": "union", "parts": 5}),
-    ("decompose", {"type": "disk", "center": [0, 0], "radius": None}),
+@pytest.mark.parametrize("command, payload, message", [
+    ("synthesize", [], "a coefficient set is a JSON object"),
+    ("synthesize", None, "a coefficient set is a JSON object"),
+    ("synthesize", {"coefficients": [1]}, "coefficient 1 is no JSON object"),
+    ("synthesize", {"coefficients": {"k": 0}}, "a coefficient set is a JSON object"),
+    ("synthesize", {"coefficients": [coefficient()], "sharp_block": [[1.0, 0.0]], "nodes": [1]},
+     "nodes must be a list of [a, b] number pairs"),
+    ("decompose", [], "a domain is a JSON object"),
+    ("decompose", None, "a domain is a JSON object"),
+    ("decompose", {"type": "disk", "center": 1, "radius": 1.5}, "disk center must be a list"),
+    ("decompose", {"type": "union", "parts": 5}, "union parts must be a list"),
+    ("decompose", {"type": "disk", "center": [0, 0], "radius": None}, "disk radius must be a finite number"),
+    ("synthesize", {"coefficients": [coefficient()], "sharp_block": [[1.0, 0.0]], "nodes": [[float("nan"), 0.5]]},
+     "nodes must be a finite number, got nan"),
+    ("decompose", {"type": "disk", "center": [0, 0], "radius": float("nan")},
+     "disk radius must be a finite number, got nan"),
 ], ids=["coeffs-list", "coeffs-null", "coefficient-number", "coefficients-object", "node-number",
-        "domain-list", "domain-null", "center-number", "parts-number", "radius-null"])
-def test_malformed_json_input_exits_2(workdir, monkeypatch, capsys, command, payload):
-    # a JSON input of the wrong shape is a bad input (exit 2), not an uncaught TypeError
+        "domain-list", "domain-null", "center-number", "parts-number", "radius-null", "node-nan", "radius-nan"])
+def test_malformed_json_input_exits_2(workdir, monkeypatch, capsys, command, payload, message):
+    # a JSON input of the wrong shape or a non-finite number is a bad input (exit 2) that names
+    # what is wrong, not an uncaught TypeError or a later, unrelated refusal
     monkeypatch.chdir(workdir)
     Path("bad.json").write_text(json.dumps(payload))
     args = {"synthesize": ["--coeffs", "bad.json"],
             "decompose": ["--input", "e0.csv", "--domain", "bad.json", "--r", "3"]}[command]
     assert main([command, *args, "--out", "o.out"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not Path("o.out").exists()
 
 

@@ -92,10 +92,15 @@ class TestLatticeEnumeration:
             assert abs(len(pts) - np.pi * r ** 2) <= 8 * r
 
     def test_sharp_and_plain_disjoint(self):
-        dom = Rect(-2, 2, -2, 2)
-        plain = {(k, j) for k, j in lattice_points_in(dom).tolist()}
-        sharp = {(k + 0.5, j + 0.5) for k, j in lattice_points_in(dom, sharp=True).tolist()}
-        assert not plain & sharp
+        # a sharp index (k, j) stands for the midpoint (k + 1/2, j + 1/2), which is no lattice point;
+        # on the disk, testing the index itself instead of the midpoint gives another set
+        cells = [(k, j) for k in range(-3, 4) for j in range(-3, 4)]
+        for dom, n_plain, n_sharp in [(Rect(-2, 2, -2, 2), 25, 16), (Disk((0, 0), 0.8), 1, 4)]:
+            plain = {(k, j) for k, j in lattice_points_in(dom).tolist()}
+            sharp = {(k, j) for k, j in lattice_points_in(dom, sharp=True).tolist()}
+            assert plain == {(k, j) for k, j in cells if dom.contains((k, j))} and len(plain) == n_plain
+            assert sharp == {(k, j) for k, j in cells if dom.contains((k + 0.5, j + 0.5))}
+            assert len(sharp) == n_sharp
 
 
 class TestNeighborhood:
