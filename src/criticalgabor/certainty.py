@@ -141,7 +141,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     points with nearest lattice point l form one patch signal, given one
     order-m expansion (R_local) about the origin and shifted to l, which by
     linearity equals the sum of the points' own local expansions
-    (_add_collar).
+    (_collar_terms).
 
     The field of g is read only on K+ (for g+) and on D- (for the mid
     points), so it is transformed only on the window of the box grid that
@@ -150,8 +150,9 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     D- only when the chain nests (l <= r/2).  Masks, mid points and collar
     cells are read from slices of the box grid, so they are the box's own.
 
-    The residual signal is the exact difference, so the identity
-    f = sum(alpha) + sum(omega) + residual holds to roundoff by construction;
+    The residual signal is the exact difference, g less the synthesis of the
+    collar's terms, so the identity f = sum(alpha) + sum(omega) + residual
+    holds to roundoff by construction;
     the report carries its norm together with the concentration-plus-
     exponential guarantee it is measured against.
     """
@@ -200,15 +201,19 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     omega.entries = {(k, j, True): 0j for k, j in sharp.tolist()}
     omega.add(node[0], node[1], rexp.sharp, sharp=True)
 
-    omega_out = CoefficientSet()  # lattice leakage outside D; stays in the residual
+    # alpha and omega hold every term of f_U (U lies in D), so f less their synthesis is g
+    # less that of the collar's own terms: f_U is synthesized once
+    residual, omega_out = g, CoefficientSet()  # omega_out: lattice leakage outside D, left in the residual
     if np.any(mid):
         grid = np.broadcast_arrays(ps[:, None], ts[None, :])  # (P, Theta) views: the mask picks from them
-        _add_collar(np.column_stack([x[mid] for x in grid]), w_g[mid], f, nd, R_local,
-                    alpha, omega, omega_out)
-
-    # alpha holds only lattice keys and omega only sharp ones: one synthesis of both
-    both = CoefficientSet({**alpha.entries, **omega.entries})
-    residual = f - synthesize(both, f.T, f.h, DECOMP_MARGIN)
+        collar_alpha, collar_omega, omega_out = _collar_terms(np.column_stack([x[mid] for x in grid]),
+                                                              w_g[mid], f, nd, R_local)
+        # collar_alpha holds only lattice keys and collar_omega only sharp ones: one synthesis of both
+        both = CoefficientSet({**collar_alpha.entries, **collar_omega.entries})
+        residual = g - synthesize(both, f.T, f.h, DECOMP_MARGIN)
+        for total, part in ((alpha, collar_alpha), (omega, collar_omega)):
+            for key, v in part.entries.items():
+                total.entries[key] = total.entries.get(key, 0j) + v
 
     conc = concentration(f, nd.D, box, min(dlam, 1.0 / 16.0))
     fnorm = f.norm()
@@ -238,10 +243,11 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     return CertaintyDecomposition(alpha, omega, residual, report)
 
 
-def _add_collar(pts: np.ndarray, weights: np.ndarray, f: SampledSignal, nd: NestedDomains,
-                R_local: int, alpha: CoefficientSet, omega: CoefficientSet, leak: CoefficientSet):
-    """Add the local order-m expansions of the mid points pts (n, 2) of the given
-    weights: lattice terms in D to alpha, outside D to leak, sharp terms to omega.
+def _collar_terms(pts: np.ndarray, weights: np.ndarray, f: SampledSignal, nd: NestedDomains,
+                  R_local: int) -> tuple[CoefficientSet, CoefficientSet, CoefficientSet]:
+    """The local order-m expansions of the mid points pts (n, 2) of the given weights,
+    summed into three sets of their own: lattice terms in D, sharp terms, and lattice
+    terms outside D (the leakage).
 
     A mid point l + w of weight c adds c exp(2 pi i w_theta l_p) times the
     local expansion of e_w, shifted to l with the phase exp(-2 pi i j l_p) at
@@ -250,8 +256,7 @@ def _add_collar(pts: np.ndarray, weights: np.ndarray, f: SampledSignal, nd: Nest
     mid points lie on one phase grid, so every cell's offsets w come from one
     shared offset grid, and the patches are the rows of one stacked
     superposition, _STACK cells at a time, all expanded by one
-    order_m_coefficients call.  Each key's terms add in cell order, as
-    repeated CoefficientSet.add calls would.
+    order_m_coefficients call.  Each key's terms add in cell order.
     """
     cells, cell_of = _distinct_pairs(np.floor(pts + 0.5).astype(int))
     lp = cells[:, 0]
@@ -264,26 +269,29 @@ def _add_collar(pts: np.ndarray, weights: np.ndarray, f: SampledSignal, nd: Nest
                for row in _superpose_grid(ps, ts, W[c:c + _STACK], f.T, f.h))
     nodes = default_sharp_nodes(nd.m)
     locs = order_m_coefficients(patches, nd.m, nodes=nodes, R=R_local)
-
     cell_kj = cells[:, None, :]
+
+    def summed(kj: np.ndarray, terms: np.ndarray, sharp: bool):
+        """The distinct keys among kj and each one's terms, added in cell order."""
+        pairs, at = _distinct_pairs(kj)
+        total = np.zeros(len(pairs), dtype=complex)
+        np.add.at(total, at, terms.ravel())
+        return pairs, [(k, j, sharp) for k, j in pairs.tolist()], total.tolist()
+
     node_kj = np.array([(round(nu.p - 0.5), round(nu.theta - 0.5)) for nu in nodes])
     node_w = (-1.0) ** lp[:, None] * np.array([loc.sharp_block for loc in locs]) @ dual_mixing(nodes)
-    pairs, at = _distinct_pairs(node_kj + cell_kj)
-    keys = [(k, j, True) for k, j in pairs.tolist()]
-    total = np.array([omega.entries.get(key, 0j) for key in keys])
-    np.add.at(total, at, node_w.ravel())
-    omega.entries.update(zip(keys, total.tolist()))
+    _, keys, total = summed(node_kj + cell_kj, node_w, True)
+    omega = CoefficientSet()
+    omega.entries = dict(zip(keys, total))
 
     # every local expansion lists the same -R..R block of keys in the same order
     lattice_kj = np.array([key[:2] for key in locs[0].coeffs.entries])
     lattice_c = np.array([list(loc.coeffs.entries.values()) for loc in locs])
-    pairs, at = _distinct_pairs(lattice_kj + cell_kj)
-    keys = [(k, j, False) for k, j in pairs.tolist()]
-    in_D = nd.D.contains(pairs.astype(float))
-    total = np.array([alpha.entries.get(key, 0j) if ok else 0j for key, ok in zip(keys, in_D)])
-    np.add.at(total, at, lattice_c.ravel())
-    for key, v, ok in zip(keys, total.tolist(), in_D):
+    pairs, keys, total = summed(lattice_kj + cell_kj, lattice_c, False)
+    alpha, leak = CoefficientSet(), CoefficientSet()
+    for key, v, ok in zip(keys, total, nd.D.contains(pairs.astype(float))):
         (alpha if ok else leak).entries[key] = v
+    return alpha, omega, leak
 
 
 def _distinct_pairs(kj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

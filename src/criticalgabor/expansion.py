@@ -11,6 +11,7 @@ the sharp contribution has been removed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -147,16 +148,46 @@ def _refine_correction(f_sharp, F: np.ndarray, N: int, R: int) -> np.ndarray:
     quadrature converges slowly there, so the adjacent cells are integrated
     on a locally refined grid.  f_sharp and F may be a stack, as in
     division_field.
+
+    The Zak field at the 16 x 16 fine nodes is read off its fibres.  Z is a
+    trigonometric polynomial of degree 2T in xi, so the Zak sum at the fine xi
+    nodes over the samples y = n h of one unit is exact.  Along y each fibre
+    twisted by exp(2 pi i xi y) is 1-periodic; it is interpolated to the fine
+    y nodes by upsample_periodic and untwisted.  That step is exact to
+    roundoff when the spectrum of f is negligible within about 3 of the
+    sample Nyquist 1/(2h) and its mass is negligible at +-T.  Against the
+    refinement from closed-form atom values at the fine points (T = 8,
+    h = 1/64, N = 32, R = 6): an atom at theta >= 29 departs, by 4.5e-3 of the
+    block at theta = 31 (the 8x upsampled signal gave 1.0e-5), where the
+    expansion itself leaves a relative residual of 1.41; an atom at p = 7 moves
+    by 1.2e-3 of the block and lands closer to exact (2.3e-7 against 3.7e-7).
     """
     values, T, h = stacked(f_sharp)
-    _substep(h, N)  # the fine nodes are samples of the x8 grid only for an even substep
+    s = _substep(h, N)
     r, c = _REFINE_FACTOR, N // 2 - 1
-    fine = (c + (np.arange(2 * r) + 0.5) / r) / N
+    fine, samples, factor, pick, twist, untwist = _REFINE_MEMO.get((N, s), lambda: _refine_plan(N, s))
+    fibres = _zak_sum(values, T, h, samples, fine).mT * twist  # (xi, y), 1-periodic in y
+    Zf = (upsample_periodic(fibres, factor)[..., pick] * untwist).mT
     coarse = (c + np.arange(2) + 0.5) / N
-    up = upsample_periodic(values, r)
-    Ff = _divided(_zak_sum(up, T, h / r, fine, fine), fine, fine)
+    Ff = _divided(Zf, fine, fine)
     return (_extract_block(Ff, fine, fine, R) / (r * N) ** 2
             - _extract_block(F[..., c:c + 2, c:c + 2], coarse, coarse, R) / N ** 2)
+
+
+def _refine_plan(N: int, s: int):
+    """The fine nodes (c + (m + 1/2)/r)/N, m < 2r, the sample nodes n/(s N), n < s N, of one
+    unit, the upsampling factor that puts both on one grid, the fine nodes' index on it,
+    and the twist exp(2 pi i xi y) (fine xi, sample y) and untwist (fine xi, fine y)."""
+    r, c = _REFINE_FACTOR, N // 2 - 1
+    fine = (c + (np.arange(2 * r) + 0.5) / r) / N
+    samples = np.arange(s * N) / (s * N)
+    factor = 2 * r // math.gcd(2 * r, s)  # the fine nodes are odd multiples of 1/(2 r N)
+    pick = (2 * (c * r + np.arange(2 * r)) + 1) * (s * factor // (2 * r))
+    return (fine, samples, factor, pick, np.exp(2j * np.pi * np.outer(fine, samples)),
+            np.exp(-2j * np.pi * np.outer(fine, fine)))
+
+
+_REFINE_MEMO = Memo()
 
 
 def lattice_coefficients(f_sharp, R: int, N: int | None = None):

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+import cmath
 import json
 import math
 
@@ -305,16 +306,20 @@ class CoefficientSet:
         return float(np.sqrt(total))
 
     def to_json(self) -> str:
-        payload = {
-            "coefficients": [
-                {"k": k, "j": j, "sharp": s, "re": v.real, "im": v.imag}
-                for (k, j, s), v in sorted(self.entries.items())
-            ]
-        }
-        if self.sharp_block:
-            payload["sharp_block"] = [[b.real, b.imag] for b in self.sharp_block]
-            payload["nodes"] = [[n.p, n.theta] for n in self.nodes]
-        return json.dumps(payload)
+        """The text from_json() reads, in json.dumps' own spelling: each coefficient,
+        sharp_block value and node through one %-template.  A value or node coordinate
+        that is no finite number raises ValueError by from_json()'s own rule, so no
+        text is written that from_json() would refuse.  Entry values are python
+        complexes (the class keeps them so), whose parts %r spells as json.dumps does."""
+        entries = sorted(self.entries.items())
+        _refuse_non_finite([v for _, v in entries] + self.sharp_block, "coefficient")
+        _refuse_non_finite([n.label for n in self.nodes], "node", ("p", "theta"))
+        text = ", ".join([_ENTRY % (k, j, _JSON_BOOL[s], v.real, v.imag) for (k, j, s), v in entries])
+        if not self.sharp_block:
+            return '{"coefficients": [%s]}' % text
+        block = ", ".join([_PAIR % (b.real, b.imag) for b in self.sharp_block])
+        nodes = ", ".join([_PAIR % (float(n.p), float(n.theta)) for n in self.nodes])
+        return '{"coefficients": [%s], "sharp_block": [%s], "nodes": [%s]}' % (text, block, nodes)
 
     @staticmethod
     def from_json(text: str) -> "CoefficientSet":
@@ -340,6 +345,19 @@ class CoefficientSet:
         out = CoefficientSet(sharp_block=block, nodes=_json_pairs(payload.get("nodes", []), "nodes"))
         out.entries = entries  # already normalised: python ints, bools and complexes
         return out
+
+
+_ENTRY = '{"k": %d, "j": %d, "sharp": %s, "re": %r, "im": %r}'
+_PAIR = "[%r, %r]"
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _refuse_non_finite(values: list, what: str, parts=("re", "im")):
+    """ValueError, by _json_number's rule, when a part of one of the complex values is no finite number."""
+    if not all(map(cmath.isfinite, values)):
+        bad = next(v for v in values if not cmath.isfinite(v))
+        for part, name in zip((bad.real, bad.imag), parts):
+            _json_number(part, f"{what} {name}")
 
 
 def _finite(re, im) -> complex:

@@ -147,6 +147,8 @@ def signal_from_csv(path) -> SampledSignal:
                 x, re_, im_ = (float(p) for p in parts)
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed CSV at line {ln}: {line!r}") from exc
+            if not (math.isfinite(x) and math.isfinite(re_) and math.isfinite(im_)):
+                raise ValueError(f"{path}: non-finite value at line {ln}: {line!r}")
             xs.append(x)
             vals.append(complex(re_, im_))
     if len(xs) < 3:

@@ -103,6 +103,24 @@ class TestAnalyze:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, args", [
+        ("expand", ["--out", "o.out"]), ("analyze", ["--out-summary", "o.out"]),
+        ("rotate", ["--angle", "0.5", "--out", "o.out"]),
+        ("decompose", ["--domain", "disk.json", "--r", "3", "--out", "o.out"])])
+    def test_non_finite_sample_is_input_error(self, workdir, monkeypatch, capsys, command, args, value):
+        # a nan or inf sample would otherwise flow into the outputs (NaN coefficients that
+        # synthesize refuses, a NaN norm, a CSV of nan); the reader names the line instead
+        monkeypatch.chdir(workdir)
+        lines = Path("h0.csv").read_text().splitlines()
+        x, _, im = lines[400].split(",")
+        lines[400] = f"{x},{value},{im}"
+        Path("bad.csv").write_text("\n".join(lines) + "\n")
+        assert main([command, "--input", "bad.csv", *args]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv: non-finite value at line 401" in err
+        assert not Path("o.out").exists()
+
     def test_field_csv(self, workdir):
         rc = main(["analyze", "--input", str(workdir / "h0.csv"), "--box", "2.0",
                    "--dlam", "0.25", "--out-field", str(workdir / "f.csv")])

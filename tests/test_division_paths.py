@@ -2,10 +2,13 @@
 against the hand-written sums it replaces.
 
 The oracles below are the earlier forms: the integer-index Zak sum, the
-refinement at the theta zero as a loop over its four cells (one Zak sum, one
-theta division and one Fourier block per cell), and the seam check's two
-hand-written Zak sums at y + 1 and xi + 1.  The shared kernel computes the
-same discrete sums, so it must agree with them to roundoff.
+refinement at the theta zero as a loop over its four cells (one Zak sum of
+the 8x upsampled signal, one theta division and one Fourier block per cell),
+and the seam check's two hand-written Zak sums at y + 1 and xi + 1.  The
+shared kernel computes the same discrete sums, so it must agree with them to
+roundoff.  The refinement, which reads the fine cells off the Zak fibres, is
+also held to the refined block built from closed-form atom values at the
+fine points.
 """
 
 import numpy as np
@@ -114,7 +117,7 @@ def test_zak_bitwise_equals_integer_index_formula(signal, N):
 
 
 @pytest.mark.parametrize("R", [3, 6])
-@pytest.mark.parametrize("N", [16, 32])
+@pytest.mark.parametrize("N", [4, 8, 16, 32])  # fibre upsampling factors 1, 2, 4, 8 at h = 1/64
 def test_refined_block_matches_cell_loop(signal, N, R):
     # The correction is a fine sum minus a coarse sum that cancel to ~1e-4 of
     # either near the theta zero, so it is held to the scale of the lattice
@@ -129,6 +132,51 @@ def test_refined_block_matches_cell_loop(signal, N, R):
     ks = range(-R, R + 1)
     M = np.array([[got.get(k, j) for j in ks] for k in ks])
     assert np.max(np.abs(M - want)) <= 1e-13 * scale
+
+
+def test_refined_stack_matches_single_calls():
+    signals = [SIGNALS[name]() for name in ("h1", "h2", "lattice_mix", "sharp_mix")]
+    F, _ = division_field(signals, 32)
+    stack = _refine_correction(signals, F, 32, 6)
+    for f, got in zip(signals, stack):
+        F1, Z = division_field(f, 32)
+        one = _refine_correction(f, F1, 32, 6)
+        scale = np.max(np.abs(extract_block(F1, 32, 6) + one))
+        assert np.max(np.abs(got - one)) <= 1e-15 * scale
+
+
+def atom_values(p, th, x):
+    return 2 ** 0.25 * np.exp(-np.pi * (x - p) ** 2 + 2j * np.pi * th * x)
+
+
+def exact_atom_correction(p, th, N, R):
+    """The refined block of the atom at (p, th) truncated to [-T, T): its Zak sums at the
+    fine and the coarse nodes from closed-form atom values at the points y + q."""
+    r, c = _REFINE_FACTOR, N // 2 - 1
+    qs = np.arange(-int(T), int(T))
+    ks = np.arange(-R, R + 1)
+
+    def block(nodes, weight):
+        Z = atom_values(p, th, nodes[:, None] + qs[None, :]) @ np.exp(2j * np.pi * np.outer(qs, nodes))
+        F = np.exp(np.pi * nodes[:, None] ** 2) * Z / theta(nodes[None, :] + 1j * nodes[:, None])
+        E = np.exp(-2j * np.pi * np.outer(ks, nodes))
+        return E @ F.T @ E.T * weight
+
+    return (block((c + (np.arange(2 * r) + 0.5) / r) / N, 1.0 / (r * N) ** 2)
+            - block((c + np.arange(2) + 0.5) / N, 1.0 / N ** 2))
+
+
+@pytest.mark.parametrize("p, th", [(0, 0), (4, 16), (-4, -16), (4, -16), (-3.5, 9.25), (0.3, 7.7), (2, -13)])
+def test_refined_block_matches_exact_atom(p, th):
+    # the fine y nodes are interpolated along the fibres: exact to roundoff while the
+    # spectrum stays clear of the sample Nyquist 32 and the atom of +-T.  R = 17 puts the
+    # atom's own coefficient in the block, which sets the scale; measured <= 1e-15 of it
+    N, R = 32, 17
+    f = numerics.SampledSignal(T, H, atom_values(p, th, -T + H * np.arange(int(2 * T / H) + 1)))
+    F, _ = division_field(f, N)
+    want = exact_atom_correction(p, th, N, R)
+    scale = np.max(np.abs(extract_block(F, N, R) + want))
+    assert np.max(np.abs(_refine_correction(f, F, N, R) - want)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("N", [16, 32])

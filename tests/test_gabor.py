@@ -1,3 +1,7 @@
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -236,6 +240,27 @@ class TestHalfPlaneMass:
         assert abs(lhs - rhs) / rhs < 1e-3
 
 
+def dumps_payload(c: CoefficientSet) -> str:
+    """The text CoefficientSet.to_json wrote as json.dumps of a list of per-entry dicts."""
+    payload = {"coefficients": [{"k": k, "j": j, "sharp": s, "re": v.real, "im": v.imag}
+                                for (k, j, s), v in sorted(c.entries.items())]}
+    if c.sharp_block:
+        payload["sharp_block"] = [[b.real, b.imag] for b in c.sharp_block]
+        payload["nodes"] = [[n.p, n.theta] for n in c.nodes]
+    return json.dumps(payload)
+
+
+# finite floats, with the edge spellings named: signed zero, the least subnormal, the
+# largest float and integer-valued floats (repr 1e+16, not 1.0e16)
+FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                    -1.7976931348623157e308, 1.0, -3.0, 1e16, 2.0 ** 60]),
+                   st.integers(-2 ** 60, 2 ** 60).map(float),
+                   st.floats(allow_nan=False, allow_infinity=False))
+COMPLEX = st.builds(complex, FLOATS, FLOATS)
+KEYS = st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.booleans())
+BLOCKS = st.lists(st.tuples(COMPLEX, st.tuples(FLOATS, FLOATS)), max_size=7)  # an order-m block and its nodes
+
+
 class TestCoefficientSet:
     def test_json_roundtrip(self):
         c = CoefficientSet({(0, 0, False): 1 + 2j, (1, -2, True): -0.5j},
@@ -244,6 +269,24 @@ class TestCoefficientSet:
         assert back.entries == c.entries
         assert back.sharp_block == c.sharp_block
         assert [(n.p, n.theta) for n in back.nodes] == [(0.5, 0.5)]
+
+    @given(st.dictionaries(KEYS, COMPLEX, max_size=40), BLOCKS)
+    @settings(max_examples=200, deadline=None)
+    def test_json_text_equals_json_dumps_of_the_entry_payload(self, entries, block):
+        c = CoefficientSet(entries, sharp_block=[b for b, _ in block], nodes=[n for _, n in block])
+        assert c.to_json() == dumps_payload(c)
+        back = CoefficientSet.from_json(c.to_json())
+        assert back.entries == c.entries and back.sharp_block == c.sharp_block
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["re", "im", "block", "node p", "node theta"])
+    def test_to_json_refuses_what_from_json_would_refuse(self, where, bad):
+        value = {"re": complex(bad, 1.0), "im": complex(1.0, bad)}.get(where, 1 + 1j)
+        block = complex(bad, 0.0) if where == "block" else 0.5j
+        node = {"node p": (bad, 0.5), "node theta": (0.5, bad)}.get(where, (0.5, 0.5))
+        c = CoefficientSet({(0, 1, False): 2.0, (3, -1, True): value}, sharp_block=[block], nodes=[node])
+        with pytest.raises(ValueError, match="must be a finite number"):
+            c.to_json()
 
     def test_l2(self):
         c = CoefficientSet({(0, 0, False): 3.0, (1, 0, False): 4.0})

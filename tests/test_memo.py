@@ -1,9 +1,10 @@
 """The grid constants of the expansion core, memoised per grid.
 
 theta, the Zak sum's gather index and phases, the Fourier rows of the block
-extraction, the dual mixing matrix, the chirp-z constants of the
-metaplectic rotation and the half-integer samples of the sharp functional
-are each built once per key.  A memo
+extraction, the fine nodes and twists of the refinement at the theta zero,
+the dual mixing matrix, the chirp-z constants of the metaplectic rotation
+and the half-integer samples of the sharp functional are each built once per
+key.  A memo
 hit must give the bits a fresh build gives, no entry may be served for
 another grid, stored arrays are read-only, and no memo holds more than
 MEMO_SIZE entries.  The oracles are the formulas these functions evaluated
@@ -29,7 +30,7 @@ from criticalgabor.zak import _midpoints, _zak_sum, zak_atom_field
 zak_module = sys.modules["criticalgabor.zak"]  # the package attribute `zak` is the function
 MEMOS = [(numerics, "_THETA_MEMO"), (zak_module, "_ZAK_SUM_MEMO"),
          (expansion, "_BLOCK_MEMO"), (gabor, "_MIXING_MEMO"), (numerics, "_CHIRP_MEMO"),
-         (expansion, "_HALF_INTEGER_MEMO")]
+         (expansion, "_HALF_INTEGER_MEMO"), (expansion, "_REFINE_MEMO")]
 
 T, H, N, R = 8.0, 1.0 / 64.0, 32, 6
 MID = _midpoints(N)
@@ -210,6 +211,11 @@ def test_stored_arrays_are_read_only(cold):
     for arr in expansion._half_integer_indices(hermite_signal(3, T, H)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
+    lattice_coefficients(hermite_signal(2, T, H), R, N)
+    plan = expansion._REFINE_MEMO.get((N, 2), lambda: pytest.fail("no refinement plan for N = 32, s = 2"))
+    for arr in (a for a in plan if isinstance(a, np.ndarray)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1
     a, b = Memo().get("key", lambda: (np.zeros(3), np.ones(2)))
     assert not a.flags.writeable and not b.flags.writeable
 
