@@ -348,6 +348,25 @@ class TestCollarCells:
         dec = decompose(atom((0.3, -0.2), 8.0, H64), Disk((0, 0), 0.3), 3.0, 1)
         assert dec.report["mid_region_points"] == 0 and signals == []
 
+    @pytest.mark.parametrize("r, collar", [(3.0, False), (4.0, True)])
+    def test_f_u_is_synthesized_once(self, monkeypatch, r, collar):
+        # the residual is g less the collar's own terms, so f_U is synthesized once, the
+        # collar's terms once more when there are any, and with no collar the residual is g
+        sizes = []
+
+        def counting(coeffs, *args):
+            sizes.append(len(coeffs))
+            return synthesize(coeffs, *args)
+
+        monkeypatch.setattr(certainty, "synthesize", counting)
+        f = SampledSignal(8.0, H64, atom((0.5, 0.25), 8.0, H64).values + 0.6j * atom((2.3, -1.7), 8.0, H64).values)
+        dec = decompose(f, Disk((0, 0), 0.25), r, 0)
+        assert (dec.report["mid_region_points"] > 0) == collar
+        assert len(sizes) == 1 + collar
+        if not collar:
+            assert dec.report["residual_norm"] == dec.report["g_norm"]
+        assert (f - dec.synthesized(f.T, f.h) - dec.residual).norm() <= 1e-12 * f.norm()
+
 
 class TestDegreesOfFreedom:
     def test_square_of_side_s_counts(self):

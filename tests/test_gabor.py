@@ -279,11 +279,11 @@ class TestCoefficientSet:
         assert back.entries == c.entries and back.sharp_block == c.sharp_block
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("where", ["re", "im", "block", "node p", "node theta"])
+    @pytest.mark.parametrize("where", ["re", "im", "block", "node_p", "node_theta"])
     def test_to_json_refuses_what_from_json_would_refuse(self, where, bad):
         value = {"re": complex(bad, 1.0), "im": complex(1.0, bad)}.get(where, 1 + 1j)
         block = complex(bad, 0.0) if where == "block" else 0.5j
-        node = {"node p": (bad, 0.5), "node theta": (0.5, bad)}.get(where, (0.5, 0.5))
+        node = {"node_p": (bad, 0.5), "node_theta": (0.5, bad)}.get(where, (0.5, 0.5))
         c = CoefficientSet({(0, 1, False): 2.0, (3, -1, True): value}, sharp_block=[block], nodes=[node])
         with pytest.raises(ValueError, match="must be a finite number"):
             c.to_json()

@@ -24,7 +24,7 @@ from criticalgabor import THETA_TERMS, dual_atoms, hermite_signal, theta
 from criticalgabor.expansion import _REFINE_FACTOR, _extract_block, lattice_coefficients, sharp_series
 from criticalgabor.gabor import dual_mixing
 from criticalgabor.higher import default_sharp_nodes
-from criticalgabor.numerics import MEMO_SIZE, Memo, _chirp, _chirp_sum, _fft_length, upsample_periodic
+from criticalgabor.numerics import MEMO_SIZE, Memo, _chirp, _chirp_sum, _fft_length
 from criticalgabor.zak import _midpoints, _zak_sum, zak_atom_field
 
 zak_module = sys.modules["criticalgabor.zak"]  # the package attribute `zak` is the function
@@ -110,8 +110,7 @@ def stored_chirp_plan(c, N, K):
     return numerics._CHIRP_MEMO.get((c, N, K), lambda: pytest.fail(f"no chirp plan for {(c, N, K)}"))
 
 
-def h2_fine():
-    return upsample_periodic(hermite_signal(2, T, H).values, _REFINE_FACTOR)
+SAMPLES = np.arange(2 * N) / (2 * N)  # the samples of one unit at h = 1/(2 N): the refinement's fibres
 
 
 CASES = {
@@ -121,8 +120,8 @@ CASES = {
                       lambda: old_theta(FINE[None, :] + 1j * FINE[:, None])),
     "zak_sum_midpoint": (lambda: _zak_sum(hermite_signal(2, T, H).values, T, H, MID, MID),
                          lambda: old_zak_sum(hermite_signal(2, T, H).values, T, H, MID, MID)),
-    "zak_sum_refined": (lambda: _zak_sum(h2_fine(), T, H / _REFINE_FACTOR, FINE, FINE),
-                        lambda: old_zak_sum(h2_fine(), T, H / _REFINE_FACTOR, FINE, FINE)),
+    "zak_sum_refined": (lambda: _zak_sum(hermite_signal(2, T, H).values, T, H, SAMPLES, FINE),
+                        lambda: old_zak_sum(hermite_signal(2, T, H).values, T, H, SAMPLES, FINE)),
     "extract_block": (lambda: _extract_block(np.outer(np.cos(MID), MID + 1j), MID, MID, R),
                       lambda: old_extract_block(np.outer(np.cos(MID), MID + 1j), MID, MID, R)),
     "dual_mixing": (lambda: dual_mixing(default_sharp_nodes(3)),
