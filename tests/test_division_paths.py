@@ -169,7 +169,7 @@ def exact_atom_correction(p, th, N, R):
 @pytest.mark.parametrize("p, th", [(0, 0), (4, 16), (-4, -16), (4, -16), (-3.5, 9.25), (0.3, 7.7), (2, -13)])
 def test_refined_block_matches_exact_atom(p, th):
     # the fine y nodes are interpolated along the fibres: exact to roundoff while the
-    # spectrum stays clear of the sample Nyquist 32 and the atom of +-T.  R = 17 puts the
+    # spectrum stays clear of the sample Nyquist 32 and the atom clear of +-T.  R = 17 puts the
     # atom's own coefficient in the block, which sets the scale; measured <= 1e-15 of it
     N, R = 32, 17
     f = numerics.SampledSignal(T, H, atom_values(p, th, -T + H * np.arange(int(2 * T / H) + 1)))
