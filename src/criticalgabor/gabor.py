@@ -10,10 +10,10 @@ gabor_transform() runs on the spectrum of f.  The Gaussian is its own Fourier
 transform, so V f(p, theta) = e^{-2 pi i p theta} V f^(theta, -p), and each
 theta row is a sum over the spectrum bins within the reach c = 4 of its
 theta, one shared window over the length-L FFT of f.  The p step over L,
-b/M', folds that sum onto one length-M' inverse FFT per row.  It takes only
-steps that pass step_periods() (every other raises ValueError).  The bins and
-envelope images left out move a value by about 1.5e-21 ||f|| on the default
-grid.
+b/M', folds that sum onto one length-M' inverse FFT per row, whose first P
+bins are the row's P values.  It takes only steps that pass step_periods()
+(every other raises ValueError).  The bins and envelope images left out move
+a value by about 1.5e-21 ||f|| on the default grid.
 
 Every superposition sum c_lambda e_lambda (lattice and sharp series, the
 order-m dual-atom block, Riemann sums over a phase grid) goes through one
@@ -98,16 +98,21 @@ class GaborField:
     dlam: float
 
     def __post_init__(self):
+        # a writeable array is copied, so the caller's stays writeable and the field frozen
         for name in ("p_grid", "theta_grid", "values"):
             arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.values.shape != (self.p_grid.size, self.theta_grid.size):
             raise ValueError("field shape does not match its grids")
 
     def mass(self) -> float:
-        """Riemann approximation of int |V|^2 dlambda."""
-        return float(np.sum(np.abs(self.values) ** 2) * self.dlam ** 2)
+        """Riemann approximation of int |V|^2 dlambda: one sum of squares over the real
+        and imaginary parts, for values of any layout."""
+        parts = self.values[..., None].view(float)
+        return float(np.einsum("ijk,ijk->", parts, parts) * self.dlam ** 2)
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -187,15 +192,19 @@ def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLA
     length-L DFT turns each row into a sum over the 2J + 1 bins within the
     reach c = _REACH of it, J = floor(c L h):
 
-        V(p_0 + k dlam, theta_l) = e^{pi i l a (N - 1)/M}
-            sum_{|m| <= J} G[(s l + m) mod L] w_m e^{2 pi i m k b/M'},
+        V(p_0 + k dlam, theta_l) = sum_{|m| <= J} g_{s l + m} w_m e^{2 pi i m k b/M'},
 
-        w_m = 2^{1/4} e^{-pi (m H/L)^2} e^{2 pi i m c_0/L} / L,  c_0 = (p_0 + T) H.
+        g_i = G[i mod L] e^{pi i (N - 1) i/L},
+        w_m = 2^{1/4} e^{-pi (m H/L)^2} e^{2 pi i m c_0/L} / L,  c_0 = p_0 H.
 
-    One window w serves every row.  Each block of _ROWS rows folds m onto
-    m mod M' in one (rows, M') buffer, runs one inverse FFT, and reads p_k at
-    bin b k mod M'.  The integer part of c_0 m and the row phase are reduced
-    in integers, so every phase is good to a few ulps.
+    The phase of g_i at i = s l + m is the row's, e^{pi i l a (N - 1)/M},
+    times e^{pi i (N - 1) m/L}, which moves the window's anchor from
+    (p_0 + T) H to p_0 H (N - 1 = 2 T H), so it is paid once per spectrum bin
+    and not once per point.  One window w serves every row.  Each block of
+    _ROWS rows folds tap m onto slot b m mod M' in one (rows, M') buffer and
+    runs one inverse FFT; since b is prime to M', p_k sits at bin k, and the
+    block is one slice of the output.  The integer parts of c_0 m and of
+    (N - 1) i are reduced in integers, so every phase is good to a few ulps.
 
     The sum stands for the DFT of the envelope's L-periodic extension: since
     L h >= 2T + c, its images stay c away from every sample.  Three terms
@@ -218,22 +227,26 @@ def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLA
     if np.max(np.abs(ps)) > f.T + 1e-9:
         raise ValueError(f"phase box reaches p={np.max(np.abs(ps))}, beyond the grid T={f.T}")
     N = f.values.size
-    periods = H, a, M, L, _, _ = step_periods(dlam, f.h, N)
+    periods = H, _, _, L, _, _ = step_periods(dlam, f.h, N)
     G = np.fft.fft(f.values * _grid_phase(-ts[0] * f.h, N), L)
-    out = _spectrum_rows(G, (ps[0] + f.T) * H, ps.size, ts.size, periods)
-    out *= np.exp(1j * np.pi * (a * np.arange(ts.size) * (N - 1) % (2 * M) / M))
-    return GaborField(ps, ts, out, dlam)
+    values = _spectrum_rows(G, ps[0] * H, ps.size, ts.size, N, periods)
+    for arr in (ps, ts, values):  # the field takes frozen arrays without a copy
+        arr.setflags(write=False)
+    return GaborField(ps, ts, values, dlam)
 
 
-def _spectrum_rows(G: np.ndarray, c0: float, P: int, K: int, periods) -> np.ndarray:
-    """out[k, l] = sum_{|m| <= J} G[(s l + m) mod L] w_m e^{2 pi i m k b/M'}.
+def _spectrum_rows(G: np.ndarray, c0: float, P: int, K: int, N: int, periods) -> np.ndarray:
+    """out[k, l] = sum_{|m| <= J} g_{s l + m} w_m e^{2 pi i m k b/M'},  g_i = G[i mod L] e^{pi i (N - 1) i/L}.
 
-    This is gabor_transform() before its row phase; c0 = (p_0 + T) H, and
-    periods come from step_periods().  The window
-    position t = m + J lands on slot m mod M'; the first M' positions meet
-    every slot at most once and assign, later ones add, so the slots that no
-    m meets stay zero from one block to the next: no fill, and no add for the
-    first M' positions, which is all of them at the default step.
+    This is gabor_transform() with c0 = p_0 H on N samples; periods come
+    from step_periods().  Tap m lands on slot b m mod M' (b is prime to M'),
+    so after the inverse FFT p_k sits at bin k, and each block of rows is one
+    contiguous slice of its sums: the box spans at most N - 1 samples at
+    r = dlam/h per p step, and M' r = b L > N - 1, so P <= M'.  Taps run in
+    strides of b slots between the wraps of b m mod M'.  The first M' taps
+    meet every slot at most once and assign, later ones add, so the slots
+    that no tap meets stay zero from one block to the next: no fill, and no
+    add for the first M' taps, which is all of them at the default step.
     """
     H, a, M, L, b, Mp = periods
     J, s = math.floor(_REACH * L / H), a * L // M
@@ -241,23 +254,25 @@ def _spectrum_rows(G: np.ndarray, c0: float, P: int, K: int, periods) -> np.ndar
     c_int = math.floor(c0)
     turns = (m * c_int % L + m * (c0 - c_int)) / L
     w = 2 ** 0.25 / L * np.exp(-np.pi * (m * (H / L)) ** 2 + 2j * np.pi * turns)
-    spec = np.lib.stride_tricks.sliding_window_view(G[np.arange(-J, s * (K - 1) + J + 1) % L], m.size)[::s]
-    cuts = sorted({0, m.size, min(Mp, m.size), *range(J % Mp, m.size, Mp)})
-    runs = [(t0, t1, (t0 - J) % Mp) for t0, t1 in zip(cuts, cuts[1:])]
+    i = np.arange(-J, s * (K - 1) + J + 1)
+    g = G[i % L]
+    g *= np.exp(1j * np.pi * ((N - 1) * i % (2 * L) / L))
+    spec = np.ndarray((K, m.size), complex, g, 0, (s * g.itemsize, g.itemsize))  # row l is g[s l:s l + 2J + 1]
+    slot = b * m % Mp
+    cuts = sorted({0, min(Mp, m.size), m.size, *(np.flatnonzero(np.diff(slot) != b) + 1).tolist()})
+    runs = [(t0, t1, slice(slot[t0], slot[t1 - 1] + 1, b)) for t0, t1 in zip(cuts, cuts[1:])]
     fold = np.zeros((min(_ROWS, K), Mp), dtype=complex)
     sums = np.empty_like(fold)
-    bins = b * np.arange(P) % Mp
     out = np.empty((P, K), dtype=complex)
     for l in range(0, K, _ROWS):
         rows, blk = spec[l:l + _ROWS], fold[:min(_ROWS, K - l)]
-        for t0, t1, c in runs:
+        for t0, t1, cols in runs:
             if t0 < Mp:
-                np.multiply(rows[:, t0:t1], w[t0:t1], out=blk[:, c:c + t1 - t0])
+                np.multiply(rows[:, t0:t1], w[t0:t1], out=blk[:, cols])
             else:
-                blk[:, c:c + t1 - t0] += rows[:, t0:t1] * w[t0:t1]
+                blk[:, cols] += rows[:, t0:t1] * w[t0:t1]
         np.fft.ifft(blk, axis=1, norm="forward", out=sums[:blk.shape[0]])
-        # every bin is in range, and mode "clip" writes into the strided columns without a buffer
-        np.take(sums[:blk.shape[0]], bins, axis=1, out=out[:, l:l + _ROWS].T, mode="clip")
+        out[:, l:l + _ROWS] = sums[:blk.shape[0], :P].T
     return out
 
 

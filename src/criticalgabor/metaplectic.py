@@ -61,13 +61,13 @@ class Rotation:
 
 def _kernel_apply(angle: float, f: SampledSignal) -> SampledSignal:
     """Chirp-quadrature kernel sum, with x_n x_m = h^2 n m - T x_n - T x_m - T^2
-    turning the n x n kernel into a chirp-z sum of rate h^2/b."""
-    a, b, d = np.cos(angle), -np.sin(angle), np.cos(angle)
+    turning the n x n kernel into a chirp-z sum of rate h^2/b.  A rotation has
+    a = d, so the chirp before the sum and the one after it are one array."""
+    a, b = np.cos(angle), -np.sin(angle)
     x = f.x
-    front = np.exp(1j * np.pi * (d * x ** 2 + 2.0 * f.T * x) / b)
-    back = np.exp(1j * np.pi * (a * x ** 2 + 2.0 * f.T * x) / b) * f.values
+    chirp = np.exp(1j * np.pi * (a * x ** 2 + 2.0 * f.T * x) / b)
     scale = (1j * b) ** -0.5 * np.exp(2j * np.pi * f.T ** 2 / b) * f.h
-    vals = scale * front * _chirp_sum(back, f.h ** 2 / b, x.size)
+    vals = scale * chirp * _chirp_sum(chirp * f.values, f.h ** 2 / b, x.size)
     return SampledSignal(f.T, f.h, vals)
 
 

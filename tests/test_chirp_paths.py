@@ -1,5 +1,5 @@
 """The FFT paths of the Gabor transform (a window over the spectrum, folded
-onto m mod M') and the metaplectic rotation (a chirp-z sum) against the dense
+onto b m mod M') and the metaplectic rotation (a chirp-z sum) against the dense
 sums they replace.
 
 The oracles below are the dense formulas: an X x Theta phase matrix for
@@ -117,9 +117,11 @@ def test_gabor_transform_matches_dense(seed, grid, box, dlam):
 
 
 @pytest.mark.parametrize("box,dlam", [(7.4838, 1 / 8), (8.0, 1 / 16), ((-3.1, 5.2, -2.05, 6.3), 0.1),
-                                      (6.0, 0.3), (6.0, 1 / 3)])
+                                      (6.0, 0.3), (6.0, 1 / 3), (8.0, 3 / 32), (8.0, 3 / 16), (8.0, 5 / 64),
+                                      (8.0, 1 / 4)])
 def test_gabor_transform_matches_dense_named_cases(box, dlam):
-    # 7.4838 at dlam 1/8: a box that is no multiple of dlam, so theta_0 is off the dlam lattice
+    # 7.4838 at dlam 1/8: a box that is no multiple of dlam, so theta_0 is off the dlam lattice;
+    # 3/32, 3/16 and 5/64 fold the p step with b = 3, 3, 5, and 1/4 wraps 161 taps onto M' = 80
     f = mixed_signal(24, 8.0, 1.0 / 64.0)
     assert relative_error(gabor_transform(f, box, dlam).values, dense_gabor_transform(f, box, dlam)) <= 1e-12
 
@@ -169,12 +171,17 @@ def test_windowed_transform_matches_the_closed_form_field(grid, box, dlam, seed)
 
 
 def spectrum_window(f, box, dlam):
-    """The periods of gabor_transform, its grids, J, s, c_0 and the spectrum G of f e^{-2 pi i theta_0 x}."""
+    """The periods of gabor_transform, its grids, J, s, c_0 = p_0 H and the spectrum G of f e^{-2 pi i theta_0 x}."""
     ps, ts = _box_grids(box, dlam)
     N = f.values.size
     periods = H, a, M, L, _, _ = step_periods(dlam, f.h, N)
     G = np.fft.fft(f.values * np.exp(-2j * np.pi * ts[0] * f.x), L)
-    return periods, ps, ts, int(_REACH * L / H), a * L // M, (ps[0] + f.T) * H, G
+    return periods, ps, ts, int(_REACH * L / H), a * L // M, ps[0] * H, G
+
+
+def spectrum_phase(i, N, L):
+    """e^{pi i (N - 1) i/L} for bin indices i, taken before their reduction mod L."""
+    return np.exp(1j * np.pi * ((N - 1) * np.asarray(i) % (2 * L) / L))
 
 
 def window_terms(ms, k, c0, dlam, periods):
@@ -187,26 +194,32 @@ def window_terms(ms, k, c0, dlam, periods):
     return (2 ** 0.25 / L * gauss * np.exp(2j * np.pi * turns.astype(float))).astype(complex)
 
 
-@pytest.mark.parametrize("grid,dlam", [((8.0, 1.0 / 64.0), 1 / 4), ((8.0, 1.0 / 64.0), 0.3),
-                                       ((6.0, 1.0 / 32.0), 0.1)])
+# (b, M', taps) of each fold below: b = 1 and b = 3, 5 (taps stride b slots), and 161 taps on 80 slots
+FOLDS = {((8.0, 1.0 / 64.0), 1 / 4): (1, 80, 161), ((8.0, 1.0 / 64.0), 0.3): (3, 200, 161),
+         ((6.0, 1.0 / 32.0), 0.1): (1, 200, 161), ((8.0, 1.0 / 64.0), 3 / 32): (3, 1024, 257),
+         ((8.0, 1.0 / 64.0), 3 / 16): (3, 512, 257), ((8.0, 1.0 / 64.0), 5 / 64): (5, 4096, 513)}
+
+
+@pytest.mark.parametrize("grid,dlam", list(FOLDS))
 def test_every_sample_within_the_reach_enters_its_row(grid, dlam):
     # the samples are the spectrum's: a one-bin spectrum at bin j, swept over every bin,
-    # puts one term w_m e^{2 pi i m k r/L}, m = j - s l, into each row l within the reach
-    # |m| <= J and nothing into the others.  dlam 1/4 folds 161 bins onto M' = 80, so its
-    # later bins add; the other two steps fold onto distinct slots
+    # puts one term e^{pi i (N - 1) i/L} w_m e^{2 pi i m k r/L}, m = j - s l and i = s l + m,
+    # into each row l within the reach |m| <= J and nothing into the others.  Tap m lands on
+    # slot b m mod M', so at dlam 1/4 the taps past the 80th add into slots already written
     T, h = grid
-    f = SampledSignal(T, h, np.zeros(int(round(2 * T / h)) + 1))
+    N = int(round(2 * T / h)) + 1
+    f = SampledSignal(T, h, np.zeros(N))
     periods, ps, ts, J, s, c0, _ = spectrum_window(f, (-T, T, -1.0, 1.0), dlam)
-    L = periods[3]
-    assert 2 * J < L
-    k = np.arange(ps.size)
+    L, b, Mp = periods[3:]
+    assert (b, Mp, 2 * J + 1) == FOLDS[grid, dlam] and 2 * J < L
+    k, l = np.arange(ps.size), np.arange(ts.size)
     for j in range(L):
         G = np.zeros(L, dtype=complex)
         G[j] = 1.0
-        rows = _spectrum_rows(G, c0, ps.size, ts.size, periods)
-        m = (j - s * np.arange(ts.size) + L // 2) % L - L // 2
+        rows = _spectrum_rows(G, c0, ps.size, ts.size, N, periods)
+        m = (j - s * l + L // 2) % L - L // 2
         near = np.abs(m) <= J
-        want = window_terms(m[near], k, c0, dlam, periods).T
+        want = spectrum_phase(s * l[near] + m[near], N, L) * window_terms(m[near], k, c0, dlam, periods).T
         assert np.max(np.abs(rows[:, near] / want - 1), initial=0.0) <= 1e-12, j
         assert not np.any(rows[:, ~near]), j
 
@@ -223,11 +236,11 @@ def test_samples_beyond_the_reach_stay_under_the_stated_bound(grid, seed):
     f = SampledSignal(T, h, rng.normal(size=n) + 1j * rng.normal(size=n))
     dlam = 1 / 4
     periods, ps, ts, J, s, c0, G = spectrum_window(f, T, dlam)
-    H, a, M, L, _, _ = periods
+    H, _, _, L, _, _ = periods
     ms = np.concatenate([np.arange(-3 * L, -J), np.arange(J + 1, 3 * L + 1)])
     terms = window_terms(ms, np.arange(ps.size), c0, dlam, periods)
-    post = np.exp(1j * np.pi * (a * np.arange(ts.size) * (n - 1) % (2 * M) / M))
-    bins = np.stack([G[(s * l + ms) % L] @ terms for l in range(ts.size)], axis=1) * post
+    bins = np.stack([(G[(s * l + ms) % L] * spectrum_phase(s * l + ms, n, L)) @ terms for l in range(ts.size)],
+                    axis=1)
     x = f.x
     images = sum(np.exp(-np.pi * (x[None, :] - ps[:, None] + q * L * h) ** 2) for q in (-2, -1, 1, 2))
     envelope_images = (2 ** 0.25 * h * f.values * images) @ np.exp(-2j * np.pi * np.outer(x, ts))

@@ -1,4 +1,5 @@
 import json
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from criticalgabor import (CoefficientSet, SampledSignal, SIGMA0, atom,
+from criticalgabor import (CoefficientSet, GaborField, SampledSignal, SIGMA0, atom,
                            atom_inner, field_synthesis, gabor_transform,
                            inner, loc_integral, synthesize, tail_mass)
 
+from criticalgabor import gabor
 from criticalgabor.gabor import _superpose_grid
 
 T8, H64 = 8.0, 1.0 / 64.0
@@ -138,6 +140,44 @@ class TestGaborTransform:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "p,theta,re,im"
         assert len(rows) == 1 + field.values.size
+
+
+class TestGaborField:
+    def test_caller_arrays_stay_writeable(self):
+        p, t, v = np.arange(3.0), np.arange(2.0), np.ones((3, 2), dtype=complex)
+        field = GaborField(p, t, v, 0.5)
+        assert p.flags.writeable and t.flags.writeable and v.flags.writeable
+        assert not any(a.flags.writeable for a in (field.p_grid, field.theta_grid, field.values))
+        p[0], t[0], v[0, 0] = 9.0, 9.0, 9.0
+        assert field.p_grid[0] == 0.0 and field.theta_grid[0] == 0.0 and field.values[0, 0] == 1.0
+
+    def test_transform_hands_over_its_own_arrays(self, hermites, monkeypatch):
+        made = []
+        rows = gabor._spectrum_rows
+        monkeypatch.setattr(gabor, "_spectrum_rows", lambda *args: made.append(rows(*args)) or made[-1])
+        field = gabor_transform(hermites[2], 4.0, 1 / 8)
+        assert field.values is made[0] and field.values.flags.c_contiguous
+        assert not any(a.flags.writeable for a in (field.p_grid, field.theta_grid, field.values))
+
+    @staticmethod
+    def fsum_mass(values, dlam):
+        return math.fsum(np.concatenate([values.real.ravel() ** 2, values.imag.ravel() ** 2])) * dlam ** 2
+
+    def test_mass_is_the_sum_of_squares(self, h2_field):
+        assert (h2_field.p_grid.size, h2_field.theta_grid.size, h2_field.dlam) == (257, 257, 1 / 16)
+        want = self.fsum_mass(h2_field.values, h2_field.dlam)
+        assert abs(h2_field.mass() - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("view", ["transposed", "sliced"])
+    def test_mass_of_a_strided_view(self, h2_field, view):
+        # a read-only view enters the field as it is, so mass() sees its strides
+        V = h2_field.values
+        p, t = h2_field.p_grid, h2_field.theta_grid
+        p, t, V = (t, p, V.T) if view == "transposed" else (p[::3], t[1:-2], V[::3, 1:-2])
+        field = GaborField(p, t, V, h2_field.dlam)
+        assert field.values is V and not V.flags.c_contiguous
+        want = self.fsum_mass(V, field.dlam)
+        assert abs(field.mass() - want) <= 1e-14 * want
 
 
 class TestSynthesize:

@@ -1,12 +1,18 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from criticalgabor import (Disk, Rotation, atom, commutation_check,
+from criticalgabor import (Disk, Rotation, SampledSignal, atom, commutation_check,
                            covariance_check, gabor_transform, hdelta_norm,
                            inner, loc_integral, metaplectic_apply)
+from criticalgabor.metaplectic import _MIN_B
+from criticalgabor.numerics import _chirp_sum
 from conftest import hdelta_invariance_check
 
 T8, H64 = 8.0, 1.0 / 64.0
+_ANALYZE = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())["analyze"]
 
 
 class TestRotation:
@@ -130,3 +136,37 @@ class TestSmoothnessInvariance:
         outside = ~D.contains(np.column_stack([P.ravel(), Th.ravel()]))
         rhs = float(np.sum(np.abs(field.values.ravel()[outside]) ** 2) * (1 / 16) ** 2)
         assert lhs <= rhs + 1e-3
+
+
+def two_exp_kernel_apply(angle, f):
+    """The kernel sum with one exp for the chirp before it (rate d/b) and one for the chirp after (a/b)."""
+    a, b, d = np.cos(angle), -np.sin(angle), np.cos(angle)
+    x = f.x
+    front = np.exp(1j * np.pi * (d * x ** 2 + 2.0 * f.T * x) / b)
+    back = np.exp(1j * np.pi * (a * x ** 2 + 2.0 * f.T * x) / b) * f.values
+    scale = (1j * b) ** -0.5 * np.exp(2j * np.pi * f.T ** 2 / b) * f.h
+    return SampledSignal(f.T, f.h, scale * front * _chirp_sum(back, f.h ** 2 / b, x.size))
+
+
+@pytest.mark.parametrize("angle", [e["angle"] for e in _ANALYZE], ids=[e["id"] for e in _ANALYZE])
+def test_kernel_shares_its_chirp_bitwise(hermites, angle):
+    # metaplectic_apply on the analyze pool's angles against the two-exp kernel, branch for branch:
+    # the snaps, the kernel, and the quarter turn composed with the kernel where |sin| < _MIN_B
+    f = hermites[2] + (0.5 - 0.25j) * hermites[1] + atom((1.5, -2.0))
+    phi = angle % (2 * np.pi)
+    if phi == 0.0 or phi == np.pi:
+        steps = []
+    elif abs(np.sin(phi)) >= _MIN_B:
+        steps = [phi]
+    else:
+        steps = [np.pi / 2, phi - np.pi / 2]
+    want = SampledSignal(f.T, f.h, 1j * f.values[::-1]) if phi == np.pi else f
+    for step in steps:
+        want = two_exp_kernel_apply(step, want)
+    np.testing.assert_array_equal(metaplectic_apply(Rotation(angle), f).values, want.values)
+
+
+def test_pool_angles_cover_every_branch():
+    phis = [e["angle"] % (2 * np.pi) for e in _ANALYZE]
+    sins = [abs(np.sin(phi)) for phi in phis if phi not in (0.0, np.pi)]
+    assert len(sins) < len(phis) and min(sins) < _MIN_B <= max(sins)
