@@ -198,13 +198,14 @@ def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLA
         w_m = 2^{1/4} e^{-pi (m H/L)^2} e^{2 pi i m c_0/L} / L,  c_0 = p_0 H.
 
     The phase of g_i at i = s l + m is the row's, e^{pi i l a (N - 1)/M},
-    times e^{pi i (N - 1) m/L}, which moves the window's anchor from
-    (p_0 + T) H to p_0 H (N - 1 = 2 T H), so it is paid once per spectrum bin
-    and not once per point.  One window w serves every row.  Each block of
-    _ROWS rows folds tap m onto slot b m mod M' in one (rows, M') buffer and
-    runs one inverse FFT; since b is prime to M', p_k sits at bin k, and the
-    block is one slice of the output.  The integer parts of c_0 m and of
-    (N - 1) i are reduced in integers, so every phase is good to a few ulps.
+    times e^{pi i (N - 1) m/L}, which with N - 1 = 2 T H completes the
+    window's anchor c_0 to the sample origin, (p_0 + T) H; on the spectrum it
+    is paid once per bin and not once per point.  One window w serves every
+    row.  Each block of _ROWS rows folds tap m onto slot b m mod M' in one
+    (rows, M') buffer and runs one inverse FFT; since b is prime to M', p_k
+    sits at bin k, and the block is one slice of the output.  The integer
+    parts of c_0 m and of (N - 1) i are reduced in integers, so every phase
+    is good to a few ulps.
 
     The sum stands for the DFT of the envelope's L-periodic extension: since
     L h >= 2T + c, its images stay c away from every sample.  Three terms
