@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import hdelta_norm, relaxed_coefficients
-from .gabor import (CoefficientSet, _STACK, _box_grids, _superpose_grid, dual_mixing, gabor_transform,
+from .gabor import (MAX_ORDER, CoefficientSet, _STACK, _box_grids, _superpose_grid, dual_mixing, gabor_transform,
                     synthesize)
 from .higher import default_sharp_nodes, order_m_coefficients
 from .numerics import SampledSignal
@@ -35,7 +35,7 @@ DECOMP_MARGIN = 2.0
 
 def default_order(r: float) -> int:
     """The proof's order choice m = r/e - 1, floored into the supported range."""
-    return int(np.clip(np.floor(r / np.e - 1.0), 0, 6))
+    return int(np.clip(np.floor(r / np.e - 1.0), 0, MAX_ORDER))
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,8 @@ class NestedDomains:
 def nested_domains(K: PhaseDomain, r: float, m: int) -> NestedDomains:
     if r <= 0:
         raise ValueError("collar width r must be positive")
+    if not 0 <= m <= MAX_ORDER:
+        raise ValueError(f"order m={m} must be in 0..{MAX_ORDER}")
     l = float(np.sqrt((m + 1) / 2.0) + 1.0)
     return NestedDomains(
         K=K, r=float(r), m=int(m), l=l,
@@ -160,9 +162,9 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
         raise ValueError("K must be bounded")
     if m is None:
         m = default_order(r)
+    nd = nested_domains(K, r, m)
     if m > r - 1:
         raise ValueError(f"order m={m} exceeds r-1={r - 1}")
-    nd = nested_domains(K, r, m)
     need = max(abs(b) for b in nd.D.bbox)
     if need + 2.0 > f.T:
         raise ValueError(f"grid T={f.T} too small for D reaching {need}; need T >= {need + 2}")
@@ -174,10 +176,12 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     R_big = int(np.ceil(need)) + 2
     rexp = relaxed_coefficients(f, R_big, sharp_node=node)
 
-    # f_U: relaxed expansion restricted to U (sharp node is in U by construction)
-    entries = rexp.coeffs.entries
-    in_U = nd.U.contains(np.array([key[:2] for key in entries], dtype=float))
-    fU_coeffs = CoefficientSet({key: v for (key, v), ok in zip(entries.items(), in_U) if ok})
+    # f_U: relaxed expansion restricted to U (sharp node is in U by construction).  U lies
+    # in D, so its lattice points are those of D within r/2 of K, by U's own rule
+    entries, kj = rexp.coeffs.entries, lattice.tolist()
+    in_U = nd.K.distance(lattice) <= nd.U.r + 1e-12
+    fU_coeffs = CoefficientSet()
+    fU_coeffs.entries = {(k, j, False): entries[k, j, False] for (k, j), ok in zip(kj, in_U) if ok}
     fU_coeffs.set(node[0], node[1], rexp.sharp, sharp=True)
     f_U = synthesize(fU_coeffs, f.T, f.h, DECOMP_MARGIN)
     g = f - f_U
@@ -197,7 +201,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
 
     alpha, omega = CoefficientSet(), CoefficientSet()
     # written in CoefficientSet's own entry format: .tolist() gives python ints, get() complexes
-    alpha.entries = {(k, j, False): fU_coeffs.get(k, j) for k, j in lattice.tolist()}  # zero on D \ U
+    alpha.entries = {(k, j, False): fU_coeffs.get(k, j) for k, j in kj}  # zero on D \ U
     omega.entries = {(k, j, True): 0j for k, j in sharp.tolist()}
     omega.add(node[0], node[1], rexp.sharp, sharp=True)
 

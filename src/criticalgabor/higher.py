@@ -16,21 +16,32 @@ from itertools import islice
 import numpy as np
 
 from .gabor import CoefficientSet, DEFAULT_MARGIN, MAX_ORDER, _STACK, atom, dual_mixing, synthesize
-from .numerics import SampledSignal, spectral_derivative
+from .numerics import SampledSignal, spectral_derivative, stacked, unstacked
 from .phaseplane import PhasePoint, as_point, sharp_point
 from .expansion import lattice_coefficients, sharp_functional
 
 
-def annihilate(f: SampledSignal) -> SampledSignal:
-    """a f = (1/2 pi) f' + x f, computed with the spectral derivative."""
-    vals = spectral_derivative(f).values / (2.0 * np.pi) + f.x * f.values
-    return SampledSignal(f.T, f.h, vals)
+def annihilate(f):
+    """a f = (1/2 pi) f' + x f, computed with the spectral derivative.
+
+    f is one signal, or a sequence of signals on one grid: then the result is
+    a list, one signal per input, from one spectral_derivative call (one FFT
+    pair) over their stack, each equal to the single call bit for bit.
+    """
+    return _ladder(f, 1.0)
 
 
-def create(f: SampledSignal) -> SampledSignal:
-    """a+ f = -(1/2 pi) f' + x f, the adjoint of annihilate."""
-    vals = -spectral_derivative(f).values / (2.0 * np.pi) + f.x * f.values
-    return SampledSignal(f.T, f.h, vals)
+def create(f):
+    """a+ f = -(1/2 pi) f' + x f, the adjoint of annihilate; f as for annihilate."""
+    return _ladder(f, -1.0)
+
+
+def _ladder(f, sign: float):
+    """sign (1/2 pi) f' + x f for one signal or a stack; sign is +-1, so it only flips f'."""
+    values, T, h = stacked(f)
+    d = stacked(spectral_derivative(f))[0]
+    x = -T + h * np.arange(values.shape[-1])
+    return unstacked((d if sign > 0 else -d) / (2.0 * np.pi) + x * values, T, h, f)
 
 
 @dataclass
@@ -107,25 +118,25 @@ def _expand(signals, nodes, R: int, N: int | None) -> list[tuple[list[complex], 
     and the lattice coefficients of f - sum_j gamma_sharp(a^j f) d_j.
 
     The dual atoms are built once.  The signals are drawn _STACK at a time, and
-    each batch runs as one stack through lattice_coefficients, so the scratch
-    of its Zak sums and 8x refinement stays bounded, and a generator of
-    signals keeps only one batch alive.
+    each batch runs as one stack: one annihilate call per order step, the sharp
+    values row by row, the dual atoms subtracted from all rows at once, and one
+    lattice_coefficients call, so the scratch of its Zak sums and 8x
+    refinement stays bounded, and a generator of signals keeps only one batch
+    alive.  Each row's arithmetic is the single signal's, so every output
+    equals that of a batch of one bit for bit.
     """
     out, duals, signals = [], None, iter(signals)
     while batch := list(islice(signals, _STACK)):
         if duals is None:
             duals = dual_atoms(nodes, batch[0].T, batch[0].h)
-        blocks, f_sharp = [], []
-        for f in batch:
-            block, g = [sharp_functional(f)], f
-            for _ in duals.nodes[1:]:
-                g = annihilate(g)
-                block.append(sharp_functional(g))
-            for b, d in zip(block, duals.atoms):
-                f = f - b * d
-            blocks.append(block)
-            f_sharp.append(f)
-        out.extend(zip(blocks, lattice_coefficients(f_sharp, R, N)))
+        steps, g = [sharp_functional(batch)], batch
+        for _ in duals.nodes[1:]:
+            g = annihilate(g)
+            steps.append(sharp_functional(g))
+        f_sharp, T, h = stacked(batch)
+        for b, d in zip(np.array(steps), duals.atoms):
+            f_sharp = f_sharp - d.values * b[:, None]  # the atom first: b * d's own rounding
+        out.extend(zip(map(list, zip(*steps)), lattice_coefficients(unstacked(f_sharp, T, h, batch), R, N)))
     return out
 
 

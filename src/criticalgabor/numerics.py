@@ -176,6 +176,14 @@ def stacked(signals) -> tuple[np.ndarray, float, float]:
     return np.array([g.values for g in signals]), first.T, first.h
 
 
+def unstacked(values: np.ndarray, T: float, h: float, like):
+    """The inverse of stacked: one signal when like is one, else one signal per
+    row of values, in a list."""
+    if isinstance(like, SampledSignal):
+        return SampledSignal(T, h, values)
+    return [SampledSignal(T, h, row) for row in values]
+
+
 def inner(f: SampledSignal, g: SampledSignal) -> complex:
     """Discrete scalar product sum f(x_n) conj(g(x_n)) h."""
     f._require_grid(g)
@@ -243,12 +251,17 @@ def hermite_signal(n: int, T: float = DEFAULT_T, h: float = DEFAULT_H) -> Sample
     return sig * (1.0 / sig.norm())
 
 
-def spectral_derivative(f: SampledSignal) -> SampledSignal:
+def spectral_derivative(f):
     """d/dx by Fourier multiplication on the periodized grid.
 
     Accurate for signals that decay below roundoff at the grid boundary.
+    f is one signal, or a sequence of signals on one grid: then the result is
+    a list, one derivative per signal, from one FFT pair over their stack.
+    The FFT of a stack transforms each row as it would transform that row
+    alone, so each derivative equals the single call bit for bit.
     """
-    return SampledSignal(f.T, f.h, _fourier_derivative(f.values, f.h))
+    values, T, h = stacked(f)
+    return unstacked(_fourier_derivative(values, h), T, h, f)
 
 
 def _fourier_derivative(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:

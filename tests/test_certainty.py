@@ -1,11 +1,14 @@
+from collections import Counter
 import json
 from pathlib import Path
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from criticalgabor import certainty
-from criticalgabor import (CoefficientSet, Disk, PhasePoint, Rect, SampledSignal, atom,
+from criticalgabor import certainty, higher, numerics, phaseplane
+from criticalgabor import (MAX_ORDER, CoefficientSet, Disk, PhasePoint, Rect, SampledSignal, atom,
                            atom_inner, concentration, decompose, default_order,
                            degrees_of_freedom_report, domain_area, gabor_transform, inner,
                            lattice_points_in, nested_domains, nesting_satisfied,
@@ -13,7 +16,7 @@ from criticalgabor import (CoefficientSet, Disk, PhasePoint, Rect, SampledSignal
 from criticalgabor.certainty import DECOMP_MARGIN
 from criticalgabor.gabor import dual_mixing, superpose
 from criticalgabor.higher import default_sharp_nodes, order_m_coefficients
-from criticalgabor.phaseplane import domain_from_json
+from criticalgabor.phaseplane import PhaseDomain, domain_from_json
 from conftest import FunctionDomain
 
 T12, H64 = 12.0, 1.0 / 64.0
@@ -193,6 +196,22 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(three_atom_mix, Disk((0, 0), 2.0), r=2.0, m=3)
 
+    @pytest.mark.parametrize("m, r", [(-1, 2.0), (-3, 3.0), (MAX_ORDER + 1, 10.0)])
+    def test_order_outside_the_supported_range_refused(self, monkeypatch, m, r):
+        # m = -1 gave a report with m: -1 and nesting_satisfied True; m = -3 warned in
+        # sqrt, then raised IndexError.  Both refuse now, before any expansion
+        def no_work(*args, **kwargs):
+            raise AssertionError("an out-of-range order reached the expansion")
+
+        monkeypatch.setattr(certainty, "relaxed_coefficients", no_work)
+        f, K = atom((0.2, 0.1), 8.0, H64), Disk((0, 0), 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"order m={m} must be in 0\.\.{MAX_ORDER}"):
+                decompose(f, K, r, m)
+            with pytest.raises(ValueError, match=rf"0\.\.{MAX_ORDER}"):
+                nested_domains(K, r, m)
+
     def test_relocation_failure_reported(self):
         # K centered at a lattice point with a thin collar: U stays more than
         # 1/sqrt(2) away from every sharp point
@@ -320,6 +339,74 @@ def test_window_matches_the_full_box(entry):
     tol = 1e-12 * f.norm()
     assert rep["g_norm"] == pytest.approx(g.norm(), abs=tol)
     assert rep["g_plus_norm"] == pytest.approx(g_plus.norm(), abs=tol)
+
+
+def f_u_and_relaxed(monkeypatch, f, K, r, m):
+    """decompose's f_U (the set of its first synthesis) and its relaxed expansion."""
+    sets, expansions = [], []
+
+    def synthesizing(coeffs, *args):
+        sets.append(coeffs)
+        return synthesize(coeffs, *args)
+
+    def expanding(*args, **kwargs):
+        expansions.append(relaxed_coefficients(*args, **kwargs))
+        return expansions[-1]
+
+    monkeypatch.setattr(certainty, "synthesize", synthesizing)
+    monkeypatch.setattr(certainty, "relaxed_coefficients", expanding)
+    decompose(f, K, r, m, 2.0, 1.0 / 8.0)
+    return sets[0], expansions[0]
+
+
+_U_CASES = [(pool_signal(e["signal"]), domain_from_json(e["domain"]), e["r"], e["m"], None)
+            for e in _POOL["decompose"]]
+# the lattice point (2, 0) lies at distance exactly r/2 = 1.5 from K, on U's boundary
+_U_CASES += [(atom((0.2, 0.1), 8.0, H64), Disk((0, 0), 0.5), 3.0, None, (2, 0))]
+
+
+@pytest.mark.parametrize("f, K, r, m, boundary_site", _U_CASES,
+                         ids=[e["id"] for e in _POOL["decompose"]] + ["boundary_site"])
+def test_f_u_keys_are_u_contains_over_the_relaxed_keys(monkeypatch, f, K, r, m, boundary_site):
+    # f_U's lattice terms are D's lattice points within r/2 of K: the same keys, in the
+    # same order and with the same values, as U.contains over every relaxed key
+    nd = nested_domains(K, r, default_order(r) if m is None else m)
+    f_u, rexp = f_u_and_relaxed(monkeypatch, f, K, nd.r, nd.m)
+    want = {key: v for key, v in rexp.coeffs.entries.items() if nd.U.contains(PhasePoint(*key[:2]))}
+    assert list(f_u.entries.items())[:-1] == list(want.items())
+    assert list(f_u.entries)[-1] == (*rexp.sharp_node, True)
+    if boundary_site:
+        assert K.distance(boundary_site) == nd.r / 2 and (*boundary_site, False) in want
+
+
+def test_collar_decompose_keeps_the_layer_map_counters(monkeypatch):
+    # bench/layers.py predicts these calls on decompose, and its one collar item makes them
+    calls = Counter()
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "criticalgabor"]
+    targets = [(higher, "annihilate"), (numerics, "spectral_derivative"), (higher, "order_m_coefficients"),
+               (higher, "dual_atoms"), (phaseplane, "lattice_points_in")]
+    for owner, name in targets:
+        fn = getattr(owner, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:  # every namespace that holds the function, as the bench's tracer patches
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+    contains = PhaseDomain.contains
+
+    def counting_contains(self, x):
+        calls["contains"] += 1
+        return contains(self, x)
+
+    monkeypatch.setattr(PhaseDomain, "contains", counting_contains)
+    entry = next(e for e in _POOL["decompose"] if e["collar"])
+    rep = decompose(pool_signal(entry["signal"]), domain_from_json(entry["domain"]), entry["r"], entry["m"],
+                    2.0, 1.0 / 8.0).report
+    assert rep["mid_region_points"] > 0
+    assert set(calls) == {name for _, name in targets} | {"contains"}
 
 
 class TestCollarCells:

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from criticalgabor import (THETA_TERMS, CoefficientSet, SampledSignal, atom, dual_atoms,
                            gabor_transform, hermite_signal, relaxed_coefficients,
-                           sharp_functional, sharp_point, spectral_derivative, synthesize,
-                           theta)
+                           sharp_functional, sharp_point, sharp_series, spectral_derivative,
+                           synthesize, theta)
 from criticalgabor import higher
 from criticalgabor.expansion import lattice_coefficients
-from criticalgabor.gabor import _box_grids
+from criticalgabor.gabor import _STACK, _box_grids
 from criticalgabor.higher import annihilate, decay_exponent, default_sharp_nodes, order_m_coefficients
 from criticalgabor.numerics import _fourier_derivative, _theta_series
 
@@ -155,6 +155,45 @@ def test_order_m_applies_annihilate_m_times(monkeypatch, m):
     monkeypatch.setattr(higher, "annihilate", counting)
     order_m_coefficients(hermite_signal(1, T, H), m)
     assert len(calls) == m
+
+
+def atom_mixes(seed, count):
+    """count seeded sums of three atoms, centers within 3 of the origin."""
+    rng = np.random.default_rng(seed)
+    x = -T + H * np.arange(int(round(2 * T / H)) + 1)
+    out = []
+    for _ in range(count):
+        (p, th), c = rng.uniform(-3, 3, size=(2, 3)), rng.normal(size=(2, 3))
+        out.append(SampledSignal(T, H, sum(complex(*ci) * np.exp(-np.pi * (x - pi) ** 2 + 2j * np.pi * ti * x)
+                                           for pi, ti, ci in zip(p, th, c.T))))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_stacked_kernels_equal_the_single_calls_bitwise(seed, count):
+    signals = atom_mixes(seed, count)
+    for kernel in (spectral_derivative, annihilate, higher.create):
+        rows = kernel(signals)
+        assert isinstance(rows, list) and len(rows) == count
+        for row, f in zip(rows, signals):
+            np.testing.assert_array_equal(row.values, kernel(f).values)
+    for kernel in (sharp_series, sharp_functional):
+        assert kernel(signals) == [kernel(f) for f in signals]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("count", [1, _STACK, _STACK + 1])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_order_m_equals_the_single_calls_bitwise(m, count, seed):
+    signals = atom_mixes(seed, count)
+    stack = order_m_coefficients(signals, m)
+    assert len(stack) == count
+    for exp, f in zip(stack, signals):
+        single = order_m_coefficients(f, m)
+        assert exp.sharp_block == single.sharp_block
+        assert list(exp.coeffs.entries.items()) == list(single.coeffs.entries.items())
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
