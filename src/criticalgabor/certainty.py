@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import hdelta_norm, relaxed_coefficients
-from .gabor import (MAX_ORDER, CoefficientSet, _STACK, _box_grids, _superpose_grid, dual_mixing, gabor_transform,
-                    synthesize)
+from .gabor import (MAX_ORDER, CoefficientSet, _STACK, _box_grids, _superpose_grid, dual_mixing,
+                    gabor_transform, synthesize)
 from .higher import default_sharp_nodes, order_m_coefficients
 from .numerics import SampledSignal
 from .phaseplane import PhaseDomain, lattice_points_in, neighborhood, neighborhood_masks

@@ -42,34 +42,19 @@ def _half_integer_grid(T: float, h: float):
 _HALF_INTEGER_MEMO = Memo()
 
 
-def sharp_series(f):
-    """Alternating half-integer sample sum sum_q (-1)^q f(q + 1/2).
-
-    f is one signal, or a sequence of signals on one grid: then the result is
-    a list, one sum per signal.  Each row is summed on its own, since a sum
-    along the last axis of the stack rounds differently from the single sum.
-    """
-    signs, idx = _half_integer_indices(f if isinstance(f, SampledSignal) else f[0])
-    values = stacked(f)[0]
-    terms = signs * values[..., idx]
-    if terms.ndim == 1:
-        return complex(np.sum(terms))
-    return [complex(np.sum(row)) for row in terms]
+def sharp_series(f: SampledSignal) -> complex:
+    """Alternating half-integer sample sum sum_q (-1)^q f(q + 1/2)."""
+    signs, idx = _half_integer_indices(f)
+    return complex(np.sum(signs * f.values[idx]))
 
 
-def sharp_functional(f):
+def sharp_functional(f: SampledSignal) -> complex:
     """Sharp coefficient gamma(f) = (1/(i Theta(0))) sum_q (-1)^q f(q + 1/2).
 
     Equals Zf(1/2, 1/2)/(i Theta(0)); it is 1 on the midpoint atom and 0 on
-    every lattice atom.  f is one signal, or a sequence of signals on one
-    grid, as for sharp_series, which gives one value per signal, in a list.
-    The division by i Theta(0) stays a python one, which numpy's complex
-    division does not match bit for bit.
+    every lattice atom.
     """
-    series = sharp_series(f)
-    if isinstance(series, complex):
-        return series / (1j * THETA0)
-    return [s / (1j * THETA0) for s in series]
+    return sharp_series(f) / (1j * THETA0)
 
 
 def sharp_functional_zak(f: SampledSignal, N: int | None = None) -> complex:

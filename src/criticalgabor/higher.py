@@ -37,11 +37,13 @@ def create(f):
 
 
 def _ladder(f, sign: float):
-    """sign (1/2 pi) f' + x f for one signal or a stack; sign is +-1, so it only flips f'."""
-    values, T, h = stacked(f)
-    d = stacked(spectral_derivative(f))[0]
-    x = -T + h * np.arange(values.shape[-1])
-    return unstacked((d if sign > 0 else -d) / (2.0 * np.pi) + x * values, T, h, f)
+    """sign (1/2 pi) f' + x f for one signal or a sequence; sign is +-1, so it only flips f'."""
+    single = isinstance(f, SampledSignal)
+    signals, derivatives = ([f], [spectral_derivative(f)]) if single else (f, spectral_derivative(f))
+    x = signals[0].x
+    out = [SampledSignal(g.T, g.h, (d.values if sign > 0 else -d.values) / (2.0 * np.pi) + x * g.values)
+           for g, d in zip(signals, derivatives)]
+    return out[0] if single else out
 
 
 @dataclass
@@ -129,14 +131,14 @@ def _expand(signals, nodes, R: int, N: int | None) -> list[tuple[list[complex], 
     while batch := list(islice(signals, _STACK)):
         if duals is None:
             duals = dual_atoms(nodes, batch[0].T, batch[0].h)
-        steps, g = [sharp_functional(batch)], batch
+        ladder = [batch]  # a^j of every signal, one annihilate call per order step
         for _ in duals.nodes[1:]:
-            g = annihilate(g)
-            steps.append(sharp_functional(g))
+            ladder.append(annihilate(ladder[-1]))
+        block = np.array([[sharp_functional(g) for g in step] for step in ladder])  # (m + 1, signals)
         f_sharp, T, h = stacked(batch)
-        for b, d in zip(np.array(steps), duals.atoms):
+        for b, d in zip(block, duals.atoms):
             f_sharp = f_sharp - d.values * b[:, None]  # the atom first: b * d's own rounding
-        out.extend(zip(map(list, zip(*steps)), lattice_coefficients(unstacked(f_sharp, T, h, batch), R, N)))
+        out.extend(zip(block.T.tolist(), lattice_coefficients(unstacked(f_sharp, T, h, batch), R, N)))
     return out
 
 

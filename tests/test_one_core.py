@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from criticalgabor import (THETA_TERMS, CoefficientSet, SampledSignal, atom, dual_atoms,
                            gabor_transform, hermite_signal, relaxed_coefficients,
-                           sharp_functional, sharp_point, sharp_series, spectral_derivative,
-                           synthesize, theta)
+                           sharp_functional, sharp_point, spectral_derivative, synthesize,
+                           theta)
 from criticalgabor import higher
 from criticalgabor.expansion import lattice_coefficients
 from criticalgabor.gabor import _STACK, _box_grids
@@ -178,8 +178,6 @@ def test_stacked_kernels_equal_the_single_calls_bitwise(seed, count):
         assert isinstance(rows, list) and len(rows) == count
         for row, f in zip(rows, signals):
             np.testing.assert_array_equal(row.values, kernel(f).values)
-    for kernel in (sharp_series, sharp_functional):
-        assert kernel(signals) == [kernel(f) for f in signals]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
