@@ -165,12 +165,15 @@ def signal_from_csv(path) -> SampledSignal:
 
 def stacked(signals) -> tuple[np.ndarray, float, float]:
     """(values, T, h) of one signal, or of a sequence of signals on one grid with
-    their values stacked along a leading axis, one row per signal."""
+    their values stacked along a leading axis, one row per signal.  The stack of
+    one signal is a read-only view of its values, so a batch of one copies nothing."""
     if isinstance(signals, SampledSignal):
         return signals.values, signals.T, signals.h
     if not signals:
         raise ValueError("a stack needs at least one signal")
     first = signals[0]
+    if len(signals) == 1:
+        return first.values[None], first.T, first.h
     for g in signals[1:]:
         first._require_grid(g)
     return np.array([g.values for g in signals]), first.T, first.h

@@ -198,8 +198,8 @@ class TestDecompose:
 
     @pytest.mark.parametrize("m, r", [(-1, 2.0), (-3, 3.0), (MAX_ORDER + 1, 10.0)])
     def test_order_outside_the_supported_range_refused(self, monkeypatch, m, r):
-        # m = -1 gave a report with m: -1 and nesting_satisfied True; m = -3 warned in
-        # sqrt, then raised IndexError.  Both refuse now, before any expansion
+        # unchecked, m = -1 yields a report with m: -1 and nesting_satisfied True, and
+        # m = -3 warns in sqrt, then raises IndexError; both must refuse before any expansion
         def no_work(*args, **kwargs):
             raise AssertionError("an out-of-range order reached the expansion")
 
