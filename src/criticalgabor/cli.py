@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -125,8 +126,17 @@ def _add_config_flags(p: argparse.ArgumentParser, read):
         p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), dest=f.name)
 
 
+def _strict(value, key="") -> None:
+    """Refuse a nan or infinite number anywhere in a JSON payload, naming its key: JSON has neither."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} is {value!r}, which JSON cannot hold")
+    for k, v in value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ():
+        _strict(v, f"{key}.{k}" if key else str(k))
+
+
 def _dump_json(payload, path=None):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    _strict(payload)
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -220,15 +230,19 @@ def cmd_rotate(args, config: RunConfig) -> int:
 
 
 def cmd_theta(args, config: RunConfig) -> int:
+    if args.z is None and args.x is None:
+        raise ValueError("nothing to evaluate: pass --z RE,IM and/or --x X")
+    if args.x is not None and not math.isfinite(args.x):  # before anything prints; I(x) is in [0, 1] else
+        raise ValueError(f"--x must be finite, got {args.x}")
     if args.z is not None:
         re, im = (float(t) for t in args.z.split(","))
-        val = numerics.theta(complex(re, im), config.Q)
+        with np.errstate(over="ignore", invalid="ignore"):  # nan and overflow are refused just below
+            val = numerics.theta(complex(re, im), config.Q)
+        if not all(map(math.isfinite, (re, im, val.real, val.imag))):
+            raise ValueError(f"--z {args.z}: the argument and theta there must be finite")
         print(f"theta({re},{im}) = {val.real!r} {val.imag:+}i")
     if args.x is not None:
         print(f"locint({args.x}) = {numerics.loc_integral(args.x)!r}")
-    if args.z is None and args.x is None:
-        print("nothing to evaluate: pass --z RE,IM and/or --x X")
-        return 2
     return 0
 
 

@@ -11,7 +11,6 @@ the sharp contribution has been removed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .gabor import CoefficientSet, DEFAULT_BOX, DEFAULT_DLAM, DEFAULT_MARGIN, ga
 from .numerics import (THETA_TERMS, Memo, SampledSignal, _fourier_derivative, array_key, stacked, theta,
                        upsample_periodic)
 from .phaseplane import sharp_point
-from .zak import zak, _substep, _zak_sum
+from .zak import zak, _zak_sum
 
 THETA0 = float(np.real(theta(0.0)))
 
@@ -57,7 +56,7 @@ def sharp_functional(f: SampledSignal) -> complex:
     return sharp_series(f) / (1j * THETA0)
 
 
-def sharp_functional_zak(f: SampledSignal, N: int | None = None) -> complex:
+def sharp_functional_zak(f: SampledSignal) -> complex:
     """Same functional read off the Zak field at (1/2, 1/2) by trigonometric
     interpolation of the midpoint grid.
 
@@ -65,7 +64,7 @@ def sharp_functional_zak(f: SampledSignal, N: int | None = None) -> complex:
     In y, Zf(y + 1, 1/2) = -Zf(y, 1/2); the twist exp(i pi y) makes that column
     1-periodic too, and doubling it gives exp(i pi / 2) Zf(1/2, 1/2).
     """
-    Z = zak(f, N)
+    Z = zak(f)
     column = upsample_periodic(Z.values, 2)[:, Z.N - 1]  # Zf(y_i, 1/2)
     val = upsample_periodic(np.exp(1j * np.pi * Z.y) * column, 2)[Z.N - 1] / 1j
     return val / (1j * THETA0)
@@ -105,14 +104,14 @@ def _divided(Z: np.ndarray, y: np.ndarray, xi: np.ndarray, terms: int = THETA_TE
     return np.exp(np.pi * y[:, None] ** 2) * Z / th
 
 
-def division_field(f_sharp, N: int | None = None, terms: int = THETA_TERMS):
+def division_field(f_sharp, terms: int = THETA_TERMS):
     """F = exp(pi y^2) Z f_sharp / Theta(xi + i y) on the midpoint grid.
 
     The midpoint grid keeps every node away from the theta zero, so the
     division is always finite there.  For a sequence of signals on one grid,
     F and the Zak field carry their stack axis first.
     """
-    Z = zak(f_sharp, N)
+    Z = zak(f_sharp)
     return _divided(Z.values, Z.y, Z.xi, terms), Z
 
 
@@ -140,7 +139,7 @@ _BLOCK_MEMO = Memo()
 _REFINE_FACTOR = 8
 
 
-def _refine_correction(f_sharp, F: np.ndarray, N: int, R: int) -> np.ndarray:
+def _refine_correction(f_sharp, F: np.ndarray, R: int) -> np.ndarray:
     """One refined 2x2 block: the 4 cells cornered at (1/2, 1/2) as an 8x-subdivided
     Riemann sum, minus their midpoint terms in the coarse sum.
 
@@ -163,42 +162,41 @@ def _refine_correction(f_sharp, F: np.ndarray, N: int, R: int) -> np.ndarray:
     by 1.2e-3 of the block and lands closer to exact (2.3e-7 against 3.7e-7).
     """
     values, T, h = stacked(f_sharp)
-    s = _substep(h, N)
+    N = F.shape[-1]
     r, c = _REFINE_FACTOR, N // 2 - 1
-    fine, samples, factor, pick, twist, untwist = _REFINE_MEMO.get((N, s), lambda: _refine_plan(N, s))
+    fine, samples, pick, twist, untwist = _REFINE_MEMO.get(N, lambda: _refine_plan(N))
     fibres = _zak_sum(values, T, h, samples, fine).mT * twist  # (xi, y), 1-periodic in y
-    Zf = (upsample_periodic(fibres, factor)[..., pick] * untwist).mT
+    Zf = (upsample_periodic(fibres, r)[..., pick] * untwist).mT
     coarse = (c + np.arange(2) + 0.5) / N
     Ff = _divided(Zf, fine, fine)
     return (_extract_block(Ff, fine, fine, R) / (r * N) ** 2
             - _extract_block(F[..., c:c + 2, c:c + 2], coarse, coarse, R) / N ** 2)
 
 
-def _refine_plan(N: int, s: int):
-    """The fine nodes (c + (m + 1/2)/r)/N, m < 2r, the sample nodes n/(s N), n < s N, of one
-    unit, the upsampling factor that puts both on one grid, the fine nodes' index on it,
+def _refine_plan(N: int):
+    """The fine nodes (c + (m + 1/2)/r)/N, m < 2r, the samples n/(2N), n < 2N, of one unit, the
+    fine nodes' index on the samples upsampled r times (they are odd multiples of 1/(2 r N)),
     and the twist exp(2 pi i xi y) (fine xi, sample y) and untwist (fine xi, fine y)."""
     r, c = _REFINE_FACTOR, N // 2 - 1
     fine = (c + (np.arange(2 * r) + 0.5) / r) / N
-    samples = np.arange(s * N) / (s * N)
-    factor = 2 * r // math.gcd(2 * r, s)  # the fine nodes are odd multiples of 1/(2 r N)
-    pick = (2 * (c * r + np.arange(2 * r)) + 1) * (s * factor // (2 * r))
-    return (fine, samples, factor, pick, np.exp(2j * np.pi * np.outer(fine, samples)),
+    samples = np.arange(2 * N) / (2 * N)
+    pick = 2 * (c * r + np.arange(2 * r)) + 1
+    return (fine, samples, pick, np.exp(2j * np.pi * np.outer(fine, samples)),
             np.exp(-2j * np.pi * np.outer(fine, fine)))
 
 
 _REFINE_MEMO = Memo()
 
 
-def lattice_coefficients(f_sharp, R: int, N: int | None = None):
+def lattice_coefficients(f_sharp, R: int):
     """Lattice coefficients |k|, |j| <= R of f_sharp: double Fourier coefficients of
     division_field, the cells at the theta zero refined.
 
     f_sharp is one signal, or a sequence of signals on one grid, which run as
     one stack and give one CoefficientSet each, in a list.
     """
-    F, Z = division_field(f_sharp, N)
-    M = _extract_block(F, Z.y, Z.xi, R) / Z.N ** 2 + _refine_correction(f_sharp, F, Z.N, R)
+    F, Z = division_field(f_sharp)
+    M = _extract_block(F, Z.y, Z.xi, R) / Z.N ** 2 + _refine_correction(f_sharp, F, R)
     keys = [(k, j, False) for k in range(-R, R + 1) for j in range(-R, R + 1)]
     sets = []
     for block in M.reshape(-1, len(keys)).tolist():
@@ -227,8 +225,7 @@ class RelaxedExpansion:
         return synthesize(self.full_coefficients(), T, h, margin)
 
 
-def relaxed_coefficients(f: SampledSignal, R: int, N: int | None = None, *,
-                         sharp_node: tuple[int, int] = (0, 0)) -> RelaxedExpansion:
+def relaxed_coefficients(f: SampledSignal, R: int, *, sharp_node: tuple[int, int] = (0, 0)) -> RelaxedExpansion:
     """Expansion coefficients of f over the lattice plus one sharp atom.
 
     The sharp atom may sit at any cell midpoint (k0 + 1/2, j0 + 1/2); its
@@ -242,14 +239,14 @@ def relaxed_coefficients(f: SampledSignal, R: int, N: int | None = None, *,
     if R < 0:
         raise ValueError("cutoff must be >= 0")
     k0, j0 = int(sharp_node[0]), int(sharp_node[1])
-    [(block, coeffs)] = _expand([f], [sharp_point(k0, j0)], R, N)
+    [(block, coeffs)] = _expand([f], [sharp_point(k0, j0)], R)
     return RelaxedExpansion((-1) ** j0 * block[0], (k0, j0), coeffs, R)
 
 
-def reconstruct(f: SampledSignal, R: int, N: int | None = None, *,
-                sharp_node: tuple[int, int] = (0, 0), margin: float = DEFAULT_MARGIN):
+def reconstruct(f: SampledSignal, R: int, *, sharp_node: tuple[int, int] = (0, 0),
+                margin: float = DEFAULT_MARGIN):
     """Synthesize the relaxed expansion back; returns (signal, relative residual)."""
-    rec = relaxed_coefficients(f, R, N, sharp_node=sharp_node).signal(f.T, f.h, margin)
+    rec = relaxed_coefficients(f, R, sharp_node=sharp_node).signal(f.T, f.h, margin)
     err, scale = (f - rec).norm(), f.norm()
     return rec, err / scale if scale > 0 else err
 
@@ -267,7 +264,7 @@ def uniqueness_probe(coeffs: CoefficientSet, T: float, h: float,
     return synthesize(coeffs, T, h, margin).norm() / size
 
 
-def seam_mismatch(f_sharp: SampledSignal, N: int | None = None, terms: int = THETA_TERMS) -> float:
+def seam_mismatch(f_sharp: SampledSignal, terms: int = THETA_TERMS) -> float:
     """Max deviation of F from double periodicity, measured across both seams.
 
     F on the shifted rows/columns is recomputed independently from the signal
@@ -275,7 +272,7 @@ def seam_mismatch(f_sharp: SampledSignal, N: int | None = None, terms: int = THE
     sum and theta division as F itself.  This cross-checks the Zak boundary
     rule against the theta quasi-periodicity.
     """
-    F, Z = division_field(f_sharp, N, terms)
+    F, Z = division_field(f_sharp, terms)
     shifted = ((Z.y + 1.0, Z.xi), (Z.y, Z.xi + 1.0))
     return max(float(np.max(np.abs(_divided(_zak_sum(f_sharp.values, f_sharp.T, f_sharp.h, y, xi),
                                             y, xi, terms) - F))) for y, xi in shifted)

@@ -114,7 +114,7 @@ class OrderMExpansion:
         return synthesize(self.full_coefficients(), T, h, margin)
 
 
-def _expand(signals, nodes, R: int, N: int | None) -> list[tuple[list[complex], CoefficientSet]]:
+def _expand(signals, nodes, R: int) -> list[tuple[list[complex], CoefficientSet]]:
     """The one expansion core at sharp nodes mu_0..mu_m, for an iterable of signals
     on one grid: per signal f, the sharp block [gamma_sharp(a^j f) for j <= m]
     and the lattice coefficients of f - sum_j gamma_sharp(a^j f) d_j.
@@ -138,11 +138,11 @@ def _expand(signals, nodes, R: int, N: int | None) -> list[tuple[list[complex], 
         f_sharp, T, h = stacked(batch)
         for b, d in zip(block, duals.atoms):
             f_sharp = f_sharp - d.values * b[:, None]  # the atom first: b * d's own rounding
-        out.extend(zip(block.T.tolist(), lattice_coefficients(unstacked(f_sharp, T, h, batch), R, N)))
+        out.extend(zip(block.T.tolist(), lattice_coefficients(unstacked(f_sharp, T, h, batch), R)))
     return out
 
 
-def order_m_coefficients(f, m: int, nodes=None, R: int = 6, N: int | None = None):
+def order_m_coefficients(f, m: int, nodes=None, R: int = 6):
     """Order-m relaxed expansion: f = sum_j gamma_sharp(a^j f) d_j + sum c_lambda e_lambda.
 
     Subtracting the dual-atom block zeroes the first m+1 sharp obstructions,
@@ -160,7 +160,7 @@ def order_m_coefficients(f, m: int, nodes=None, R: int = 6, N: int | None = None
         raise ValueError(f"order m={m} needs exactly {m + 1} nodes, got {len(pts)}")
     single = isinstance(f, SampledSignal)
     out = [OrderMExpansion(block, pts, coeffs, R)
-           for block, coeffs in _expand([f] if single else f, pts, R, N)]
+           for block, coeffs in _expand([f] if single else f, pts, R)]
     return out[0] if single else out
 
 

@@ -34,6 +34,10 @@ class Rotation:
 
     angle: float
 
+    def __post_init__(self):
+        if not np.isfinite(self.angle):
+            raise ValueError(f"rotation angle must be finite, got {self.angle!r}")
+
     @property
     def a(self) -> float:
         return float(np.cos(self.angle))

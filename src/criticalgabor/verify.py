@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import certainty, expansion, gabor, higher, metaplectic, numerics, phaseplane
-from .zak import (a_operator_zak, default_zak_size, sobolev_norm, zak as zak_transform,
-                  zak_atom_field, zak_inverse, zak_translate_check)
+from .zak import a_operator_zak, sobolev_norm, zak as zak_transform, zak_atom_field, zak_inverse, zak_translate_check
 
 THETA_MIN_OFF_ZERO = 0.32     # frozen: min |Theta| off a 0.05-disk, 400x400 grid oracle
 UNIQUENESS_FLOOR = 0.15       # frozen: sqrt of min Gram eigenvalue, 5x5 block + sharp
@@ -42,7 +41,7 @@ def _biorthogonality_gap(m: int, T: float, h: float) -> float:
 def run_checks(config, rng: np.random.Generator) -> list[dict]:
     if config.m > CERTAINTY_R - 1:  # refused before any check runs
         raise ValueError(f"config: order m={config.m} exceeds r-1 of the certainty check at r={CERTAINTY_R:g}")
-    T, h, N, Q = config.T, config.h, default_zak_size(config.h), config.Q
+    T, h, Q = config.T, config.h, config.Q
     box, dlam = config.box, config.dlam
     checks = []
 
@@ -108,26 +107,27 @@ def run_checks(config, rng: np.random.Generator) -> list[dict]:
     worst_u, worst_rt = 0.0, 0.0
     for n in range(4):
         f = numerics.hermite_signal(n, T, h)
-        Z = zak_transform(f, N)
+        Z = zak_transform(f)
         worst_u = max(worst_u, abs(Z.norm() / f.norm() - 1.0))
         worst_rt = max(worst_rt, (zak_inverse(Z, T, h) - f).norm() / f.norm())
     checks.append(_record("zak_unitarity", worst_u, 1e-6))
     checks.append(_record("zak_roundtrip", worst_rt, 1e-8))
 
-    Z0 = zak_transform(e0, N)
+    Z0 = zak_transform(e0)
     checks.append(_record("zak_gaussian_theta_formula",
-                          np.max(np.abs(Z0.values - zak_atom_field((0, 0), N, Q).values)), 1e-8))
+                          np.max(np.abs(Z0.values - zak_atom_field((0, 0), Z0.N, Q).values)), 1e-8))
     checks.append(_record("zak_translation_rule",
-                          max(zak_translate_check((1, 0), numerics.hermite_signal(0, T, h), N),
-                              zak_translate_check((0, 1), numerics.hermite_signal(1, T, h), N)), 1e-6))
+                          max(zak_translate_check((1, 0), numerics.hermite_signal(0, T, h)),
+                              zak_translate_check((0, 1), numerics.hermite_signal(1, T, h))), 1e-6))
 
     h2 = numerics.hermite_signal(2, T, h)
-    lhs = zak_transform(higher.annihilate(h2), N)
-    rhs = a_operator_zak(zak_transform(h2, N))
+    Z2 = zak_transform(h2)
+    lhs = zak_transform(higher.annihilate(h2))
+    rhs = a_operator_zak(Z2)
     checks.append(_record("ladder_zak_consistency",
-                          np.sqrt(np.sum(np.abs(lhs.values - rhs.values) ** 2)) / N, 1e-5))
+                          np.sqrt(np.sum(np.abs(lhs.values - rhs.values) ** 2)) / lhs.N, 1e-5))
     checks.append(_record("ladder_kills_gaussian_zak",
-                          np.max(np.abs(a_operator_zak(zak_transform(e0, N)).values)), 1e-5))
+                          np.max(np.abs(a_operator_zak(Z0).values)), 1e-5))
 
     # expansion block
     worst = abs(expansion.sharp_functional(gabor.atom(phaseplane.sharp_point(), T, h)) - 1.0)
@@ -135,30 +135,29 @@ def run_checks(config, rng: np.random.Generator) -> list[dict]:
         worst = max(worst, abs(expansion.sharp_functional(gabor.atom((k, j), T, h))))
     checks.append(_record("sharp_functional_values", worst, 1e-6))
     checks.append(_record("sharp_series_vs_zak_interpolation",
-                          abs(expansion.sharp_functional(h2) - expansion.sharp_functional_zak(h2, N)), 1e-5))
+                          abs(expansion.sharp_functional(h2) - expansion.sharp_functional_zak(h2)), 1e-5))
 
     worst = 0.0
     for lam in [(0, 0), (1, 0), (0, 1)]:
-        exp = expansion.relaxed_coefficients(gabor.atom(lam, T, h), R=3, N=N)
+        exp = expansion.relaxed_coefficients(gabor.atom(lam, T, h), R=3)
         unit = exp.coeffs.get(*lam)
         others = max(abs(v) for key, v in exp.coeffs.entries.items()
                      if key != (lam[0], lam[1], False))
         worst = max(worst, abs(unit - 1.0), others, abs(exp.sharp))
-    exp = expansion.relaxed_coefficients(gabor.atom(phaseplane.sharp_point(), T, h), R=3, N=N)
+    exp = expansion.relaxed_coefficients(gabor.atom(phaseplane.sharp_point(), T, h), R=3)
     worst = max(worst, abs(exp.sharp - 1.0), max(abs(v) for v in exp.coeffs.entries.values()))
     checks.append(_record("expansion_purity", worst, 1e-3))
 
     gam = expansion.sharp_functional(h2)
     fs = h2 - gam * gabor.atom(phaseplane.sharp_point(), T, h)
-    checks.append(_record("division_field_seam_periodicity", expansion.seam_mismatch(fs, N, Q), 1e-4))
+    checks.append(_record("division_field_seam_periodicity", expansion.seam_mismatch(fs, Q), 1e-4))
 
-    tot = 0.0
-    exp = expansion.relaxed_coefficients(h2, R=8, N=N)
+    exp = expansion.relaxed_coefficients(h2, R=8)
     tot = sum(abs(v) ** 2 for v in exp.coeffs.entries.values()) + abs(exp.sharp) ** 2
     checks.append(_record("coefficient_l2_vs_smoothness",
                           tot / expansion.hdelta_norm(h2, 2.0) ** 2, GD_CONSTANT))
     checks.append(_record("zak_sobolev_control",
-                          sobolev_norm(zak_transform(h2, N), 2.0) / expansion.hdelta_norm(h2, 2.0),
+                          sobolev_norm(Z2, 2.0) / expansion.hdelta_norm(h2, 2.0),
                           SOBOLEV_CONSTANT))
 
     worst = np.inf

@@ -3,9 +3,9 @@ operator transported to the Zak side.
 
 Zf(y, xi) = sum_q exp(2 pi i q xi) f(y + q) is 1-periodic in xi and picks up
 exp(-2 pi i xi) under y -> y + 1.  The grid (y_i, xi_j) = ((i+1/2)/N,
-(j+1/2)/N) is chosen so the theta zero at (1/2, 1/2) is never a node; it
-requires 1/(N h) to be an even integer so that every y_i + q is a sample
-point of the signal.
+(j+1/2)/N) is chosen so the theta zero at (1/2, 1/2) is never a node.  The
+sample step h fixes it: N = 1/(2h), so every y_i + q is a sample point of the
+signal, and N must be even.
 """
 
 from __future__ import annotations
@@ -15,19 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (THETA_TERMS, Memo, SampledSignal, array_key, stacked, theta, upsample_periodic,
-                       _fourier_derivative, _sample_count)
+                       _fourier_derivative)
 from .phaseplane import as_point
-
-
-def _substep(h: float, N: int) -> int:
-    s = 1.0 / (N * h)
-    si = int(round(s))
-    if abs(s - si) > 1e-9 or si < 2 or si % 2 != 0:
-        raise ValueError(
-            f"grid step h={h} incompatible with N={N}: 1/(N h) must be an even integer "
-            "so the midpoint grid lands on sample points"
-        )
-    return si
 
 
 def _midpoints(N: int) -> np.ndarray:
@@ -36,8 +25,8 @@ def _midpoints(N: int) -> np.ndarray:
 
 
 def default_zak_size(h: float) -> int:
-    """The Zak grid N = 1/(2h) the step fixes, the finest midpoint grid on its samples (substep 2).
-    Every other one has N/k nodes, k dividing N, so an odd N leaves the step no even grid."""
+    """The Zak grid N = 1/(2h) the step fixes, the one place it is decided: its midpoints
+    (i + 1/2)/N are every second sample of a unit, and N must be even."""
     n = 0.5 / h if h > 0 else 0.0
     N = int(round(n))
     if abs(n - N) > 1e-9 or N < 2 or N % 2 != 0:
@@ -116,17 +105,16 @@ def _zak_sum_plan(T: float, step: float, y: np.ndarray, xi: np.ndarray):
 _ZAK_SUM_MEMO = Memo()
 
 
-def zak(f, N: int | None = None) -> ZakField:
-    """Zak transform sampled on the midpoint grid, truncated to the signal support.
+def zak(f) -> ZakField:
+    """Zak transform sampled on the midpoint grid N = 1/(2h) of the signal's step,
+    truncated to the signal support.
 
     f is one signal, or a sequence of signals on one grid, whose fields come
     as one stack from one Zak sum.
     """
     values, T, h = stacked(f)
-    N = default_zak_size(h) if N is None else int(N)
-    _substep(h, N)
-    grid = _midpoints(N)
-    return ZakField(N, _zak_sum(values, T, h, grid, grid))
+    grid = _midpoints(default_zak_size(h))
+    return ZakField(grid.size, _zak_sum(values, T, h, grid, grid))
 
 
 def zak_inverse(Z: ZakField, T: float, h: float) -> SampledSignal:
@@ -138,22 +126,18 @@ def zak_inverse(Z: ZakField, T: float, h: float) -> SampledSignal:
     """
     Z._one("zak_inverse")
     N = Z.N
-    s = _substep(h, N)
+    if N != default_zak_size(h):
+        raise ValueError(f"a Zak field of N={N} is not the grid of step h={h}, N = 1/(2h)")
     Ti = _integer_T(T)
     if 2 * Ti > N:
         raise ValueError(f"support width 2T={2 * Ti} exceeds N={N}; inversion would alias")
     qs = np.arange(-Ti, Ti)
-    xi = Z.xi
-    phases = np.exp(-2j * np.pi * np.outer(qs, xi))  # (2T, N)
+    phases = np.exp(-2j * np.pi * np.outer(qs, Z.xi))  # (2T, N)
     u = (Z.values @ phases.T) / N  # (N_y, 2T) values at y_i + q
     # chronological order along the line: q major, i minor
     seq = u.T.reshape(-1)  # x = -T + 1/(2N), ..., T - 1/(2N), spacing 1/N
-    fine = upsample_periodic(seq, s)  # spacing h, starting at -T + h*s/2
-    vals = np.zeros(_sample_count(T, h), dtype=complex)
-    n0 = s // 2
-    m = min(fine.size, vals.size - n0)
-    vals[n0: n0 + m] = fine[:m]  # the clipped tail sits at x ~ T where f ~ 0
-    return SampledSignal(T, h, vals)
+    fine = upsample_periodic(seq, 2)  # x = -T + h, ..., T, spacing h
+    return SampledSignal(T, h, np.concatenate(([0.0], fine)))  # x = -T, where f ~ 0, stays 0
 
 
 def zak_atom_field(lam, N: int, terms: int = THETA_TERMS) -> ZakField:
@@ -196,13 +180,13 @@ def wh_shift(lam, f: SampledSignal) -> SampledSignal:
     return SampledSignal(f.T, f.h, vals)
 
 
-def zak_translate_check(lam, f: SampledSignal, N: int | None = None) -> float:
+def zak_translate_check(lam, f: SampledSignal) -> float:
     """Max deviation of Z(T_lam f) from exp(2 pi i (p xi + theta y)) Zf, lam in the lattice."""
     lam = as_point(lam)
     if abs(lam.p - round(lam.p)) > 1e-9 or abs(lam.theta - round(lam.theta)) > 1e-9:
         raise ValueError("translation covariance holds for lattice points only")
-    left = zak(wh_shift(lam, f), N)
-    right = zak(f, N)
+    left = zak(wh_shift(lam, f))
+    right = zak(f)
     Y, XI = right.y[:, None], right.xi[None, :]
     factor = np.exp(2j * np.pi * (lam.p * XI + lam.theta * Y))
     return float(np.max(np.abs(left.values - factor * right.values)))

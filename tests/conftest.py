@@ -1,3 +1,8 @@
+from collections import Counter
+import json
+from pathlib import Path
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from criticalgabor.phaseplane import PhaseDomain, _nearest_distance, grid_points
 
 T8 = 8.0
 H64 = 1.0 / 64.0
+POOL = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +44,31 @@ def random_smooth(rng, count=1, orders=8, T=T8, h=H64):
         a = a / np.linalg.norm(a)
         out.append(SampledSignal(T, h, sum(ai * b.values for ai, b in zip(a, basis))))
     return out
+
+
+def pool_signal(spec, T=8.0, h=1.0 / 64.0):
+    """A pool signal of kind "atoms" on the benchmark's grid, written out."""
+    x = -T + h * np.arange(int(round(2 * T / h)) + 1)
+    return SampledSignal(T, h, sum(complex(re, im) * 2 ** 0.25 * np.exp(-np.pi * (x - p) ** 2 + 2j * np.pi * th * x)
+                                   for p, th, re, im in spec["atoms"]))
+
+
+def count_calls(monkeypatch, targets) -> Counter:
+    """Count the calls of each (owner module, function name) of targets by name, patched in every
+    criticalgabor namespace that holds the function, as the benchmark's tracer patches."""
+    calls = Counter()
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "criticalgabor"]
+    for owner, name in targets:
+        fn = getattr(owner, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 # a user-defined domain: the library's PhaseDomain contract met by a predicate

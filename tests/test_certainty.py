@@ -1,7 +1,3 @@
-from collections import Counter
-import json
-from pathlib import Path
-import sys
 import warnings
 
 import numpy as np
@@ -17,7 +13,7 @@ from criticalgabor.certainty import DECOMP_MARGIN
 from criticalgabor.gabor import dual_mixing, superpose
 from criticalgabor.higher import default_sharp_nodes, order_m_coefficients
 from criticalgabor.phaseplane import PhaseDomain, domain_from_json
-from conftest import FunctionDomain
+from conftest import POOL, FunctionDomain, count_calls, pool_signal
 
 T12, H64 = 12.0, 1.0 / 64.0
 
@@ -122,8 +118,7 @@ def sharp_node_loop(nd):
     return min(candidates)[1:]
 
 
-_POOL = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
-_NODE_CASES = [(domain_from_json(e["domain"]), e["r"], e["m"]) for e in _POOL["decompose"]]
+_NODE_CASES = [(domain_from_json(e["domain"]), e["r"], e["m"]) for e in POOL["decompose"]]
 _NODE_CASES += [
     (FunctionDomain(lambda p, t: p ** 2 + t ** 2 <= 1.2 ** 2, (-1.2, 1.2, -1.2, 1.2)), 4.0, 0),
     (Disk((0.5, 0.5), 1.0), 4.0, 0),  # four nodes tie on clearance: (-2, 0) and (0, -2) among them
@@ -131,7 +126,7 @@ _NODE_CASES += [
 
 
 @pytest.mark.parametrize("K, r, m", _NODE_CASES,
-                         ids=[e["id"] for e in _POOL["decompose"]] + ["function_disk", "tied_disk"])
+                         ids=[e["id"] for e in POOL["decompose"]] + ["function_disk", "tied_disk"])
 def test_sharp_node_matches_scalar_loop(K, r, m):
     nd = nested_domains(K, r, default_order(r) if m is None else m)
     assert certainty._atom_sites(nd.K, nd.r)[2] == sharp_node_loop(nd)
@@ -314,14 +309,7 @@ def count_expanded_signals(monkeypatch) -> list[int]:
     return counts
 
 
-def pool_signal(spec, T=8.0, h=1.0 / 64.0):
-    """A pool signal of kind "atoms" on the benchmark's grid, written out."""
-    x = -T + h * np.arange(int(round(2 * T / h)) + 1)
-    return SampledSignal(T, h, sum(complex(re, im) * 2 ** 0.25 * np.exp(-np.pi * (x - p) ** 2 + 2j * np.pi * th * x)
-                                   for p, th, re, im in spec["atoms"]))
-
-
-@pytest.mark.parametrize("entry", _POOL["decompose"], ids=[e["id"] for e in _POOL["decompose"]])
+@pytest.mark.parametrize("entry", POOL["decompose"], ids=[e["id"] for e in POOL["decompose"]])
 def test_window_matches_the_full_box(entry):
     # the g field is transformed only on the window of K+ and D-; counts are the
     # pool's recorded ones, and g+ is the full-box field's K+ sum, nesting or not
@@ -360,13 +348,13 @@ def f_u_and_relaxed(monkeypatch, f, K, r, m):
 
 
 _U_CASES = [(pool_signal(e["signal"]), domain_from_json(e["domain"]), e["r"], e["m"], None)
-            for e in _POOL["decompose"]]
+            for e in POOL["decompose"]]
 # the lattice point (2, 0) lies at distance exactly r/2 = 1.5 from K, on U's boundary
 _U_CASES += [(atom((0.2, 0.1), 8.0, H64), Disk((0, 0), 0.5), 3.0, None, (2, 0))]
 
 
 @pytest.mark.parametrize("f, K, r, m, boundary_site", _U_CASES,
-                         ids=[e["id"] for e in _POOL["decompose"]] + ["boundary_site"])
+                         ids=[e["id"] for e in POOL["decompose"]] + ["boundary_site"])
 def test_f_u_keys_are_u_contains_over_the_relaxed_keys(monkeypatch, f, K, r, m, boundary_site):
     # f_U's lattice terms are D's lattice points within r/2 of K: the same keys, in the
     # same order and with the same values, as U.contains over every relaxed key
@@ -381,20 +369,9 @@ def test_f_u_keys_are_u_contains_over_the_relaxed_keys(monkeypatch, f, K, r, m, 
 
 def test_collar_decompose_keeps_the_layer_map_counters(monkeypatch):
     # bench/layers.py predicts these calls on decompose, and its one collar item makes them
-    calls = Counter()
-    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "criticalgabor"]
     targets = [(higher, "annihilate"), (numerics, "spectral_derivative"), (higher, "order_m_coefficients"),
                (higher, "dual_atoms"), (phaseplane, "lattice_points_in")]
-    for owner, name in targets:
-        fn = getattr(owner, name)
-
-        def counting(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for mod in modules:  # every namespace that holds the function, as the bench's tracer patches
-            if getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, counting)
+    calls = count_calls(monkeypatch, targets)
     contains = PhaseDomain.contains
 
     def counting_contains(self, x):
@@ -402,7 +379,7 @@ def test_collar_decompose_keeps_the_layer_map_counters(monkeypatch):
         return contains(self, x)
 
     monkeypatch.setattr(PhaseDomain, "contains", counting_contains)
-    entry = next(e for e in _POOL["decompose"] if e["collar"])
+    entry = next(e for e in POOL["decompose"] if e["collar"])
     rep = decompose(pool_signal(entry["signal"]), domain_from_json(entry["domain"]), entry["r"], entry["m"],
                     2.0, 1.0 / 8.0).report
     assert rep["mid_region_points"] > 0

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 import criticalgabor
 from criticalgabor import (CoefficientSet, atom, default_zak_size, hermite_signal, numerics,
                            order_m_coefficients, relaxed_coefficients, signal_from_csv)
-from criticalgabor.cli import READS, RunConfig, build_parser, main
+from criticalgabor.cli import READS, RunConfig, _dump_json, build_parser, main
 
 
 @pytest.fixture()
@@ -287,6 +288,15 @@ class TestDecomposeRotate:
         assert main(["analyze", "--h", repr(1.0 / 98.0), "--input", "h98.csv",
                      "--out-summary", "s.json"]) == 0
         assert json.loads(Path("s.json").read_text())["grid"]["h"] == 1.0 / 98.0
+
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_rotate_refuses_a_non_finite_angle(self, workdir, monkeypatch, capsys, angle):
+        monkeypatch.chdir(workdir)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["rotate", "--input", "h0.csv", f"--angle={angle}", "--out", "o.csv"]) == 2
+        assert f"error: rotation angle must be finite, got {float(angle)!r}" in capsys.readouterr().err
+        assert not Path("o.csv").exists()
 
     def test_rotate_preserves_norm(self, workdir):
         rc = main(["rotate", "--input", str(workdir / "h0.csv"),
@@ -683,6 +693,46 @@ class TestTheta:
 
     def test_nothing_to_do(self, capsys):
         assert main(["theta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: nothing to evaluate" in captured.err
+
+    @pytest.mark.parametrize("args, shown", [
+        (["--z", "nan,0"], "--z nan,0: the argument and theta there must be finite"),
+        (["--z", "inf,0"], "--z inf,0: the argument and theta there must be finite"),
+        (["--z", "0,-inf"], "--z 0,-inf: the argument and theta there must be finite"),
+        (["--z", "0,20"], "--z 0,20: the argument and theta there must be finite"),
+        (["--x", "nan"], "--x must be finite, got nan"),
+        (["--x", "inf"], "--x must be finite, got inf"),
+        (["--z", "0,0", "--x", "nan"], "--x must be finite, got nan"),
+    ], ids=["z_nan", "z_inf", "z_minus_inf", "z_overflow", "x_nan", "x_inf", "x_nan_after_z"])
+    def test_non_finite_argument_or_value_refused(self, capsys, args, shown):
+        # theta(0 + 20i) overflows to inf + nan i; nothing is printed but the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["theta"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {shown}" in captured.err
+
+
+class TestStrictJson:
+    # JSON has no nan or infinity: a payload holding one is refused, naming its key, and no file is written
+    @pytest.mark.parametrize("args, key", [
+        (["analyze", "--input", "h0.csv", "--delta", "1000", "--out-summary", "o.json"], "hdelta_norm"),
+        (["expand", "--input", "h0.csv", "--delta", "1000", "--R", "3", "--out", "o.json"], "diagnostics.hdelta"),
+        (["decompose", "--input", "e0.csv", "--domain", "disk.json", "--delta", "400", "--m", "0",
+          "--out", "o.json"], "report.bound_value"),
+        (["verify", "--delta", "400", "--out", "o.json"], "checks.32.measured"),
+    ])
+    def test_nan_refused_naming_its_key(self, workdir, monkeypatch, capsys, args, key):
+        monkeypatch.chdir(workdir)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(args) == 2
+        assert f"error: {key} is nan, which JSON cannot hold" in capsys.readouterr().err
+        assert not Path("o.json").exists()
+
+    def test_nested_keys_and_lists_are_named(self):
+        with pytest.raises(ValueError, match=r"^a\.1\.b is inf, which JSON cannot hold$"):
+            _dump_json({"a": [0.0, {"b": float("inf")}]})
 
 
 class TestVerify:

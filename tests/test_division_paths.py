@@ -8,7 +8,8 @@ and the seam check's two hand-written Zak sums at y + 1 and xi + 1.  The
 shared kernel computes the same discrete sums, so it must agree with them to
 roundoff.  The refinement, which reads the fine cells off the Zak fibres, is
 also held to the refined block built from closed-form atom values at the
-fine points.
+fine points.  The step fixes the Zak grid, N = 1/(2h), so a test of grid N
+samples its signals at h = 1/(2N).
 """
 
 import numpy as np
@@ -18,43 +19,53 @@ from criticalgabor import CoefficientSet, hermite_signal, seam_mismatch, synthes
 from criticalgabor import expansion, numerics
 from criticalgabor.expansion import _REFINE_FACTOR, _refine_correction, division_field, lattice_coefficients
 from criticalgabor.numerics import THETA_TERMS, theta, upsample_periodic
-from criticalgabor.zak import _substep, _zak_sum, zak
+from criticalgabor.zak import _zak_sum, zak
 
 T, H = 8.0, 1.0 / 64.0
 
 
-def lattice_mix():
+def lattice_mix(h):
     rng = np.random.default_rng(3)
     c = CoefficientSet()
     for k in range(-2, 3):
         for j in range(-2, 3):
             c.set(k, j, complex(*rng.normal(size=2)))
-    return synthesize(c, T, H)
+    return synthesize(c, T, h)
 
 
-def sharp_mix():
+def sharp_mix(h):
     c = CoefficientSet()
     c.set(0, 0, 1.0, sharp=True)
     c.set(1, 0, 0.3)
     c.set(0, -1, 0.2j)
     c.set(-1, 1, -0.4 + 0.1j)
-    return synthesize(c, T, H)
+    return synthesize(c, T, h)
 
 
-SIGNALS = {**{f"h{n}": (lambda n=n: hermite_signal(n, T, H)) for n in range(4)},
+SIGNALS = {**{f"h{n}": (lambda h, n=n: hermite_signal(n, T, h)) for n in range(4)},
            "lattice_mix": lattice_mix, "sharp_mix": sharp_mix}
 
 
 @pytest.fixture(scope="module", params=sorted(SIGNALS))
-def signal(request):
-    return SIGNALS[request.param]()
+def name(request):
+    return request.param
 
 
-def integer_index_zak(f, N):
-    s = _substep(f.h, N)
+@pytest.fixture(scope="module")
+def signal(name):
+    return SIGNALS[name](H)
+
+
+def on_grid(name, N):
+    """The named signal at the step h = 1/(2N) whose Zak grid is N."""
+    return SIGNALS[name](1.0 / (2 * N))
+
+
+def integer_index_zak(f):
+    N = int(round(0.5 / f.h))
     Ti = int(round(f.T))
     qs = np.arange(-Ti, Ti)
-    n_idx = (np.arange(N)[:, None] * s + s // 2) + ((qs[None, :] + Ti) * N * s)
+    n_idx = (np.arange(N)[:, None] * 2 + 1) + ((qs[None, :] + Ti) * N * 2)
     xi = (np.arange(N) + 0.5) / N
     return f.values[n_idx] @ np.exp(2j * np.pi * np.outer(qs, xi))
 
@@ -109,38 +120,48 @@ def hand_seam_fields(f, N):
 
 
 @pytest.mark.parametrize("N", [16, 32])
-def test_zak_bitwise_equals_integer_index_formula(signal, N):
+def test_zak_bitwise_equals_integer_index_formula(name, N):
     # bitwise until the kernel reduced q xi mod 1 before the factor 2 pi; the oracle
     # keeps the unreduced 2 pi q xi, measured <= 1.1e-15 max|Z| apart
-    want = integer_index_zak(signal, N)
-    assert np.max(np.abs(zak(signal, N).values - want)) <= 2e-15 * np.max(np.abs(want))
+    f = on_grid(name, N)
+    want = integer_index_zak(f)
+    Z = zak(f)
+    assert Z.N == N
+    assert np.max(np.abs(Z.values - want)) <= 2e-15 * np.max(np.abs(want))
+
+
+# At h = 1/8 (N = 4) the fibres have 8 samples a unit: h3 and the atom mixes reach their
+# Nyquist, where neither form is the exact refined sum, so only h0..h2 run there
+CELL_LOOP_CASES = [(name, N) for name in sorted(SIGNALS) for N in (4, 8, 16, 32)
+                   if N > 4 or name in ("h0", "h1", "h2")]
 
 
 @pytest.mark.parametrize("R", [3, 6])
-@pytest.mark.parametrize("N", [4, 8, 16, 32])  # fibre upsampling factors 1, 2, 4, 8 at h = 1/64
-def test_refined_block_matches_cell_loop(signal, N, R):
+@pytest.mark.parametrize("name, N", CELL_LOOP_CASES)
+def test_refined_block_matches_cell_loop(name, N, R):
     # The correction is a fine sum minus a coarse sum that cancel to ~1e-4 of
     # either near the theta zero, so it is held to the scale of the lattice
     # block it corrects: both forms sit ~3e-13 of their own size from an
     # extended-precision sum of the same terms.
-    F, _ = division_field(signal, N)
+    signal = on_grid(name, N)
+    F, _ = division_field(signal)
     old = cell_loop_refine_correction(signal, F, N, R)
     want = extract_block(F, N, R) + old
     scale = np.max(np.abs(want))
-    assert np.max(np.abs(_refine_correction(signal, F, N, R) - old)) <= 1e-13 * scale
-    got = lattice_coefficients(signal, R, N)
+    assert np.max(np.abs(_refine_correction(signal, F, R) - old)) <= 1e-13 * scale
+    got = lattice_coefficients(signal, R)
     ks = range(-R, R + 1)
     M = np.array([[got.get(k, j) for j in ks] for k in ks])
     assert np.max(np.abs(M - want)) <= 1e-13 * scale
 
 
 def test_refined_stack_matches_single_calls():
-    signals = [SIGNALS[name]() for name in ("h1", "h2", "lattice_mix", "sharp_mix")]
-    F, _ = division_field(signals, 32)
-    stack = _refine_correction(signals, F, 32, 6)
+    signals = [SIGNALS[name](H) for name in ("h1", "h2", "lattice_mix", "sharp_mix")]
+    F, _ = division_field(signals)
+    stack = _refine_correction(signals, F, 6)
     for f, got in zip(signals, stack):
-        F1, Z = division_field(f, 32)
-        one = _refine_correction(f, F1, 32, 6)
+        F1, Z = division_field(f)
+        one = _refine_correction(f, F1, 6)
         scale = np.max(np.abs(extract_block(F1, 32, 6) + one))
         assert np.max(np.abs(got - one)) <= 1e-15 * scale
 
@@ -173,21 +194,22 @@ def test_refined_block_matches_exact_atom(p, th):
     # atom's own coefficient in the block, which sets the scale; measured <= 1e-15 of it
     N, R = 32, 17
     f = numerics.SampledSignal(T, H, atom_values(p, th, -T + H * np.arange(int(2 * T / H) + 1)))
-    F, _ = division_field(f, N)
+    F, _ = division_field(f)
     want = exact_atom_correction(p, th, N, R)
     scale = np.max(np.abs(extract_block(F, N, R) + want))
-    assert np.max(np.abs(_refine_correction(f, F, N, R) - want)) <= 1e-13 * scale
+    assert np.max(np.abs(_refine_correction(f, F, R) - want)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("N", [16, 32])
-def test_seam_mismatch_matches_hand_sums(signal, N):
-    F, _ = division_field(signal, N)
+def test_seam_mismatch_matches_hand_sums(name, N):
+    signal = on_grid(name, N)
+    F, _ = division_field(signal)
     Fy1, Fxi1 = hand_seam_fields(signal, N)
     want = max(np.max(np.abs(Fy1 - F)), np.max(np.abs(Fxi1 - F)))
-    assert abs(seam_mismatch(signal, N) - want) <= 1e-13 * np.max(np.abs(F))
+    assert abs(seam_mismatch(signal) - want) <= 1e-13 * np.max(np.abs(F))
     y = (np.arange(N) + 0.5) / N
     for ys, xis, hand in ((y + 1.0, y, Fy1), (y, y + 1.0, Fxi1)):
-        got = expansion._divided(_zak_sum(signal.values, T, H, ys, xis), ys, xis)
+        got = expansion._divided(_zak_sum(signal.values, T, signal.h, ys, xis), ys, xis)
         assert np.max(np.abs(got - hand)) <= 1e-13 * np.max(np.abs(hand))
 
 
@@ -213,6 +235,6 @@ def test_refined_lattice_coefficients_evaluate_theta_twice(monkeypatch):
 
     monkeypatch.setattr(numerics, "theta", counting_theta)
     monkeypatch.setattr(expansion, "theta", counting_theta)
-    lattice_coefficients(hermite_signal(2, T, H), R=6, N=32)
+    lattice_coefficients(hermite_signal(2, T, H), R=6)
     # one division on the midpoint grid, one on the refined 2x2 block
     assert calls == [(32, 32), (2 * _REFINE_FACTOR, 2 * _REFINE_FACTOR)]

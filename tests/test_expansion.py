@@ -44,14 +44,15 @@ class TestSharpFunctional:
 
     @pytest.mark.parametrize("N", [16, 32])
     @pytest.mark.parametrize("signal", ["h0", "h1", "h2", "h3", "sharp", (0.3, -1.7), (-1.25, 0.6)])
-    def test_zak_midpoint_value_matches_series(self, hermites, N, signal):
+    def test_zak_midpoint_value_matches_series(self, N, signal):
+        h = 1.0 / (2 * N)  # the step that fixes the Zak grid N
         if isinstance(signal, tuple):
-            f = atom(signal)
+            f = atom(signal, T8, h)
         elif signal == "sharp":
-            f = atom(sharp_point())
+            f = atom(sharp_point(), T8, h)
         else:
-            f = hermites[int(signal[1])]
-        assert abs(sharp_functional(f) - sharp_functional_zak(f, N)) <= 1e-13
+            f = hermite_signal(int(signal[1]), T8, h)
+        assert abs(sharp_functional(f) - sharp_functional_zak(f)) <= 1e-13
 
     def test_grid_without_half_integers_rejected(self):
         f = SampledSignal(8.0, 1 / 63, np.zeros(int(16 * 63) + 1))
@@ -127,7 +128,7 @@ class TestReconstruct:
         eps = 0.5
         sums = {}
         for R in (10, 12):
-            exp = relaxed_coefficients(f, R=R, N=64)
+            exp = relaxed_coefficients(f, R=R)
             sums[R] = sum((np.hypot(k, j) + 1) ** (2 * eps) * abs(v) ** 2
                           for (k, j, s), v in exp.coeffs.entries.items())
         assert abs(sums[12] - sums[10]) / sums[10] < 0.01

@@ -179,7 +179,7 @@ class TestOrderMExpansion:
     def test_exponent_exceeds_order_minus_half(self):
         f = hermite_signal(3, T=12.0, h=1 / 256)
         for m in (0, 2):
-            exp = order_m_coefficients(f, m, R=10, N=128)
+            exp = order_m_coefficients(f, m, R=10)
             assert exp.decay_exponent > m - 0.5
 
     def test_mixed_uniqueness_probe(self, rng):

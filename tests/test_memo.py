@@ -160,17 +160,18 @@ def test_a_warm_call_builds_nothing(cold):
     assert stored_chirp_plan(1 / 1024, 573, 257) is plan
 
 
-def lattice(T_, h, N_, R_):
-    return lattice_coefficients(hermite_signal(2, T_, h), R_, N_).to_json()
+def lattice(T_, h, R_):
+    return lattice_coefficients(hermite_signal(2, T_, h), R_).to_json()
 
 
 # pairs that share every key part but one: an entry built for one must not serve the other
 PAIRS = {
     "theta_terms": (lambda: bits(theta(MID + 0.3j, 3)), lambda: bits(theta(MID + 0.3j))),
-    "grid_step": (lambda: lattice(8.0, 1 / 32, 16, R), lambda: lattice(8.0, 1 / 64, 32, R)),
-    "step_only": (lambda: lattice(8.0, 1 / 128, 32, R), lambda: lattice(8.0, 1 / 64, 32, R)),
-    "half_width": (lambda: lattice(6.0, H, N, R), lambda: lattice(8.0, H, N, R)),
-    "cutoff": (lambda: lattice(8.0, H, N, 4), lambda: lattice(8.0, H, N, 6)),
+    # the step alone sets the Zak grid N = 1/(2h): a coarser and a finer one than h = 1/64
+    "grid_step": (lambda: lattice(8.0, 1 / 32, R), lambda: lattice(8.0, 1 / 64, R)),
+    "step_only": (lambda: lattice(8.0, 1 / 128, R), lambda: lattice(8.0, 1 / 64, R)),
+    "half_width": (lambda: lattice(6.0, H, R), lambda: lattice(8.0, H, R)),
+    "cutoff": (lambda: lattice(8.0, H, 4), lambda: lattice(8.0, H, 6)),
     "one_node": (lambda: bits(dual_mixing([(0.5, 0.5), (1.5, 0.5), (0.5, 1.5)])),
                  lambda: bits(dual_mixing([(0.5, 0.5), (1.5, 0.5), (-0.5, 0.5)]))),
     "chirp_inputs": (lambda: bits(_chirp_sum(chirp_input(573)[:, :572], 1 / 1024, 257)),
@@ -210,8 +211,8 @@ def test_stored_arrays_are_read_only(cold):
     for arr in expansion._half_integer_indices(hermite_signal(3, T, H)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
-    lattice_coefficients(hermite_signal(2, T, H), R, N)
-    plan = expansion._REFINE_MEMO.get((N, 2), lambda: pytest.fail("no refinement plan for N = 32, s = 2"))
+    lattice_coefficients(hermite_signal(2, T, H), R)
+    plan = expansion._REFINE_MEMO.get(N, lambda: pytest.fail("no refinement plan for N = 32"))
     for arr in (a for a in plan if isinstance(a, np.ndarray)):
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1

@@ -1,6 +1,3 @@
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -9,10 +6,10 @@ from criticalgabor import (Disk, Rotation, SampledSignal, atom, commutation_chec
                            inner, loc_integral, metaplectic_apply)
 from criticalgabor.metaplectic import _MIN_B
 from criticalgabor.numerics import _chirp_sum
-from conftest import hdelta_invariance_check
+from conftest import POOL, hdelta_invariance_check
 
 T8, H64 = 8.0, 1.0 / 64.0
-_ANALYZE = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())["analyze"]
+_ANALYZE = POOL["analyze"]
 
 
 class TestRotation:
@@ -27,6 +24,12 @@ class TestRotation:
         S = Rotation(np.pi / 2)
         out = S((1, 0))
         assert (out.p, out.theta) == pytest.approx((0.0, 1.0), abs=1e-12)
+
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match=f"rotation angle must be finite, got {angle!r}"):
+            Rotation(angle)
 
 
 class TestMetaplecticApply:

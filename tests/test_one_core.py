@@ -9,6 +9,8 @@ with its oracle bit for bit (decay_exponent, a different summation order, to
 roundoff).
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,12 @@ from criticalgabor import (THETA_TERMS, CoefficientSet, SampledSignal, atom, dua
                            gabor_transform, hermite_signal, relaxed_coefficients,
                            sharp_functional, sharp_point, spectral_derivative, synthesize,
                            theta)
-from criticalgabor import higher
+from criticalgabor import expansion, higher, numerics
 from criticalgabor.expansion import lattice_coefficients
 from criticalgabor.gabor import _STACK, _box_grids
 from criticalgabor.higher import annihilate, decay_exponent, default_sharp_nodes, order_m_coefficients
 from criticalgabor.numerics import _fourier_derivative, _theta_series
+from conftest import POOL, count_calls, pool_signal
 
 T, H = 8.0, 1.0 / 64.0
 
@@ -52,14 +55,14 @@ def signal(request):
     return SIGNALS[request.param]()
 
 
-def old_relaxed(f, R, N=None, sharp_node=(0, 0)):
+def old_relaxed(f, R, sharp_node=(0, 0)):
     k0, j0 = int(sharp_node[0]), int(sharp_node[1])
     gamma = (-1) ** j0 * sharp_functional(f)
     f_sharp = f - gamma * atom(sharp_point(k0, j0), f.T, f.h)
-    return gamma, lattice_coefficients(f_sharp, R, N)
+    return gamma, lattice_coefficients(f_sharp, R)
 
 
-def old_order_m(f, m, R=6, N=None):
+def old_order_m(f, m, R=6):
     pts = default_sharp_nodes(m)
     duals = dual_atoms(pts, f.T, f.h)
     block = []
@@ -70,7 +73,7 @@ def old_order_m(f, m, R=6, N=None):
     f_sharp = f
     for b, d in zip(block, duals.atoms):
         f_sharp = f_sharp - b * d
-    return block, lattice_coefficients(f_sharp, R, N)
+    return block, lattice_coefficients(f_sharp, R)
 
 
 def old_decay_exponent(coeffs, rmin=1.5, rmax=None):
@@ -128,8 +131,8 @@ def old_box_grids(box, dlam):
 # "True": the refined quadrature at the theta zero, the one lattice_coefficients runs
 @pytest.mark.parametrize("node", NODES, ids=[f"True-node{i}" for i in range(len(NODES))])
 def test_relaxed_matches_its_own_body_bitwise(signal, node):
-    gamma, coeffs = old_relaxed(signal, 4, 16, node)
-    exp = relaxed_coefficients(signal, 4, 16, sharp_node=node)
+    gamma, coeffs = old_relaxed(signal, 4, node)
+    exp = relaxed_coefficients(signal, 4, sharp_node=node)
     assert exp.sharp == gamma
     assert exp.sharp_node == node
     assert list(exp.coeffs.entries) == list(coeffs.entries)
@@ -265,3 +268,24 @@ def test_box_grid_unchanged_on_dlam_multiples():
         for dlam in (1.0 / 16.0, 1.0 / 8.0, 0.25):
             for got, want in zip(_box_grids(box, dlam), old_box_grids(box, dlam)):
                 np.testing.assert_array_equal(got, want)
+
+
+EXPAND_COUNTERS = [(importlib.import_module("criticalgabor.zak"), "zak"), (expansion, "division_field"), (numerics, "upsample_periodic"),
+                   (numerics, "spectral_derivative"), (higher, "annihilate"), (numerics, "theta"),
+                   (higher, "dual_atoms"), (higher, "order_m_coefficients")]
+
+
+@pytest.mark.parametrize("method", ["relaxed", "order_m"])
+def test_expand_keeps_the_layer_map_counters(monkeypatch, method):
+    # bench/layers.py predicts these calls on expand; a relaxed item makes all but the ladder's
+    # and order_m_coefficients', an order-m item makes every one
+    calls = count_calls(monkeypatch, EXPAND_COUNTERS)
+    entry = next(e for e in POOL["expand"] if e["method"] == method and e["signal"]["kind"] == "atoms")
+    f = pool_signal(entry["signal"])
+    if method == "relaxed":
+        expansion.relaxed_coefficients(f, entry["R"], sharp_node=tuple(entry["node"]))
+        want = {"zak", "division_field", "upsample_periodic", "theta", "dual_atoms"}
+    else:
+        higher.order_m_coefficients(f, entry["m"], R=entry["R"])  # through the module, as bench/items.py
+        want = {name for _, name in EXPAND_COUNTERS}
+    assert set(calls) == want

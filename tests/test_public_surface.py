@@ -12,9 +12,15 @@ defines the name, a read of its module-level binding outside the name's own
 body.  A local variable or an attribute that merely shares the name does not
 count.  Names that only annotations read are not counted either, since the
 modules defer their annotations.
+
+The sample step fixes the Zak grid, N = 1/(2h), so no function of the Zak
+layers takes N beside a signal: only those that build a grid's own values
+from no signal do.
 """
 
 import ast
+import importlib
+import inspect
 import symtable
 import types
 from pathlib import Path
@@ -75,3 +81,17 @@ def test_every_export_has_a_caller_outside_the_tests():
     exported = {name for name in dir(criticalgabor)
                 if not name.startswith("_") and not isinstance(getattr(criticalgabor, name), types.ModuleType)}
     assert sorted(exported - referred_names()) == []
+
+
+# functions of the Zak grid alone: its midpoint nodes, its refinement plan and a closed-form atom field
+GRID_ONLY = {"zak._midpoints", "zak.zak_atom_field", "expansion._refine_plan"}
+
+
+def test_only_grid_functions_take_the_zak_size():
+    takes_n = set()
+    for module in ("zak", "expansion", "higher"):
+        mod = importlib.import_module(f"{PACKAGE}.{module}")
+        for name, fn in vars(mod).items():
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and "N" in inspect.signature(fn).parameters:
+                takes_n.add(f"{module}.{name}")
+    assert takes_n == GRID_ONLY

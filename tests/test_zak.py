@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
-from criticalgabor import (ZakField, a_operator_zak, annihilate, atom,
+from criticalgabor import (SampledSignal, ZakField, a_operator_zak, annihilate, atom,
                            hermite_signal, sobolev_norm, wh_shift, zak,
                            zak_atom_field, zak_inverse, zak_translate_check)
 from criticalgabor import hdelta_norm
@@ -36,16 +36,22 @@ class TestZakTransform:
         val = complex(re(0.5, 0.5)[0, 0], im(0.5, 0.5)[0, 0])
         assert abs(val) < 1e-6
 
-    def test_incompatible_grid_rejected(self, hermites):
-        with pytest.raises(ValueError):
-            zak(hermites[0], N=64)  # 1/(N h) = 1 is odd
+    def test_incompatible_grid_rejected(self):
+        # the step fixes the grid N = 1/(2h), which must be an even integer
+        for h in (1 / 66, 1 / 63):  # N = 33 is odd, N = 31.5 no integer
+            with pytest.raises(ValueError, match="no even Zak midpoint grid"):
+                zak(SampledSignal(T8, h, np.zeros(int(round(2 * T8 / h)) + 1)))
+
+    def test_grid_is_fixed_by_the_step(self):
+        for h, N in ((1 / 64, 32), (1 / 32, 16), (1 / 8, 4)):
+            assert zak(hermite_signal(0, T8, h)).N == N
 
     def test_stack_of_signals(self, hermites):
         # one Zak sum for the stack; each field is the single signal's, to roundoff
-        Z = zak(hermites, 32)
+        Z = zak(hermites)
         assert Z.values.shape == (len(hermites), 32, 32)
         for f, field, norm in zip(hermites, Z.values, Z.norm()):
-            single = zak(f, 32)
+            single = zak(f)
             assert np.max(np.abs(field - single.values)) <= 1e-15 * np.max(np.abs(single.values))
             assert norm == pytest.approx(single.norm(), rel=1e-14)
         for one_field_only in (lambda: zak_inverse(Z, T8, H64), lambda: sobolev_norm(Z, 2.0)):
@@ -60,8 +66,8 @@ class TestZakTransform:
         # Z e_{(k+r, j+eta)} = exp(2 pi i (k xi + j y)) exp(2 pi i k eta) Z e_{(r,eta)}
         k, j, r, eta = 1, 2, 0.3, 0.25
         lam = (k + r, j + eta)
-        Zl = zak(atom(lam), 32)
-        Zs = zak(atom((r, eta)), 32)
+        Zl = zak(atom(lam))
+        Zs = zak(atom((r, eta)))
         Y, XI = Zl.y[:, None], Zl.xi[None, :]
         rhs = np.exp(2j * np.pi * (k * XI + j * Y)) * np.exp(2j * np.pi * k * eta) * Zs.values
         assert np.max(np.abs(Zl.values - rhs)) < 1e-8
@@ -85,7 +91,15 @@ class TestZakInverse:
     def test_support_aliasing_rejected(self):
         f = hermite_signal(0, T=20.0, h=H64)
         with pytest.raises(ValueError):
-            zak_inverse(zak(f, 32), 20.0, H64)
+            zak_inverse(ZakField(32, np.zeros((32, 32))), 20.0, H64)
+
+    def test_field_of_another_step_rejected(self, hermites):
+        # the step fixes the grid: a field of N = 16 comes from h = 1/32, not h = 1/64
+        Z = zak(hermite_signal(0, T8, 1 / 32))
+        with pytest.raises(ValueError, match=r"N=16 is not the grid of step h=0\.015625"):
+            zak_inverse(Z, T8, H64)
+        with pytest.raises(ValueError, match=r"N=32 is not the grid of step h=0\.03125"):
+            zak_inverse(ZakField(32, np.zeros((32, 32))), T8, 1 / 32)
 
 
 class TestWHShift:
