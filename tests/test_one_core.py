@@ -270,8 +270,9 @@ def test_box_grid_unchanged_on_dlam_multiples():
                 np.testing.assert_array_equal(got, want)
 
 
-EXPAND_COUNTERS = [(importlib.import_module("criticalgabor.zak"), "zak"), (expansion, "division_field"), (numerics, "upsample_periodic"),
-                   (numerics, "spectral_derivative"), (higher, "annihilate"), (numerics, "theta"),
+# criticalgabor.zak, the attribute, is the function; the module is looked up by name
+EXPAND_COUNTERS = [(importlib.import_module("criticalgabor.zak"), "zak"), (expansion, "division_field"),
+                   (numerics, "upsample_periodic"), (numerics, "spectral_derivative"), (higher, "annihilate"), (numerics, "theta"),
                    (higher, "dual_atoms"), (higher, "order_m_coefficients")]
 
 
