@@ -11,9 +11,8 @@ from .numerics import (DEFAULT_H, DEFAULT_T, THETA_TERMS, SampledSignal,
                        hermite_signal, inner, loc_integral,
                        signal_from_csv, spectral_derivative, theta)
 from .phaseplane import (Disk, Neighborhood, PhaseDomain, PhasePoint,
-                         PointSet, Polygon, Rect, UnionDomain, as_point,
-                         domain_from_json, lattice_points_in, neighborhood,
-                         sharp_point)
+                         Polygon, Rect, UnionDomain, as_point,
+                         domain_from_json, lattice_points_in, sharp_point)
 from .gabor import (MAX_ORDER, SIGMA0, CoefficientSet, GaborField, atom, atom_inner,
                     field_synthesis, gabor_transform, synthesize, tail_mass,
                     vandermonde_inverse)

@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expansion import hdelta_norm, relaxed_coefficients
+from .expansion import _LOG_FLOAT_MAX, hdelta_norm, relaxed_coefficients
 from .gabor import (MAX_ORDER, CoefficientSet, _STACK, _box_grids, _superpose_grid, dual_mixing,
                     gabor_transform, synthesize)
 from .higher import default_sharp_nodes, order_m_coefficients
 from .numerics import SampledSignal
-from .phaseplane import PhaseDomain, lattice_points_in, neighborhood, neighborhood_masks
+from .phaseplane import Neighborhood, PhaseDomain, lattice_points_in, neighborhood_masks
 
 # Empirical constant for the residual guarantee of the decomposition bound,
 # fitted once over the in-repo test family (atom mixes in disks) and frozen.
@@ -31,6 +31,8 @@ FITTED_CDELTA = 0.05
 DEFAULT_DECOMP_DLAM = 1.0 / 8.0
 # atom margin from +-T for every synthesis in the decomposition
 DECOMP_MARGIN = 2.0
+# lattice cutoff |k|, |j| <= R_LOCAL of each collar cell's local order-m expansion
+R_LOCAL = 6
 
 
 def default_order(r: float) -> int:
@@ -65,10 +67,10 @@ def nested_domains(K: PhaseDomain, r: float, m: int) -> NestedDomains:
     l = float(np.sqrt((m + 1) / 2.0) + 1.0)
     return NestedDomains(
         K=K, r=float(r), m=int(m), l=l,
-        K_plus=neighborhood(K, l),
-        U=neighborhood(K, r / 2.0),
-        D_minus=neighborhood(K, max(r - l, 0.0)),
-        D=neighborhood(K, r),
+        K_plus=Neighborhood(K, l),
+        U=Neighborhood(K, r / 2.0),
+        D_minus=Neighborhood(K, max(r - l, 0.0)),
+        D=Neighborhood(K, r),
     )
 
 
@@ -107,7 +109,7 @@ def _atom_sites(K: PhaseDomain, r: float) -> tuple[np.ndarray, np.ndarray, tuple
     sharp point.  One enumeration of D's sharp points and one distance to K
     decide both sharp sets.
     """
-    D = neighborhood(K, r)
+    D = Neighborhood(K, r)
     sharp = lattice_points_in(D, sharp=True)
     d = K.distance(sharp + 0.5)
     off_K = d > 1e-9
@@ -130,18 +132,17 @@ class CertaintyDecomposition:
     residual: SampledSignal
     report: dict = field(default_factory=dict)
 
-    def synthesized(self, T: float, h: float, margin: float = DECOMP_MARGIN) -> SampledSignal:
-        return synthesize(self.alpha, T, h, margin) + synthesize(self.omega, T, h, margin)
+    def synthesized(self, T: float, h: float) -> SampledSignal:
+        return synthesize(self.alpha, T, h, DECOMP_MARGIN) + synthesize(self.omega, T, h, DECOMP_MARGIN)
 
 
 def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
-              delta: float = 2.0, dlam: float = DEFAULT_DECOMP_DLAM,
-              R_local: int = 6) -> CertaintyDecomposition:
+              delta: float = 2.0, dlam: float = DEFAULT_DECOMP_DLAM) -> CertaintyDecomposition:
     """Split f into lattice atoms in D = K(r), sharp atoms in D \\ K, and a residual.
 
     The Gabor density of g = f - f_U on D- \\ K+ is re-expanded per cell: the
     points with nearest lattice point l form one patch signal, given one
-    order-m expansion (R_local) about the origin and shifted to l, which by
+    order-m expansion (cutoff R_LOCAL) about the origin and shifted to l, which by
     linearity equals the sum of the points' own local expansions
     (_collar_terms).
 
@@ -169,6 +170,10 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     if need + 2.0 > f.T:
         raise ValueError(f"grid T={f.T} too small for D reaching {need}; need T >= {need + 2}")
     box = min(f.T, need + 2.0)
+    # the bound's factors r ** delta and hdelta_norm overflow at a large delta: refused before any expansion
+    hnorm = hdelta_norm(f, delta, box=min(f.T, 8.0))
+    if delta * np.log(r) > _LOG_FLOAT_MAX:
+        raise ValueError(f"r ** delta = {r!r} ** {delta!r} passes the float range")
 
     lattice, sharp, node = _atom_sites(nd.K, nd.r)
     if node is None:
@@ -211,7 +216,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     if np.any(mid):
         grid = np.broadcast_arrays(ps[:, None], ts[None, :])  # (P, Theta) views: the mask picks from them
         collar_alpha, collar_omega, omega_out = _collar_terms(np.column_stack([x[mid] for x in grid]),
-                                                              w_g[mid], f, nd, R_local)
+                                                              w_g[mid], f, nd)
         # collar_alpha holds only lattice keys and collar_omega only sharp ones: one synthesis of both
         both = CoefficientSet({**collar_alpha.entries, **collar_omega.entries})
         residual = g - synthesize(both, f.T, f.h, DECOMP_MARGIN)
@@ -221,7 +226,6 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
 
     conc = concentration(f, nd.D, box, min(dlam, 1.0 / 16.0))
     fnorm = f.norm()
-    hnorm = hdelta_norm(f, delta, box=min(f.T, 8.0))
     g_plus = SampledSignal(f.T, f.h, _superpose_grid(ps, ts, np.where(in_Kplus, w_g, 0), f.T, f.h))
     n_lattice, n_sharp = len(lattice), len(sharp)
     area = domain_area(nd.D)
@@ -247,8 +251,8 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     return CertaintyDecomposition(alpha, omega, residual, report)
 
 
-def _collar_terms(pts: np.ndarray, weights: np.ndarray, f: SampledSignal, nd: NestedDomains,
-                  R_local: int) -> tuple[CoefficientSet, CoefficientSet, CoefficientSet]:
+def _collar_terms(pts: np.ndarray, weights: np.ndarray, f: SampledSignal,
+                  nd: NestedDomains) -> tuple[CoefficientSet, CoefficientSet, CoefficientSet]:
     """The local order-m expansions of the mid points pts (n, 2) of the given weights,
     summed into three sets of their own: lattice terms in D, sharp terms, and lattice
     terms outside D (the leakage).
@@ -272,7 +276,7 @@ def _collar_terms(pts: np.ndarray, weights: np.ndarray, f: SampledSignal, nd: Ne
     patches = (SampledSignal(f.T, f.h, row) for c in range(0, len(cells), _STACK)
                for row in _superpose_grid(ps, ts, W[c:c + _STACK], f.T, f.h))
     nodes = default_sharp_nodes(nd.m)
-    locs = order_m_coefficients(patches, nd.m, nodes=nodes, R=R_local)
+    locs = order_m_coefficients(patches, nd.m, nodes=nodes, R=R_LOCAL)
     cell_kj = cells[:, None, :]
 
     def summed(kj: np.ndarray, terms: np.ndarray, sharp: bool):
@@ -326,7 +330,7 @@ def degrees_of_freedom_report(K: PhaseDomain, r: float) -> dict:
         raise ValueError("K must be bounded")
     lattice, sharp, _ = _atom_sites(K, r)
     n_lattice, n_sharp = len(lattice), len(sharp)
-    area = domain_area(neighborhood(K, r))
+    area = domain_area(Neighborhood(K, r))
     count = n_lattice + n_sharp
     return {
         "area_D": area,

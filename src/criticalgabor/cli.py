@@ -186,6 +186,7 @@ def cmd_expand(args, config: RunConfig) -> int:
             raise ValueError(f"config: expand cannot apply {name}={value!r} at delta = 2; "
                              f"it runs with the default {name}={default!r} there")
     f = _load_signal(args.input, config)
+    hdelta = expansion.hdelta_norm(f, config.delta, config.box, config.dlam)  # refuses an overflowing delta
     if config.m == 0:
         exp = expansion.relaxed_coefficients(f, config.R)
     else:
@@ -198,7 +199,7 @@ def cmd_expand(args, config: RunConfig) -> int:
     payload["diagnostics"] = {
         "residual": residual,
         "l2": coeffs.l2(),
-        "hdelta": expansion.hdelta_norm(f, config.delta, config.box, config.dlam),
+        "hdelta": hdelta,
         "config_hash": config.hash(),
     }
     _dump_json(payload, args.out)

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import CoefficientSet, DEFAULT_BOX, DEFAULT_DLAM, DEFAULT_MARGIN, gabor_transform, synthesize
+from .gabor import CoefficientSet, DEFAULT_BOX, DEFAULT_DLAM, DEFAULT_MARGIN, _box_grids, gabor_transform, synthesize
 from .numerics import (THETA_TERMS, Memo, SampledSignal, _fourier_derivative, array_key, stacked, theta,
                        upsample_periodic)
 from .phaseplane import sharp_point
 from .zak import zak, _zak_sum
 
 THETA0 = float(np.real(theta(0.0)))
+# a power x ** delta of x > 1 passes the float range once delta ln x passes this
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def _half_integer_indices(f: SampledSignal):
@@ -81,7 +83,8 @@ def hdelta_norm(f: SampledSignal, delta: float, box=DEFAULT_BOX,
     (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 3).  f' is
     the spectral derivative, so f must be negligible at +-T, as for
     `spectral_derivative`.  `box` and `dlam` set the Gabor grid of every other
-    delta and are unused at delta = 2.
+    delta and are unused at delta = 2.  There, a delta at which |lambda|^delta
+    passes the float range on the grid raises ValueError before the transform.
     """
     if delta < 0:
         raise ValueError("smoothness order must be >= 0")
@@ -90,6 +93,11 @@ def hdelta_norm(f: SampledSignal, delta: float, box=DEFAULT_BOX,
         slope = np.abs(_fourier_derivative(f.values, f.h)) ** 2
         return float(np.sqrt(f.h * np.sum((1.0 + 0.5 / np.pi + f.x ** 2) * power
                                           + slope / (4.0 * np.pi ** 2))))
+    ps, ts = _box_grids(box, dlam)
+    reach = float(np.hypot(np.max(np.abs(ps)), np.max(np.abs(ts))))  # the grid's largest |lambda|
+    if reach > 1.0 and delta * np.log(reach) > _LOG_FLOAT_MAX:
+        raise ValueError(f"smoothness order delta={delta!r} on the phase box {box!r}: "
+                         f"|lambda|^delta passes the float range at |lambda| = {reach!r}")
     V = gabor_transform(f, box, dlam)
     power = np.abs(V.values)
     power *= power
@@ -243,16 +251,14 @@ def relaxed_coefficients(f: SampledSignal, R: int, *, sharp_node: tuple[int, int
     return RelaxedExpansion((-1) ** j0 * block[0], (k0, j0), coeffs, R)
 
 
-def reconstruct(f: SampledSignal, R: int, *, sharp_node: tuple[int, int] = (0, 0),
-                margin: float = DEFAULT_MARGIN):
+def reconstruct(f: SampledSignal, R: int, *, margin: float = DEFAULT_MARGIN):
     """Synthesize the relaxed expansion back; returns (signal, relative residual)."""
-    rec = relaxed_coefficients(f, R, sharp_node=sharp_node).signal(f.T, f.h, margin)
+    rec = relaxed_coefficients(f, R).signal(f.T, f.h, margin)
     err, scale = (f - rec).norm(), f.norm()
     return rec, err / scale if scale > 0 else err
 
 
-def uniqueness_probe(coeffs: CoefficientSet, T: float, h: float,
-                     margin: float = DEFAULT_MARGIN) -> float:
+def uniqueness_probe(coeffs: CoefficientSet, T: float, h: float) -> float:
     """Norm ratio ||sum c e||/(sum |c|^2)^{1/2} of a finite relaxed combination.
 
     Bounded away from zero on the grid: the relaxed system has no approximate
@@ -261,7 +267,7 @@ def uniqueness_probe(coeffs: CoefficientSet, T: float, h: float,
     size = coeffs.l2()
     if size == 0:
         raise ValueError("uniqueness probe needs a nonzero coefficient vector")
-    return synthesize(coeffs, T, h, margin).norm() / size
+    return synthesize(coeffs, T, h).norm() / size
 
 
 def seam_mismatch(f_sharp: SampledSignal, terms: int = THETA_TERMS) -> float:

@@ -38,7 +38,8 @@ import math
 import numpy as np
 
 from .numerics import DEFAULT_H, DEFAULT_T, Memo, SampledSignal, _exp_pi_i, _sample_count
-from .phaseplane import PhasePoint, PointSet, _json_number, _json_pair_list, _json_pairs, as_point, neighborhood
+from .phaseplane import (Disk, Neighborhood, PhasePoint, UnionDomain, _json_number, _json_pair_list, _json_pairs,
+                         as_point)
 
 DEFAULT_BOX = 8.0
 DEFAULT_DLAM = 1.0 / 16.0
@@ -59,16 +60,15 @@ _DYADIC = 2.0 ** _DYADIC_BITS
 SIGMA0 = float(sum(np.exp(-np.pi * k ** 2 / 2.0) for k in range(-40, 41)))
 
 
-def atom(lam, T: float = DEFAULT_T, h: float = DEFAULT_H,
-         margin: float = DEFAULT_MARGIN) -> SampledSignal:
+def atom(lam, T: float = DEFAULT_T, h: float = DEFAULT_H) -> SampledSignal:
     """Coherent state e_lambda sampled on the grid.
 
-    The center must keep `margin` units away from the truncation boundary
-    (margin 4 puts the dropped tail below 1e-21), otherwise the sampled atom
-    is visibly non-normalized and an error is raised.
+    The center must keep DEFAULT_MARGIN = 4 units away from the truncation
+    boundary (which puts the dropped tail below 1e-21), otherwise the sampled
+    atom is visibly non-normalized and an error is raised.
     """
     lam = as_point(lam)
-    _check_margin(lam.p, T, margin)
+    _check_margin(lam.p, T, DEFAULT_MARGIN)
     x = -T + h * np.arange(_sample_count(T, h))
     vals = 2 ** 0.25 * np.exp(-np.pi * (x - lam.p) ** 2 + 2j * np.pi * lam.theta * x)
     return SampledSignal(T, h, vals)
@@ -594,8 +594,8 @@ def tail_mass(coeffs: CoefficientSet, r: float, box=DEFAULT_BOX,
     # approaches the continuum value from below
     pmin, pmax, tmin, tmax = _as_box(box)
     field = gabor_transform(g, (pmin + dlam / 2, pmax - dlam / 2, tmin + dlam / 2, tmax - dlam / 2), dlam)
-    support = PointSet(coeffs.points())
-    outside = ~neighborhood(support, r).contains_grid(field.p_grid, field.theta_grid)
+    support = UnionDomain([Disk(pt, 0.0) for pt in coeffs.points()])
+    outside = ~Neighborhood(support, r).contains_grid(field.p_grid, field.theta_grid)
     measured = float(np.sum(np.abs(field.values[outside]) ** 2) * dlam ** 2)
     return measured, bound
 

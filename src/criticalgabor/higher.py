@@ -55,31 +55,30 @@ class DualAtomSet:
     atoms: list[SampledSignal]
 
 
-def dual_atoms(nodes, T: float, h: float, margin: float = DEFAULT_MARGIN) -> DualAtomSet:
+def dual_atoms(nodes, T: float, h: float) -> DualAtomSet:
     """Build the order-m dual atoms d_j = sum_s H[j, s] e_{mu_s} for distinct
     sharp nodes mu_0..mu_m, with H = dual_mixing(nodes)."""
     pts = [as_point(n) for n in nodes]
     H = dual_mixing(pts)
-    base = np.array([atom(pt, T, h, margin).values for pt in pts])
+    base = np.array([atom(pt, T, h).values for pt in pts])
     return DualAtomSet(pts, H, [SampledSignal(T, h, vals) for vals in H @ base])
 
 
-def default_sharp_nodes(m: int, center: tuple[int, int] = (0, 0)) -> list[PhasePoint]:
-    """The m+1 sharp points closest to the cell midpoint of `center`.
+def default_sharp_nodes(m: int) -> list[PhasePoint]:
+    """The m+1 sharp points closest to (1/2, 1/2); a lattice translate serves another cell.
 
-    Candidates come from the square of side sqrt(m+1) centered at the lattice
-    point; the square grows in half-unit steps when it holds fewer than m+1
-    sharp points (needed for m >= 4).
+    Candidates come from the square of side sqrt(m+1) centered at the origin;
+    the square grows in half-unit steps when it holds fewer than m+1 sharp
+    points (needed for m >= 4).
     """
     if m < 0:
         raise ValueError("order must be >= 0")
-    cx, cy = int(center[0]), int(center[1])
-    target = sharp_point(cx, cy)
+    target = sharp_point()
     side = np.sqrt(m + 1.0)
     while True:
         half = side / 2.0 + 1e-9
         cand = [
-            sharp_point(cx + a, cy + b)
+            sharp_point(a, b)
             for a in range(-int(np.ceil(half)), int(np.ceil(half)) + 1)
             for b in range(-int(np.ceil(half)), int(np.ceil(half)) + 1)
             if abs(a + 0.5) <= half and abs(b + 0.5) <= half

@@ -54,9 +54,6 @@ class Rotation:
     def d(self) -> float:
         return float(np.cos(self.angle))
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
     def __call__(self, lam) -> PhasePoint:
         lam = as_point(lam)
         return PhasePoint(self.a * lam.p + self.b * lam.theta,

@@ -14,9 +14,6 @@ import sys
 
 import numpy as np
 
-# point-site pairs per nearest-distance block: bounds its scratch memory
-_PAIRS = 1 << 16
-
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -62,21 +59,6 @@ def grid_points(ps, ts) -> np.ndarray:
     return np.column_stack([P.ravel(), T.ravel()])
 
 
-def _nearest_distance(sites: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distance from each row of pts to the nearest row of sites, both (n, 2),
-    in blocks of at most _PAIRS point-site pairs."""
-    out = np.empty(len(pts))
-    rows = max(1, _PAIRS // len(sites))
-    for i in range(0, len(pts), rows):
-        dp = pts[i:i + rows, 0, None] - sites[:, 0]
-        dt = pts[i:i + rows, 1, None] - sites[:, 1]
-        dp *= dp
-        dt *= dt
-        dp += dt
-        out[i:i + rows] = np.sqrt(np.min(dp, axis=1))
-    return out
-
-
 def _pts(x) -> tuple[np.ndarray, bool]:
     if isinstance(x, PhasePoint):
         return np.array([[x.p, x.theta]]), True
@@ -96,7 +78,8 @@ class PhaseDomain:
 
     def __init__(self, bbox):
         self.bbox = tuple(float(b) for b in bbox)
-        if len(self.bbox) != 4 or self.bbox[0] > self.bbox[1] or self.bbox[2] > self.bbox[3]:
+        # a NaN bound fails both orderings, so it is refused; an infinite bound is kept
+        if len(self.bbox) != 4 or not (self.bbox[0] <= self.bbox[1] and self.bbox[2] <= self.bbox[3]):
             raise ValueError(f"bad bounding box {bbox}")
 
     def is_bounded(self) -> bool:
@@ -206,27 +189,10 @@ class UnionDomain(PhaseDomain):
         return out
 
     def _distance_xy(self, pts):
-        return np.min(np.stack([p.distance(pts) for p in self.parts]), axis=0)
-
-
-class PointSet(PhaseDomain):
-    """Finite set of phase points (measure zero; useful as a neighborhood seed)."""
-
-    def __init__(self, points):
-        pts = np.asarray([[q.p, q.theta] if isinstance(q, PhasePoint) else q for q in points], dtype=float)
-        if pts.size == 0:
-            raise ValueError("empty point set")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("point set needs finite points")
-        self.points = pts
-        bbox = (pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max())
-        super().__init__(bbox)
-
-    def _contains_xy(self, pts):
-        return self._distance_xy(pts) <= 1e-12
-
-    def _distance_xy(self, pts):
-        return _nearest_distance(self.points, pts)
+        out = np.full(len(pts), np.inf)
+        for part in self.parts:
+            np.minimum(out, part.distance(pts), out=out)
+        return out
 
 
 class Neighborhood(PhaseDomain):
@@ -248,10 +214,6 @@ class Neighborhood(PhaseDomain):
 
     def _distance_xy(self, pts):
         return np.maximum(self.base.distance(pts) - self.r, 0.0)
-
-
-def neighborhood(domain: PhaseDomain, r: float) -> PhaseDomain:
-    return Neighborhood(domain, r)
 
 
 def neighborhood_masks(base: PhaseDomain, p, t, radii) -> list[np.ndarray]:

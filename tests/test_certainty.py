@@ -9,11 +9,11 @@ from criticalgabor import (MAX_ORDER, CoefficientSet, Disk, PhasePoint, Rect, Sa
                            degrees_of_freedom_report, domain_area, gabor_transform, inner,
                            lattice_points_in, nested_domains, nesting_satisfied,
                            relaxed_coefficients, synthesize)
-from criticalgabor.certainty import DECOMP_MARGIN
-from criticalgabor.gabor import dual_mixing, superpose
+from criticalgabor.certainty import DECOMP_MARGIN, R_LOCAL
+from criticalgabor.gabor import _check_margin, dual_mixing, superpose
 from criticalgabor.higher import default_sharp_nodes, order_m_coefficients
 from criticalgabor.phaseplane import PhaseDomain, domain_from_json
-from conftest import POOL, FunctionDomain, count_calls, pool_signal
+from support import POOL, FunctionDomain, atom_values, count_calls, pool_signal
 
 T12, H64 = 12.0, 1.0 / 64.0
 
@@ -171,8 +171,7 @@ class TestDecompose:
     def test_collar_concentrated_signal(self):
         # one atom inside K plus an off-lattice atom in the collar: the
         # re-expansion of the collar density must beat dropping it outright
-        f = SampledSignal(T12, H64, atom((0, 0), T12, H64).values
-                          + 0.8 * atom((2.6, 1.4), T12, H64, margin=2.0).values)
+        f = SampledSignal(T12, H64, atom((0, 0), T12, H64).values + 0.8 * atom_values((2.6, 1.4), T12, H64))
         dec = decompose(f, Disk((0, 0), 2.0), r=5.0)
         rep = dec.report
         assert rep["mid_region_points"] > 0
@@ -207,6 +206,22 @@ class TestDecompose:
             with pytest.raises(ValueError, match=rf"0\.\.{MAX_ORDER}"):
                 nested_domains(K, r, m)
 
+    @pytest.mark.parametrize("T, K, r, delta, shown", [
+        (8.0, Disk((0, 0), 0.3), 2.0, 400.0, r"delta=400\.0 on the phase box 8\.0"),
+        (15.0, Disk((0, 0), 0.5), 12.0, 290.0, r"r \*\* delta = 12\.0 \*\* 290\.0"),
+    ], ids=["hdelta_norm", "r_power"])
+    def test_overflowing_delta_refused_before_any_expansion(self, monkeypatch, T, K, r, delta, shown):
+        # the bound's factors: hdelta_norm on the box 8 overflows past delta ~ 292.6, once a nan
+        # bound_value; r ** delta past delta ln r = ln(float max), once an OverflowError after the work
+        def no_work(*args, **kwargs):
+            raise AssertionError("an overflowing delta reached the expansion")
+
+        monkeypatch.setattr(certainty, "relaxed_coefficients", no_work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=shown):
+                decompose(atom((0.2, 0.1), T, H64), K, r, 0, delta)
+
     def test_relocation_failure_reported(self):
         # K centered at a lattice point with a thin collar: U stays more than
         # 1/sqrt(2) away from every sharp point
@@ -234,7 +249,8 @@ def least_squares_baseline(f: SampledSignal, K, r: float) -> float:
     lattice, sharp, _ = certainty._atom_sites(K, r)
     pts = np.vstack([lattice, sharp + 0.5])
     G = np.array([[atom_inner(a, b) for b in pts] for a in pts])
-    b = np.array([inner(f, atom(pt, f.T, f.h, margin=DECOMP_MARGIN)) for pt in pts])
+    _check_margin(pts[:, 0], f.T, DECOMP_MARGIN)
+    b = np.array([inner(f, SampledSignal(f.T, f.h, atom_values(pt, f.T, f.h))) for pt in pts])
     c = np.linalg.solve(G + 1e-8 * np.eye(len(pts)), b)
     res2 = f.norm() ** 2 - 2 * np.real(np.vdot(c, b)) + np.real(np.vdot(c, G @ c))
     return float(np.sqrt(max(res2, 0.0)))
@@ -254,12 +270,12 @@ def remainder(f, nd):
     return f - synthesize(fU, f.T, f.h, 2.0), need + 2.0, node, rexp
 
 
-def per_point_collar(f, K, r, m, dlam, R_local):
+def per_point_collar(f, K, r, m, dlam):
     """decompose's alpha, omega and collar leakage, written one mid point at a
     time: each point lambda = l + w of weight c adds c exp(2 pi i w_theta l_p)
     times a fresh local expansion of the atom e_w, shifted to l, with the
-    shift's phase exp(-2 pi i j l_p) at every index j.  Nothing is shared
-    between points."""
+    shift's phase exp(-2 pi i j l_p) at every index j, at decompose's own
+    cutoff R_LOCAL.  Nothing is shared between points."""
     nd = nested_domains(K, r, m)
     g, box, node, rexp = remainder(f, nd)
     gfield = gabor_transform(g, box, dlam)
@@ -282,7 +298,7 @@ def per_point_collar(f, K, r, m, dlam, R_local):
         lp, lt = np.floor(mp + 0.5), np.floor(mt + 0.5)
         wp, wt = mp - lp, mt - lt
         cells.add((lp, lt))
-        loc = order_m_coefficients(atom((wp, wt), f.T, f.h), m, nodes=nodes, R=R_local)
+        loc = order_m_coefficients(atom((wp, wt), f.T, f.h), m, nodes=nodes, R=R_LOCAL)
         lead = c * np.exp(2j * np.pi * wt * lp)
         for nu, b in zip(nodes, np.asarray(loc.sharp_block) @ mixing):
             omega.add(int(round(nu.p - 0.5 + lp)), int(round(nu.theta - 0.5 + lt)),
@@ -392,12 +408,12 @@ class TestCollarCells:
     def test_one_expansion_per_cell_matches_per_point_sum(self, monkeypatch, dlam, r, m):
         # the collar's local expansions summed point by point equal one
         # expansion per nearest lattice point, whatever the sub-cell offsets
-        T, K, R_local = 8.0, Disk((0, 0), 0.25), 3
+        T, K = 8.0, Disk((0, 0), 0.25)
         f = SampledSignal(T, H64, atom((0.5, 0.25), T, H64).values
                           + 0.6j * atom((2.3, -1.7), T, H64).values)
-        ref = per_point_collar(f, K, r, m, dlam, R_local)
+        ref = per_point_collar(f, K, r, m, dlam)
         signals = count_expanded_signals(monkeypatch)
-        dec = decompose(f, K, r, m, dlam=dlam, R_local=R_local)
+        dec = decompose(f, K, r, m, dlam=dlam)
 
         assert ref["mid"] > 0 and dec.report["mid_region_points"] == ref["mid"]
         assert sum(signals) == ref["cells"]  # one patch signal per cell, over all calls

@@ -27,7 +27,7 @@ from criticalgabor import (PhasePoint, Rotation, SampledSignal, atom, atom_inner
 from criticalgabor.gabor import _REACH, _box_grids, _spectrum_rows, step_periods
 from criticalgabor.metaplectic import _MIN_B
 from criticalgabor.numerics import _chirp_sum, _exp_pi_i
-from conftest import hdelta_invariance_check
+from support import hdelta_invariance_check
 
 GRIDS = [(8.0, 1.0 / 64.0), (6.0, 1.0 / 32.0)]
 

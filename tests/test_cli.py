@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import criticalgabor
+from criticalgabor import certainty, expansion
 from criticalgabor import (CoefficientSet, atom, default_zak_size, hermite_signal, numerics,
                            order_m_coefficients, relaxed_coefficients, signal_from_csv)
 from criticalgabor.cli import READS, RunConfig, _dump_json, build_parser, main
@@ -715,24 +716,56 @@ class TestTheta:
 
 
 class TestStrictJson:
-    # JSON has no nan or infinity: a payload holding one is refused, naming its key, and no file is written
+    # JSON has no nan or infinity: a payload holding one is refused, naming its key, and no file is written.
+    # The smoothness norm stands in for a value that went nan: at delta = 3 it returns nan here, since
+    # a delta at which it would overflow is refused before any work (TestOverflowingDelta)
     @pytest.mark.parametrize("args, key", [
-        (["analyze", "--input", "h0.csv", "--delta", "1000", "--out-summary", "o.json"], "hdelta_norm"),
-        (["expand", "--input", "h0.csv", "--delta", "1000", "--R", "3", "--out", "o.json"], "diagnostics.hdelta"),
-        (["decompose", "--input", "e0.csv", "--domain", "disk.json", "--delta", "400", "--m", "0",
+        (["analyze", "--input", "h0.csv", "--delta", "3", "--out-summary", "o.json"], "hdelta_norm"),
+        (["expand", "--input", "h0.csv", "--delta", "3", "--R", "3", "--out", "o.json"], "diagnostics.hdelta"),
+        (["decompose", "--input", "e0.csv", "--domain", "disk.json", "--delta", "3", "--m", "0",
           "--out", "o.json"], "report.bound_value"),
-        (["verify", "--delta", "400", "--out", "o.json"], "checks.32.measured"),
+        (["verify", "--delta", "3", "--out", "o.json"], "checks.32.measured"),
     ])
     def test_nan_refused_naming_its_key(self, workdir, monkeypatch, capsys, args, key):
         monkeypatch.chdir(workdir)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(args) == 2
+        norm = expansion.hdelta_norm
+
+        def nan_off_two(f, delta, *rest, **kwargs):
+            return float("nan") if delta != 2 else norm(f, delta, *rest, **kwargs)
+
+        for module in (expansion, certainty):
+            monkeypatch.setattr(module, "hdelta_norm", nan_off_two)
+        assert main(args) == 2
         assert f"error: {key} is nan, which JSON cannot hold" in capsys.readouterr().err
         assert not Path("o.json").exists()
 
     def test_nested_keys_and_lists_are_named(self):
         with pytest.raises(ValueError, match=r"^a\.1\.b is inf, which JSON cannot hold$"):
             _dump_json({"a": [0.0, {"b": float("inf")}]})
+
+
+class TestOverflowingDelta:
+    # |lambda|^delta on the phase box 8 passes the float range past delta ~ 292: refused, naming delta,
+    # without a numpy warning and, in decompose, before its expansion, where a nan once reached the output
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--input", "h0.csv", "--delta", "1000", "--out-summary", "o.json"],
+        ["expand", "--input", "h0.csv", "--delta", "1000", "--R", "3", "--out", "o.json"],
+        ["decompose", "--input", "e0.csv", "--domain", "disk.json", "--delta", "400", "--m", "0", "--out", "o.json"],
+        ["verify", "--delta", "400", "--out", "o.json"],
+    ], ids=["analyze", "expand", "decompose", "verify"])
+    def test_refused_before_any_work(self, workdir, monkeypatch, capsys, args):
+        monkeypatch.chdir(workdir)
+
+        def no_work(*rest, **kwargs):
+            raise AssertionError("an overflowing delta reached the expansion")
+
+        monkeypatch.setattr(certainty, "relaxed_coefficients", no_work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
+        delta = args[args.index("--delta") + 1]
+        assert f"error: smoothness order delta={float(delta)!r} on the phase box 8.0" in capsys.readouterr().err
+        assert not Path("o.json").exists()
 
 
 class TestVerify:

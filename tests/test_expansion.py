@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from criticalgabor import expansion
 from criticalgabor import (CoefficientSet, SampledSignal, atom, hdelta_norm,
                            hermite_signal, reconstruct, relaxed_coefficients,
                            seam_mismatch, sharp_functional,
                            sharp_functional_zak, sharp_point, synthesize,
                            uniqueness_probe)
 from criticalgabor.gabor import atom_inner
-from conftest import random_smooth
+from support import random_smooth
 
 T8, H64 = 8.0, 1.0 / 64.0
 
@@ -166,6 +169,24 @@ class TestHdeltaNorm:
     def test_negative_delta_rejected(self, e0):
         with pytest.raises(ValueError):
             hdelta_norm(e0, -0.5)
+
+    @pytest.mark.parametrize("delta", [293.0, 1000.0, np.inf])
+    def test_overflowing_delta_refused_before_the_transform(self, hermites, monkeypatch, delta):
+        # |lambda| reaches 8 sqrt(2) on the default box: its delta-th power passes the float range
+        # past delta = ln(float max)/ln(8 sqrt(2)) ~ 292.6, where the norm was once nan
+        def no_transform(*args, **kwargs):
+            raise AssertionError("an overflowing delta reached the transform")
+
+        monkeypatch.setattr(expansion, "gabor_transform", no_transform)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"delta={delta!r} on the phase box 8\.0"):
+                hdelta_norm(hermites[2], delta)
+
+    def test_delta_just_below_overflow_is_finite(self, hermites):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(hdelta_norm(hermites[2], 292.0))
 
 
 class TestUniqueness:

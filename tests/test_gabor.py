@@ -37,7 +37,6 @@ class TestAtom:
     def test_boundary_margin_enforced(self):
         with pytest.raises(ValueError):
             atom((4.5, 0))
-        atom((4.5, 0), margin=3.0)  # explicit relaxation is allowed
 
 
 class TestAtomInner:

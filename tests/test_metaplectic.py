@@ -6,7 +6,7 @@ from criticalgabor import (Disk, Rotation, SampledSignal, atom, commutation_chec
                            inner, loc_integral, metaplectic_apply)
 from criticalgabor.metaplectic import _MIN_B
 from criticalgabor.numerics import _chirp_sum
-from conftest import POOL, hdelta_invariance_check
+from support import POOL, hdelta_invariance_check
 
 T8, H64 = 8.0, 1.0 / 64.0
 _ANALYZE = POOL["analyze"]
@@ -16,7 +16,7 @@ class TestRotation:
     def test_matrix_is_symplectic_orthogonal(self):
         for phi in np.linspace(0, 2 * np.pi, 9):
             S = Rotation(phi)
-            M = S.matrix()
+            M = np.array([[S.a, S.b], [S.c, S.d]])
             assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(M.T @ M, np.eye(2), atol=1e-12)
 

@@ -25,7 +25,7 @@ from criticalgabor.expansion import lattice_coefficients
 from criticalgabor.gabor import _STACK, _box_grids
 from criticalgabor.higher import annihilate, decay_exponent, default_sharp_nodes, order_m_coefficients
 from criticalgabor.numerics import _fourier_derivative, _theta_series
-from conftest import POOL, count_calls, pool_signal
+from support import POOL, count_calls, pool_signal
 
 T, H = 8.0, 1.0 / 64.0
 

@@ -87,7 +87,7 @@ def test_synthesize_order_m_sets_match_direct_sum(ents, m, center, block):
     # example.  So the bound also admits 7e-16 (about six ulps) of the magnitudes
     # summed; through m = 3, where a row of |H| sums to at most 134, that term
     # stays below 1e-13 (sum |c| + sum |b|).
-    nodes = default_sharp_nodes(m, center)
+    nodes = [nu + center for nu in default_sharp_nodes(m)]
     assert_matches_long_double(CoefficientSet(ents, sharp_block=block[: m + 1], nodes=nodes), 7e-16)
 
 

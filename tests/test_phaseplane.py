@@ -6,10 +6,10 @@ from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from criticalgabor import (Disk, PhasePoint, PointSet, Polygon, Rect,
+from criticalgabor import (Disk, Neighborhood, PhasePoint, Polygon, Rect,
                            UnionDomain, as_point, domain_from_json,
-                           lattice_points_in, neighborhood, sharp_point)
-from conftest import FunctionDomain
+                           lattice_points_in, sharp_point)
+from support import FunctionDomain, _nearest_distance
 
 coords = st.floats(-10, 10, allow_nan=False)
 
@@ -106,35 +106,35 @@ class TestLatticeEnumeration:
 class TestNeighborhood:
     def test_zero_radius_is_closure(self):
         d = Disk((0, 0), 1.0)
-        n = neighborhood(d, 0.0)
+        n = Neighborhood(d, 0.0)
         assert n.contains((1.0, 0.0))
         assert not n.contains((1.001, 0.0))
 
     def test_point_grows_to_disk(self):
-        n = neighborhood(PointSet([(0.0, 0.0)]), 1.0)
+        n = Neighborhood(UnionDomain([Disk((0.0, 0.0), 0.0)]), 1.0)
         assert n.contains((0.999, 0.0))
         assert not n.contains((1.01, 0.001))
 
     def test_square_distance_examples(self):
-        n = neighborhood(Rect(0, 1, 0, 1), 1.0)
+        n = Neighborhood(Rect(0, 1, 0, 1), 1.0)
         assert n.contains((-0.5, 0.5))
         assert not n.contains((-1.1, 0.5))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            neighborhood(Disk((0, 0), 1.0), -0.1)
+            Neighborhood(Disk((0, 0), 1.0), -0.1)
 
     def test_monotone_in_radius(self, rng):
         base = Disk((0.3, -0.2), 0.7)
         pts = rng.uniform(-3, 3, size=(100, 2))
-        small = neighborhood(base, 0.5).contains(pts)
-        large = neighborhood(base, 1.5).contains(pts)
+        small = Neighborhood(base, 0.5).contains(pts)
+        large = Neighborhood(base, 1.5).contains(pts)
         assert not np.any(small & ~large)
 
     def test_composition_subset_and_convex_equality(self, rng):
         base = Disk((0, 0), 1.0)
-        ab = neighborhood(neighborhood(base, 0.6), 0.9)
-        direct = neighborhood(base, 1.5)
+        ab = Neighborhood(Neighborhood(base, 0.6), 0.9)
+        direct = Neighborhood(base, 1.5)
         pts = rng.uniform(-4, 4, size=(400, 2))
         assert not np.any(ab.contains(pts) & ~direct.contains(pts))
         np.testing.assert_array_equal(ab.contains(pts), direct.contains(pts))
@@ -167,18 +167,28 @@ class TestDomains:
         if kind == "point_set":
             sites = np.random.default_rng(1).uniform(-2.0, 2.0, size=(300, 2))
             pts = np.vstack([pts, sites[::7]])
-            dom = PointSet(sites)
+            dom = UnionDomain([Disk(site, 0.0) for site in sites])
             ref = cKDTree(sites).query(pts)[0]
             np.testing.assert_array_equal(dom.contains(pts), ref <= 1e-12)
             assert np.count_nonzero(dom.contains(pts)) == len(sites[::7])
+            assert np.max(np.abs(_nearest_distance(sites, pts) - ref)) <= 1e-15
         else:
             dom = FunctionDomain(lambda p, t: p ** 2 + t ** 2 <= 1.5 ** 2, (-1.5, 1.5, -1.5, 1.5))
             ref = np.where(dom.contains(pts), 0.0, cKDTree(dom._boundary_samples()).query(pts)[0])
         assert np.max(np.abs(dom.distance(pts) - ref)) <= 1e-15
 
     def test_point_set_needs_finite_points(self):
-        with pytest.raises(ValueError, match="finite"):
-            PointSet([(0.0, 0.0), (np.nan, 1.0)])
+        with pytest.raises(ValueError, match="bounding box"):
+            UnionDomain([Disk((0.0, 0.0), 0.0), Disk((np.nan, 1.0), 0.0)])
+
+    @pytest.mark.parametrize("make", [lambda: Disk((np.nan, 0.0), 1.0), lambda: Disk((0.0, 0.0), np.nan),
+                                      lambda: Rect(0.0, 1.0, np.nan, 1.0),
+                                      lambda: Polygon([(0.0, 0.0), (1.0, np.nan), (0.0, 1.0)])],
+                             ids=["disk_center", "disk_radius", "rect", "polygon"])
+    def test_nan_in_a_domain_is_refused(self, make):
+        # unrefused, a NaN disk is accepted and decompose calls it unbounded
+        with pytest.raises(ValueError, match="bounding box"):
+            make()
 
     def test_json_loader(self):
         spec = {

@@ -16,6 +16,13 @@ modules defer their annotations.
 The sample step fixes the Zak grid, N = 1/(2h), so no function of the Zak
 layers takes N beside a signal: only those that build a grid's own values
 from no signal do.
+
+The same rule holds inside the exports: every public method and property of
+an exported class is read as an attribute, and every optional parameter of an
+exported function, method or constructor is passed by some call, outside the
+tests.  An option with one value in use is a constant.  Reads and calls are
+matched by name, so a name collision can only hide a violation, never invent
+one.
 """
 
 import ast
@@ -95,3 +102,82 @@ def test_only_grid_functions_take_the_zak_size():
             if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and "N" in inspect.signature(fn).parameters:
                 takes_n.add(f"{module}.{name}")
     assert takes_n == GRID_ONLY
+
+
+def exported_classes() -> dict[str, type]:
+    return {name: obj for name in dir(criticalgabor)
+            if not name.startswith("_") and isinstance(obj := getattr(criticalgabor, name), type)}
+
+
+def public_members(cls: type) -> dict:
+    """The public methods and properties a class defines itself."""
+    return {name: obj for name, obj in vars(cls).items()
+            if not name.startswith("_") and isinstance(obj, (types.FunctionType, property, staticmethod, classmethod))}
+
+
+def caller_trees():
+    """The syntax trees of every module outside the tests: the library, the bench, the demos and the tools."""
+    paths = list((ROOT / "src" / PACKAGE).glob("*.py"))
+    for folder in ("bench", "demos", "tools"):
+        paths += (ROOT / folder).glob("*.py")
+    return [ast.parse(path.read_text(), str(path)) for path in paths]
+
+
+def test_every_public_member_of_an_exported_class_is_read_outside_the_tests():
+    read = {node.attr for tree in caller_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls}.{name}" for cls, obj in exported_classes().items() for name in public_members(obj)
+              if name not in read]
+    assert unread == []
+
+
+def calls_by_name() -> dict[str, list[tuple[int, set[str], bool]]]:
+    """Each call outside the tests as (positional count, keywords, starred) under the name it calls,
+    a from-import's alias read back to the imported name.  Starred means *args or **kwargs, which
+    may pass any parameter."""
+    calls = {}
+    for tree in caller_trees():
+        alias = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = alias.get(node.func.id, node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}, starred))
+    return calls
+
+
+def exported_callables():
+    """(qualified name, name it is called by, callable, whether a bound first argument is implied)
+    for every exported function, every exported class's constructor and every public method of
+    an exported class."""
+    for name in dir(criticalgabor):
+        obj = getattr(criticalgabor, name)
+        if not name.startswith("_") and inspect.isfunction(obj):
+            yield name, name, obj, False
+    for cls, obj in exported_classes().items():
+        yield cls, cls, obj, False
+        for name, member in public_members(obj).items():
+            if isinstance(member, (types.FunctionType, staticmethod, classmethod)):
+                yield f"{cls}.{name}", name, getattr(obj, name), isinstance(member, types.FunctionType)
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    calls = calls_by_name()
+    unset = []
+    for qualname, name, fn, bound in exported_callables():
+        params = list(inspect.signature(fn).parameters.values())[bound:]
+        for i, p in enumerate(params):
+            if p.default is inspect.Parameter.empty:
+                continue
+            positional = p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+            if not any(starred or p.name in keywords or (positional and i < count)
+                       for count, keywords, starred in calls.get(name, [])):
+                unset.append(f"{qualname}({p.name})")
+    assert unset == []

@@ -25,8 +25,8 @@ from criticalgabor.gabor import _ROWS, _box_grids
 from criticalgabor.higher import annihilate, default_sharp_nodes, dual_atoms
 from criticalgabor.expansion import sharp_functional
 from criticalgabor.numerics import _chirp, _chirp_sum, _fft_length
-from criticalgabor.phaseplane import PointSet, grid_points, neighborhood, neighborhood_masks
-from conftest import FunctionDomain
+from criticalgabor.phaseplane import Neighborhood, grid_points, neighborhood_masks
+from support import FunctionDomain
 
 T, H = 8.0, 1.0 / 64.0
 
@@ -112,7 +112,7 @@ def old_tail_mass(coeffs, r, box, dlam):
         box = (-box, box, -box, box)
     box = (box[0] + dlam / 2, box[1] - dlam / 2, box[2] + dlam / 2, box[3] - dlam / 2)
     field = gabor_transform(g, box, dlam)
-    outside = ~neighborhood(PointSet(coeffs.points()), r).contains(
+    outside = ~Neighborhood(UnionDomain([Disk(pt, 0.0) for pt in coeffs.points()]), r).contains(
         grid_points(field.p_grid, field.theta_grid))
     return float(np.sum(np.abs(field.values.ravel()[outside]) ** 2) * dlam ** 2)
 
@@ -201,8 +201,8 @@ def base_domains():
         "union": UnionDomain([Disk((1.0, 1.0), 0.5), Polygon(random_polygons()[0]), Rect(-2, -1, 0, 0.5)]),
         # predicate true only inside its bbox, as the bbox contract asks
         "function": FunctionDomain(lambda p, t: (p ** 2 + 2 * t ** 2 <= 1.0), (-1.0, 1.0, -0.75, 0.75)),
-        "pointset": PointSet([(0.0, 0.0), (1.5, -0.5), (-2.0, 1.25)]),
-        "neighborhood": neighborhood(Polygon(random_polygons()[1]), 0.25),
+        "pointset": UnionDomain([Disk(pt, 0.0) for pt in [(0.0, 0.0), (1.5, -0.5), (-2.0, 1.25)]]),
+        "neighborhood": Neighborhood(Polygon(random_polygons()[1]), 0.25),
     }
 
 
@@ -213,7 +213,7 @@ def test_neighborhood_mask_matches_the_all_points_rule_bitwise(name, r):
     axis = np.arange(-6.0, 6.0 + 1 / 32, 1 / 16)
     pts = grid_points(axis, axis)
     want = base.distance(pts) <= float(r) + 1e-12
-    np.testing.assert_array_equal(neighborhood(base, r).contains(pts), want)
+    np.testing.assert_array_equal(Neighborhood(base, r).contains(pts), want)
 
 
 @pytest.mark.parametrize("name", sorted(base_domains()))
@@ -236,7 +236,7 @@ GRID_T = np.arange(-5.0, 5.0 + 1 / 32, 1 / 8)
 def test_contains_grid_is_contains_on_the_grid_points_bitwise(name, r):
     base = base_domains()[name]
     pts = grid_points(GRID_P, GRID_T)
-    for dom in (base, neighborhood(base, r)):
+    for dom in (base, Neighborhood(base, r)):
         want = dom.contains(pts).reshape(GRID_P.size, GRID_T.size)
         np.testing.assert_array_equal(dom.contains_grid(GRID_P, GRID_T), want)
 
@@ -257,7 +257,7 @@ def test_grid_points_at_exactly_r_from_a_rect_are_inside(r):
     base = Rect(-1.0, 0.5, -0.25, 1.5)
     d = base.distance(grid_points(GRID_P, GRID_T)).reshape(GRID_P.size, GRID_T.size)
     assert np.count_nonzero(d == r) >= 4
-    mask = neighborhood(base, r).contains_grid(GRID_P, GRID_T)
+    mask = Neighborhood(base, r).contains_grid(GRID_P, GRID_T)
     np.testing.assert_array_equal(mask, d <= r + 1e-12)
     assert np.all(mask[d == r])
 
@@ -274,7 +274,7 @@ def test_an_empty_base_raises_rather_than_pass_on_its_bbox():
     # so the upper bound alone would call it inside; the base has no point at all
     empty = FunctionDomain(lambda p, t: np.zeros(np.shape(p), dtype=bool), (-1.0, 1.0, -1.0, 1.0))
     axis = np.linspace(-0.25, 0.25, 5)
-    near = neighborhood(empty, 3.0)
+    near = Neighborhood(empty, 3.0)
     with pytest.raises(ValueError, match="no occupied cells"):
         near.contains_grid(axis, axis)
     with pytest.raises(ValueError, match="no occupied cells"):
@@ -286,14 +286,14 @@ def test_an_empty_base_raises_rather_than_pass_on_its_bbox():
 @pytest.mark.parametrize("bbox", [(-1.0, 1.0, -1.0, 1.0), (-1.5, 1.5, -1.0, 1.0), (-1.0, 1.0, -1.5, 1.5)])
 def test_predicate_outside_its_bbox_is_rejected(bbox):
     # a disk of radius 1.5 reaches past each of these boxes; clipping it to the
-    # box would make neighborhood(D, 0.5).contains((1.8, 0)) silently False
+    # box would make Neighborhood(D, 0.5).contains((1.8, 0)) silently False
     with pytest.raises(ValueError, match="outside its bounding box"):
         FunctionDomain(lambda p, t: p ** 2 + t ** 2 <= 1.5 ** 2, bbox)
 
 
 def test_predicate_inside_its_bbox_is_accepted():
     D = FunctionDomain(lambda p, t: p ** 2 + t ** 2 <= 1.5 ** 2, (-1.5, 1.5, -1.5, 1.5))
-    assert neighborhood(D, 0.5).contains((1.8, 0.0))
+    assert Neighborhood(D, 0.5).contains((1.8, 0.0))
     # an unbounded box has no ring to sample; nothing reads past it but membership
     assert FunctionDomain(lambda p, t: p > 0, (0, np.inf, -1, 1)).contains((2.0, 3.0))
 

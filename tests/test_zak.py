@@ -6,7 +6,7 @@ from criticalgabor import (SampledSignal, ZakField, a_operator_zak, annihilate, 
                            hermite_signal, sobolev_norm, wh_shift, zak,
                            zak_atom_field, zak_inverse, zak_translate_check)
 from criticalgabor import hdelta_norm
-from conftest import random_smooth
+from support import random_smooth
 
 T8, H64 = 8.0, 1.0 / 64.0
 
