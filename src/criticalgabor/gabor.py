@@ -248,20 +248,19 @@ def _spectrum_rows(G: np.ndarray, c0: float, P: int, K: int, N: int, periods) ->
     meet every slot at most once and assign, later ones add, so the slots
     that no tap meets stay zero from one block to the next: no fill, and no
     add for the first M' taps, which is all of them at the default step.
+    The taps, the phase of the spectrum bins and the runs depend only on the
+    grid; each is built once per key and read-only (_window_taps,
+    _spectrum_phase, _fold_runs).  The phase is one 2L-periodic table per
+    (N, L), shared by every box on the grid; the taps are keyed on c0 too.
     """
     H, a, M, L, b, Mp = periods
     J, s = math.floor(_REACH * L / H), a * L // M
-    m = np.arange(-J, J + 1)
-    c_int = math.floor(c0)
-    turns = (m * c_int % L + m * (c0 - c_int)) / L
-    w = 2 ** 0.25 / L * np.exp(-np.pi * (m * (H / L)) ** 2 + 2j * np.pi * turns)
+    w = _TAPS_MEMO.get((c0, H, L, J), lambda: _window_taps(c0, H, L, J))
     i = np.arange(-J, s * (K - 1) + J + 1)
     g = G[i % L]
-    g *= np.exp(1j * np.pi * ((N - 1) * i % (2 * L) / L))
-    spec = np.ndarray((K, m.size), complex, g, 0, (s * g.itemsize, g.itemsize))  # row l is g[s l:s l + 2J + 1]
-    slot = b * m % Mp
-    cuts = sorted({0, min(Mp, m.size), m.size, *(np.flatnonzero(np.diff(slot) != b) + 1).tolist()})
-    runs = [(t0, t1, slice(slot[t0], slot[t1 - 1] + 1, b)) for t0, t1 in zip(cuts, cuts[1:])]
+    g *= _SPECTRUM_PHASE_MEMO.get((N, L), lambda: _spectrum_phase(N, L))[i % (2 * L)]
+    spec = np.ndarray((K, w.size), complex, g, 0, (s * g.itemsize, g.itemsize))  # row l is g[s l:s l + 2J + 1]
+    runs = _FOLD_MEMO.get((b, Mp, J), lambda: _fold_runs(b, Mp, J))
     fold = np.zeros((min(_ROWS, K), Mp), dtype=complex)
     sums = np.empty_like(fold)
     out = np.empty((P, K), dtype=complex)
@@ -275,6 +274,40 @@ def _spectrum_rows(G: np.ndarray, c0: float, P: int, K: int, N: int, periods) ->
         np.fft.ifft(blk, axis=1, norm="forward", out=sums[:blk.shape[0]])
         out[:, l:l + _ROWS] = sums[:blk.shape[0], :P].T
     return out
+
+
+def _window_taps(c0: float, H: int, L: int, J: int) -> np.ndarray:
+    """w_m = 2^{1/4} e^{-pi (m H/L)^2} e^{2 pi i m c0/L} / L for |m| <= J, the integer part of c0 m reduced mod L."""
+    m = np.arange(-J, J + 1)
+    c_int = math.floor(c0)
+    turns = (m * c_int % L + m * (c0 - c_int)) / L
+    return 2 ** 0.25 / L * np.exp(-np.pi * (m * (H / L)) ** 2 + 2j * np.pi * turns)
+
+
+def _spectrum_phase(N: int, L: int) -> np.ndarray:
+    """e^{pi i (N - 1) j/L} for j < 2L, (N - 1) j reduced mod 2L in integers: the 2L-periodic
+    phase of the spectrum bins, read at i mod 2L."""
+    j = np.arange(2 * L)
+    return np.exp(1j * np.pi * ((N - 1) * j % (2 * L) / L))
+
+
+def _fold_runs(b: int, Mp: int, J: int) -> tuple:
+    """(t0, t1, slots) runs of the taps m = -J..J, tap index t = m + J, over their slots b m mod M'.
+
+    A run ends where the slots wrap or where the first M' taps end, so the
+    taps of a run fill one strided slice of slots, and the runs before tap M'
+    meet every slot at most once.
+    """
+    slot = b * np.arange(-J, J + 1) % Mp
+    cuts = sorted({0, min(Mp, slot.size), slot.size, *(np.flatnonzero(np.diff(slot) != b) + 1).tolist()})
+    return tuple((t0, t1, slice(slot[t0], slot[t1 - 1] + 1, b)) for t0, t1 in zip(cuts, cuts[1:]))
+
+
+# the transform's grid constants: the taps per (c0, H, L, J) (4 KiB at the default step), the spectrum
+# phase per (N, L) (64 KiB at dlam 1/16, h = 1/64) and the fold runs per (b, M', J)
+_TAPS_MEMO = Memo()
+_SPECTRUM_PHASE_MEMO = Memo()
+_FOLD_MEMO = Memo()
 
 
 class CoefficientSet:

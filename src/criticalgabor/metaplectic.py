@@ -18,7 +18,7 @@ import numpy as np
 
 from .gabor import atom
 from .higher import annihilate, create
-from .numerics import DEFAULT_H, DEFAULT_T, SampledSignal, _chirp_sum, inner
+from .numerics import DEFAULT_H, DEFAULT_T, Memo, SampledSignal, _chirp_sum, inner
 from .phaseplane import PhasePoint, as_point
 
 # |sin phi| below this would push the chirp rates past the grid Nyquist, so
@@ -26,17 +26,31 @@ from .phaseplane import PhasePoint, as_point
 # quarter turn instead.  The guard is about accuracy: each kernel application
 # costs one O(n log n) chirp-z sum whatever the angle.
 _MIN_B = 0.35
+# metaplectic_apply reduces the angle mod fl(2 pi), which falls short of 2 pi by
+# 2.449e-16, while the matrix entries take cos and sin of the angle itself: the
+# two differ by |angle| 2.449e-16/fl(2 pi).  Rotation refuses the angles where
+# that exceeds _ANGLE_TOLERANCE rad, |angle| > 25653.05.
+_ANGLE_TOLERANCE = 1e-12
+_MAX_ANGLE = _ANGLE_TOLERANCE * (2.0 * np.pi) / 2.4492935982947064e-16
 
 
 @dataclass(frozen=True)
 class Rotation:
-    """Phase-plane rotation S(p, theta) = (a p + b theta, c p + d theta)."""
+    """Phase-plane rotation S(p, theta) = (a p + b theta, c p + d theta).
+
+    The angle must be finite with |angle| <= _MAX_ANGLE (about 2.6e4), so the
+    operator, which runs on the angle reduced mod 2 pi, and the matrix agree
+    to 1e-12 rad; every other angle raises ValueError.
+    """
 
     angle: float
 
     def __post_init__(self):
         if not np.isfinite(self.angle):
             raise ValueError(f"rotation angle must be finite, got {self.angle!r}")
+        if abs(self.angle) > _MAX_ANGLE:
+            raise ValueError(f"rotation angle {self.angle!r} is beyond |angle| <= {_MAX_ANGLE:.7g}, where its "
+                             f"reduction mod 2 pi in floating point stays within {_ANGLE_TOLERANCE:g} rad")
 
     @property
     def a(self) -> float:
@@ -63,13 +77,18 @@ class Rotation:
 def _kernel_apply(angle: float, f: SampledSignal) -> SampledSignal:
     """Chirp-quadrature kernel sum, with x_n x_m = h^2 n m - T x_n - T x_m - T^2
     turning the n x n kernel into a chirp-z sum of rate h^2/b.  A rotation has
-    a = d, so the chirp before the sum and the one after it are one array."""
+    a = d, so the chirp before the sum and the one after it are one array,
+    built once per (angle, T, h, N) and read-only."""
     a, b = np.cos(angle), -np.sin(angle)
     x = f.x
-    chirp = np.exp(1j * np.pi * (a * x ** 2 + 2.0 * f.T * x) / b)
+    chirp = _ROTATION_CHIRP_MEMO.get((angle, f.T, f.h, x.size),
+                                     lambda: np.exp(1j * np.pi * (a * x ** 2 + 2.0 * f.T * x) / b))
     scale = (1j * b) ** -0.5 * np.exp(2j * np.pi * f.T ** 2 / b) * f.h
     vals = scale * chirp * _chirp_sum(chirp * f.values, f.h ** 2 / b, x.size)
     return SampledSignal(f.T, f.h, vals)
+
+
+_ROTATION_CHIRP_MEMO = Memo()
 
 
 def metaplectic_apply(S: Rotation, f: SampledSignal) -> SampledSignal:

@@ -65,3 +65,22 @@ def test_a_real_change_is_still_reported():
     assert worst["roundoff"] == 1
     assert abs(worst["max_rel_diff"] - 0.1) < 1e-12
     assert abs(worst["max_abs_diff"] - 2.5e-16) < 1e-28
+
+
+def test_the_warm_pass_is_compared_with_the_parents_cold_pass():
+    # a memo hit that moves one bit on item b: the cold passes agree, the warm pass shows it
+    parent = {"a": outputs(), "b": outputs()}
+    acc = bench_pairs.accuracy({"a": outputs(), "b": outputs()}, parent,
+                               {"a": outputs(), "b": outputs(scale=1.0 + 2.0 ** -52)})
+    assert all(leaf["bitwise_equal"] == leaf["items"] for leaf in acc["worst"].values())
+    assert acc["warm_worst"]["rec"]["bitwise_equal"] == 1
+    assert 0.0 < acc["warm_worst"]["rec"]["max_rel_diff"] <= 2.0 ** -51
+    assert acc["warm_worst"]["coeffs"] == {"bitwise_equal": 2, "items": 2}
+    assert "warm_worst" not in bench_pairs.accuracy(parent, parent)
+
+
+def test_the_analyze_pool_gives_the_same_bits_cold_and_warm(tmp_path):
+    passes = bench_pairs.item_outputs(Path(__file__).resolve().parents[1], "analyze", tmp_path / "out.pkl")
+    acc = bench_pairs.accuracy(passes["warm"], passes["cold"])
+    assert len(acc["items"]) == 35
+    assert all(leaf["bitwise_equal"] == leaf["items"] for leaf in acc["worst"].values())

@@ -299,6 +299,21 @@ class TestDecomposeRotate:
         assert f"error: rotation angle must be finite, got {float(angle)!r}" in capsys.readouterr().err
         assert not Path("o.csv").exists()
 
+    @pytest.mark.parametrize("angle", ["25653.06", "1e16", "-1e300"])
+    def test_rotate_refuses_an_angle_past_the_reduction_bound(self, workdir, monkeypatch, capsys, angle):
+        monkeypatch.chdir(workdir)
+        assert main(["rotate", "--input", "h0.csv", f"--angle={angle}", "--out", "o.csv"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: rotation angle {float(angle)!r} is beyond |angle| <= 25653.05" in err
+        assert "within 1e-12 rad" in err
+        assert not Path("o.csv").exists()
+
+    @pytest.mark.parametrize("angle", ["25653.05", "-25000"])
+    def test_rotate_takes_an_angle_within_the_reduction_bound(self, workdir, monkeypatch, angle):
+        monkeypatch.chdir(workdir)
+        assert main(["rotate", "--input", "h0.csv", f"--angle={angle}", "--out", "o.csv"]) == 0
+        assert abs(signal_from_csv("o.csv").norm() - 1.0) < 1e-4
+
     def test_rotate_preserves_norm(self, workdir):
         rc = main(["rotate", "--input", str(workdir / "h0.csv"),
                    "--angle", str(np.pi / 4), "--out", str(workdir / "rot.csv")])

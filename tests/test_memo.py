@@ -1,16 +1,17 @@
-"""The grid constants of the expansion core, memoised per grid.
+"""The grid constants of the expansion core and the analysis path, memoised per grid.
 
 theta, the Zak sum's gather index and phases, the Fourier rows of the block
 extraction, the fine nodes and twists of the refinement at the theta zero,
-the dual mixing matrix, the chirp-z constants of the metaplectic rotation
-and the half-integer samples of the sharp functional are each built once per
-key.  A memo
-hit must give the bits a fresh build gives, no entry may be served for
-another grid, stored arrays are read-only, and no memo holds more than
-MEMO_SIZE entries.  The oracles are the formulas these functions evaluated
-before they were memoised.
+the dual mixing matrix, the chirp-z constants and the chirp of the metaplectic
+rotation, the half-integer samples of the sharp functional, and the Gabor
+transform's window taps, spectrum phase and fold runs are each built once per
+key.  A memo hit must give the bits a fresh build gives, no entry may be
+served for another grid, stored arrays are read-only, and no memo holds more
+than MEMO_SIZE entries.  The oracles are the formulas these functions
+evaluated before they were memoised.
 """
 
+import math
 import sys
 import threading
 
@@ -19,8 +20,10 @@ import pytest
 
 import criticalgabor.expansion as expansion
 import criticalgabor.gabor as gabor
+import criticalgabor.metaplectic as metaplectic
 import criticalgabor.numerics as numerics
-from criticalgabor import THETA_TERMS, dual_atoms, hermite_signal, theta
+from criticalgabor import (THETA_TERMS, Rotation, SampledSignal, atom, dual_atoms, gabor_transform, hermite_signal,
+                           metaplectic_apply, theta)
 from criticalgabor.expansion import _REFINE_FACTOR, _extract_block, lattice_coefficients, sharp_series
 from criticalgabor.gabor import dual_mixing
 from criticalgabor.higher import default_sharp_nodes
@@ -30,7 +33,8 @@ from criticalgabor.zak import _midpoints, _zak_sum, zak_atom_field
 zak_module = sys.modules["criticalgabor.zak"]  # the package attribute `zak` is the function
 MEMOS = [(numerics, "_THETA_MEMO"), (zak_module, "_ZAK_SUM_MEMO"),
          (expansion, "_BLOCK_MEMO"), (gabor, "_MIXING_MEMO"), (numerics, "_CHIRP_MEMO"),
-         (expansion, "_HALF_INTEGER_MEMO"), (expansion, "_REFINE_MEMO")]
+         (expansion, "_HALF_INTEGER_MEMO"), (expansion, "_REFINE_MEMO"), (gabor, "_TAPS_MEMO"),
+         (gabor, "_SPECTRUM_PHASE_MEMO"), (gabor, "_FOLD_MEMO"), (metaplectic, "_ROTATION_CHIRP_MEMO")]
 
 T, H, N, R = 8.0, 1.0 / 64.0, 32, 6
 MID = _midpoints(N)
@@ -96,6 +100,56 @@ def old_sharp_series(f):
     return complex(np.sum(signs * f.values[idx]))
 
 
+def old_gabor_transform(f, box, dlam):
+    """The transform with its window, spectrum phase and fold runs built in the call."""
+    ps, ts = gabor._box_grids(box, dlam)
+    N = f.values.size
+    H, a, M, L, b, Mp = gabor.step_periods(dlam, f.h, N)
+    G = np.fft.fft(f.values * gabor._grid_phase(-ts[0] * f.h, N), L)
+    c0, P, K = ps[0] * H, ps.size, ts.size
+    J, s = int(np.floor(gabor._REACH * L / H)), a * L // M
+    m = np.arange(-J, J + 1)
+    c_int = int(np.floor(c0))
+    turns = (m * c_int % L + m * (c0 - c_int)) / L
+    w = 2 ** 0.25 / L * np.exp(-np.pi * (m * (H / L)) ** 2 + 2j * np.pi * turns)
+    i = np.arange(-J, s * (K - 1) + J + 1)
+    g = G[i % L]
+    g *= np.exp(1j * np.pi * ((N - 1) * i % (2 * L) / L))
+    spec = np.ndarray((K, m.size), complex, g, 0, (s * g.itemsize, g.itemsize))
+    slot = b * m % Mp
+    cuts = sorted({0, min(Mp, m.size), m.size, *(np.flatnonzero(np.diff(slot) != b) + 1).tolist()})
+    runs = [(t0, t1, slice(slot[t0], slot[t1 - 1] + 1, b)) for t0, t1 in zip(cuts, cuts[1:])]
+    rows_per_block = gabor._ROWS
+    fold = np.zeros((min(rows_per_block, K), Mp), dtype=complex)
+    sums = np.empty_like(fold)
+    out = np.empty((P, K), dtype=complex)
+    for l in range(0, K, rows_per_block):
+        rows, blk = spec[l:l + rows_per_block], fold[:min(rows_per_block, K - l)]
+        for t0, t1, cols in runs:
+            if t0 < Mp:
+                np.multiply(rows[:, t0:t1], w[t0:t1], out=blk[:, cols])
+            else:
+                blk[:, cols] += rows[:, t0:t1] * w[t0:t1]
+        np.fft.ifft(blk, axis=1, norm="forward", out=sums[:blk.shape[0]])
+        out[:, l:l + rows_per_block] = sums[:blk.shape[0], :P].T
+    return out
+
+
+def old_kernel_apply(angle, f):
+    a, b = np.cos(angle), -np.sin(angle)
+    x = f.x
+    chirp = np.exp(1j * np.pi * (a * x ** 2 + 2.0 * f.T * x) / b)
+    scale = (1j * b) ** -0.5 * np.exp(2j * np.pi * f.T ** 2 / b) * f.h
+    return SampledSignal(f.T, f.h, scale * chirp * numerics._chirp_sum(chirp * f.values, f.h ** 2 / b, x.size))
+
+
+def old_rotation(angle, f):
+    phi = angle % (2 * np.pi)
+    if abs(np.sin(phi)) >= metaplectic._MIN_B:
+        return old_kernel_apply(phi, f).values
+    return old_kernel_apply(phi - np.pi / 2, old_kernel_apply(np.pi / 2, f)).values
+
+
 def bits(a):
     return np.asarray(a).tobytes()
 
@@ -107,10 +161,37 @@ def chirp_input(N):
 
 def stored_chirp_plan(c, N, K):
     """The chirp constants _chirp_sum stored under (c, N, K); fails if there are none."""
-    return numerics._CHIRP_MEMO.get((c, N, K), lambda: pytest.fail(f"no chirp plan for {(c, N, K)}"))
+    return stored(numerics._CHIRP_MEMO, (c, N, K))
+
+
+def stored(memo, key):
+    """The value memo holds under key; fails if there is none."""
+    return memo.get(key, lambda: pytest.fail(f"nothing stored under {key}"))
+
+
+def transform_entries(box, dlam, T_=T, h=H):
+    """The taps, spectrum phase and fold runs stored for a transform of the box on the (T, h) grid."""
+    n = numerics._sample_count(T_, h)
+    Hs, _, _, L, b, Mp = gabor.step_periods(dlam, h, n)
+    J, c0 = math.floor(gabor._REACH * L / Hs), gabor._box_grids(box, dlam)[0][0] * Hs
+    return (stored(gabor._TAPS_MEMO, (c0, Hs, L, J)), stored(gabor._SPECTRUM_PHASE_MEMO, (n, L)),
+            stored(gabor._FOLD_MEMO, (b, Mp, J)))
 
 
 SAMPLES = np.arange(2 * N) / (2 * N)  # the samples of one unit at h = 1/(2 N): the refinement's fibres
+
+
+def analysis_signal(T_=T, h=H):
+    return hermite_signal(2, T_, h) + (0.5 - 0.25j) * hermite_signal(1, T_, h) + atom((1.5, -2.0), T_, h)
+
+
+# the analyze pool's six (box, dlam) pairs, an off-lattice box as decompose draws them, and a coarser step
+TRANSFORMS = {**{f"transform_box{box}_dlam{round(1 / dlam)}": (analysis_signal, box, dlam)
+                 for box in (4.0, 6.0, 8.0) for dlam in (1 / 8, 1 / 16)},
+              "transform_off_lattice": (analysis_signal, (-2.3137, 3.0419, -3.7151, 1.9283), 1 / 8),
+              "transform_h32": (lambda: analysis_signal(T, 1 / 32), 4.0, 1 / 16)}
+# one angle with |sin| >= _MIN_B, one through the quarter turn, as the analyze pool has them
+ROTATIONS = {"rotation_kernel": 1.2, "rotation_composed": 0.15}
 
 
 CASES = {
@@ -130,6 +211,12 @@ CASES = {
                    lambda: old_chirp_sum(chirp_input(573), 0.1 / 64, 161)),
     "sharp_series": (lambda: sharp_series(hermite_signal(3, T, H)),
                      lambda: old_sharp_series(hermite_signal(3, T, H))),
+    **{name: (lambda sig=sig, box=box, dlam=dlam: gabor_transform(sig(), box, dlam).values,
+              lambda sig=sig, box=box, dlam=dlam: old_gabor_transform(sig(), box, dlam))
+       for name, (sig, box, dlam) in TRANSFORMS.items()},
+    **{name: (lambda angle=angle: metaplectic_apply(Rotation(angle), analysis_signal()).values,
+              lambda angle=angle: old_rotation(angle, analysis_signal()))
+       for name, angle in ROTATIONS.items()},
 }
 
 
@@ -158,6 +245,28 @@ def test_a_warm_call_builds_nothing(cold):
     plan = stored_chirp_plan(1 / 1024, 573, 257)
     _chirp_sum(chirp_input(573), 1 / 1024, 257)
     assert stored_chirp_plan(1 / 1024, 573, 257) is plan
+    gabor_transform(analysis_signal(), 6.0, 1 / 16)
+    entries = transform_entries(6.0, 1 / 16)
+    gabor_transform(analysis_signal(), 6.0, 1 / 16)
+    assert all(a is b for a, b in zip(transform_entries(6.0, 1 / 16), entries))
+    metaplectic_apply(Rotation(1.2), analysis_signal())
+    chirp = stored(metaplectic._ROTATION_CHIRP_MEMO, (1.2, T, H, 1025))
+    metaplectic_apply(Rotation(1.2), analysis_signal())
+    assert stored(metaplectic._ROTATION_CHIRP_MEMO, (1.2, T, H, 1025)) is chirp
+
+
+def test_boxes_on_one_step_share_the_spectrum_phase_and_fold_runs(cold):
+    # decompose transforms a new box every item: each adds its taps, and no other entry
+    for box in [(-2.3137, 3.0419, -3.7151, 1.9283), (-1.1, 2.6, -0.4, 2.2), (-1.1, 2.6, 0.1, 1.0)]:
+        gabor_transform(analysis_signal(), box, 1 / 8)
+    assert (len(gabor._TAPS_MEMO), len(gabor._SPECTRUM_PHASE_MEMO), len(gabor._FOLD_MEMO)) == (2, 1, 1)
+
+
+def test_two_transforms_on_one_grid_share_no_memory(cold):
+    f = analysis_signal()
+    assert not np.shares_memory(gabor_transform(f, 4.0, 1 / 8).values, gabor_transform(f, 4.0, 1 / 8).values)
+    assert not np.shares_memory(metaplectic_apply(Rotation(1.2), f).values,
+                                metaplectic_apply(Rotation(1.2), f).values)
 
 
 def lattice(T_, h, R_):
@@ -184,6 +293,19 @@ PAIRS = {
                          lambda: sharp_series(hermite_signal(3, 8.0, H))),
     "sharp_step": (lambda: sharp_series(hermite_signal(3, T, 1 / 32)),
                    lambda: sharp_series(hermite_signal(3, T, H))),
+    # the window's anchor c0 alone, the phase step alone, the sample count alone
+    "window_anchor": (lambda: bits(gabor_transform(analysis_signal(), (-3.0, 1.0, -1.0, 1.0), 1 / 8).values),
+                      lambda: bits(gabor_transform(analysis_signal(), (-2.5, 1.0, -1.0, 1.0), 1 / 8).values)),
+    "phase_step": (lambda: bits(gabor_transform(analysis_signal(), 4.0, 1 / 8).values),
+                   lambda: bits(gabor_transform(analysis_signal(), 4.0, 1 / 16).values)),
+    "sample_count": (lambda: bits(gabor_transform(analysis_signal(6.0), 4.0, 1 / 8).values),
+                     lambda: bits(gabor_transform(analysis_signal(), 4.0, 1 / 8).values)),
+    "rotation_angle": (lambda: bits(metaplectic_apply(Rotation(1.3), analysis_signal()).values),
+                       lambda: bits(metaplectic_apply(Rotation(1.2), analysis_signal()).values)),
+    "rotation_step": (lambda: bits(metaplectic_apply(Rotation(1.2), analysis_signal(T, 1 / 32)).values),
+                      lambda: bits(metaplectic_apply(Rotation(1.2), analysis_signal()).values)),
+    "rotation_half_width": (lambda: bits(metaplectic_apply(Rotation(1.2), analysis_signal(6.0)).values),
+                            lambda: bits(metaplectic_apply(Rotation(1.2), analysis_signal()).values)),
 }
 
 
@@ -216,6 +338,15 @@ def test_stored_arrays_are_read_only(cold):
     for arr in (a for a in plan if isinstance(a, np.ndarray)):
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1
+    gabor_transform(analysis_signal(), 8.0, 1 / 16)
+    taps, phase, runs = transform_entries(8.0, 1 / 16)
+    assert (taps.nbytes, phase.nbytes) == (257 * 16, 2 * 2048 * 16)  # 2J + 1 taps, a 2L table: 4 and 64 KiB
+    assert isinstance(runs, tuple)
+    metaplectic_apply(Rotation(0.15), analysis_signal())  # the quarter turn, then the rest
+    chirps = [stored(metaplectic._ROTATION_CHIRP_MEMO, (angle, T, H, 1025)) for angle in (np.pi / 2, 0.15 - np.pi / 2)]
+    for arr in (taps, phase, *chirps):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
     a, b = Memo().get("key", lambda: (np.zeros(3), np.ones(2)))
     assert not a.flags.writeable and not b.flags.writeable
 
@@ -226,6 +357,16 @@ def test_memo_holds_at_most_its_limit(cold):
         zak_atom_field((p, th), 16)
         assert len(numerics._THETA_MEMO) <= MEMO_SIZE
     assert len(numerics._THETA_MEMO) == MEMO_SIZE
+
+
+def test_analysis_memos_hold_at_most_their_limit(cold):
+    memos = [gabor._TAPS_MEMO, gabor._SPECTRUM_PHASE_MEMO, gabor._FOLD_MEMO, metaplectic._ROTATION_CHIRP_MEMO]
+    for k in range(MEMO_SIZE + 4):  # a new sample count, box anchor, step and angle each time
+        f = hermite_signal(0, 4.0 + k / 4, H)
+        gabor_transform(f, (-1.3 + 0.01 * k, -0.8, -0.5, 0.5), (2 * k + 1) / 64)
+        metaplectic_apply(Rotation(1.0 + 0.01 * k), f)
+        assert all(len(memo) <= MEMO_SIZE for memo in memos)
+    assert [len(memo) for memo in memos] == [MEMO_SIZE] * len(memos)
 
 
 def test_memo_evicts_the_least_recently_used():

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from criticalgabor import (Disk, Rotation, SampledSignal, atom, commutation_check,
                            covariance_check, gabor_transform, hdelta_norm,
                            inner, loc_integral, metaplectic_apply)
-from criticalgabor.metaplectic import _MIN_B
+from criticalgabor.metaplectic import _MAX_ANGLE, _MIN_B
 from criticalgabor.numerics import _chirp_sum
 from support import POOL, hdelta_invariance_check
 
@@ -30,6 +32,25 @@ class TestRotation:
     def test_non_finite_angle_rejected(self, angle):
         with pytest.raises(ValueError, match=f"rotation angle must be finite, got {angle!r}"):
             Rotation(angle)
+
+    @pytest.mark.parametrize("angle", [_MAX_ANGLE, -_MAX_ANGLE, 2.5e4])
+    def test_angles_within_the_reduction_bound_rotate_atoms(self, angle):
+        # the reduced angle the operator runs on and the matrix's angle differ by at most 1e-12 rad
+        res = covariance_check(Rotation(angle), (0.5, 0.25))
+        assert res.deviation <= 1e-6 and res.phase_error <= 1e-11
+
+    @pytest.mark.parametrize("angle", [np.nextafter(_MAX_ANGLE, np.inf), -np.nextafter(_MAX_ANGLE, np.inf),
+                                       1e5, 1e12, 1e16, -1e300])
+    def test_angles_past_the_reduction_bound_are_refused(self, angle):
+        with pytest.raises(ValueError, match=re.escape(f"rotation angle {angle!r} is beyond |angle| <= 25653.05, "
+                                                       "where its reduction mod 2 pi in floating point stays "
+                                                       "within 1e-12 rad")):
+            Rotation(angle)
+
+    def test_the_bound_is_the_reduction_error(self):
+        shortfall = 2.4492935982947064e-16  # 2 pi - fl(2 pi), to double precision
+        assert shortfall == -np.sin(2 * np.pi)
+        assert _MAX_ANGLE * shortfall / (2 * np.pi) == pytest.approx(1e-12, rel=1e-15)
 
 
 class TestMetaplecticApply:

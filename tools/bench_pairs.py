@@ -18,8 +18,9 @@ count for neither), plus the seeds and the ``env`` line of every run.  With
 more than one seed, ``metrics_by_seed`` gives the same summary per seed.
 
 ``workloads[W]["accuracy"]`` compares the change's outputs with the parent's,
-item by item.  Each tree runs every pool item once (phase 1) through the
-benchmark's own runner, ``bench/items.py::RUNNERS[W]``, in a fresh interpreter.
+item by item.  Each tree runs the whole pool twice through the benchmark's own
+runner, ``bench/items.py::RUNNERS[W]``, in a fresh interpreter: a cold pass on
+empty memos, then a warm pass on what the cold pass left in them.
 Every output is cut into leaves: a coefficient set gives its JSON, compared
 bitwise, and its values; a signal or field gives its samples; a dataclass or
 dict gives its fields; a number stays a number.  A numeric leaf records
@@ -27,7 +28,10 @@ max |change - parent| / max |parent|, 0.0 when bitwise equal.  Per leaf,
 ``worst`` gives the largest such ratio, the largest max |change - parent|,
 and how many items are bitwise equal or roundoff: an item is roundoff when
 both of its sides lie below ROUNDOFF times the leaf's largest parent magnitude
-over the pool (``floor``), and its ratio counts for no change.
+over the pool (``floor``), and its ratio counts for no change.  ``items`` and
+``worst`` compare the two cold passes; ``warm_worst`` gives the same summary
+of the change's warm pass against the parent's cold pass, so a memo hit that
+changes a bit shows too.
 """
 
 from __future__ import annotations
@@ -83,19 +87,22 @@ def leaves(name: str, obj, out: dict) -> dict:
 
 
 def dump_outputs(workload: str, path: str):
-    """Run every pool item of workload in the checkout at the working directory; pickle its leaves to path."""
+    """Run the pool of workload twice in the checkout at the working directory, cold and then warm;
+    pickle the leaves of both passes to path, as {"cold": ..., "warm": ...}."""
     sys.path[:0] = ["src", "bench"]
     import items
 
-    outputs = {}
-    for entry in items.load_pool()[workload]:
-        item = items.make_item(workload, entry)
-        outputs[item.id] = leaves("", items.RUNNERS[workload](item), {})
-    Path(path).write_bytes(pickle.dumps(outputs))
+    passes = {}
+    for name in ("cold", "warm"):
+        outputs = passes[name] = {}
+        for entry in items.load_pool()[workload]:
+            item = items.make_item(workload, entry)
+            outputs[item.id] = leaves("", items.RUNNERS[workload](item), {})
+    Path(path).write_bytes(pickle.dumps(passes))
 
 
 def item_outputs(root: Path, workload: str, path: Path) -> dict:
-    """The pool outputs of the checkout at root, from a fresh interpreter."""
+    """The pool outputs of the checkout at root, both passes, from a fresh interpreter."""
     code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
             f"import bench_pairs; bench_pairs.dump_outputs({workload!r}, {str(path)!r})")
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True)
@@ -123,11 +130,25 @@ def magnitude(value) -> float:
     return float(np.max(np.abs(value), initial=0.0))
 
 
-def accuracy(change: dict, parent: dict) -> dict:
+def accuracy(change: dict, parent: dict, warm: dict | None = None) -> dict:
     """Per item and leaf, compare(); per leaf, the worst item: bitwise-equal count or largest difference
-    (roundoff items set aside)."""
-    per_item = {item: {leaf: compare(change[item].get(leaf), value) for leaf, value in outs.items()}
-                for item, outs in sorted(parent.items())}
+    (roundoff items set aside).  With the change's warm pass, ``warm_worst`` is its worst against the
+    parent."""
+    per_item = compared(change, parent)
+    out = {"items": per_item, "worst": worst_items(per_item, change, parent)}
+    if warm is not None:
+        out["warm_worst"] = worst_items(compared(warm, parent), warm, parent)
+    return out
+
+
+def compared(change: dict, parent: dict) -> dict:
+    """compare() per item and leaf of the parent."""
+    return {item: {leaf: compare(change[item].get(leaf), value) for leaf, value in outs.items()}
+            for item, outs in sorted(parent.items())}
+
+
+def worst_items(per_item: dict, change: dict, parent: dict) -> dict:
+    """Per leaf, the worst item of compared(change, parent)."""
     worst = {}
     for leaf in sorted({leaf for outs in per_item.values() for leaf in outs}):
         vals = [outs[leaf] for outs in per_item.values()]
@@ -144,7 +165,7 @@ def accuracy(change: dict, parent: dict) -> dict:
                            "floor": floor, "items": len(vals)}
         else:
             worst[leaf] = {"mismatched": [v for v in vals if not isinstance(v, (bool, float))]}
-    return {"items": per_item, "worst": worst}
+    return worst
 
 
 def extract(repo: Path, sha: str, dest: Path) -> Path:
@@ -203,8 +224,9 @@ def main(argv=None) -> int:
         parent_root = extract(repo, commits["parent"], Path(tmp) / "parent")
         change_root = extract(repo, commits["change"], Path(tmp) / "change")
         spec = json.loads((change_root / "BENCHMARK.json").read_text())
-        acc = accuracy(item_outputs(change_root, args.workload, Path(tmp) / "change.pkl"),
-                       item_outputs(parent_root, args.workload, Path(tmp) / "parent.pkl"))
+        change_out = item_outputs(change_root, args.workload, Path(tmp) / "change.pkl")
+        parent_out = item_outputs(parent_root, args.workload, Path(tmp) / "parent.pkl")
+        acc = accuracy(change_out["cold"], parent_out["cold"], change_out["warm"])
 
         pairs = []
         for seed in args.seed:
