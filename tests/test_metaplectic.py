@@ -49,7 +49,7 @@ class TestRotation:
 
     def test_the_bound_is_the_reduction_error(self):
         shortfall = 2.4492935982947064e-16  # 2 pi - fl(2 pi), to double precision
-        assert shortfall == -np.sin(2 * np.pi)
+        assert shortfall == pytest.approx(-np.sin(2 * np.pi), rel=1e-12)  # sin(2 pi - d) = -d to O(d^3)
         assert _MAX_ANGLE * shortfall / (2 * np.pi) == pytest.approx(1e-12, rel=1e-15)
 
 
