@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import _LOG_FLOAT_MAX, hdelta_norm, relaxed_coefficients
-from .gabor import (MAX_ORDER, CoefficientSet, _STACK, _box_grids, _superpose_grid, dual_mixing,
+from .gabor import (MAX_ORDER, CoefficientSet, _STACK, _block_weights, _box_grids, _superpose_grid,
                     gabor_transform, synthesize)
 from .higher import default_sharp_nodes, order_m_coefficients
 from .numerics import SampledSignal
@@ -287,7 +287,7 @@ def _collar_terms(pts: np.ndarray, weights: np.ndarray, f: SampledSignal,
         return pairs, [(k, j, sharp) for k, j in pairs.tolist()], total.tolist()
 
     node_kj = np.array([(round(nu.p - 0.5), round(nu.theta - 0.5)) for nu in nodes])
-    node_w = (-1.0) ** lp[:, None] * np.array([loc.sharp_block for loc in locs]) @ dual_mixing(nodes)
+    node_w = (-1.0) ** lp[:, None] * _block_weights([loc.sharp_block for loc in locs], nodes)
     _, keys, total = summed(node_kj + cell_kj, node_w, True)
     omega = CoefficientSet()
     omega.entries = dict(zip(keys, total))

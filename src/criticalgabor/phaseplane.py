@@ -53,12 +53,6 @@ def sharp_point(k: int = 0, j: int = 0) -> PhasePoint:
     return PhasePoint(k + 0.5, j + 0.5)
 
 
-def grid_points(ps, ts) -> np.ndarray:
-    """The (len(ps) * len(ts), 2) array of phase points (p, theta), p major."""
-    P, T = np.meshgrid(ps, ts, indexing="ij")
-    return np.column_stack([P.ravel(), T.ravel()])
-
-
 def _pts(x) -> tuple[np.ndarray, bool]:
     if isinstance(x, PhasePoint):
         return np.array([[x.p, x.theta]]), True
@@ -69,11 +63,12 @@ def _pts(x) -> tuple[np.ndarray, bool]:
 
 
 class PhaseDomain:
-    """Region of the phase plane: membership predicate plus bounding box.
+    """Closed region of the phase plane: a distance plus a bounding box.
 
-    Subclasses implement `_contains_xy` and `_distance_xy` over (n, 2)
-    arrays; `contains` and `distance` accept one point or an array.
-    Instances are immutable after construction and safe to share.
+    Subclasses implement `_distance_xy` over (n, 2) arrays; `contains` and
+    `distance` accept one point or an array.  Membership is the distance rule
+    of `neighborhood_masks`, dist <= 1e-12, for every domain.  Instances are
+    immutable after construction and safe to share.
     """
 
     def __init__(self, bbox):
@@ -85,11 +80,16 @@ class PhaseDomain:
     def is_bounded(self) -> bool:
         return all(np.isfinite(self.bbox))
 
-    def _contains_xy(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _distance_xy(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _ball(self) -> tuple[PhaseDomain, float]:
+        """(base, r) with this domain the closed r-neighborhood of base: (self, 0) but for a Neighborhood."""
+        return self, 0.0
+
+    def _contains_xy(self, pts: np.ndarray) -> np.ndarray:
+        base, r = self._ball()
+        return neighborhood_masks(base, pts[:, 0], pts[:, 1], [r])[0]
 
     def contains(self, x):
         pts, scalar = _pts(x)
@@ -98,7 +98,8 @@ class PhaseDomain:
 
     def contains_grid(self, ps, ts) -> np.ndarray:
         """Membership of the product grid ps x ts as a (len(ps), len(ts)) mask."""
-        return self.contains(grid_points(ps, ts)).reshape(np.size(ps), np.size(ts))
+        base, r = self._ball()
+        return neighborhood_masks(base, np.reshape(ps, (-1, 1)), np.reshape(ts, (1, -1)), [r])[0]
 
     def distance(self, x):
         """Euclidean distance to the domain (0 inside)."""
@@ -110,13 +111,6 @@ class PhaseDomain:
 class Rect(PhaseDomain):
     def __init__(self, pmin, pmax, tmin, tmax):
         super().__init__((pmin, pmax, tmin, tmax))
-
-    def _contains_xy(self, pts):
-        pmin, pmax, tmin, tmax = self.bbox
-        return (
-            (pts[:, 0] >= pmin) & (pts[:, 0] <= pmax)
-            & (pts[:, 1] >= tmin) & (pts[:, 1] <= tmax)
-        )
 
     def _distance_xy(self, pts):
         pmin, pmax, tmin, tmax = self.bbox
@@ -134,17 +128,13 @@ class Disk(PhaseDomain):
         self.radius = float(radius)
         super().__init__((cx - radius, cx + radius, cy - radius, cy + radius))
 
-    def _contains_xy(self, pts):
-        r = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-        return r <= self.radius + 1e-12
-
     def _distance_xy(self, pts):
         r = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
         return np.maximum(r - self.radius, 0.0)
 
 
 class Polygon(PhaseDomain):
-    """Closed polygon; membership by ray casting, boundary points included."""
+    """Closed polygon: distance 0 inside, by ray casting, and within 1e-9 of an edge."""
 
     def __init__(self, vertices):
         verts = np.asarray(vertices, dtype=float)
@@ -167,10 +157,6 @@ class Polygon(PhaseDomain):
             np.minimum(d, np.hypot(x - (x1 + t * abx), y - (y1 + t * aby)), out=d)
         return np.where(inside | (d <= 1e-9), 0.0, d)
 
-    def _contains_xy(self, pts):
-        # outside points lie more than 1e-9 from every edge, so their distance is > 0
-        return self._distance_xy(pts) == 0.0
-
 
 class UnionDomain(PhaseDomain):
     def __init__(self, parts):
@@ -181,12 +167,6 @@ class UnionDomain(PhaseDomain):
         boxes = np.array([p.bbox for p in parts])
         bbox = (boxes[:, 0].min(), boxes[:, 1].max(), boxes[:, 2].min(), boxes[:, 3].max())
         super().__init__(bbox)
-
-    def _contains_xy(self, pts):
-        out = np.zeros(len(pts), dtype=bool)
-        for part in self.parts:
-            out |= part._contains_xy(pts)
-        return out
 
     def _distance_xy(self, pts):
         out = np.full(len(pts), np.inf)
@@ -206,11 +186,8 @@ class Neighborhood(PhaseDomain):
         pmin, pmax, tmin, tmax = base.bbox
         super().__init__((pmin - r, pmax + r, tmin - r, tmax + r))
 
-    def _contains_xy(self, pts):
-        return neighborhood_masks(self.base, pts[:, 0], pts[:, 1], [self.r])[0]
-
-    def contains_grid(self, ps, ts):
-        return neighborhood_masks(self.base, np.reshape(ps, (-1, 1)), np.reshape(ts, (1, -1)), [self.r])[0]
+    def _ball(self):
+        return self.base, self.r
 
     def _distance_xy(self, pts):
         return np.maximum(self.base.distance(pts) - self.r, 0.0)

@@ -14,7 +14,7 @@ import numpy as np
 
 from criticalgabor import Rotation, SampledSignal, gabor_transform, hermite_signal, metaplectic_apply
 from criticalgabor.gabor import DEFAULT_MARGIN, _check_margin
-from criticalgabor.phaseplane import PhaseDomain, grid_points
+from criticalgabor.phaseplane import PhaseDomain
 
 T8 = 8.0
 H64 = 1.0 / 64.0
@@ -28,6 +28,12 @@ def atom_values(lam, T: float, h: float) -> np.ndarray:
     p, theta = lam
     x = -T + h * np.arange(int(round(2 * T / h)) + 1)
     return 2 ** 0.25 * np.exp(-np.pi * (x - p) ** 2 + 2j * np.pi * theta * x)
+
+
+def grid_points(ps, ts) -> np.ndarray:
+    """The (len(ps) * len(ts), 2) array of phase points (p, theta), p major."""
+    P, T = np.meshgrid(ps, ts, indexing="ij")
+    return np.column_stack([P.ravel(), T.ravel()])
 
 
 def _nearest_distance(sites: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -108,8 +114,12 @@ class FunctionDomain(PhaseDomain):
         ts = np.linspace(tmin - s, tmax + s, int(np.ceil((tmax - tmin) / s)) + 3)
         return np.vstack([grid_points(ps, ts[[0, -1]]), grid_points(ps[[0, -1]], ts)])
 
+    # membership is the predicate itself, on points and grids alike, not the distance rule
     def _contains_xy(self, pts):
         return np.asarray(self.predicate(pts[:, 0], pts[:, 1]), dtype=bool)
+
+    def contains_grid(self, ps, ts):
+        return self._contains_xy(grid_points(ps, ts)).reshape(np.size(ps), np.size(ts))
 
     def _boundary_samples(self) -> np.ndarray:
         if not self.is_bounded():

@@ -1,9 +1,10 @@
-"""The per-item accuracy comparison of tools/bench_pairs.py."""
+"""The per-item accuracy comparison and the argument checks of tools/bench_pairs.py."""
 
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from criticalgabor import CoefficientSet, SampledSignal
 
@@ -84,3 +85,18 @@ def test_the_analyze_pool_gives_the_same_bits_cold_and_warm(tmp_path):
     acc = bench_pairs.accuracy(passes["warm"], passes["cold"])
     assert len(acc["items"]) == 35
     assert all(leaf["bitwise_equal"] == leaf["items"] for leaf in acc["worst"].values())
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_fewer_than_one_pair_is_refused_before_any_tree_is_extracted(monkeypatch, tmp_path, capsys, pairs):
+    def extract(*args):
+        raise AssertionError("a tree was extracted")
+
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--workload", "expand", "--pairs", pairs, "--seconds", "1",
+                          "--seed", "4242", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

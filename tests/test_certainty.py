@@ -275,7 +275,8 @@ def per_point_collar(f, K, r, m, dlam):
     time: each point lambda = l + w of weight c adds c exp(2 pi i w_theta l_p)
     times a fresh local expansion of the atom e_w, shifted to l, with the
     shift's phase exp(-2 pi i j l_p) at every index j, at decompose's own
-    cutoff R_LOCAL.  Nothing is shared between points."""
+    cutoff R_LOCAL.  No expansion is shared between points; D's lattice points
+    are enumerated once, and each key's D membership is looked up in them."""
     nd = nested_domains(K, r, m)
     g, box, node, rexp = remainder(f, nd)
     gfield = gabor_transform(g, box, dlam)
@@ -285,7 +286,9 @@ def per_point_collar(f, K, r, m, dlam):
     mid = nd.D_minus.contains(pts) & ~nd.K_plus.contains(pts)
 
     alpha, omega, leak = CoefficientSet(), CoefficientSet(), CoefficientSet()
-    for k, j in lattice_points_in(nd.D).tolist():
+    lattice = lattice_points_in(nd.D).tolist()
+    in_D = set(map(tuple, lattice))
+    for k, j in lattice:
         alpha.set(k, j, rexp.coeffs.get(k, j) if nd.U.contains((k, j)) else 0j)
     for k, j in lattice_points_in(nd.D, sharp=True).tolist():
         if K.distance((k + 0.5, j + 0.5)) > 1e-9:
@@ -305,7 +308,7 @@ def per_point_collar(f, K, r, m, dlam):
                       lead * b * np.exp(-2j * np.pi * nu.theta * lp), sharp=True)
         for (k, j, _), cv in loc.coeffs.entries.items():
             gk, gj = int(k + lp), int(j + lt)
-            target = alpha if nd.D.contains(PhasePoint(gk, gj)) else leak
+            target = alpha if (gk, gj) in in_D else leak
             target.add(gk, gj, lead * cv * np.exp(-2j * np.pi * j * lp))
     return {"alpha": alpha, "omega": omega, "leak": leak.l2(), "mid": int(np.count_nonzero(mid)),
             "cells": len(cells), "weight": float(np.sum(np.abs(w_g[mid])))}

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from criticalgabor import (Disk, Neighborhood, PhasePoint, Polygon, Rect,
                            UnionDomain, as_point, domain_from_json,
-                           lattice_points_in, sharp_point)
+                           lattice_points_in, phaseplane, sharp_point)
+from criticalgabor.phaseplane import PhaseDomain
 from support import FunctionDomain, _nearest_distance
 
 coords = st.floats(-10, 10, allow_nan=False)
@@ -77,6 +78,13 @@ class TestLatticeEnumeration:
         pts = lattice_points_in(Disk((0, 0), 2.0))
         keys = [(k, j) for k, j in pts.tolist()]
         assert keys == sorted(keys)
+
+    def test_a_rect_holds_the_points_of_its_zero_neighborhood(self):
+        # k = -2 lies 5e-13 outside the left side, within the 1e-12 slack of every domain
+        rect = Rect(-1.9999999999995, 2, -1, 1)
+        pts = lattice_points_in(rect)
+        np.testing.assert_array_equal(pts, lattice_points_in(Neighborhood(rect, 0.0)))
+        assert len(pts) == 15
 
     def test_unbounded_rejected(self):
         dom = FunctionDomain(lambda p, t: p > 0, (0, np.inf, -1, 1))
@@ -153,6 +161,27 @@ class TestDomains:
         assert u.contains((-2, 0)) and u.contains((2, 0))
         assert not u.contains((0, 0))
         assert u.distance((0, 0)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_membership_of_every_domain_class_is_the_neighborhood_kernel(self, monkeypatch):
+        # contains and contains_grid both ask neighborhood_masks: a domain is its own
+        # 0-neighborhood, a Neighborhood the r-neighborhood of its base
+        doms = [Rect(-1, 1, 0, 2), Disk((0.5, 0), 1.0), Polygon([(0, 0), (2, 0), (0, 2)]),
+                UnionDomain([Disk((-2, 0), 1.0), Rect(0, 1, 0, 1)]), Neighborhood(Disk((0, 0), 0.5), 0.75)]
+        classes = {c for c in vars(phaseplane).values() if isinstance(c, type) and issubclass(c, PhaseDomain)}
+        assert {type(d) for d in doms} == classes - {PhaseDomain}
+        calls, kernel = [], phaseplane.neighborhood_masks
+
+        def counting(base, p, t, radii):
+            calls.append((base, list(radii)))
+            return kernel(base, p, t, radii)
+
+        monkeypatch.setattr(phaseplane, "neighborhood_masks", counting)
+        for dom in doms:
+            ball = (dom.base, [dom.r]) if isinstance(dom, Neighborhood) else (dom, [0.0])
+            calls.clear()
+            assert dom.contains((0.5, 0.5))
+            np.testing.assert_array_equal(dom.contains_grid([0.5, 9.0], [0.5]), [[True], [False]])
+            assert calls == [ball, ball]
 
     def test_function_domain_sampled_distance(self):
         pred = FunctionDomain(lambda p, t: p ** 2 + t ** 2 <= 1.0, (-1, 1, -1, 1))

@@ -25,8 +25,8 @@ from criticalgabor.gabor import _ROWS, _box_grids
 from criticalgabor.higher import annihilate, default_sharp_nodes, dual_atoms
 from criticalgabor.expansion import sharp_functional
 from criticalgabor.numerics import _chirp, _chirp_sum, _fft_length
-from criticalgabor.phaseplane import Neighborhood, grid_points, neighborhood_masks
-from support import FunctionDomain
+from criticalgabor.phaseplane import Neighborhood, neighborhood_masks
+from support import FunctionDomain, grid_points
 
 T, H = 8.0, 1.0 / 64.0
 
@@ -197,6 +197,8 @@ def base_domains():
     return {
         "disk": Disk((0.3, -0.2), 1.1),
         "rect": Rect(-1.0, 0.5, -0.25, 1.5),
+        # the grid's p = -2 lies 5e-13 outside the left side, within the boundary slack
+        "rect_slack": Rect(-1.9999999999995, 0.5, -0.25, 1.5),
         "polygon": Polygon(random_polygons()[3]),
         "union": UnionDomain([Disk((1.0, 1.0), 0.5), Polygon(random_polygons()[0]), Rect(-2, -1, 0, 0.5)]),
         # predicate true only inside its bbox, as the bbox contract asks
@@ -249,6 +251,8 @@ def test_grid_masks_match_the_distance_rule_bitwise(name):
     masks = neighborhood_masks(base, GRID_P[:, None], GRID_T[None, :], radii)
     for mask, r in zip(masks, radii):
         np.testing.assert_array_equal(mask, d <= r + 1e-12)
+    if name != "function":  # the one domain whose membership is its own predicate
+        np.testing.assert_array_equal(base.contains_grid(GRID_P, GRID_T), d <= 1e-12)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.5, 3.0])

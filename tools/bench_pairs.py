@@ -211,6 +211,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, nargs="+", required=True, help="one or more seeds, --pairs pairs each")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
 
     repo = Path.cwd()
     commits = {side: subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=repo, check=True,
