@@ -27,7 +27,7 @@ for lam in [(0, 0), (1, 0), (0, 1)]:
 print("\n== reconstruction of a Hermite function ==")
 f = hermite_signal(2, T=12.0, h=1 / 64)
 for R in (2, 4, 6, 8):
-    _, residual = reconstruct(f, R, margin=2.0)
+    _, residual = reconstruct(f, R)
     print(f"cutoff R={R}: relative residual {residual:.4f}")
 print("the ~1/R stall reflects the |lambda|^{-2} decay of the canonical")
 print("coefficients for even signals; the order-m expansion fixes this (demo 04)")

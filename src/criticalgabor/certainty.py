@@ -80,15 +80,14 @@ def nesting_satisfied(nd: NestedDomains) -> bool:
     return nd.l <= nd.r / 2.0
 
 
-def concentration(f: SampledSignal, D: PhaseDomain, box=None,
-                  dlam: float = 1.0 / 16.0) -> float:
-    """Gabor mass of f outside D: grid integral over the box plus the
-    out-of-box remainder ||f||^2 - (box mass), counted only above the
-    roundoff floor 64 eps ||f||^2 of that difference."""
+def concentration(f: SampledSignal, D: PhaseDomain, dlam: float = 1.0 / 16.0) -> float:
+    """Gabor mass of f outside D: grid integral over the box [-b, b]^2,
+    b = min(T, max |bbox(D)| + 2), plus the out-of-box remainder
+    ||f||^2 - (box mass), counted only above the roundoff floor
+    64 eps ||f||^2 of that difference."""
     if not D.is_bounded():
         raise ValueError("concentration needs a bounded domain")
-    if box is None:
-        box = min(f.T, max(abs(b) for b in D.bbox) + 2.0)
+    box = min(f.T, max(abs(b) for b in D.bbox) + 2.0)
     field = gabor_transform(f, box, dlam)
     outside = ~D.contains_grid(field.p_grid, field.theta_grid).ravel()
     power = np.abs(field.values.ravel()) ** 2
@@ -102,25 +101,26 @@ def _atom_sites(K: PhaseDomain, r: float) -> tuple[np.ndarray, np.ndarray, tuple
     """The atom sites of the decomposition over D = K(r) and its relocation node.
 
     Returns the indices (k, j) of the lattice points in D and of the sharp
-    points (k + 1/2, j + 1/2) in D off K (distance d to K above 1e-9), as
-    sorted (n, 2) arrays, and the sharp node in U \\ K, 1e-9 < d <= r/2 + 1e-12 by
-    U's own rule: centered in the annulus when possible, largest clearance,
-    ties broken by the smallest index (k0, j0); None when U \\ K holds no
-    sharp point.  One enumeration of D's sharp points and one distance to K
-    decide both sharp sets.
+    points (k + 1/2, j + 1/2) in D off K, as sorted (n, 2) arrays, and the
+    sharp node in U \\ K, U = K(r/2): centered in the annulus when possible,
+    largest clearance, ties broken by the smallest index (k0, j0); None when
+    U \\ K holds no sharp point.  One enumeration of D's sharp points and one
+    neighborhood_masks call, K's and U's own rule, decide both sharp sets.
     """
     D = Neighborhood(K, r)
     sharp = lattice_points_in(D, sharp=True)
-    d = K.distance(sharp + 0.5)
-    off_K = d > 1e-9
-    in_U = off_K & (d <= r / 2.0 + 1e-12)
+    pts = sharp + 0.5
+    in_K, in_U = neighborhood_masks(K, pts[:, 0], pts[:, 1], [0.0, r / 2.0])
+    in_U &= ~in_K
     node = None
     if np.any(in_U):
-        clearance = np.minimum(d, r / 2.0 - d + 1e-12)[in_U]
+        # the clearance to K and to U's edge, which U's rule puts at r/2 + 1e-12
+        d = K.distance(pts[in_U])
+        clearance = np.minimum(d, r / 2.0 - d + 1e-12)
         k0, j0 = sharp[in_U].T
         best = np.lexsort((j0, k0, -clearance))[0]
         node = int(k0[best]), int(j0[best])
-    return lattice_points_in(D), sharp[off_K], node
+    return lattice_points_in(D), sharp[~in_K], node
 
 
 @dataclass
@@ -169,7 +169,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     need = max(abs(b) for b in nd.D.bbox)
     if need + 2.0 > f.T:
         raise ValueError(f"grid T={f.T} too small for D reaching {need}; need T >= {need + 2}")
-    box = min(f.T, need + 2.0)
+    box = need + 2.0  # concentration's own box, as need + 2 <= T
     # the bound's factors r ** delta and hdelta_norm overflow at a large delta: refused before any expansion
     hnorm = hdelta_norm(f, delta, box=min(f.T, 8.0))
     if delta * np.log(r) > _LOG_FLOAT_MAX:
@@ -182,9 +182,9 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     rexp = relaxed_coefficients(f, R_big, sharp_node=node)
 
     # f_U: relaxed expansion restricted to U (sharp node is in U by construction).  U lies
-    # in D, so its lattice points are those of D within r/2 of K, by U's own rule
+    # in D, so its lattice points are those of D in U
     entries, kj = rexp.coeffs.entries, lattice.tolist()
-    in_U = nd.K.distance(lattice) <= nd.U.r + 1e-12
+    in_U = nd.U.contains(lattice)
     fU_coeffs = CoefficientSet()
     fU_coeffs.entries = {(k, j, False): entries[k, j, False] for (k, j), ok in zip(kj, in_U) if ok}
     fU_coeffs.set(node[0], node[1], rexp.sharp, sharp=True)
@@ -224,7 +224,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
             for key, v in part.entries.items():
                 total.entries[key] = total.entries.get(key, 0j) + v
 
-    conc = concentration(f, nd.D, box, min(dlam, 1.0 / 16.0))
+    conc = concentration(f, nd.D, min(dlam, 1.0 / 16.0))
     fnorm = f.norm()
     g_plus = SampledSignal(f.T, f.h, _superpose_grid(ps, ts, np.where(in_Kplus, w_g, 0), f.T, f.h))
     n_lattice, n_sharp = len(lattice), len(sharp)
@@ -275,8 +275,8 @@ def _collar_terms(pts: np.ndarray, weights: np.ndarray, f: SampledSignal,
     W[cell_of, ip, it] = weights * np.exp(2j * np.pi * offsets[:, 1] * lp[cell_of])
     patches = (SampledSignal(f.T, f.h, row) for c in range(0, len(cells), _STACK)
                for row in _superpose_grid(ps, ts, W[c:c + _STACK], f.T, f.h))
-    nodes = default_sharp_nodes(nd.m)
-    locs = order_m_coefficients(patches, nd.m, nodes=nodes, R=R_LOCAL)
+    nodes = default_sharp_nodes(nd.m)  # the nodes of every local expansion
+    locs = order_m_coefficients(patches, nd.m, R=R_LOCAL)
     cell_kj = cells[:, None, :]
 
     def summed(kj: np.ndarray, terms: np.ndarray, sharp: bool):

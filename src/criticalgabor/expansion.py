@@ -25,28 +25,16 @@ THETA0 = float(np.real(theta(0.0)))
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
-def _half_integer_indices(f: SampledSignal):
-    """The signs (-1)^q and the sample indices of the half-integer points q + 1/2,
-    |q + 1/2| < T, memoised per (T, h)."""
-    return _HALF_INTEGER_MEMO.get((f.T, f.h), lambda: _half_integer_grid(f.T, f.h))
-
-
-def _half_integer_grid(T: float, h: float):
-    Ti = int(round(T))
-    half = 0.5 / h
-    if abs(T - Ti) > 1e-9 or abs(half - round(half)) > 1e-9:
-        raise ValueError("sharp functional needs half-integer points on the grid")
-    qs = np.arange(-Ti, Ti)
-    return np.where(qs % 2 == 0, 1.0, -1.0), np.round((qs + 0.5 + T) / h).astype(int)
-
-
-_HALF_INTEGER_MEMO = Memo()
-
-
 def sharp_series(f: SampledSignal) -> complex:
-    """Alternating half-integer sample sum sum_q (-1)^q f(q + 1/2)."""
-    signs, idx = _half_integer_indices(f)
-    return complex(np.sum(signs * f.values[idx]))
+    """Alternating half-integer sample sum sum_q (-1)^q f(q + 1/2), |q + 1/2| < T.
+
+    The points q + 1/2 are every second sample of a unit from x = 1/2 - T on.
+    """
+    Ti, half = round(f.T), round(0.5 / f.h)
+    if abs(f.T - Ti) > 1e-9 or abs(0.5 / f.h - half) > 1e-9:
+        raise ValueError("sharp functional needs half-integer points on the grid")
+    signs = np.where(np.arange(-Ti, Ti) % 2 == 0, 1.0, -1.0)
+    return complex(np.sum(signs * f.values[half::2 * half]))
 
 
 def sharp_functional(f: SampledSignal) -> complex:
@@ -86,8 +74,8 @@ def hdelta_norm(f: SampledSignal, delta: float, box=DEFAULT_BOX,
     delta and are unused at delta = 2.  There, a delta at which |lambda|^delta
     passes the float range on the grid raises ValueError before the transform.
     """
-    if delta < 0:
-        raise ValueError("smoothness order must be >= 0")
+    if not delta >= 0:  # a NaN fails it too
+        raise ValueError(f"smoothness order must be >= 0, got {delta!r}")
     if delta == 2:
         power = np.abs(f.values) ** 2
         slope = np.abs(_fourier_derivative(f.values, f.h)) ** 2
@@ -112,7 +100,7 @@ def _divided(Z: np.ndarray, y: np.ndarray, xi: np.ndarray, terms: int = THETA_TE
     return np.exp(np.pi * y[:, None] ** 2) * Z / th
 
 
-def division_field(f_sharp, terms: int = THETA_TERMS):
+def division_field(f_sharp):
     """F = exp(pi y^2) Z f_sharp / Theta(xi + i y) on the midpoint grid.
 
     The midpoint grid keeps every node away from the theta zero, so the
@@ -120,7 +108,7 @@ def division_field(f_sharp, terms: int = THETA_TERMS):
     F and the Zak field carry their stack axis first.
     """
     Z = zak(f_sharp)
-    return _divided(Z.values, Z.y, Z.xi, terms), Z
+    return _divided(Z.values, Z.y, Z.xi), Z
 
 
 def _extract_block(F: np.ndarray, y: np.ndarray, xi: np.ndarray, R: int) -> np.ndarray:
@@ -251,9 +239,9 @@ def relaxed_coefficients(f: SampledSignal, R: int, *, sharp_node: tuple[int, int
     return RelaxedExpansion((-1) ** j0 * block[0], (k0, j0), coeffs, R)
 
 
-def reconstruct(f: SampledSignal, R: int, *, margin: float = DEFAULT_MARGIN):
+def reconstruct(f: SampledSignal, R: int):
     """Synthesize the relaxed expansion back; returns (signal, relative residual)."""
-    rec = relaxed_coefficients(f, R).signal(f.T, f.h, margin)
+    rec = relaxed_coefficients(f, R).signal(f.T, f.h)
     err, scale = (f - rec).norm(), f.norm()
     return rec, err / scale if scale > 0 else err
 
@@ -278,7 +266,8 @@ def seam_mismatch(f_sharp: SampledSignal, terms: int = THETA_TERMS) -> float:
     sum and theta division as F itself.  This cross-checks the Zak boundary
     rule against the theta quasi-periodicity.
     """
-    F, Z = division_field(f_sharp, terms)
+    Z = zak(f_sharp)
+    F = _divided(Z.values, Z.y, Z.xi, terms)
     shifted = ((Z.y + 1.0, Z.xi), (Z.y, Z.xi + 1.0))
     return max(float(np.max(np.abs(_divided(_zak_sum(f_sharp.values, f_sharp.T, f_sharp.h, y, xi),
                                             y, xi, terms) - F))) for y, xi in shifted)

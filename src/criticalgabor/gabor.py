@@ -611,11 +611,12 @@ def synthesize(coeffs: CoefficientSet, T: float = DEFAULT_T, h: float = DEFAULT_
 
 
 def tail_mass(coeffs: CoefficientSet, r: float, box=DEFAULT_BOX,
-              dlam: float = 1.0 / 8.0, T: float = DEFAULT_T, h: float = DEFAULT_H):
+              T: float = DEFAULT_T, h: float = DEFAULT_H):
     """Gabor mass of a lattice series outside the r-neighborhood of its support.
 
     Returns (measured, bound): the grid integral of |<g|e_mu>|^2 over the box
-    minus the neighborhood, and the guarantee exp(-pi r^2) * sum |c|^2.
+    minus the neighborhood, at the phase step 1/8, and the guarantee
+    exp(-pi r^2) * sum |c|^2.
     """
     if r <= 0:
         raise ValueError("tail radius must be positive")
@@ -623,6 +624,7 @@ def tail_mass(coeffs: CoefficientSet, r: float, box=DEFAULT_BOX,
     if not coeffs.entries:
         return 0.0, bound
     g = synthesize(coeffs, T, h)
+    dlam = 1.0 / 8.0
     # midpoint grid: boundary cells classify by center, so the measured tail
     # approaches the continuum value from below
     pmin, pmax, tmin, tmax = _as_box(box)

@@ -141,8 +141,9 @@ def _expand(signals, nodes, R: int) -> list[tuple[list[complex], CoefficientSet]
     return out
 
 
-def order_m_coefficients(f, m: int, nodes=None, R: int = 6):
-    """Order-m relaxed expansion: f = sum_j gamma_sharp(a^j f) d_j + sum c_lambda e_lambda.
+def order_m_coefficients(f, m: int, R: int = 6):
+    """Order-m relaxed expansion: f = sum_j gamma_sharp(a^j f) d_j + sum c_lambda e_lambda,
+    at the nodes default_sharp_nodes(m).
 
     Subtracting the dual-atom block zeroes the first m+1 sharp obstructions,
     so the theta-divided Zak field of the remainder is m times smoother and
@@ -154,9 +155,7 @@ def order_m_coefficients(f, m: int, nodes=None, R: int = 6):
     """
     if m < 0 or m > MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
-    pts = [as_point(n) for n in nodes] if nodes is not None else default_sharp_nodes(m)
-    if len(pts) != m + 1:
-        raise ValueError(f"order m={m} needs exactly {m + 1} nodes, got {len(pts)}")
+    pts = default_sharp_nodes(m)
     single = isinstance(f, SampledSignal)
     out = [OrderMExpansion(block, pts, coeffs, R)
            for block, coeffs in _expand([f] if single else f, pts, R)]

@@ -22,7 +22,6 @@ DEFAULT_H = 1.0 / 64.0
 # accepted so that accuracy checks can demonstrate the failure mode.
 THETA_TERMS = 8
 
-_TWO_PI = 2.0 * np.pi
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 MEMO_SIZE = 16  # entries per Memo

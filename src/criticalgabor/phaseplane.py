@@ -134,7 +134,7 @@ class Disk(PhaseDomain):
 
 
 class Polygon(PhaseDomain):
-    """Closed polygon: distance 0 inside, by ray casting, and within 1e-9 of an edge."""
+    """Closed polygon: distance 0 inside, by ray casting."""
 
     def __init__(self, vertices):
         verts = np.asarray(vertices, dtype=float)
@@ -155,7 +155,7 @@ class Polygon(PhaseDomain):
             inside ^= ((y1 > y) != (y2 > y)) & (x < x1 + (y - y1) * abx / (aby if aby != 0 else 1e-300))
             t = np.clip(((x - x1) * abx + (y - y1) * aby) / max(abx * abx + aby * aby, 1e-300), 0.0, 1.0)
             np.minimum(d, np.hypot(x - (x1 + t * abx), y - (y1 + t * aby)), out=d)
-        return np.where(inside | (d <= 1e-9), 0.0, d)
+        return np.where(inside, 0.0, d)
 
 
 class UnionDomain(PhaseDomain):

@@ -99,7 +99,7 @@ def run_checks(config, rng: np.random.Generator) -> list[dict]:
             for j in range(-2, 3):
                 c.set(k, j, complex(*rng.normal(size=2)))
         for r in (1.0, 2.0):
-            measured, bound = gabor.tail_mass(c, r, box, 1.0 / 8.0, T, h)
+            measured, bound = gabor.tail_mass(c, r, box, T, h)
             worst = max(worst, measured - bound)
     checks.append(_record("tail_bound_margin", worst, 0.0))
 

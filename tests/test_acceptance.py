@@ -94,7 +94,7 @@ def test_c06_reconstruction():
     f = hermite_signal(2, T=12.0, h=H64)
     residuals = {}
     for R in (2, 4, 6):
-        _, residuals[R] = reconstruct(f, R, margin=2.0)
+        _, residuals[R] = reconstruct(f, R)
     monotone = residuals[4] <= residuals[2] * 1.1 and residuals[6] <= residuals[4] * 1.1
     ok = residuals[6] <= 1e-2 and monotone
     report(6, ok, f"h2 residuals R=2,4,6: {residuals[2]:.4f}, {residuals[4]:.4f}, "

@@ -53,17 +53,17 @@ class TestConcentration:
          (0, 0, False): 0.26141252516203256 - 0.2753310614637201j},
     ])
     def test_box_mass_roundoff_not_counted(self, entries):
-        # lattice mixes whose Gabor mass lies inside the box 6.5: ||f||^2 minus
-        # the box mass is a few ulp of roundoff (+8.9e-16 for both when written),
-        # which must not enter the concentration or, through its square root,
-        # the decomposition bound
+        # lattice mixes whose Gabor mass lies inside the box 6.5, the disk's radius
+        # plus 2: ||f||^2 minus the box mass is a few ulp of roundoff (+8.9e-16 for
+        # both when written), which must not enter the concentration or, through
+        # its square root, the decomposition bound
         f = synthesize(CoefficientSet(entries), 8.0, H64)
-        D, dlam = Disk((0, 0), 3.0), 1.0 / 16.0
+        D, dlam = Disk((0, 0), 4.5), 1.0 / 16.0
         field = gabor_transform(f, 6.5, dlam)
         P, Th = np.meshgrid(field.p_grid, field.theta_grid, indexing="ij")
         outside = ~D.contains(np.column_stack([P.ravel(), Th.ravel()]))
         out_mass = float(np.sum(np.abs(field.values.ravel()[outside]) ** 2) * dlam ** 2)
-        assert concentration(f, D, box=6.5, dlam=dlam) == out_mass
+        assert concentration(f, D, dlam=dlam) == out_mass
 
     def test_unbounded_rejected(self, three_atom_mix):
         dom = FunctionDomain(lambda p, t: t > 0, (-1, 1, 0, np.inf))
@@ -111,8 +111,8 @@ def sharp_node_loop(nd):
     """The sharp-node choice as a scalar loop over the sharp points of U."""
     candidates = []
     for k, j in lattice_points_in(nd.U, sharp=True).tolist():
-        dk = nd.K.distance((k + 0.5, j + 0.5))
-        if dk > 1e-9:
+        if not nd.K.contains((k + 0.5, j + 0.5)):
+            dk = nd.K.distance((k + 0.5, j + 0.5))
             clearance = min(dk, nd.r / 2.0 - dk + 1e-12)
             candidates.append((-clearance, k, j))
     return min(candidates)[1:]
@@ -130,6 +130,18 @@ _NODE_CASES += [
 def test_sharp_node_matches_scalar_loop(K, r, m):
     nd = nested_domains(K, r, default_order(r) if m is None else m)
     assert certainty._atom_sites(nd.K, nd.r)[2] == sharp_node_loop(nd)
+
+
+@pytest.mark.parametrize("K, r", [(Rect(-1, 0.4999999995, -1, 1), 2.0),
+                                  (Disk((0, 0), 0.7071067806), 2.0)], ids=["rect", "disk"])
+def test_every_sharp_point_of_d_is_in_k_or_a_collar_site(K, r):
+    # the sharp point (1/2, 1/2) lies 5e-10 outside K: outside by K's own rule, d <= 1e-12,
+    # so it is a collar site, as every sharp point of D is either in K or in the collar
+    _, sharp, _ = certainty._atom_sites(K, r)
+    collar = set(map(tuple, sharp.tolist()))
+    assert (0, 0) in collar and not K.contains((0.5, 0.5))
+    for k, j in lattice_points_in(phaseplane.Neighborhood(K, r), sharp=True).tolist():
+        assert K.contains((k + 0.5, j + 0.5)) != ((k, j) in collar)
 
 
 class TestDecompose:
@@ -222,6 +234,15 @@ class TestDecompose:
             with pytest.raises(ValueError, match=shown):
                 decompose(atom((0.2, 0.1), T, H64), K, r, 0, delta)
 
+    def test_nan_delta_refused_before_any_expansion(self, monkeypatch):
+        # a NaN smoothness order would give a report with a nan bound_value
+        def no_work(*args, **kwargs):
+            raise AssertionError("a nan delta reached the expansion")
+
+        monkeypatch.setattr(certainty, "relaxed_coefficients", no_work)
+        with pytest.raises(ValueError, match="smoothness order"):
+            decompose(atom((0.2, 0.1), 8.0, H64), Disk((0, 0), 0.3), 2.0, 0, float("nan"))
+
     def test_relocation_failure_reported(self):
         # K centered at a lattice point with a thin collar: U stays more than
         # 1/sqrt(2) away from every sharp point
@@ -291,7 +312,7 @@ def per_point_collar(f, K, r, m, dlam):
     for k, j in lattice:
         alpha.set(k, j, rexp.coeffs.get(k, j) if nd.U.contains((k, j)) else 0j)
     for k, j in lattice_points_in(nd.D, sharp=True).tolist():
-        if K.distance((k + 0.5, j + 0.5)) > 1e-9:
+        if not K.contains((k + 0.5, j + 0.5)):
             omega.set(k, j, 0j, sharp=True)
     omega.add(node[0], node[1], rexp.sharp, sharp=True)
     nodes = default_sharp_nodes(m)
@@ -301,7 +322,7 @@ def per_point_collar(f, K, r, m, dlam):
         lp, lt = np.floor(mp + 0.5), np.floor(mt + 0.5)
         wp, wt = mp - lp, mt - lt
         cells.add((lp, lt))
-        loc = order_m_coefficients(atom((wp, wt), f.T, f.h), m, nodes=nodes, R=R_LOCAL)
+        loc = order_m_coefficients(atom((wp, wt), f.T, f.h), m, R=R_LOCAL)
         lead = c * np.exp(2j * np.pi * wt * lp)
         for nu, b in zip(nodes, np.asarray(loc.sharp_block) @ mixing):
             omega.add(int(round(nu.p - 0.5 + lp)), int(round(nu.theta - 0.5 + lt)),

@@ -57,6 +57,16 @@ class TestSharpFunctional:
             f = hermite_signal(int(signal[1]), T8, h)
         assert abs(sharp_functional(f) - sharp_functional_zak(f)) <= 1e-13
 
+    @pytest.mark.parametrize("T, h", [(8.0, 1 / 64), (6.0, 1 / 64), (8.0, 1 / 32), (12.0, 1 / 128), (6.0, 1 / 2)])
+    def test_series_matches_the_index_array_form_bitwise(self, T, h):
+        # the strided read of every second sample of a unit, against the samples at
+        # the indices (q + 1/2 + T)/h, q = -T..T-1
+        f = hermite_signal(3, T, h) + 0.25j * atom((0.3, -1.2), T, h)
+        qs = np.arange(-round(T), round(T))
+        idx = np.round((qs + 0.5 + T) / h).astype(int)
+        want = complex(np.sum(np.where(qs % 2 == 0, 1.0, -1.0) * f.values[idx]))
+        assert expansion.sharp_series(f) == want
+
     def test_grid_without_half_integers_rejected(self):
         f = SampledSignal(8.0, 1 / 63, np.zeros(int(16 * 63) + 1))
         with pytest.raises(ValueError):
@@ -119,7 +129,7 @@ class TestReconstruct:
         f = hermite_signal(2, T=12.0, h=H64)
         residuals = {}
         for R in (2, 4, 6):
-            _, residuals[R] = reconstruct(f, R, margin=2.0)
+            _, residuals[R] = reconstruct(f, R)
         assert residuals[4] <= residuals[2] * 1.1
         assert residuals[6] <= residuals[4] * 1.1
         # golden regression: canonical coefficients of an even signal decay
@@ -169,6 +179,11 @@ class TestHdeltaNorm:
     def test_negative_delta_rejected(self, e0):
         with pytest.raises(ValueError):
             hdelta_norm(e0, -0.5)
+
+    def test_nan_delta_rejected(self, e0):
+        # a NaN fails every comparison, so `delta < 0` alone would let it through to a nan norm
+        with pytest.raises(ValueError, match="smoothness order must be >= 0"):
+            hdelta_norm(e0, float("nan"))
 
     @pytest.mark.parametrize("delta", [293.0, 1000.0, np.inf])
     def test_overflowing_delta_refused_before_the_transform(self, hermites, monkeypatch, delta):

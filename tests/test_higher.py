@@ -153,7 +153,7 @@ class TestOrderMExpansion:
     def test_dual_atom_purity(self):
         nodes = default_sharp_nodes(2)
         duals = dual_atoms(nodes, T8, H64)
-        exp = order_m_coefficients(duals.atoms[1], 2, nodes=nodes, R=3)
+        exp = order_m_coefficients(duals.atoms[1], 2, R=3)  # at the same default nodes
         block = np.array(exp.sharp_block)
         assert np.max(np.abs(block - np.array([0, 1, 0]))) < 1e-6
         assert max(abs(v) for v in exp.coeffs.entries.values()) < 1e-3
@@ -200,8 +200,8 @@ class TestOrderMExpansion:
     def test_order_cap_and_node_count(self, hermites):
         with pytest.raises(ValueError):
             order_m_coefficients(hermites[0], 7)
-        with pytest.raises(ValueError):
-            order_m_coefficients(hermites[0], 1, nodes=[sharp_point()])
+        for m in range(4):
+            assert order_m_coefficients(hermites[0], m, R=2).nodes == default_sharp_nodes(m)
 
 
 def unit_mixes(C: int) -> list[SampledSignal]:

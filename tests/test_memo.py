@@ -33,7 +33,7 @@ from criticalgabor.zak import _midpoints, _zak_sum, zak_atom_field
 zak_module = sys.modules["criticalgabor.zak"]  # the package attribute `zak` is the function
 MEMOS = [(numerics, "_THETA_MEMO"), (zak_module, "_ZAK_SUM_MEMO"),
          (expansion, "_BLOCK_MEMO"), (gabor, "_MIXING_MEMO"), (numerics, "_CHIRP_MEMO"),
-         (expansion, "_HALF_INTEGER_MEMO"), (expansion, "_REFINE_MEMO"), (gabor, "_TAPS_MEMO"),
+         (expansion, "_REFINE_MEMO"), (gabor, "_TAPS_MEMO"),
          (gabor, "_SPECTRUM_PHASE_MEMO"), (gabor, "_FOLD_MEMO"), (metaplectic, "_ROTATION_CHIRP_MEMO")]
 
 T, H, N, R = 8.0, 1.0 / 64.0, 32, 6
@@ -90,14 +90,6 @@ def old_chirp_sum(g, c, K):
     kernel[L - N + 1:] = w[N - 1:0:-1]
     spec = np.fft.fft(g * w[:N].conj(), L, axis=-1) * np.fft.fft(kernel)
     return w[:K].conj() * np.fft.ifft(spec, axis=-1)[..., :K]
-
-
-def old_sharp_series(f):
-    Ti = int(round(f.T))
-    qs = np.arange(-Ti, Ti)
-    idx = np.round((qs + 0.5 + f.T) / f.h).astype(int)
-    signs = np.where(qs % 2 == 0, 1.0, -1.0)
-    return complex(np.sum(signs * f.values[idx]))
 
 
 def old_gabor_transform(f, box, dlam):
@@ -209,8 +201,6 @@ CASES = {
                     lambda: old_dual_mixing([tuple(n) for n in default_sharp_nodes(3)])),
     "chirp_plan": (lambda: _chirp_sum(chirp_input(573), 0.1 / 64, 161),
                    lambda: old_chirp_sum(chirp_input(573), 0.1 / 64, 161)),
-    "sharp_series": (lambda: sharp_series(hermite_signal(3, T, H)),
-                     lambda: old_sharp_series(hermite_signal(3, T, H))),
     **{name: (lambda sig=sig, box=box, dlam=dlam: gabor_transform(sig(), box, dlam).values,
               lambda sig=sig, box=box, dlam=dlam: old_gabor_transform(sig(), box, dlam))
        for name, (sig, box, dlam) in TRANSFORMS.items()},
@@ -330,9 +320,6 @@ def test_stored_arrays_are_read_only(cold):
     for arr in stored_chirp_plan(1 / 1024, 573, 257):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
-    for arr in expansion._half_integer_indices(hermite_signal(3, T, H)):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 1
     lattice_coefficients(hermite_signal(2, T, H), R)
     plan = expansion._REFINE_MEMO.get(N, lambda: pytest.fail("no refinement plan for N = 32"))
     for arr in (a for a in plan if isinstance(a, np.ndarray)):

@@ -18,6 +18,7 @@ from criticalgabor import (CoefficientSet, GaborField, SampledSignal, atom, defa
                            field_synthesis, hermite_signal, order_m_coefficients, relaxed_coefficients,
                            sharp_point, synthesize)
 from criticalgabor.gabor import _box_grids, _phase_rows, dual_mixing, superpose
+from criticalgabor.higher import _expand
 
 T8, H64 = 8.0, 1.0 / 64.0
 N = atom((0, 0), T8, H64).values.size
@@ -206,12 +207,20 @@ def smooth_signal():
 @settings(max_examples=12, deadline=None)
 @given(st.integers(-4, 3), st.integers(-4, 3))
 def test_relaxed_equals_order_zero_bitwise(smooth_signal, k0, j0):
+    # order_m_coefficients runs the core at default_sharp_nodes(m); here the core runs at (k0, j0)
     rel = relaxed_coefficients(smooth_signal, 4, sharp_node=(k0, j0))
-    om = order_m_coefficients(smooth_signal, 0, nodes=[sharp_point(k0, j0)], R=4)
-    assert rel.coeffs.entries == om.coeffs.entries
-    assert list(rel.coeffs.entries) == list(om.coeffs.entries)
+    [(block, coeffs)] = _expand([smooth_signal], [sharp_point(k0, j0)], 4)
+    assert rel.coeffs.entries == coeffs.entries
+    assert list(rel.coeffs.entries) == list(coeffs.entries)
     # the order-0 dual atom carries the parity sign that gamma carries
-    assert rel.sharp == (-1) ** j0 * om.sharp_block[0]
+    assert rel.sharp == (-1) ** j0 * block[0]
+
+
+def test_order_zero_is_the_relaxed_expansion_at_the_midpoint(smooth_signal):
+    rel, om = relaxed_coefficients(smooth_signal, 4), order_m_coefficients(smooth_signal, 0, R=4)
+    assert om.nodes == [sharp_point()]
+    assert list(rel.coeffs.entries.items()) == list(om.coeffs.entries.items())
+    assert rel.sharp == om.sharp_block[0]
 
 
 @settings(max_examples=30, deadline=None)

@@ -156,6 +156,14 @@ class TestDomains:
         assert not tri.contains((1.6, 1.6))
         assert tri.distance((3, 0)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_polygon_edge_takes_the_one_membership_rule(self):
+        # 5e-10 outside an edge is outside, as for every domain: the rule is d <= 1e-12
+        square = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert square.distance((1 + 5e-10, 0.5)) == pytest.approx(5e-10, rel=1e-6)
+        assert not square.contains((1 + 5e-10, 0.5))
+        assert square.contains((1 + 5e-13, 0.5)) and square.contains((1, 0.5))
+        assert not square.contains_grid([1 + 5e-10], [0.5])[0, 0]
+
     def test_union(self):
         u = UnionDomain([Disk((-2, 0), 1.0), Disk((2, 0), 1.0)])
         assert u.contains((-2, 0)) and u.contains((2, 0))

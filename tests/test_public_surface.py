@@ -18,11 +18,12 @@ layers takes N beside a signal: only those that build a grid's own values
 from no signal do.
 
 The same rule holds inside the exports: every public method and property of
-an exported class is read as an attribute, and every optional parameter of an
-exported function, method or constructor is passed by some call, outside the
-tests.  An option with one value in use is a constant.  Reads and calls are
-matched by name, so a name collision can only hide a violation, never invent
-one.
+an exported class is read as an attribute outside the tests, and every
+optional parameter of an exported function, method or constructor is passed
+by some call in the library, the bench or the tools.  An option with one
+value in use is a constant, and an example alone does not justify an option,
+so a call from the demos does not count for it.  Reads and calls are matched
+by name, so a name collision can only hide a violation, never invent one.
 """
 
 import ast
@@ -115,10 +116,10 @@ def public_members(cls: type) -> dict:
             if not name.startswith("_") and isinstance(obj, (types.FunctionType, property, staticmethod, classmethod))}
 
 
-def caller_trees():
-    """The syntax trees of every module outside the tests: the library, the bench, the demos and the tools."""
+def caller_trees(folders=("bench", "demos", "tools")):
+    """The syntax trees of the library's modules and of every module in the given folders."""
     paths = list((ROOT / "src" / PACKAGE).glob("*.py"))
-    for folder in ("bench", "demos", "tools"):
+    for folder in folders:
         paths += (ROOT / folder).glob("*.py")
     return [ast.parse(path.read_text(), str(path)) for path in paths]
 
@@ -132,11 +133,11 @@ def test_every_public_member_of_an_exported_class_is_read_outside_the_tests():
 
 
 def calls_by_name() -> dict[str, list[tuple[int, set[str], bool]]]:
-    """Each call outside the tests as (positional count, keywords, starred) under the name it calls,
-    a from-import's alias read back to the imported name.  Starred means *args or **kwargs, which
-    may pass any parameter."""
+    """Each call in the library, the bench and the tools as (positional count, keywords, starred)
+    under the name it calls, a from-import's alias read back to the imported name.  Starred means
+    *args or **kwargs, which may pass any parameter."""
     calls = {}
-    for tree in caller_trees():
+    for tree in caller_trees(("bench", "tools")):
         alias = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                  for a in node.names if a.asname}
         for node in ast.walk(tree):
