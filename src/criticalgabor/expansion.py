@@ -33,7 +33,8 @@ def sharp_series(f: SampledSignal) -> complex:
     Ti, half = round(f.T), round(0.5 / f.h)
     if abs(f.T - Ti) > 1e-9 or abs(0.5 / f.h - half) > 1e-9:
         raise ValueError("sharp functional needs half-integer points on the grid")
-    signs = np.where(np.arange(-Ti, Ti) % 2 == 0, 1.0, -1.0)
+    signs = np.ones(2 * Ti)
+    signs[(Ti + 1) % 2::2] = -1.0  # (-1)^q for q = -T..T-1
     return complex(np.sum(signs * f.values[half::2 * half]))
 
 

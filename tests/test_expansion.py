@@ -57,7 +57,7 @@ class TestSharpFunctional:
             f = hermite_signal(int(signal[1]), T8, h)
         assert abs(sharp_functional(f) - sharp_functional_zak(f)) <= 1e-13
 
-    @pytest.mark.parametrize("T, h", [(8.0, 1 / 64), (6.0, 1 / 64), (8.0, 1 / 32), (12.0, 1 / 128), (6.0, 1 / 2)])
+    @pytest.mark.parametrize("T, h", [(8.0, 1 / 64), (5.0, 1 / 64), (8.0, 1 / 32), (12.0, 1 / 128), (7.0, 1 / 2)])
     def test_series_matches_the_index_array_form_bitwise(self, T, h):
         # the strided read of every second sample of a unit, against the samples at
         # the indices (q + 1/2 + T)/h, q = -T..T-1
