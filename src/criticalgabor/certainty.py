@@ -97,30 +97,34 @@ def concentration(f: SampledSignal, D: PhaseDomain, dlam: float = 1.0 / 16.0) ->
     return out_mass + (rest if rest > 64 * np.finfo(float).eps * f.norm() ** 2 else 0.0)
 
 
-def _atom_sites(K: PhaseDomain, r: float) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
+def _atom_sites(K: PhaseDomain, r: float) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None, np.ndarray]:
     """The atom sites of the decomposition over D = K(r) and its relocation node.
 
     Returns the indices (k, j) of the lattice points in D and of the sharp
-    points (k + 1/2, j + 1/2) in D off K, as sorted (n, 2) arrays, and the
-    sharp node in U \\ K, U = K(r/2): centered in the annulus when possible,
-    largest clearance, ties broken by the smallest index (k0, j0); None when
-    U \\ K holds no sharp point.  One enumeration of D's sharp points and one
-    neighborhood_masks call, K's and U's own rule, decide both sharp sets.
+    points (k + 1/2, j + 1/2) in D off K, as sorted (n, 2) arrays; the sharp
+    node in U \\ K, U = K(r/2): centered in the annulus when possible, largest
+    clearance, ties broken by the smallest index (k0, j0), None when U \\ K
+    holds no sharp point; and the mask of the lattice points in U.  D's
+    lattice and sharp points are enumerated once, and one neighborhood_masks
+    call over both lists gives each point's membership in K and in U by
+    their own rule.
     """
     D = Neighborhood(K, r)
-    sharp = lattice_points_in(D, sharp=True)
-    pts = sharp + 0.5
+    lattice, sharp = lattice_points_in(D), lattice_points_in(D, sharp=True)
+    pts = np.vstack([lattice, sharp + 0.5])
     in_K, in_U = neighborhood_masks(K, pts[:, 0], pts[:, 1], [0.0, r / 2.0])
-    in_U &= ~in_K
+    n = len(lattice)
+    lattice_in_U, off_K = in_U[:n], ~in_K[n:]
+    in_U = in_U[n:] & off_K
     node = None
     if np.any(in_U):
         # the clearance to K and to U's edge, which U's rule puts at r/2 + 1e-12
-        d = K.distance(pts[in_U])
+        d = K.distance(sharp[in_U] + 0.5)
         clearance = np.minimum(d, r / 2.0 - d + 1e-12)
         k0, j0 = sharp[in_U].T
         best = np.lexsort((j0, k0, -clearance))[0]
         node = int(k0[best]), int(j0[best])
-    return lattice_points_in(D), sharp[~in_K], node
+    return lattice, sharp[off_K], node, lattice_in_U
 
 
 @dataclass
@@ -175,7 +179,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     if delta * np.log(r) > _LOG_FLOAT_MAX:
         raise ValueError(f"r ** delta = {r!r} ** {delta!r} passes the float range")
 
-    lattice, sharp, node = _atom_sites(nd.K, nd.r)
+    lattice, sharp, node, in_U = _atom_sites(nd.K, nd.r)
     if node is None:
         raise ValueError("no sharp point available in U \\ K for relocation")
     R_big = int(np.ceil(need)) + 2
@@ -184,7 +188,6 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
     # f_U: relaxed expansion restricted to U (sharp node is in U by construction).  U lies
     # in D, so its lattice points are those of D in U
     entries, kj = rexp.coeffs.entries, lattice.tolist()
-    in_U = nd.U.contains(lattice)
     fU_coeffs = CoefficientSet()
     fU_coeffs.entries = {(k, j, False): entries[k, j, False] for (k, j), ok in zip(kj, in_U) if ok}
     fU_coeffs.set(node[0], node[1], rexp.sharp, sharp=True)
@@ -328,7 +331,7 @@ def degrees_of_freedom_report(K: PhaseDomain, r: float) -> dict:
     """Atom budget of the decomposition index sets against the area of D = K(r)."""
     if not K.is_bounded():
         raise ValueError("K must be bounded")
-    lattice, sharp, _ = _atom_sites(K, r)
+    lattice, sharp = _atom_sites(K, r)[:2]
     n_lattice, n_sharp = len(lattice), len(sharp)
     area = domain_area(Neighborhood(K, r))
     count = n_lattice + n_sharp

@@ -137,7 +137,7 @@ def test_sharp_node_matches_scalar_loop(K, r, m):
 def test_every_sharp_point_of_d_is_in_k_or_a_collar_site(K, r):
     # the sharp point (1/2, 1/2) lies 5e-10 outside K: outside by K's own rule, d <= 1e-12,
     # so it is a collar site, as every sharp point of D is either in K or in the collar
-    _, sharp, _ = certainty._atom_sites(K, r)
+    sharp = certainty._atom_sites(K, r)[1]
     collar = set(map(tuple, sharp.tolist()))
     assert (0, 0) in collar and not K.contains((0.5, 0.5))
     for k, j in lattice_points_in(phaseplane.Neighborhood(K, r), sharp=True).tolist():
@@ -267,7 +267,7 @@ def least_squares_baseline(f: SampledSignal, K, r: float) -> float:
     """Best-projection residual onto the same atom set, Gram matrix ridged by
     1e-8 (not part of the constructive decomposition; a sanity floor for
     comparisons only)."""
-    lattice, sharp, _ = certainty._atom_sites(K, r)
+    lattice, sharp = certainty._atom_sites(K, r)[:2]
     pts = np.vstack([lattice, sharp + 0.5])
     G = np.array([[atom_inner(a, b) for b in pts] for a in pts])
     _check_margin(pts[:, 0], f.T, DECOMP_MARGIN)
