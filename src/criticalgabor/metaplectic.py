@@ -5,8 +5,11 @@ M_S f(x) = (i b)^{-1/2} int exp(pi i ((d/b) x^2 - (2/b) x y + (a/b) y^2)) f(y) d
 for the rotation matrix (a, b; c, d) = (cos phi, -sin phi; sin phi, cos phi).
 The representation is two-valued; every check here fits a unimodular constant
 and the principal branch of (i b)^{-1/2} is used throughout.  On the sample
-grid the kernel sum is a chirp-z transform (chirp, FFT convolution, chirp;
-Ozaktas et al. 1996), O(n log n) per application.
+grid x_n = -T + n h the kernel sum factors as chirp, convolution, chirp
+(Ozaktas et al. 1996): with a = d,
+M_S f(x_n) = (i b)^{-1/2} h q_n sum_m w_{n-m} q_m f(x_m),
+q = exp(pi i (a - 1) x^2/b), w_k = exp(pi i h^2 k^2/b),
+one FFT convolution per application, O(n log n).
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ import numpy as np
 
 from .gabor import atom
 from .higher import annihilate, create
-from .numerics import DEFAULT_H, DEFAULT_T, Memo, SampledSignal, _chirp_sum, inner
+from .numerics import DEFAULT_H, DEFAULT_T, Memo, SampledSignal, _chirp, _fft_length, inner
 from .phaseplane import PhasePoint, as_point
 
 # |sin phi| below this would push the chirp rates past the grid Nyquist, so
 # the quadrature would alias; such angles are reached by composing with a
 # quarter turn instead.  The guard is about accuracy: each kernel application
-# costs one O(n log n) chirp-z sum whatever the angle.
+# costs one O(n log n) FFT convolution whatever the angle.
 _MIN_B = 0.35
 # metaplectic_apply reduces the angle mod fl(2 pi), which falls short of 2 pi by
 # 2.449e-16, while the matrix entries take cos and sin of the angle itself: the
@@ -75,20 +78,33 @@ class Rotation:
 
 
 def _kernel_apply(angle: float, f: SampledSignal) -> SampledSignal:
-    """Chirp-quadrature kernel sum, with x_n x_m = h^2 n m - T x_n - T x_m - T^2
-    turning the n x n kernel into a chirp-z sum of rate h^2/b.  A rotation has
-    a = d, so the chirp before the sum and the one after it are one array,
-    built once per (angle, T, h, N) and read-only."""
-    a, b = np.cos(angle), -np.sin(angle)
-    x = f.x
-    chirp = _ROTATION_CHIRP_MEMO.get((angle, f.T, f.h, x.size),
-                                     lambda: np.exp(1j * np.pi * (a * x ** 2 + 2.0 * f.T * x) / b))
-    scale = (1j * b) ** -0.5 * np.exp(2j * np.pi * f.T ** 2 / b) * f.h
-    vals = scale * chirp * _chirp_sum(chirp * f.values, f.h ** 2 / b, x.size)
+    """Chirp-quadrature kernel sum.  A rotation has a = d, and x_n - x_m = h (n - m),
+    so the exponent (a x_n^2 - 2 x_n x_m + a x_m^2)/b splits as
+    ((a - 1) x_n^2 + (x_n - x_m)^2 + (a - 1) x_m^2)/b: the chirp q = exp(pi i t x^2),
+    t = (a - 1)/b = tan(angle/2) taken in one rounding, before and after a
+    convolution with the even chirp w_k = exp(pi i h^2 k^2/b).  q and the FFT of w
+    are built once per (angle, T, h, N) and read-only."""
+    b = -np.sin(angle)
+    N = f.values.size
+
+    def plan():
+        L = _fft_length(2 * N - 1)
+        w = _chirp(f.h ** 2 / b, N)
+        kernel = np.zeros(L, dtype=complex)
+        kernel[:N] = w
+        kernel[L - N + 1:] = w[:0:-1]
+        return np.exp(1j * np.pi * np.tan(angle / 2.0) * f.x ** 2), np.fft.fft(kernel)
+
+    q, kernel_fft = _ROTATION_PLAN_MEMO.get((angle, f.T, f.h, N), plan)
+    buf = np.zeros(kernel_fft.size, dtype=complex)
+    np.multiply(q, f.values, out=buf[:N])
+    np.fft.fft(buf, out=buf)
+    buf *= kernel_fft
+    vals = (1j * b) ** -0.5 * f.h * q * np.fft.ifft(buf, out=buf)[:N]
     return SampledSignal(f.T, f.h, vals)
 
 
-_ROTATION_CHIRP_MEMO = Memo()
+_ROTATION_PLAN_MEMO = Memo()
 
 
 def metaplectic_apply(S: Rotation, f: SampledSignal) -> SampledSignal:

@@ -304,38 +304,6 @@ def _chirp(c: float, M: int) -> np.ndarray:
     return _exp_pi_i(c, np.arange(M, dtype=float) ** 2, max(M - 1, 1).bit_length() * 2)
 
 
-def _chirp_sum(g: np.ndarray, c: float, K: int) -> np.ndarray:
-    """out[..., k] = sum_n g[..., n] exp(-2 pi i c k n) for k < K (chirp-z transform).
-
-    Bluestein's identity kn = (k^2 + n^2 - (k-n)^2)/2 turns the sum into a
-    chirp, one FFT convolution of 5-smooth length L >= N + K - 1, and a chirp:
-    O((N + K) log(N + K)) per row instead of N K.  The constants, the input
-    factor w-bar[:N] and the output factor w-bar[:K] of the chirp
-    w = exp(pi i c m^2) and the FFT of the chirp kernel, are memoised per
-    (c, N, K) and read-only.
-    """
-    N = g.shape[-1]
-
-    def plan():
-        L = _fft_length(N + K - 1)
-        w = _chirp(c, max(N, K))  # even in m
-        kernel = np.zeros(L, dtype=complex)
-        kernel[:K] = w[:K]
-        kernel[L - N + 1:] = w[N - 1:0:-1]
-        w_bar = w.conj()  # the two factors are views of one array, so a stored plan holds it once
-        return w_bar[:N], w_bar[:K], np.fft.fft(kernel)
-
-    pre, post, kernel_fft = _CHIRP_MEMO.get((c, N, K), plan)
-    buf = np.zeros(g.shape[:-1] + kernel_fft.shape, dtype=complex)
-    np.multiply(g, pre, out=buf[..., :N])
-    np.fft.fft(buf, axis=-1, out=buf)
-    buf *= kernel_fft
-    return post * np.fft.ifft(buf, axis=-1, out=buf)[..., :K]
-
-
-_CHIRP_MEMO = Memo()
-
-
 def upsample_periodic(values: np.ndarray, factor: int) -> np.ndarray:
     """Trigonometric interpolation of uniformly sampled sequences along the last axis.
 

@@ -1,11 +1,12 @@
 """The FFT paths of the Gabor transform (a window over the spectrum, folded
-onto b m mod M') and the metaplectic rotation (a chirp-z sum) against the dense
-sums they replace.
+onto b m mod M') and the metaplectic rotation (chirp, convolution, chirp)
+against the dense sums they replace.
 
 The oracles below are the dense formulas: an X x Theta phase matrix for
-<f | e_lambda>, an X x X kernel for the metaplectic chirp quadrature, and a
-per-atom double loop for hdelta_invariance_check.  The chirp-z form is an
-exact algebraic rewrite of its discrete sum, so it must agree to roundoff.
+<f | e_lambda>, an X x X kernel for the metaplectic chirp quadrature, in
+double and in long double, and a per-atom double loop for
+hdelta_invariance_check.  The factored kernel is an exact algebraic rewrite
+of its discrete sum, so it must agree to roundoff.
 
 The Gabor transform sums each row over the spectrum bins within the reach
 _REACH of its theta, with the envelope's periodic extension.  Three more
@@ -26,8 +27,8 @@ from criticalgabor import (PhasePoint, Rotation, SampledSignal, atom, atom_inner
                            inner, metaplectic_apply)
 from criticalgabor.gabor import _REACH, _box_grids, _spectrum_rows, step_periods
 from criticalgabor.metaplectic import _MIN_B
-from criticalgabor.numerics import _chirp_sum, _exp_pi_i
-from support import hdelta_invariance_check
+from criticalgabor.numerics import _exp_pi_i
+from support import POOL, hdelta_invariance_check
 
 GRIDS = [(8.0, 1.0 / 64.0), (6.0, 1.0 / 32.0)]
 
@@ -62,6 +63,29 @@ def dense_metaplectic_apply(S, f):
     return dense_kernel_apply(phi - np.pi / 2.0, dense_kernel_apply(np.pi / 2.0, f))
 
 
+def long_double_kernel_apply(angle, values, T, h):
+    """The kernel sum with its phases in long double, reduced mod 1 before the factor 2 pi, summed in long double."""
+    a, b = np.cos(np.longdouble(angle)), -np.sin(np.longdouble(angle))
+    x = -np.longdouble(T) + np.longdouble(h) * np.arange(values.size).astype(np.longdouble)
+    turns = (a * np.add.outer(x ** 2, x ** 2) - 2 * np.outer(x, x)) / (2 * b)
+    turns -= np.round(turns)
+    kernel = np.exp(2j * np.pi * turns.astype(float)).astype(np.clongdouble)
+    return (1j * b) ** np.longdouble(-0.5) * np.longdouble(h) * (kernel @ values)
+
+
+def long_double_metaplectic_apply(S, f):
+    phi = float(S.angle) % (2.0 * np.pi)
+    values = f.values.astype(np.clongdouble)
+    if phi == 0.0:
+        return values
+    if phi == np.pi:
+        return 1j * values[::-1]
+    if abs(np.sin(phi)) >= _MIN_B:
+        return long_double_kernel_apply(phi, values, f.T, f.h)
+    quarter = long_double_kernel_apply(np.pi / 2.0, values, f.T, f.h)
+    return long_double_kernel_apply(phi - np.pi / 2.0, quarter, f.T, f.h)
+
+
 def loop_hdelta_invariance_check(S, f, grid_radius=3.0, step=0.25):
     rotated = dense_metaplectic_apply(S, f)
     vals = np.arange(-grid_radius, grid_radius + step / 2, step)
@@ -88,17 +112,6 @@ def mixed_signal(seed, T, h):
 
 def relative_error(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-
-
-@pytest.mark.parametrize("N,K,c", [(1025, 257, 1 / 1024), (1025, 1025, 1 / (4096 * 0.37)),
-                                   (7, 40, 1 / 3), (40, 7, -0.3), (1, 5, 0.1), (5, 1, 0.2)])
-def test_chirp_sum_matches_direct_sum(N, K, c):
-    rng = np.random.default_rng(N + K)
-    g = rng.normal(size=(3, N)) + 1j * rng.normal(size=(3, N))
-    # the kernel phase c k n is reduced mod 1 in extended precision
-    kn = np.longdouble(c) * np.outer(np.arange(N, dtype=np.longdouble), np.arange(K, dtype=np.longdouble))
-    kernel = np.exp(-2j * np.pi * (kn - np.round(kn))).astype(complex)
-    assert relative_error(_chirp_sum(g, c, K), g @ kernel) <= 1e-14
 
 
 boxes = st.one_of(
@@ -291,6 +304,20 @@ def test_metaplectic_apply_matches_dense(seed, grid, branch, u, turn):
     f = mixed_signal(seed, *grid)
     S = Rotation(angle)
     assert relative_error(metaplectic_apply(S, f).values, dense_metaplectic_apply(S, f).values) <= 1e-12
+
+
+POOL_ANGLES = sorted({e["angle"] for e in POOL["analyze"]})
+
+
+@pytest.mark.parametrize("angle", POOL_ANGLES)
+def test_metaplectic_apply_matches_the_long_double_kernel(hermites, angle):
+    # the analyze pool's angles take every branch: the snaps, the kernel, the quarter turn then the kernel.
+    # The kernel's chirps come from tan(angle/2) and h^2/b, each rounded once; measured <= 7e-15
+    f = hermites[2] + (0.5 - 0.25j) * hermites[1] + atom((1.5, -2.0))
+    S = Rotation(angle)
+    want = long_double_metaplectic_apply(S, f)
+    got = metaplectic_apply(S, f).values
+    assert float(np.max(np.abs(got - want)) / np.max(np.abs(want))) <= 1e-14
 
 
 @pytest.mark.parametrize("angle,radius,step", [(0.0, 3.0, 0.25), (np.pi / 2, 3.0, 0.25),

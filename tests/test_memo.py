@@ -2,10 +2,9 @@
 
 theta, the Zak sum's gather index and phases, the Fourier rows of the block
 extraction, the fine nodes and twists of the refinement at the theta zero,
-the dual mixing matrix, the chirp-z constants and the chirp of the metaplectic
-rotation, the half-integer samples of the sharp functional, and the Gabor
-transform's window taps, spectrum phase and fold runs are each built once per
-key.  A memo hit must give the bits a fresh build gives, no entry may be
+the dual mixing matrix, the metaplectic rotation's plan (its chirp and the
+FFT of its convolution kernel), and the Gabor transform's window taps,
+spectrum phase and fold runs are each built once per key.  A memo hit must give the bits a fresh build gives, no entry may be
 served for another grid, stored arrays are read-only, and no memo holds more
 than MEMO_SIZE entries.  The oracles are the formulas these functions
 evaluated before they were memoised.
@@ -27,14 +26,14 @@ from criticalgabor import (THETA_TERMS, Rotation, SampledSignal, atom, dual_atom
 from criticalgabor.expansion import _REFINE_FACTOR, _extract_block, lattice_coefficients, sharp_series
 from criticalgabor.gabor import dual_mixing
 from criticalgabor.higher import default_sharp_nodes
-from criticalgabor.numerics import MEMO_SIZE, Memo, _chirp, _chirp_sum, _fft_length
+from criticalgabor.numerics import MEMO_SIZE, Memo, _chirp, _fft_length
 from criticalgabor.zak import _midpoints, _zak_sum, zak_atom_field
 
 zak_module = sys.modules["criticalgabor.zak"]  # the package attribute `zak` is the function
 MEMOS = [(numerics, "_THETA_MEMO"), (zak_module, "_ZAK_SUM_MEMO"),
-         (expansion, "_BLOCK_MEMO"), (gabor, "_MIXING_MEMO"), (numerics, "_CHIRP_MEMO"),
-         (expansion, "_REFINE_MEMO"), (gabor, "_TAPS_MEMO"),
-         (gabor, "_SPECTRUM_PHASE_MEMO"), (gabor, "_FOLD_MEMO"), (metaplectic, "_ROTATION_CHIRP_MEMO")]
+         (expansion, "_BLOCK_MEMO"), (gabor, "_MIXING_MEMO"), (expansion, "_REFINE_MEMO"),
+         (gabor, "_TAPS_MEMO"), (gabor, "_SPECTRUM_PHASE_MEMO"), (gabor, "_FOLD_MEMO"),
+         (metaplectic, "_ROTATION_PLAN_MEMO")]
 
 T, H, N, R = 8.0, 1.0 / 64.0, 32, 6
 MID = _midpoints(N)
@@ -81,17 +80,6 @@ def old_dual_mixing(nodes):
     return gabor.vandermonde_inverse(labels) * signs[None, :]
 
 
-def old_chirp_sum(g, c, K):
-    N = g.shape[-1]
-    L = _fft_length(N + K - 1)
-    w = _chirp(c, max(N, K))
-    kernel = np.zeros(L, dtype=complex)
-    kernel[:K] = w[:K]
-    kernel[L - N + 1:] = w[N - 1:0:-1]
-    spec = np.fft.fft(g * w[:N].conj(), L, axis=-1) * np.fft.fft(kernel)
-    return w[:K].conj() * np.fft.ifft(spec, axis=-1)[..., :K]
-
-
 def old_gabor_transform(f, box, dlam):
     """The transform with its window, spectrum phase and fold runs built in the call."""
     ps, ts = gabor._box_grids(box, dlam)
@@ -128,11 +116,17 @@ def old_gabor_transform(f, box, dlam):
 
 
 def old_kernel_apply(angle, f):
-    a, b = np.cos(angle), -np.sin(angle)
-    x = f.x
-    chirp = np.exp(1j * np.pi * (a * x ** 2 + 2.0 * f.T * x) / b)
-    scale = (1j * b) ** -0.5 * np.exp(2j * np.pi * f.T ** 2 / b) * f.h
-    return SampledSignal(f.T, f.h, scale * chirp * numerics._chirp_sum(chirp * f.values, f.h ** 2 / b, x.size))
+    """The kernel sum with its chirp and kernel FFT built in the call."""
+    b = -np.sin(angle)
+    N = f.values.size
+    L = _fft_length(2 * N - 1)
+    w = _chirp(f.h ** 2 / b, N)
+    kernel = np.zeros(L, dtype=complex)
+    kernel[:N] = w
+    kernel[L - N + 1:] = w[:0:-1]
+    q = np.exp(1j * np.pi * np.tan(angle / 2.0) * f.x ** 2)
+    conv = np.fft.ifft(np.fft.fft(q * f.values, L) * np.fft.fft(kernel))[:N]
+    return SampledSignal(f.T, f.h, (1j * b) ** -0.5 * f.h * q * conv)
 
 
 def old_rotation(angle, f):
@@ -144,16 +138,6 @@ def old_rotation(angle, f):
 
 def bits(a):
     return np.asarray(a).tobytes()
-
-
-def chirp_input(N):
-    rng = np.random.default_rng(N)
-    return rng.normal(size=(2, N)) + 1j * rng.normal(size=(2, N))
-
-
-def stored_chirp_plan(c, N, K):
-    """The chirp constants _chirp_sum stored under (c, N, K); fails if there are none."""
-    return stored(numerics._CHIRP_MEMO, (c, N, K))
 
 
 def stored(memo, key):
@@ -199,8 +183,6 @@ CASES = {
                       lambda: old_extract_block(np.outer(np.cos(MID), MID + 1j), MID, MID, R)),
     "dual_mixing": (lambda: dual_mixing(default_sharp_nodes(3)),
                     lambda: old_dual_mixing([tuple(n) for n in default_sharp_nodes(3)])),
-    "chirp_plan": (lambda: _chirp_sum(chirp_input(573), 0.1 / 64, 161),
-                   lambda: old_chirp_sum(chirp_input(573), 0.1 / 64, 161)),
     **{name: (lambda sig=sig, box=box, dlam=dlam: gabor_transform(sig(), box, dlam).values,
               lambda sig=sig, box=box, dlam=dlam: old_gabor_transform(sig(), box, dlam))
        for name, (sig, box, dlam) in TRANSFORMS.items()},
@@ -231,18 +213,14 @@ def test_a_warm_call_builds_nothing(cold):
     assert theta(z) is theta(z.copy())
     nodes = default_sharp_nodes(2)
     assert dual_mixing(nodes) is dual_mixing([tuple(n) for n in nodes])
-    _chirp_sum(chirp_input(573), 1 / 1024, 257)
-    plan = stored_chirp_plan(1 / 1024, 573, 257)
-    _chirp_sum(chirp_input(573), 1 / 1024, 257)
-    assert stored_chirp_plan(1 / 1024, 573, 257) is plan
     gabor_transform(analysis_signal(), 6.0, 1 / 16)
     entries = transform_entries(6.0, 1 / 16)
     gabor_transform(analysis_signal(), 6.0, 1 / 16)
     assert all(a is b for a, b in zip(transform_entries(6.0, 1 / 16), entries))
     metaplectic_apply(Rotation(1.2), analysis_signal())
-    chirp = stored(metaplectic._ROTATION_CHIRP_MEMO, (1.2, T, H, 1025))
+    plan = stored(metaplectic._ROTATION_PLAN_MEMO, (1.2, T, H, 1025))
     metaplectic_apply(Rotation(1.2), analysis_signal())
-    assert stored(metaplectic._ROTATION_CHIRP_MEMO, (1.2, T, H, 1025)) is chirp
+    assert stored(metaplectic._ROTATION_PLAN_MEMO, (1.2, T, H, 1025)) is plan
 
 
 def test_boxes_on_one_step_share_the_spectrum_phase_and_fold_runs(cold):
@@ -273,12 +251,6 @@ PAIRS = {
     "cutoff": (lambda: lattice(8.0, H, 4), lambda: lattice(8.0, H, 6)),
     "one_node": (lambda: bits(dual_mixing([(0.5, 0.5), (1.5, 0.5), (0.5, 1.5)])),
                  lambda: bits(dual_mixing([(0.5, 0.5), (1.5, 0.5), (-0.5, 0.5)]))),
-    "chirp_inputs": (lambda: bits(_chirp_sum(chirp_input(573)[:, :572], 1 / 1024, 257)),
-                     lambda: bits(_chirp_sum(chirp_input(573), 1 / 1024, 257))),
-    "chirp_outputs": (lambda: bits(_chirp_sum(chirp_input(573), 1 / 1024, 256)),
-                      lambda: bits(_chirp_sum(chirp_input(573), 1 / 1024, 257))),
-    "chirp_rate": (lambda: bits(_chirp_sum(chirp_input(573), 1 / 1023, 257)),
-                   lambda: bits(_chirp_sum(chirp_input(573), 1 / 1024, 257))),
     "sharp_half_width": (lambda: sharp_series(hermite_signal(3, 6.0, H)),
                          lambda: sharp_series(hermite_signal(3, 8.0, H))),
     "sharp_step": (lambda: sharp_series(hermite_signal(3, T, 1 / 32)),
@@ -316,10 +288,6 @@ def test_stored_arrays_are_read_only(cold):
     for arr in (theta(z), dual_mixing(nodes), dual_atoms(nodes, T, H).mixing):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1.0
-    _chirp_sum(chirp_input(573), 1 / 1024, 257)
-    for arr in stored_chirp_plan(1 / 1024, 573, 257):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 1.0
     lattice_coefficients(hermite_signal(2, T, H), R)
     plan = expansion._REFINE_MEMO.get(N, lambda: pytest.fail("no refinement plan for N = 32"))
     for arr in (a for a in plan if isinstance(a, np.ndarray)):
@@ -330,8 +298,9 @@ def test_stored_arrays_are_read_only(cold):
     assert (taps.nbytes, phase.nbytes) == (257 * 16, 2 * 2048 * 16)  # 2J + 1 taps, a 2L table: 4 and 64 KiB
     assert isinstance(runs, tuple)
     metaplectic_apply(Rotation(0.15), analysis_signal())  # the quarter turn, then the rest
-    chirps = [stored(metaplectic._ROTATION_CHIRP_MEMO, (angle, T, H, 1025)) for angle in (np.pi / 2, 0.15 - np.pi / 2)]
-    for arr in (taps, phase, *chirps):
+    plans = [stored(metaplectic._ROTATION_PLAN_MEMO, (angle, T, H, 1025)) for angle in (np.pi / 2, 0.15 - np.pi / 2)]
+    assert len(metaplectic._ROTATION_PLAN_MEMO) == 2  # one plan per kernel angle, and nothing else
+    for arr in (taps, phase, *(arr for plan in plans for arr in plan)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     a, b = Memo().get("key", lambda: (np.zeros(3), np.ones(2)))
@@ -347,7 +316,7 @@ def test_memo_holds_at_most_its_limit(cold):
 
 
 def test_analysis_memos_hold_at_most_their_limit(cold):
-    memos = [gabor._TAPS_MEMO, gabor._SPECTRUM_PHASE_MEMO, gabor._FOLD_MEMO, metaplectic._ROTATION_CHIRP_MEMO]
+    memos = [gabor._TAPS_MEMO, gabor._SPECTRUM_PHASE_MEMO, gabor._FOLD_MEMO, metaplectic._ROTATION_PLAN_MEMO]
     for k in range(MEMO_SIZE + 4):  # a new sample count, box anchor, step and angle each time
         f = hermite_signal(0, 4.0 + k / 4, H)
         gabor_transform(f, (-1.3 + 0.01 * k, -0.8, -0.5, 0.5), (2 * k + 1) / 64)

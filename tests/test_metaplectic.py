@@ -7,7 +7,7 @@ from criticalgabor import (Disk, Rotation, SampledSignal, atom, commutation_chec
                            covariance_check, gabor_transform, hdelta_norm,
                            inner, loc_integral, metaplectic_apply)
 from criticalgabor.metaplectic import _MAX_ANGLE, _MIN_B
-from criticalgabor.numerics import _chirp_sum
+from criticalgabor.numerics import _chirp, _fft_length
 from support import POOL, hdelta_invariance_check
 
 T8, H64 = 8.0, 1.0 / 64.0
@@ -162,19 +162,24 @@ class TestSmoothnessInvariance:
         assert lhs <= rhs + 1e-3
 
 
-def two_exp_kernel_apply(angle, f):
-    """The kernel sum with one exp for the chirp before it (rate d/b) and one for the chirp after (a/b)."""
-    a, b, d = np.cos(angle), -np.sin(angle), np.cos(angle)
-    x = f.x
-    front = np.exp(1j * np.pi * (d * x ** 2 + 2.0 * f.T * x) / b)
-    back = np.exp(1j * np.pi * (a * x ** 2 + 2.0 * f.T * x) / b) * f.values
-    scale = (1j * b) ** -0.5 * np.exp(2j * np.pi * f.T ** 2 / b) * f.h
-    return SampledSignal(f.T, f.h, scale * front * _chirp_sum(back, f.h ** 2 / b, x.size))
+def factored_kernel_apply(angle, f):
+    """The kernel sum as chirp, convolution, chirp: q = exp(pi i tan(angle/2) x^2) on both sides of the
+    convolution with w_k = exp(pi i h^2 k^2/b), taken by FFT at the 5-smooth length >= 2N - 1."""
+    b = -np.sin(angle)
+    N = f.values.size
+    L = _fft_length(2 * N - 1)
+    w = _chirp(f.h ** 2 / b, N)
+    kernel = np.zeros(L, dtype=complex)
+    kernel[:N] = w
+    kernel[L - N + 1:] = w[:0:-1]
+    q = np.exp(1j * np.pi * np.tan(angle / 2.0) * f.x ** 2)
+    conv = np.fft.ifft(np.fft.fft(q * f.values, L) * np.fft.fft(kernel))[:N]
+    return SampledSignal(f.T, f.h, (1j * b) ** -0.5 * f.h * q * conv)
 
 
 @pytest.mark.parametrize("angle", [e["angle"] for e in _ANALYZE], ids=[e["id"] for e in _ANALYZE])
 def test_kernel_shares_its_chirp_bitwise(hermites, angle):
-    # metaplectic_apply on the analyze pool's angles against the two-exp kernel, branch for branch:
+    # metaplectic_apply on the analyze pool's angles against the factored kernel, branch for branch:
     # the snaps, the kernel, and the quarter turn composed with the kernel where |sin| < _MIN_B
     f = hermites[2] + (0.5 - 0.25j) * hermites[1] + atom((1.5, -2.0))
     phi = angle % (2 * np.pi)
@@ -186,7 +191,7 @@ def test_kernel_shares_its_chirp_bitwise(hermites, angle):
         steps = [np.pi / 2, phi - np.pi / 2]
     want = SampledSignal(f.T, f.h, 1j * f.values[::-1]) if phi == np.pi else f
     for step in steps:
-        want = two_exp_kernel_apply(step, want)
+        want = factored_kernel_apply(step, want)
     np.testing.assert_array_equal(metaplectic_apply(Rotation(angle), f).values, want.values)
 
 

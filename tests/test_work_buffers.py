@@ -1,6 +1,6 @@
 """The allocation-free kernels against the code they replace.
 
-The oracles below are the earlier forms: the chirp-z sum as one expression,
+The oracles below are the earlier forms: the chirp as one expression,
 the polygon distance over (N, E, 2) temporaries, the neighborhood rule on
 every point, the meshgrid weight of hdelta_norm, the twice-squared field of
 concentration, the biorthogonality loop with one annihilate too many, and the
@@ -24,7 +24,7 @@ from criticalgabor.certainty import nested_domains
 from criticalgabor.gabor import _ROWS, _box_grids
 from criticalgabor.higher import annihilate, default_sharp_nodes, dual_atoms
 from criticalgabor.expansion import sharp_functional
-from criticalgabor.numerics import _chirp, _chirp_sum, _fft_length
+from criticalgabor.numerics import _chirp
 from criticalgabor.phaseplane import Neighborhood, neighborhood_masks
 from support import FunctionDomain, grid_points
 
@@ -37,17 +37,6 @@ def old_chirp(c, M):
     bits = 53 - max(M - 1, 1).bit_length() * 2
     c_hi = math.ldexp(round(math.ldexp(frac, bits)), e - bits)
     return np.exp(1j * np.pi * (np.fmod(c_hi * m2, 2.0) + (c - c_hi) * m2))
-
-
-def old_chirp_sum(g, c, K):
-    N = g.shape[-1]
-    L = _fft_length(N + K - 1)
-    w = old_chirp(c, max(N, K))
-    kernel = np.zeros(L, dtype=complex)
-    kernel[:K] = w[:K]
-    kernel[L - N + 1:] = w[N - 1:0:-1]
-    spec = np.fft.fft(g * w[:N].conj(), L, axis=-1) * np.fft.fft(kernel)
-    return w[:K].conj() * np.fft.ifft(spec, axis=-1)[..., :K]
 
 
 def long_double_gabor_transform(f, box, dlam):
@@ -146,14 +135,6 @@ def test_gabor_transform_matches_the_per_block_chirp_sum(grid, box, dlam, seed):
     got = gabor_transform(f, box, dlam).values
     bound = 1e-15 if dlam in (1 / 8, 1 / 16) else 2e-14
     assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("shape,c,K", [((1025,), 1 / 1024, 257), ((3, 1025), 1 / (4096 * 0.37), 1025),
-                                       ((2, 7), 1 / 3, 40), ((40,), -0.3, 7), ((1,), 0.1, 5)])
-def test_chirp_sum_is_bitwise_unchanged(shape, c, K):
-    rng = np.random.default_rng(K)
-    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    np.testing.assert_array_equal(_chirp_sum(g, c, K), old_chirp_sum(g, c, K))
 
 
 @pytest.mark.parametrize("c,M", [(1 / 1024, 1025), (1 / (4096 * 0.37), 1025), (0.1 / 64, 573), (1 / 3, 40),
