@@ -115,18 +115,21 @@ def old_gabor_transform(f, box, dlam):
     return out
 
 
-def old_kernel_apply(angle, f):
-    """The kernel sum with its chirp and kernel FFT built in the call."""
-    b = -np.sin(angle)
+def old_rotation_plan(angle, f):
+    """The rotation kernel's chirp q and the FFT of its convolution kernel, built in the call."""
     N = f.values.size
     L = _fft_length(2 * N - 1)
-    w = _chirp(f.h ** 2 / b, N)
+    w = _chirp(f.h ** 2 / -np.sin(angle), N)
     kernel = np.zeros(L, dtype=complex)
     kernel[:N] = w
     kernel[L - N + 1:] = w[:0:-1]
-    q = np.exp(1j * np.pi * np.tan(angle / 2.0) * f.x ** 2)
-    conv = np.fft.ifft(np.fft.fft(q * f.values, L) * np.fft.fft(kernel))[:N]
-    return SampledSignal(f.T, f.h, (1j * b) ** -0.5 * f.h * q * conv)
+    return np.exp(1j * np.pi * np.tan(angle / 2.0) * f.x ** 2), np.fft.fft(kernel)
+
+
+def old_kernel_apply(angle, f):
+    q, kernel_fft = old_rotation_plan(angle, f)
+    conv = np.fft.ifft(np.fft.fft(q * f.values, kernel_fft.size) * kernel_fft)[:f.values.size]
+    return SampledSignal(f.T, f.h, (1j * -np.sin(angle)) ** -0.5 * f.h * q * conv)
 
 
 def old_rotation(angle, f):
@@ -134,6 +137,12 @@ def old_rotation(angle, f):
     if abs(np.sin(phi)) >= metaplectic._MIN_B:
         return old_kernel_apply(phi, f).values
     return old_kernel_apply(phi - np.pi / 2, old_kernel_apply(np.pi / 2, f)).values
+
+
+def rotation_plan(angle):
+    """The plan metaplectic_apply stores for a kernel angle, as one array."""
+    metaplectic_apply(Rotation(angle), analysis_signal())
+    return np.concatenate(stored(metaplectic._ROTATION_PLAN_MEMO, (angle, T, H, 1025)))
 
 
 def bits(a):
@@ -186,6 +195,7 @@ CASES = {
     **{name: (lambda sig=sig, box=box, dlam=dlam: gabor_transform(sig(), box, dlam).values,
               lambda sig=sig, box=box, dlam=dlam: old_gabor_transform(sig(), box, dlam))
        for name, (sig, box, dlam) in TRANSFORMS.items()},
+    "rotation_plan": (lambda: rotation_plan(1.2), lambda: np.concatenate(old_rotation_plan(1.2, analysis_signal()))),
     **{name: (lambda angle=angle: metaplectic_apply(Rotation(angle), analysis_signal()).values,
               lambda angle=angle: old_rotation(angle, analysis_signal()))
        for name, angle in ROTATIONS.items()},
