@@ -65,19 +65,22 @@ def atom(lam, T: float = DEFAULT_T, h: float = DEFAULT_H) -> SampledSignal:
 
     The center must keep DEFAULT_MARGIN = 4 units away from the truncation
     boundary (which puts the dropped tail below 1e-21), otherwise the sampled
-    atom is visibly non-normalized and an error is raised.
+    atom is visibly non-normalized and an error is raised.  A non-finite
+    frequency theta raises ValueError too.
     """
     lam = as_point(lam)
     _check_margin(lam.p, T, DEFAULT_MARGIN)
+    if not math.isfinite(lam.theta):
+        raise ValueError(f"atom frequency theta={lam.theta!r} must be finite")
     x = -T + h * np.arange(_sample_count(T, h))
     vals = 2 ** 0.25 * np.exp(-np.pi * (x - lam.p) ** 2 + 2j * np.pi * lam.theta * x)
     return SampledSignal(T, h, vals)
 
 
 def _check_margin(ps, T: float, margin: float):
-    """Every atom center p must keep `margin` units away from +-T."""
+    """Every atom center p must keep `margin` units away from +-T; a NaN center or margin fails."""
     worst = float(np.max(np.abs(ps), initial=0.0))
-    if worst + margin > T:
+    if not worst + margin <= T:
         raise ValueError(f"atom center p={worst} too close to the boundary T={T} (margin {margin})")
 
 
@@ -132,6 +135,8 @@ def _box_grids(box, dlam):
     if not dlam > 0:
         raise ValueError(f"phase step dlam={dlam!r} must be positive")
     pmin, pmax, tmin, tmax = _as_box(box)
+    if not all(map(math.isfinite, (pmin, pmax, tmin, tmax))):
+        raise ValueError(f"phase box {(pmin, pmax, tmin, tmax)!r} needs finite bounds")
     if not (pmin <= pmax and tmin <= tmax):
         raise ValueError(f"phase box {(pmin, pmax, tmin, tmax)!r} needs pmin <= pmax and tmin <= tmax")
     # floor, so the grid never passes pmax or tmax; 1e-9 absorbs the rounding of the ratio

@@ -185,6 +185,10 @@ class TestHdeltaNorm:
         with pytest.raises(ValueError, match="smoothness order must be >= 0"):
             hdelta_norm(e0, float("nan"))
 
+    def test_infinite_box_rejected(self, e0):
+        with pytest.raises(ValueError, match="needs finite bounds"):
+            hdelta_norm(e0, 1.5, float("inf"), 1 / 16)
+
     @pytest.mark.parametrize("delta", [293.0, 1000.0, np.inf])
     def test_overflowing_delta_refused_before_the_transform(self, hermites, monkeypatch, delta):
         # |lambda| reaches 8 sqrt(2) on the default box: its delta-th power passes the float range

@@ -38,6 +38,16 @@ class TestAtom:
         with pytest.raises(ValueError):
             atom((4.5, 0))
 
+    def test_nan_center_rejected(self):
+        # NaN fails every comparison, so `worst + margin > T` let it through to an all-NaN atom
+        with pytest.raises(ValueError, match="atom center p=nan too close to the boundary"):
+            atom((math.nan, 0))
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_frequency_rejected(self, theta):
+        with pytest.raises(ValueError, match=f"atom frequency theta={theta!r} must be finite"):
+            atom((0, theta))
+
 
 class TestAtomInner:
     def test_diagonal(self):
@@ -83,6 +93,12 @@ class TestGaborTransform:
     def test_box_beyond_grid_rejected(self, hermites):
         with pytest.raises(ValueError):
             gabor_transform(hermites[0], box=9.0)
+
+    @pytest.mark.parametrize("box", [math.inf, (-1.0, math.inf, -1.0, 1.0), (-1.0, 1.0, -math.inf, 1.0)])
+    def test_infinite_box_rejected(self, hermites, box):
+        # int(floor(inf)) raised OverflowError while counting the grid points
+        with pytest.raises(ValueError, match="needs finite bounds"):
+            gabor_transform(hermites[0], box)
 
     def test_inverted_box_rejected(self, hermites):
         with pytest.raises(ValueError, match=r"phase box \(0, 1, 1, 0\)"):
@@ -221,6 +237,11 @@ class TestSynthesize:
         c = CoefficientSet({(7, 0, False): 1.0})
         with pytest.raises(ValueError):
             synthesize(c, T8, H64)
+
+    def test_nan_margin_rejected(self):
+        c = CoefficientSet({(7, 0, False): 1.0})
+        with pytest.raises(ValueError, match=r"\(margin nan\)"):
+            synthesize(c, T8, H64, margin=math.nan)
 
 
 def midpoint_tail(coeffs: CoefficientSet, r: float, dlam: float) -> float:
