@@ -20,17 +20,17 @@ from . import certainty, expansion, gabor, higher, metaplectic, numerics, phasep
 
 @dataclass
 class RunConfig:
-    T: float = 8.0
-    h: float = 1.0 / 64.0
+    T: float = numerics.DEFAULT_T
+    h: float = numerics.DEFAULT_H
     Q: int = numerics.THETA_TERMS
-    dlam: float = 1.0 / 16.0
-    box: float = 8.0
+    dlam: float = gabor.DEFAULT_DLAM
+    box: float = gabor.DEFAULT_BOX
     R: int = 6
     delta: float = 2.0
     m: int = 0
     r: float = 4.0
-    decomp_dlam: float = 1.0 / 8.0
-    margin: float = 4.0
+    decomp_dlam: float = certainty.DEFAULT_DECOMP_DLAM
+    margin: float = gabor.DEFAULT_MARGIN
     seed: int = 0
 
     def validate(self, steps=("dlam", "decomp_dlam")):

@@ -67,6 +67,12 @@ class TestConfig:
         assert RunConfig().hash() == RunConfig().hash()
         assert RunConfig().hash() != RunConfig(Q=9).hash()
 
+    def test_defaults_are_the_librarys(self):
+        # the defaults are read from the library; the hash of a default config is the one
+        # every earlier run recorded
+        assert RunConfig().hash() == "7ae67fc127473a2e"
+        assert (RunConfig().T, RunConfig().h) == (numerics.DEFAULT_T, numerics.DEFAULT_H)
+
     def test_config_file_with_flag_override(self, workdir):
         cfg = workdir / "cfg.json"
         cfg.write_text(json.dumps({"delta": 1.5, "dlam": 0.125}))
