@@ -78,12 +78,10 @@ class Rotation:
 
 
 def _kernel_apply(angle: float, f: SampledSignal) -> SampledSignal:
-    """Chirp-quadrature kernel sum.  A rotation has a = d, and x_n - x_m = h (n - m),
-    so the exponent (a x_n^2 - 2 x_n x_m + a x_m^2)/b splits as
-    ((a - 1) x_n^2 + (x_n - x_m)^2 + (a - 1) x_m^2)/b: the chirp q = exp(pi i t x^2),
-    t = (a - 1)/b = tan(angle/2) taken in one rounding, before and after a
-    convolution with the even chirp w_k = exp(pi i h^2 k^2/b).  q and the FFT of w
-    are built once per (angle, T, h, N) and read-only."""
+    """The kernel sum as chirp, convolution, chirp (module docstring): a = d splits the
+    exponent as ((a - 1) x_n^2 + (x_n - x_m)^2 + (a - 1) x_m^2)/b.  q takes
+    (a - 1)/b as tan(angle/2), one rounding in place of three.  q and the
+    FFT of the even kernel w are built once per (angle, T, h, N) and read-only."""
     b = -np.sin(angle)
     N = f.values.size
 
