@@ -1,5 +1,6 @@
 """Helpers shared by the test modules: signal families, call counting, a user-defined
-domain and its nearest-distance search, and the metaplectic smoothness check.
+domain and its nearest-distance search, the metaplectic kernel in its factored
+form, unmemoised, and the metaplectic smoothness check.
 
 A plain module, so that `from support import ...` finds it however many test
 folders, each with a conftest.py of its own, run in one session.
@@ -14,6 +15,7 @@ import numpy as np
 
 from criticalgabor import Rotation, SampledSignal, gabor_transform, hermite_signal, metaplectic_apply
 from criticalgabor.gabor import DEFAULT_MARGIN, _check_margin
+from criticalgabor.numerics import _chirp, _fft_length
 from criticalgabor.phaseplane import PhaseDomain
 
 T8 = 8.0
@@ -152,6 +154,25 @@ class FunctionDomain(PhaseDomain):
 
 
 # the smoothness invariance of the metaplectic rotation, |<M_S f | e_{S lambda}>| = |<f | e_lambda>|
+def factored_rotation_plan(angle, f):
+    """The kernel's chirp q = exp(pi i tan(angle/2) x^2) and the FFT of its even convolution
+    kernel w_k = exp(pi i h^2 k^2/b) at the 5-smooth length >= 2N - 1, built in the call."""
+    N = f.values.size
+    L = _fft_length(2 * N - 1)
+    w = _chirp(f.h ** 2 / -np.sin(angle), N)
+    kernel = np.zeros(L, dtype=complex)
+    kernel[:N] = w
+    kernel[L - N + 1:] = w[:0:-1]
+    return np.exp(1j * np.pi * np.tan(angle / 2.0) * f.x ** 2), np.fft.fft(kernel)
+
+
+def factored_kernel_apply(angle, f):
+    """The metaplectic kernel sum as chirp, convolution, chirp, with out-of-place FFTs."""
+    q, kernel_fft = factored_rotation_plan(angle, f)
+    conv = np.fft.ifft(np.fft.fft(q * f.values, kernel_fft.size) * kernel_fft)[:f.values.size]
+    return SampledSignal(f.T, f.h, (1j * -np.sin(angle)) ** -0.5 * f.h * q * conv)
+
+
 def hdelta_invariance_check(S: Rotation, f: SampledSignal, grid_radius: float | None = None,
                             step: float = 0.25) -> float:
     """Max over a lambda grid of ||<M_S f | e_{S lambda}>| - |<f | e_lambda>||.

@@ -21,13 +21,14 @@ import criticalgabor.expansion as expansion
 import criticalgabor.gabor as gabor
 import criticalgabor.metaplectic as metaplectic
 import criticalgabor.numerics as numerics
-from criticalgabor import (THETA_TERMS, Rotation, SampledSignal, atom, dual_atoms, gabor_transform, hermite_signal,
+from criticalgabor import (THETA_TERMS, Rotation, atom, dual_atoms, gabor_transform, hermite_signal,
                            metaplectic_apply, theta)
 from criticalgabor.expansion import _REFINE_FACTOR, _extract_block, lattice_coefficients, sharp_series
 from criticalgabor.gabor import dual_mixing
 from criticalgabor.higher import default_sharp_nodes
-from criticalgabor.numerics import MEMO_SIZE, Memo, _chirp, _fft_length
+from criticalgabor.numerics import MEMO_SIZE, Memo
 from criticalgabor.zak import _midpoints, _zak_sum, zak_atom_field
+from support import factored_kernel_apply, factored_rotation_plan
 
 zak_module = sys.modules["criticalgabor.zak"]  # the package attribute `zak` is the function
 MEMOS = [(numerics, "_THETA_MEMO"), (zak_module, "_ZAK_SUM_MEMO"),
@@ -115,28 +116,11 @@ def old_gabor_transform(f, box, dlam):
     return out
 
 
-def old_rotation_plan(angle, f):
-    """The rotation kernel's chirp q and the FFT of its convolution kernel, built in the call."""
-    N = f.values.size
-    L = _fft_length(2 * N - 1)
-    w = _chirp(f.h ** 2 / -np.sin(angle), N)
-    kernel = np.zeros(L, dtype=complex)
-    kernel[:N] = w
-    kernel[L - N + 1:] = w[:0:-1]
-    return np.exp(1j * np.pi * np.tan(angle / 2.0) * f.x ** 2), np.fft.fft(kernel)
-
-
-def old_kernel_apply(angle, f):
-    q, kernel_fft = old_rotation_plan(angle, f)
-    conv = np.fft.ifft(np.fft.fft(q * f.values, kernel_fft.size) * kernel_fft)[:f.values.size]
-    return SampledSignal(f.T, f.h, (1j * -np.sin(angle)) ** -0.5 * f.h * q * conv)
-
-
 def old_rotation(angle, f):
     phi = angle % (2 * np.pi)
     if abs(np.sin(phi)) >= metaplectic._MIN_B:
-        return old_kernel_apply(phi, f).values
-    return old_kernel_apply(phi - np.pi / 2, old_kernel_apply(np.pi / 2, f)).values
+        return factored_kernel_apply(phi, f).values
+    return factored_kernel_apply(phi - np.pi / 2, factored_kernel_apply(np.pi / 2, f)).values
 
 
 def rotation_plan(angle):
@@ -195,7 +179,7 @@ CASES = {
     **{name: (lambda sig=sig, box=box, dlam=dlam: gabor_transform(sig(), box, dlam).values,
               lambda sig=sig, box=box, dlam=dlam: old_gabor_transform(sig(), box, dlam))
        for name, (sig, box, dlam) in TRANSFORMS.items()},
-    "rotation_plan": (lambda: rotation_plan(1.2), lambda: np.concatenate(old_rotation_plan(1.2, analysis_signal()))),
+    "rotation_plan": (lambda: rotation_plan(1.2), lambda: np.concatenate(factored_rotation_plan(1.2, analysis_signal()))),
     **{name: (lambda angle=angle: metaplectic_apply(Rotation(angle), analysis_signal()).values,
               lambda angle=angle: old_rotation(angle, analysis_signal()))
        for name, angle in ROTATIONS.items()},

@@ -7,8 +7,7 @@ from criticalgabor import (Disk, Rotation, SampledSignal, atom, commutation_chec
                            covariance_check, gabor_transform, hdelta_norm,
                            inner, loc_integral, metaplectic_apply)
 from criticalgabor.metaplectic import _MAX_ANGLE, _MIN_B
-from criticalgabor.numerics import _chirp, _fft_length
-from support import POOL, hdelta_invariance_check
+from support import POOL, factored_kernel_apply, hdelta_invariance_check
 
 T8, H64 = 8.0, 1.0 / 64.0
 _ANALYZE = POOL["analyze"]
@@ -160,21 +159,6 @@ class TestSmoothnessInvariance:
         outside = ~D.contains(np.column_stack([P.ravel(), Th.ravel()]))
         rhs = float(np.sum(np.abs(field.values.ravel()[outside]) ** 2) * (1 / 16) ** 2)
         assert lhs <= rhs + 1e-3
-
-
-def factored_kernel_apply(angle, f):
-    """The kernel sum as chirp, convolution, chirp: q = exp(pi i tan(angle/2) x^2) on both sides of the
-    convolution with w_k = exp(pi i h^2 k^2/b), taken by FFT at the 5-smooth length >= 2N - 1."""
-    b = -np.sin(angle)
-    N = f.values.size
-    L = _fft_length(2 * N - 1)
-    w = _chirp(f.h ** 2 / b, N)
-    kernel = np.zeros(L, dtype=complex)
-    kernel[:N] = w
-    kernel[L - N + 1:] = w[:0:-1]
-    q = np.exp(1j * np.pi * np.tan(angle / 2.0) * f.x ** 2)
-    conv = np.fft.ifft(np.fft.fft(q * f.values, L) * np.fft.fft(kernel))[:N]
-    return SampledSignal(f.T, f.h, (1j * b) ** -0.5 * f.h * q * conv)
 
 
 @pytest.mark.parametrize("angle", [e["angle"] for e in _ANALYZE], ids=[e["id"] for e in _ANALYZE])
