@@ -16,13 +16,11 @@ from .phaseplane import (Disk, Neighborhood, PhaseDomain, PhasePoint,
 from .gabor import (MAX_ORDER, SIGMA0, CoefficientSet, GaborField, atom, atom_inner,
                     field_synthesis, gabor_transform, synthesize, tail_mass,
                     vandermonde_inverse)
-from .zak import (ZakField, a_operator_zak, default_zak_size, sobolev_norm,
-                  wh_shift, zak, zak_atom_field, zak_inverse,
-                  zak_translate_check)
+from .zak import (ZakField, a_operator_zak, default_zak_size, wh_shift,
+                  zak, zak_atom_field, zak_inverse, zak_translate_check)
 from .expansion import (RelaxedExpansion, division_field, hdelta_norm,
                         reconstruct, relaxed_coefficients, seam_mismatch,
-                        sharp_functional, sharp_functional_zak, sharp_series,
-                        uniqueness_probe)
+                        sharp_functional, sharp_functional_zak, sharp_series)
 from .higher import (DualAtomSet, OrderMExpansion, annihilate, create,
                      decay_exponent, default_sharp_nodes, dual_atoms,
                      order_m_coefficients)

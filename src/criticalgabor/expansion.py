@@ -69,7 +69,10 @@ def hdelta_norm(f: SampledSignal, delta: float, box=DEFAULT_BOX,
     for the unit Gaussian window, Plancherel in theta and the window's second
     moment 1/(4 pi) in x and in xi give
     int (1 + |z|^2) |V f(z)|^2 dz = (1 + 1/(2 pi)) ||f||^2 + ||x f||^2 + ||f'||^2/(4 pi^2)
-    (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 3).  f' is
+    (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 3).  With
+    the ladder operator a f = x f + f'/(2 pi), Re <x f, f'> = -||f||^2/2 makes
+    this (1 + 1/pi) ||f||^2 + ||a f||^2, the form the Zak side reads, since
+    the Zak transform is unitary and carries a to `zak.a_operator_zak`.  f' is
     the spectral derivative, so f must be negligible at +-T, as for
     `spectral_derivative`.  `box` and `dlam` set the Gabor grid of every other
     delta and are unused at delta = 2.  There, a delta at which |lambda|^delta
@@ -245,18 +248,6 @@ def reconstruct(f: SampledSignal, R: int):
     rec = relaxed_coefficients(f, R).signal(f.T, f.h)
     err, scale = (f - rec).norm(), f.norm()
     return rec, err / scale if scale > 0 else err
-
-
-def uniqueness_probe(coeffs: CoefficientSet, T: float, h: float) -> float:
-    """Norm ratio ||sum c e||/(sum |c|^2)^{1/2} of a finite relaxed combination.
-
-    Bounded away from zero on the grid: the relaxed system has no approximate
-    null vectors at desk scale.
-    """
-    size = coeffs.l2()
-    if size == 0:
-        raise ValueError("uniqueness probe needs a nonzero coefficient vector")
-    return synthesize(coeffs, T, h).norm() / size
 
 
 def seam_mismatch(f_sharp: SampledSignal, terms: int = THETA_TERMS) -> float:

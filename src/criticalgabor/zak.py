@@ -207,38 +207,3 @@ def a_operator_zak(Z: ZakField) -> ZakField:
         - 2j * np.pi * xi * Z.values
     vals = (d_xi + 1j * d_y) / (2j * np.pi) + y * Z.values
     return ZakField(Z.N, vals)
-
-
-def _smooth_step(t: np.ndarray) -> np.ndarray:
-    """C-infinity transition 0 -> 1 on [0, 1]."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return a / (a + b)
-
-
-def sobolev_norm(Z: ZakField, delta: float) -> float:
-    """Discrete smoothness norm of a Zak field.
-
-    The field is extended by its boundary rules to a 2-periodic patch,
-    multiplied by a smooth cutoff equal to one on the fundamental square, and
-    measured through the Fourier multiplier (1 + |s| + |t|)^{delta/2}.
-    """
-    Z._one("sobolev_norm")
-    N = Z.N
-    # patch y, xi in [-1/2, 3/2), midpoints at resolution 1/N
-    idx = np.arange(2 * N) - N // 2
-    base = idx % N
-    wrap = (idx - base) // N  # integer offset: -1, 0 or 1
-    y_patch = (idx + 0.5) / N
-    # y-extension: Z(y + a, xi) = exp(-2 pi i a xi) Z(y, xi); xi-extension is periodic
-    V = Z.values[np.ix_(base, base)]
-    y_factor = np.exp(-2j * np.pi * np.outer(wrap, Z.xi[base]))
-    V = V * y_factor
-    cut = _smooth_step((y_patch + 3.0 / 8.0) / (3.0 / 8.0)) * _smooth_step((11.0 / 8.0 - y_patch) / (3.0 / 8.0))
-    V = V * np.outer(cut, cut)
-    spec = np.fft.fft2(V) / (2 * N) ** 2
-    s = np.fft.fftfreq(2 * N, d=1.0 / (2 * N)) / 2.0  # physical frequencies, patch period 2
-    weight = (1.0 + np.abs(s)[:, None] + np.abs(s)[None, :]) ** delta
-    return float(np.sqrt(np.sum(weight * np.abs(spec) ** 2) * 4.0))

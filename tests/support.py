@@ -1,6 +1,7 @@
-"""Helpers shared by the test modules: signal families, call counting, a user-defined
-domain and its nearest-distance search, the metaplectic kernel in its factored
-form, unmemoised, and the metaplectic smoothness check.
+"""Helpers shared by the test modules: signal families, the norm ratio of a relaxed
+combination, call counting, a user-defined domain and its nearest-distance search,
+the metaplectic kernel in its factored form, unmemoised, and the metaplectic
+smoothness check.
 
 A plain module, so that `from support import ...` finds it however many test
 folders, each with a conftest.py of its own, run in one session.
@@ -13,7 +14,8 @@ import sys
 
 import numpy as np
 
-from criticalgabor import Rotation, SampledSignal, gabor_transform, hermite_signal, metaplectic_apply
+from criticalgabor import (CoefficientSet, Rotation, SampledSignal, gabor_transform, hermite_signal,
+                           metaplectic_apply, synthesize)
 from criticalgabor.gabor import DEFAULT_MARGIN, _check_margin
 from criticalgabor.numerics import _chirp, _fft_length
 from criticalgabor.phaseplane import PhaseDomain
@@ -62,6 +64,14 @@ def random_smooth(rng, count=1, orders=8, T=T8, h=H64):
         a = a / np.linalg.norm(a)
         out.append(SampledSignal(T, h, sum(ai * b.values for ai, b in zip(a, basis))))
     return out
+
+
+def uniqueness_probe(coeffs: CoefficientSet, T: float, h: float) -> float:
+    """Norm ratio ||sum c e||/(sum |c|^2)^{1/2} of a finite relaxed combination; a zero vector is refused."""
+    size = coeffs.l2()
+    if size == 0:
+        raise ValueError("uniqueness probe needs a nonzero coefficient vector")
+    return synthesize(coeffs, T, h).norm() / size
 
 
 def pool_signal(spec, T=8.0, h=1.0 / 64.0):

@@ -13,8 +13,8 @@ import pytest
 
 import criticalgabor
 from criticalgabor import certainty, expansion
-from criticalgabor import (CoefficientSet, atom, default_zak_size, hermite_signal, numerics,
-                           order_m_coefficients, relaxed_coefficients, signal_from_csv)
+from criticalgabor import (CoefficientSet, atom, atom_inner, default_zak_size, hermite_signal, numerics,
+                           order_m_coefficients, relaxed_coefficients, sharp_point, signal_from_csv)
 from criticalgabor.cli import READS, RunConfig, _dump_json, build_parser, main
 
 
@@ -809,6 +809,16 @@ class TestVerify:
         moved = {name: (measured[name], g) for name, g in golden.items()
                  if abs(measured[name] - g) > 1e-12 * abs(g) + 1e-14}
         assert not moved
+
+    def test_uniqueness_floor_is_the_closed_form_gram_floor(self, workdir):
+        # the check reads sqrt(lambda_min) of the sampled Gram of the 5x5 lattice block and the
+        # sharp atom, which is the floor itself, not a minimum over random vectors
+        assert main(["verify", "--seed", "7", "--out", str(workdir / "u.json")]) == 0
+        checks = json.loads((workdir / "u.json").read_text())["checks"]
+        measured = next(c["measured"] for c in checks if c["name"] == "uniqueness_floor")
+        pts = [(k, j) for k in range(-2, 3) for j in range(-2, 3)] + [sharp_point()]
+        gram = np.array([[atom_inner(a, b) for b in pts] for a in pts])
+        assert measured == pytest.approx(np.sqrt(np.linalg.eigvalsh(gram)[0]), abs=1e-12)
 
     def test_tiny_q_fails_theta_check(self, workdir, capsys):
         rc = main(["verify", "--Q", "2", "--out", str(workdir / "rq.json")])

@@ -8,10 +8,9 @@ from criticalgabor import expansion
 from criticalgabor import (CoefficientSet, SampledSignal, atom, hdelta_norm,
                            hermite_signal, reconstruct, relaxed_coefficients,
                            seam_mismatch, sharp_functional,
-                           sharp_functional_zak, sharp_point, synthesize,
-                           uniqueness_probe)
+                           sharp_functional_zak, sharp_point, synthesize)
 from criticalgabor.gabor import atom_inner
-from support import random_smooth
+from support import random_smooth, uniqueness_probe
 
 T8, H64 = 8.0, 1.0 / 64.0
 
