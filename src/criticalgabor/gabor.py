@@ -78,7 +78,10 @@ def atom(lam, T: float = DEFAULT_T, h: float = DEFAULT_H) -> SampledSignal:
 
 
 def _check_margin(ps, T: float, margin: float):
-    """Every atom center p must keep `margin` units away from +-T; a NaN center or margin fails."""
+    """Every atom center p must keep `margin` units away from +-T; a NaN center or margin fails,
+    and a margin that is not >= 0 is refused."""
+    if not margin >= 0:
+        raise ValueError(f"atom margin must be >= 0 (margin {margin!r})")
     worst = float(np.max(np.abs(ps), initial=0.0))
     if not worst + margin <= T:
         raise ValueError(f"atom center p={worst} too close to the boundary T={T} (margin {margin})")

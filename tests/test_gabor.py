@@ -243,6 +243,13 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=r"\(margin nan\)"):
             synthesize(c, T8, H64, margin=math.nan)
 
+    @pytest.mark.parametrize("margin", [-3.0, -math.inf], ids=["minus3", "minus_inf"])
+    def test_negative_margin_rejected(self, margin):
+        # a negative margin once let a center past +-T through: 9.0e-7 of a unit atom at p = 10 on T = 8
+        c = CoefficientSet({(10, 0, False): 1.0})
+        with pytest.raises(ValueError, match=rf"atom margin must be >= 0 \(margin {margin!r}\)"):
+            synthesize(c, T8, H64, margin=margin)
+
 
 def midpoint_tail(coeffs: CoefficientSet, r: float, dlam: float) -> float:
     """tail_mass's measurement at another step: the Gabor mass of the series on the
