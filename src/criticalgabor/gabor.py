@@ -78,8 +78,7 @@ def atom(lam, T: float = DEFAULT_T, h: float = DEFAULT_H) -> SampledSignal:
 
 
 def _check_margin(ps, T: float, margin: float):
-    """Every atom center p must keep `margin` units away from +-T; a NaN center or margin fails,
-    and a margin that is not >= 0 is refused."""
+    """Every atom center p must keep `margin` >= 0 units away from +-T; a NaN center or margin fails."""
     if not margin >= 0:
         raise ValueError(f"atom margin must be >= 0 (margin {margin!r})")
     worst = float(np.max(np.abs(ps), initial=0.0))
