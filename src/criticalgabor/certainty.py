@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import _LOG_FLOAT_MAX, hdelta_norm, relaxed_coefficients
-from .gabor import (DEFAULT_BOX, MAX_ORDER, CoefficientSet, _STACK, _block_weights, _box_grids,
+from .gabor import (MAX_ORDER, CoefficientSet, _STACK, _block_weights, _box_grids,
                     _superpose_grid, gabor_transform, synthesize)
 from .higher import default_sharp_nodes, order_m_coefficients
 from .numerics import SampledSignal
@@ -175,7 +175,7 @@ def decompose(f: SampledSignal, K: PhaseDomain, r: float, m: int | None = None,
         raise ValueError(f"grid T={f.T} too small for D reaching {need}; need T >= {need + 2}")
     box = need + 2.0  # concentration's own box, as need + 2 <= T
     # the bound's factors r ** delta and hdelta_norm overflow at a large delta: refused before any expansion
-    hnorm = hdelta_norm(f, delta, box=min(f.T, DEFAULT_BOX))
+    hnorm = hdelta_norm(f, delta)
     if delta * np.log(r) > _LOG_FLOAT_MAX:
         raise ValueError(f"r ** delta = {r!r} ** {delta!r} passes the float range")
 

@@ -33,9 +33,9 @@ class RunConfig:
     margin: float = gabor.DEFAULT_MARGIN
     seed: int = 0
 
-    def validate(self, steps=("dlam", "decomp_dlam")):
-        """Raise ValueError on the first field out of range; `steps` are the phase steps held to
-        the step rule of the Gabor transform, those the command runs with."""
+    def validate(self, read=("dlam", "decomp_dlam", "box")):
+        """Raise ValueError on the first field out of range; of the phase steps and box, those in `read`,
+        the fields the command runs with, are held to the rules of the Gabor transform."""
         for f in fields(self):  # a float field takes a JSON integer too; a boolean is neither kind
             value, number = getattr(self, f.name), type(f.default) is float
             if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
@@ -56,12 +56,12 @@ class RunConfig:
             raise ValueError("config: Q must be >= 1")
         if self.dlam <= 0 or self.decomp_dlam <= 0:
             raise ValueError("config: phase-grid spacings must be positive")
-        for name in steps:  # the step rule of the Gabor transform, before it runs
+        for name in (name for name in ("dlam", "decomp_dlam") if name in read):  # the step rule, before it runs
             try:
                 gabor.step_periods(getattr(self, name), self.h, numerics._sample_count(self.T, self.h))
             except ValueError as exc:
                 raise ValueError(f"config: {name}: {exc}") from None
-        if self.box <= 0 or self.box > self.T + 1e-9:
+        if "box" in read and (self.box <= 0 or self.box > self.T + 1e-9):
             raise ValueError("config: phase box must lie within the grid, 0 < box <= T")
         if self.R < 0:
             raise ValueError("config: cutoff R must be >= 0")
@@ -85,7 +85,7 @@ class RunConfig:
 READS = {
     "analyze": ("T", "h", "dlam", "box", "delta"),
     "synthesize": ("T", "h", "margin"),
-    "expand": ("T", "h", "dlam", "box", "R", "delta", "m", "margin"),
+    "expand": ("T", "h", "R", "delta", "m", "margin"),
     "decompose": ("T", "h", "delta", "m", "r", "decomp_dlam"),
     "rotate": ("T", "h"),
     "theta": ("Q",),
@@ -116,7 +116,7 @@ def load_config(args, command: str) -> RunConfig:
         if value != f.default:
             raise ValueError(f"config: {command} cannot apply {f.name}={value!r}; "
                              f"it always runs with {f.name}={f.default!r}")
-    return RunConfig(**values).validate(steps=[name for name in ("dlam", "decomp_dlam") if name in read])
+    return RunConfig(**values).validate(read)
 
 
 def _add_config_flags(p: argparse.ArgumentParser, read):
@@ -161,7 +161,7 @@ def cmd_analyze(args, config: RunConfig) -> int:
     summary = {
         "config_hash": config.hash(),
         "norm": f.norm(),
-        "hdelta_norm": expansion.hdelta_norm(f, config.delta, config.box, config.dlam),
+        "hdelta_norm": expansion.hdelta_norm(f, config.delta),
         "parseval_ratio": field.mass() / f.norm() ** 2 if f.norm() > 0 else 0.0,
         "grid": {"T": f.T, "h": f.h, "samples": int(f.values.size)},
         "delta": config.delta,
@@ -179,14 +179,8 @@ def cmd_synthesize(args, config: RunConfig) -> int:
 
 
 def cmd_expand(args, config: RunConfig) -> int:
-    # box and dlam reach only the hdelta diagnostic, a moment sum with no phase grid at delta = 2
-    for name in ("box", "dlam"):
-        value, default = getattr(config, name), getattr(RunConfig, name)
-        if config.delta == 2 and value != default:
-            raise ValueError(f"config: expand cannot apply {name}={value!r} at delta = 2; "
-                             f"it runs with the default {name}={default!r} there")
     f = _load_signal(args.input, config)
-    hdelta = expansion.hdelta_norm(f, config.delta, config.box, config.dlam)  # refuses an overflowing delta
+    hdelta = expansion.hdelta_norm(f, config.delta)  # refuses an overflowing delta
     if config.m == 0:
         exp = expansion.relaxed_coefficients(f, config.R)
     else:

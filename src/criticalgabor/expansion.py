@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import CoefficientSet, DEFAULT_BOX, DEFAULT_DLAM, DEFAULT_MARGIN, _box_grids, gabor_transform, synthesize
+from .gabor import CoefficientSet, DEFAULT_DLAM, DEFAULT_MARGIN, _box_grids, _own_box, gabor_transform, synthesize
 from .numerics import (THETA_TERMS, Memo, SampledSignal, _fourier_derivative, array_key, stacked, theta,
                        upsample_periodic)
 from .phaseplane import sharp_point
@@ -61,8 +61,7 @@ def sharp_functional_zak(f: SampledSignal) -> complex:
     return val / (1j * THETA0)
 
 
-def hdelta_norm(f: SampledSignal, delta: float, box=DEFAULT_BOX,
-                dlam: float = DEFAULT_DLAM) -> float:
+def hdelta_norm(f: SampledSignal, delta: float, box=None, dlam: float = DEFAULT_DLAM) -> float:
     """Phase-space smoothness norm (int (|lambda|^delta + 1) |<f|e_lambda>|^2)^{1/2}.
 
     At delta = 2 the norm comes from three moments of f, with no transform:
@@ -74,9 +73,9 @@ def hdelta_norm(f: SampledSignal, delta: float, box=DEFAULT_BOX,
     this (1 + 1/pi) ||f||^2 + ||a f||^2, the form the Zak side reads, since
     the Zak transform is unitary and carries a to `zak.a_operator_zak`.  f' is
     the spectral derivative, so f must be negligible at +-T, as for
-    `spectral_derivative`.  `box` and `dlam` set the Gabor grid of every other
-    delta and are unused at delta = 2.  There, a delta at which |lambda|^delta
-    passes the float range on the grid raises ValueError before the transform.
+    `spectral_derivative`.  Every other delta reads a Gabor grid: `box`, by
+    default the signal's own (`_own_box`), and `dlam`; a delta at which
+    |lambda|^delta passes the float range on it raises ValueError first.
     """
     if not delta >= 0:  # a NaN fails it too
         raise ValueError(f"smoothness order must be >= 0, got {delta!r}")
@@ -85,6 +84,7 @@ def hdelta_norm(f: SampledSignal, delta: float, box=DEFAULT_BOX,
         slope = np.abs(_fourier_derivative(f.values, f.h)) ** 2
         return float(np.sqrt(f.h * np.sum((1.0 + 0.5 / np.pi + f.x ** 2) * power
                                           + slope / (4.0 * np.pi ** 2))))
+    box = _own_box(box, f.T)
     ps, ts = _box_grids(box, dlam)
     reach = float(np.hypot(np.max(np.abs(ps)), np.max(np.abs(ts))))  # the grid's largest |lambda|
     if reach > 1.0 and delta * np.log(reach) > _LOG_FLOAT_MAX:
@@ -236,8 +236,6 @@ def relaxed_coefficients(f: SampledSignal, R: int, *, sharp_node: tuple[int, int
     """
     from .higher import _expand  # higher imports this module
 
-    if R < 0:
-        raise ValueError("cutoff must be >= 0")
     k0, j0 = int(sharp_node[0]), int(sharp_node[1])
     [(block, coeffs)] = _expand([f], [sharp_point(k0, j0)], R)
     return RelaxedExpansion((-1) ** j0 * block[0], (k0, j0), coeffs, R)

@@ -128,6 +128,11 @@ class GaborField:
                     fh.write(f"{float(p)!r},{float(t)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 
 
+def _own_box(box, T: float):
+    """`box`, or when it is None the signal's own phase box b = min(T, DEFAULT_BOX): the one default."""
+    return min(T, DEFAULT_BOX) if box is None else box
+
+
 def _as_box(box):
     """A phase box (pmin, pmax, tmin, tmax); a scalar b stands for (-b, b, -b, b)."""
     return (-box, box, -box, box) if np.isscalar(box) else tuple(box)
@@ -189,7 +194,7 @@ def step_periods(dlam: float, h: float, N: int) -> tuple[int, int, int, int, int
     return H, a, M, L, rate.numerator, rate.denominator
 
 
-def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLAM) -> GaborField:
+def gabor_transform(f: SampledSignal, box=None, dlam: float = DEFAULT_DLAM) -> GaborField:
     """Sample <f | e_lambda> on a rectangular grid of the phase plane, from the spectrum of f.
 
     The step must pass the rule of step_periods(); every other step raises
@@ -227,11 +232,11 @@ def gabor_transform(f: SampledSignal, box=DEFAULT_BOX, dlam: float = DEFAULT_DLA
     2 e^{-pi c^2} on a sample), and the xi-aliasing of the bins |m| > L/2 that
     the periodic sum folds back; about 1.5e-21 ||f|| at c = 4, T = 8,
     h = 1/64: far below the transform's own roundoff.
-    The box may not exceed the grid truncation |p| <= T; near the boundary the
-    atoms are themselves truncated, which is harmless for signals whose mass
-    stays well inside the grid.
+    The box, by default the signal's own (_own_box), may not exceed the grid
+    truncation |p| <= T; near the boundary the atoms are themselves truncated,
+    which is harmless for signals whose mass stays well inside the grid.
     """
-    ps, ts = _box_grids(box, dlam)
+    ps, ts = _box_grids(_own_box(box, f.T), dlam)
     if np.max(np.abs(ps)) > f.T + 1e-9:
         raise ValueError(f"phase box reaches p={np.max(np.abs(ps))}, beyond the grid T={f.T}")
     N = f.values.size
@@ -617,13 +622,13 @@ def synthesize(coeffs: CoefficientSet, T: float = DEFAULT_T, h: float = DEFAULT_
     return superpose(points, weights, T, h)
 
 
-def tail_mass(coeffs: CoefficientSet, r: float, box=DEFAULT_BOX,
+def tail_mass(coeffs: CoefficientSet, r: float, box=None,
               T: float = DEFAULT_T, h: float = DEFAULT_H):
     """Gabor mass of a lattice series outside the r-neighborhood of its support.
 
     Returns (measured, bound): the grid integral of |<g|e_mu>|^2 over the box
-    minus the neighborhood, at the phase step 1/8, and the guarantee
-    exp(-pi r^2) * sum |c|^2.
+    (by default the grid's own, _own_box) minus the neighborhood, at the phase
+    step 1/8, and the guarantee exp(-pi r^2) * sum |c|^2.
     """
     if r <= 0:
         raise ValueError("tail radius must be positive")
@@ -634,7 +639,7 @@ def tail_mass(coeffs: CoefficientSet, r: float, box=DEFAULT_BOX,
     dlam = 1.0 / 8.0
     # midpoint grid: boundary cells classify by center, so the measured tail
     # approaches the continuum value from below
-    pmin, pmax, tmin, tmax = _as_box(box)
+    pmin, pmax, tmin, tmax = _as_box(_own_box(box, T))
     field = gabor_transform(g, (pmin + dlam / 2, pmax - dlam / 2, tmin + dlam / 2, tmax - dlam / 2), dlam)
     support = UnionDomain([Disk(pt, 0.0) for pt in coeffs.points()])
     outside = ~Neighborhood(support, r).contains_grid(field.p_grid, field.theta_grid)

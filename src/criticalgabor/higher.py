@@ -126,6 +126,8 @@ def _expand(signals, nodes, R: int) -> list[tuple[list[complex], CoefficientSet]
     alive.  Each row's arithmetic is the single signal's, so every output
     equals that of a batch of one bit for bit.
     """
+    if R < 0:
+        raise ValueError("cutoff must be >= 0")
     out, duals, signals = [], None, iter(signals)
     while batch := list(islice(signals, _STACK)):
         if duals is None:

@@ -422,20 +422,20 @@ def test_analyze_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags):
     assert not Path("o.json").exists()
 
 
-@pytest.mark.parametrize("flags, shown", [
-    (["--r", "3"], refusal("expand", ["--r", "3"])),
-    (["--decomp-dlam", "0.25"], refusal("expand", ["--decomp-dlam", "0.25"])),
-    (["--seed", "5"], refusal("expand", ["--seed", "5"])),
-    (["--box", "6"], "box=6.0"),
-    (["--dlam", "0.125"], "dlam=0.125"),
-    (["--N", "16"], refusal("expand", ["--N", "16"])),
-    (["--no-refine"], refusal("expand", ["--no-refine"])),
-], ids=["r", "decomp_dlam", "seed", "box", "dlam", "N", "refine"])
-def test_expand_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags, shown):
-    # at the default delta = 2 the hdelta diagnostic is a moment sum, so box and dlam feed nothing
+@pytest.mark.parametrize("flags", unread_cases({"T", "h", "R", "delta", "m", "margin"}))
+def test_expand_rejects_unapplied_fields(workdir, monkeypatch, capsys, flags):
+    # the hdelta diagnostic runs on the signal's own phase box, so box and dlam would only change config_hash
     monkeypatch.chdir(workdir)
     assert main(["expand", "--input", "e0.csv", "--R", "3", "--out", "o.json"] + flags) == 2
-    assert shown in capsys.readouterr().err
+    assert refusal("expand", flags) in capsys.readouterr().err
+    assert not Path("o.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--box", "2"], FIELD_FLAGS["dlam"]], ids=["box", "dlam"])
+def test_expand_takes_no_phase_grid_off_delta_2(workdir, monkeypatch, capsys, flags):
+    monkeypatch.chdir(workdir)
+    assert main(["expand", "--input", "e0.csv", "--R", "3", "--delta", "1.5", "--out", "o.json"] + flags) == 2
+    assert refusal("expand", flags) in capsys.readouterr().err
     assert not Path("o.json").exists()
 
 
@@ -657,14 +657,40 @@ def test_a_config_file_key_the_command_does_not_apply_is_rejected(workdir, monke
     assert not Path("o.json").exists()
 
 
-def test_expand_applies_the_phase_box_off_delta_2(workdir, monkeypatch):
+@pytest.mark.parametrize("command, args", [
+    ("expand", ["--input", "h0t6.csv", "--R", "1", "--margin", "1", "--out", "o.json"]),
+    ("decompose", ["--input", "h0t6.csv", "--domain", "small.json", "--r", "3", "--m", "0", "--out", "o.json"]),
+    ("rotate", ["--input", "h0t6.csv", "--angle", "0.5", "--out", "o.json"]),
+    ("synthesize", ["--coeffs", "c.json", "--margin", "1", "--out", "o.json"]),
+], ids=["expand", "decompose", "rotate", "synthesize"])
+def test_a_command_that_reads_no_box_runs_below_t_8(workdir, monkeypatch, command, args):
+    # the box field's default 8 passes T = 6; only a command that reads the box holds it to the grid
     monkeypatch.chdir(workdir)
-    hdelta = {}
-    for box in ("8", "2"):
-        assert main(["expand", "--input", "e0.csv", "--R", "3", "--delta", "1.5", "--box", box,
-                     "--out", f"b{box}.json"]) == 0
-        hdelta[box] = json.loads(Path(f"b{box}.json").read_text())["diagnostics"]["hdelta"]
-    assert hdelta["2"] < hdelta["8"]
+    hermite_signal(0, 6.0, 1 / 64).to_csv("h0t6.csv")
+    Path("small.json").write_text(json.dumps({"type": "disk", "center": [0, 0], "radius": 0.5}))
+    assert main([command, "--T", "6"] + args) == 0
+    assert Path("o.json").exists()
+
+
+@pytest.mark.parametrize("T", [8.0, 6.0])
+def test_expand_hdelta_is_the_signals_own_norm(workdir, monkeypatch, T):
+    # off delta = 2 the diagnostic reads the Gabor grid of the signal's own box, as hdelta_norm's default
+    monkeypatch.chdir(workdir)
+    f = hermite_signal(2, T, 1 / 64)
+    f.to_csv("h2.csv")
+    assert main(["expand", "--input", "h2.csv", "--T", str(T), "--R", "1", "--delta", "1.5", "--margin", "1",
+                 "--out", "o.json"]) == 0
+    assert json.loads(Path("o.json").read_text())["diagnostics"]["hdelta"] == expansion.hdelta_norm(f, 1.5)
+
+
+def test_analyze_hdelta_is_the_signals_own_norm(workdir, monkeypatch):
+    # --box and --dlam set the field and parseval_ratio; the summary's hdelta_norm stays the signal's own
+    monkeypatch.chdir(workdir)
+    assert main(["analyze", "--input", "h0.csv", "--delta", "1.5", "--box", "1", "--dlam", "0.125",
+                 "--out-summary", "o.json"]) == 0
+    summary = json.loads(Path("o.json").read_text())
+    assert summary["hdelta_norm"] == expansion.hdelta_norm(hermite_signal(0), 1.5)
+    assert summary["parseval_ratio"] < 0.99  # the box 1 holds only part of the mass
 
 
 class TestConfigFlags:

@@ -109,7 +109,7 @@ class TestRelaxedCoefficients:
         assert seam_mismatch(fs) < 1e-4
 
     def test_negative_cutoff_rejected(self, hermites):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
             relaxed_coefficients(hermites[0], R=-1)
 
 

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from criticalgabor import (CoefficientSet, Disk, GaborField, Neighborhood, SampledSignal, SIGMA0,
                            UnionDomain, atom, atom_inner, field_synthesis, gabor_transform,
-                           inner, loc_integral, synthesize, tail_mass)
+                           hdelta_norm, inner, loc_integral, synthesize, tail_mass)
 
 from criticalgabor import gabor
 from criticalgabor.gabor import _superpose_grid
@@ -291,6 +291,27 @@ class TestTailMass:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             tail_mass(CoefficientSet({(0, 0, False): 1.0}), 0.0)
+
+
+class TestOwnBox:
+    # a phase box not given is the signal's own, b = min(T, 8): decided once, in gabor._own_box
+    @pytest.mark.parametrize("T", [8.0, 6.0, 4.0])
+    def test_default_box_is_the_signals_own(self, T):
+        f = atom((0.0, 0.3), T, H64)
+        c = CoefficientSet({(0, 0, False): 1.0, (0, 1, False): 0.5j})
+        b = min(T, 8.0)
+        assert np.array_equal(gabor_transform(f).values, gabor_transform(f, b).values)
+        assert gabor_transform(f).p_grid[-1] == b
+        assert hdelta_norm(f, 1.5) == hdelta_norm(f, 1.5, b)
+        assert tail_mass(c, 1.0, T=T) == tail_mass(c, 1.0, b, T=T)
+
+    def test_refusal_names_the_resolved_box(self):
+        with pytest.raises(ValueError, match=r"delta=1000\.0 on the phase box 6\.0"):
+            hdelta_norm(atom((0.0, 0.3), 6.0, H64), 1000.0)
+
+    def test_explicit_box_beyond_the_grid_still_rejected(self):
+        with pytest.raises(ValueError, match="beyond the grid T=6.0"):
+            tail_mass(CoefficientSet({(0, 0, False): 1.0}), 1.0, 8.0, T=6.0)
 
 
 def half_plane_mass(f: SampledSignal, q: float) -> float:

@@ -195,7 +195,20 @@ class TestOrderMExpansion:
                     c.set(k, j, complex(*rng.normal(size=2)))
             scale = c.l2()
             worst = min(worst, synthesize(c, T8, H64).norm() / scale)
-        assert worst > 0.05
+        # oracle floor: sqrt of the smallest Gram eigenvalue of the 11 unit syntheses
+        units = [CoefficientSet(sharp_block=list(np.eye(2)[i]), nodes=nodes) for i in range(2)]
+        for k in range(-1, 2):
+            for j in range(-1, 2):
+                units.append(CoefficientSet({(k, j, False): 1.0}))
+        A = np.array([synthesize(u, T8, H64).values for u in units])
+        floor = np.sqrt(np.linalg.eigvalsh(H64 * (A.conj() @ A.T))[0])
+        assert floor == pytest.approx(0.15433, abs=1e-5)
+        assert worst >= floor
+
+    def test_negative_cutoff_rejected(self, hermites):
+        # the one expansion core checks R, as relaxed_coefficients does
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            order_m_coefficients(hermites[2], 1, R=-1)
 
     def test_order_cap_and_node_count(self, hermites):
         with pytest.raises(ValueError):
