@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -33,46 +33,18 @@ class RunConfig:
     margin: float = gabor.DEFAULT_MARGIN
     seed: int = 0
 
-    def validate(self, read=("dlam", "decomp_dlam", "box")):
-        """Raise ValueError on the first field out of range; of the phase steps and box, those in `read`,
-        the fields the command runs with, are held to the rules of the Gabor transform."""
+    def validate(self, read=("box",)):
+        """Raise ValueError on a field of the wrong JSON type or not finite, or on a box <= 0 where the
+        command reads one (the transform takes a scalar box 0 as a one-point grid).  Every other range
+        rule is the library's, and the call that applies the field refuses it."""
         for f in fields(self):  # a float field takes a JSON integer too; a boolean is neither kind
             value, number = getattr(self, f.name), type(f.default) is float
             if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
                 raise ValueError(f"config: {f.name} must be {'a number' if number else 'an integer'}, got {value!r}")
             if number and not abs(value) <= sys.float_info.max:  # nan, inf or an integer past the float range
                 raise ValueError(f"config: {f.name} must be finite, got {value!r}")
-        if self.T <= 0 or self.h <= 0:
-            raise ValueError("config: T and h must be positive")
-        n = 2 * self.T / self.h
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError("config: 2T/h must be an integer")
-        if abs(self.T - round(self.T)) > 1e-9:
-            raise ValueError("config: T must be an integer (Zak and sharp sums need integer support)")
-        half = 0.5 / self.h
-        if abs(half - round(half)) > 1e-9:
-            raise ValueError("config: 1/(2h) must be an integer so half-integer points are sampled")
-        if self.Q < 1:
-            raise ValueError("config: Q must be >= 1")
-        if self.dlam <= 0 or self.decomp_dlam <= 0:
-            raise ValueError("config: phase-grid spacings must be positive")
-        for name in (name for name in ("dlam", "decomp_dlam") if name in read):  # the step rule, before it runs
-            try:
-                gabor.step_periods(getattr(self, name), self.h, numerics._sample_count(self.T, self.h))
-            except ValueError as exc:
-                raise ValueError(f"config: {name}: {exc}") from None
-        if "box" in read and (self.box <= 0 or self.box > self.T + 1e-9):
-            raise ValueError("config: phase box must lie within the grid, 0 < box <= T")
-        if self.R < 0:
-            raise ValueError("config: cutoff R must be >= 0")
-        if self.delta < 0:
-            raise ValueError("config: delta must be >= 0")
-        if not (0 <= self.m <= higher.MAX_ORDER):
-            raise ValueError(f"config: m must be in 0..{higher.MAX_ORDER}")
-        if self.r <= 0:
-            raise ValueError("config: r must be positive")
-        if self.margin < 0:
-            raise ValueError("config: margin must be >= 0")
+        if "box" in read and not self.box > 0:
+            raise ValueError(f"config: phase box must be positive, got box={self.box!r}")
         return self
 
     def hash(self) -> str:
@@ -116,7 +88,13 @@ def load_config(args, command: str) -> RunConfig:
         if value != f.default:
             raise ValueError(f"config: {command} cannot apply {f.name}={value!r}; "
                              f"it always runs with {f.name}={f.default!r}")
-    return RunConfig(**values).validate(read)
+    config = RunConfig(**values).validate(read)
+    # a read field that no flag or file set takes the library's default for the call that applies it,
+    # the signal's own phase box and decompose's order from r, so that config_hash names what ran
+    own = {"box": float(gabor._own_box(None, config.T))} if "box" in read else {}
+    if command == "decompose":
+        own["m"] = certainty.default_order(config.r)
+    return replace(config, **{name: value for name, value in own.items() if name not in values})
 
 
 def _add_config_flags(p: argparse.ArgumentParser, read):
@@ -156,8 +134,6 @@ def _load_signal(path, config: RunConfig) -> numerics.SampledSignal:
 def cmd_analyze(args, config: RunConfig) -> int:
     f = _load_signal(args.input, config)
     field = gabor.gabor_transform(f, config.box, config.dlam)
-    if args.out_field:
-        field.to_csv(args.out_field)
     summary = {
         "config_hash": config.hash(),
         "norm": f.norm(),
@@ -166,6 +142,8 @@ def cmd_analyze(args, config: RunConfig) -> int:
         "grid": {"T": f.T, "h": f.h, "samples": int(f.values.size)},
         "delta": config.delta,
     }
+    if args.out_field:
+        field.to_csv(args.out_field)
     _dump_json(summary, args.out_summary)
     return 0
 
@@ -186,7 +164,7 @@ def cmd_expand(args, config: RunConfig) -> int:
     else:
         exp = higher.order_m_coefficients(f, config.m, R=config.R)
     # residual diagnostics must synthesize atoms out to |p| = R
-    rec = exp.signal(f.T, f.h, max(0.0, min(config.margin, f.T - config.R)))
+    rec = exp.signal(f.T, f.h, min(config.margin, max(0.0, f.T - config.R)))
     coeffs = exp.full_coefficients()
     residual = (f - rec).norm() / f.norm() if f.norm() > 0 else 0.0
     payload = json.loads(coeffs.to_json())
@@ -227,6 +205,8 @@ def cmd_rotate(args, config: RunConfig) -> int:
 def cmd_theta(args, config: RunConfig) -> int:
     if args.z is None and args.x is None:
         raise ValueError("nothing to evaluate: pass --z RE,IM and/or --x X")
+    if args.z is None and config.Q != numerics.THETA_TERMS:  # I(x) is no series
+        raise ValueError(f"Q={config.Q} truncates theta(z) only, and no --z is given")
     if args.x is not None and not math.isfinite(args.x):  # before anything prints; I(x) is in [0, 1] else
         raise ValueError(f"--x must be finite, got {args.x}")
     if args.z is not None:

@@ -173,8 +173,7 @@ def step_periods(dlam: float, h: float, N: int) -> tuple[int, int, int, int, int
     - the p fold: with L the least multiple of M with L >= N - 1 + c/h,
       c = _REACH, the p step r = dlam/h = a H^2/M in samples gives
       r/L = b/M' in lowest terms, and M' <= 16 N.
-    gabor_transform() takes its periods from here, and the CLI checks its
-    phase steps here when it reads a config.
+    gabor_transform() takes its periods from here.
     """
     H = _samples_per_unit(h)
     if H is None:

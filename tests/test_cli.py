@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import criticalgabor
-from criticalgabor import certainty, expansion
-from criticalgabor import (CoefficientSet, atom, atom_inner, default_zak_size, hermite_signal, numerics,
-                           order_m_coefficients, relaxed_coefficients, sharp_point, signal_from_csv)
+from criticalgabor import certainty, expansion, verify
+from criticalgabor import (CoefficientSet, Disk, Rotation, atom, atom_inner, default_zak_size, gabor_transform,
+                           hermite_signal, metaplectic_apply, numerics, order_m_coefficients,
+                           relaxed_coefficients, sharp_point, signal_from_csv)
 from criticalgabor.cli import READS, RunConfig, _dump_json, build_parser, main
 
 
@@ -43,14 +44,6 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"h={h} has no even Zak midpoint grid"):
                 default_zak_size(h)
         assert default_zak_size(1.0 / 64.0) == 32 and default_zak_size(1.0 / 32.0) == 16
-
-    def test_order_cap(self):
-        with pytest.raises(ValueError, match="m must be"):
-            RunConfig(m=7).validate()
-
-    def test_box_inside_grid(self):
-        with pytest.raises(ValueError, match="box"):
-            RunConfig(box=9.0).validate()
 
     def test_unknown_field_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -253,7 +246,7 @@ class TestDecomposeRotate:
 
     @pytest.mark.parametrize("implicit, explicit", [
         (["--config", "m1.json", "--r", "3"], ["--m", "1", "--r", "3"]),
-        (["--r", "6"], ["--m", "0", "--r", "6"]),
+        (["--r", "6"], ["--m", "1", "--r", "6"]),
     ], ids=["m_from_config", "m_default"])
     def test_decompose_runs_the_hashed_order(self, workdir, monkeypatch, implicit, explicit):
         monkeypatch.chdir(workdir)
@@ -273,6 +266,7 @@ class TestDecomposeRotate:
     def test_a_step_off_1_over_h_runs_where_no_transform_runs(self, workdir, monkeypatch, command, h):
         # 98 fl(1/98) rounds to 1 - 2^-53, and the rule reads that h as 1/98; the 16-digit h
         # misses 1/98 by 4e-15 of it, so the rule refuses it, but only where a transform runs
+        # (test_a_range_rule_is_refused_by_the_call_that_applies_it[h_off_1_over_H])
         monkeypatch.chdir(workdir)
         hermite_signal(0, 8.0, h).to_csv("h98.csv")
         args = {"rotate": ["--input", "h98.csv", "--angle", "0.5", "--out", "o.csv"],
@@ -281,10 +275,6 @@ class TestDecomposeRotate:
         if command == "synthesize":
             want = atom((0, 0), 8.0, h).values + 0.5j * atom((1, 0), 8.0, h).values
             assert np.abs(signal_from_csv("o.csv").values - want).max() < 1e-12
-        if h != 1.0 / 98.0:
-            with pytest.raises(ValueError, match=r"config: dlam: sample step h=0\.0102040816326531 "):
-                RunConfig(h=h).validate()
-        RunConfig(h=1.0 / 98.0).validate()
 
     def test_a_csv_at_1_over_98_is_read_on_the_config_grid(self, workdir, monkeypatch):
         # the CSV's x[1] - x[0] reads h 34 ulps off 1/98; the grid match holds, so the
@@ -559,25 +549,88 @@ def test_verify_rejects_an_order_its_certainty_check_cannot_run(workdir, monkeyp
     assert calls == []
 
 
-@pytest.mark.parametrize("flag", ["--dlam", "--decomp-dlam"])
-def test_verify_refuses_a_step_with_no_period_before_any_check(workdir, monkeypatch, capsys, flag):
-    # the step rule is part of reading the config, so no check line is printed and the
-    # first checks (theta series) never run
+@pytest.fixture()
+def off_grids(workdir, monkeypatch):
+    """Signal CSVs on grids where some call refuses to run: T = 7.5, h = 1/66 (N = 33) and an h that
+    misses 1/98 by 4e-15 of itself."""
     monkeypatch.chdir(workdir)
-    calls = []
+    hermite_signal(0, 7.5, 1 / 64).to_csv("h75.csv")
+    hermite_signal(0, 8.0, 1 / 66).to_csv("h66.csv")
+    hermite_signal(0, 8.0, 0.0102040816326531).to_csv("h98.csv")
 
-    def spy(*args):
-        calls.append(args)
-        return series(*args)
 
-    series = numerics._theta_series
-    monkeypatch.setattr(numerics, "_theta_series", spy)
-    assert main(["verify", flag, "0.123456789", "--out", "o.json"]) == 2
+decomposing = ["decompose", "--input", "e0.csv", "--domain", "disk.json", "--out", "o.json"]
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["verify", "--T", "0", "--out", "o.json"], "atom center p=0.0 too close to the boundary T=0.0"),
+    (["verify", "--h", "0.03", "--out", "o.json"], "grid requires 2T/h integral, got T=8.0, h=0.03"),
+    (["expand", "--input", "h75.csv", "--T", "7.5", "--out", "o.json"], "sharp functional needs half-integer"),
+    (["expand", "--input", "h66.csv", "--h", repr(1 / 66), "--out", "o.json"],
+     f"grid step h={1 / 66!r} has no even Zak midpoint grid"),
+    (["verify", "--Q", "0", "--out", "o.json"], "theta truncation needs terms >= 1"),
+    (["theta", "--z", "0.5,0.5", "--Q", "0"], "theta truncation needs terms >= 1"),
+    (["analyze", "--input", "h0.csv", "--dlam", "0", "--out-summary", "o.json"], "phase step dlam=0.0 must be positive"),
+    (decomposing + ["--r", "3", "--decomp-dlam", "0"], "phase step dlam=0.0 must be positive"),
+    (["verify", "--dlam", "0.123456789", "--out", "o.json"], "phase step dlam=0.123456789 at h=0.015625"),
+    (["verify", "--decomp-dlam", "0.123456789", "--out", "o.json"], "phase step dlam=0.123456789 at h=0.015625"),
+    (["analyze", "--input", "h98.csv", "--h", "0.0102040816326531", "--out-summary", "o.json"],
+     "sample step h=0.0102040816326531 is no 1/H"),
+    (["analyze", "--input", "h0.csv", "--box", "9", "--out-summary", "o.json"],
+     "phase box reaches p=9.0, beyond the grid T=8.0"),
+    (["analyze", "--input", "h0.csv", "--box", "0", "--out-summary", "o.json"],
+     "config: phase box must be positive, got box=0.0"),
+    (["expand", "--input", "h0.csv", "--R", "-1", "--out", "o.json"], "cutoff must be >= 0"),
+    (["analyze", "--input", "h0.csv", "--delta", "-1", "--out-field", "f.csv"], "smoothness order must be >= 0"),
+    (decomposing + ["--r", "3", "--m", "7"], "order m=7 must be in 0..6"),
+    (decomposing + ["--r", "0"], "collar width r must be positive"),
+    (["expand", "--input", "h0.csv", "--margin", "-1", "--out", "o.json"], "atom margin must be >= 0"),
+], ids=["T_0", "h_off_2T", "T_fraction", "zak_grid_odd", "Q_0", "theta_Q_0", "dlam_0", "decomp_dlam_0",
+        "verify_dlam", "verify_decomp_dlam", "h_off_1_over_H", "box_9", "box_0", "R_negative",
+        "delta_negative", "m_7", "r_0", "margin_negative"])
+def test_a_range_rule_is_refused_by_the_call_that_applies_it(off_grids, capsys, argv, shown):
+    # the config holds types and finiteness, and a box > 0 where one is read; every other rule is the
+    # library's: the call that applies the field refuses it, with exit 2, before anything is printed
+    # or written (a field CSV too, which analyze writes only after its summary is computed)
+    before = set(Path(".").iterdir())
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert f"{flag[2:].replace('-', '_')}: phase step dlam=0.123456789" in captured.err
+    assert f"error: {shown}" in captured.err
     assert captured.out == ""
-    assert not Path("o.json").exists()
-    assert calls == []
+    assert set(Path(".").iterdir()) == before
+
+
+@pytest.mark.parametrize("command, T", [("analyze", 7.5), ("rotate", 7.5), ("analyze", 6.0)])
+def test_a_command_runs_on_every_grid_its_calls_take(workdir, monkeypatch, command, T):
+    # only the Zak and sharp sums need an integer T, and the field's default box is the signal's own,
+    # min(T, 8), so the transform and the rotation run at T = 7.5 and the transform at T = 6
+    monkeypatch.chdir(workdir)
+    hermite_signal(2, T, 1 / 64).to_csv("h.csv")
+    f = numerics.SampledSignal(T, 1 / 64, signal_from_csv("h.csv").values)
+    if command == "analyze":
+        assert main(["analyze", "--T", str(T), "--input", "h.csv", "--out-field", "o.csv",
+                     "--out-summary", "s.json"]) == 0
+        gabor_transform(f).to_csv("want.csv")
+        assert json.loads(Path("s.json").read_text())["config_hash"] == RunConfig(T=T, box=T).hash()
+    else:
+        assert main(["rotate", "--T", str(T), "--input", "h.csv", "--angle", "0.5", "--out", "o.csv"]) == 0
+        metaplectic_apply(Rotation(0.5), f).to_csv("want.csv")
+    assert Path("o.csv").read_bytes() == Path("want.csv").read_bytes()
+
+
+def test_decompose_runs_the_proofs_order_by_default(workdir, monkeypatch):
+    # without --m, decompose runs certainty.default_order(r), the order certainty.decompose takes
+    # itself: m = 1 at r = 6, and config_hash names it
+    monkeypatch.chdir(workdir)
+    atom((0.3, 0.2), 12.0, 1 / 64).to_csv("a12.csv")
+    Path("small.json").write_text(json.dumps({"type": "disk", "center": [0, 0], "radius": 0.5}))
+    assert main(["decompose", "--T", "12", "--r", "6", "--input", "a12.csv", "--domain", "small.json",
+                 "--out", "o.json"]) == 0
+    payload = json.loads(Path("o.json").read_text())
+    f = numerics.SampledSignal(12.0, 1 / 64, signal_from_csv("a12.csv").values)
+    assert payload["report"]["m"] == certainty.default_order(6.0) == 1
+    assert payload["report"] == certainty.decompose(f, Disk((0, 0), 0.5), 6.0).report
+    assert payload["config_hash"] == RunConfig(T=12.0, r=6.0, m=1).hash()
 
 
 @pytest.mark.parametrize("text, shown", [
@@ -739,6 +792,13 @@ class TestTheta:
         assert "1.2919960074815042" in out
         assert "0.5" in out
 
+    def test_q_without_z_is_refused(self, capsys):
+        # Q truncates the theta series only; I(x) would run and ignore it
+        assert main(["theta", "--x", "0.0", "--Q", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: Q=4 truncates theta(z) only" in captured.err
+        assert main(["theta", "--x", "0.0", "--Q", "8"]) == 0  # the default truncation
+
     def test_nothing_to_do(self, capsys):
         assert main(["theta"]) == 2
         captured = capsys.readouterr()
@@ -845,6 +905,20 @@ class TestVerify:
         pts = [(k, j) for k in range(-2, 3) for j in range(-2, 3)] + [sharp_point()]
         gram = np.array([[atom_inner(a, b) for b in pts] for a in pts])
         assert measured == pytest.approx(np.sqrt(np.linalg.eigvalsh(gram)[0]), abs=1e-12)
+
+    def test_seeded_run_below_t_8_takes_the_signals_own_box(self, workdir):
+        assert main(["verify", "--T", "7", "--seed", "7", "--out", str(workdir / "t7.json")]) == 0
+        report = json.loads((workdir / "t7.json").read_text())
+        assert report["config"]["box"] == 7.0
+        assert len(report["checks"]) == 33 and report["all_passed"]
+
+    @pytest.mark.parametrize("Q", [8, 4, 1])
+    def test_theta_zero_count_counts_the_zeros_inside(self, Q):
+        # the winding number behind theta_zeros_per_cell: two cells hold two zeros, a square
+        # off the zero holds none
+        assert verify._zeros_in(0.0, 1.0, 0.0, 1.0, Q) == pytest.approx(1.0, abs=1e-12)
+        assert verify._zeros_in(0.0, 2.0, 0.0, 1.0, Q) == pytest.approx(2.0, abs=1e-12)
+        assert abs(verify._zeros_in(0.1, 0.4, 0.1, 0.4, Q)) < 1e-12
 
     def test_tiny_q_fails_theta_check(self, workdir, capsys):
         rc = main(["verify", "--Q", "2", "--out", str(workdir / "rq.json")])
