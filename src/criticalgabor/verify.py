@@ -24,11 +24,11 @@ def _record(name, measured, tol, larger_is_ok=False):
             "mode": "min" if larger_is_ok else "max", "passed": bool(passed)}
 
 
-def _zeros_in(x0, x1, y0, y1, Q, per_side=200) -> float:
+def _zeros_in(x0, x1, y0, y1, Q) -> float:
     """The number of zeros of theta(., Q) in the rectangle [x0, x1] x [y0, y1]: the winding number of
-    theta around its boundary, counterclockwise, summed from the phase steps between `per_side`
-    samples a side (a zero the samples never come near still counts)."""
-    s = np.arange(per_side) / per_side
+    theta around its boundary, counterclockwise, summed from the phase steps between 200 samples a
+    side (a zero the samples never come near still counts)."""
+    s = np.arange(200) / 200
     z = np.concatenate([x0 + (x1 - x0) * s + 1j * y0, x1 + 1j * (y0 + (y1 - y0) * s),
                         x1 - (x1 - x0) * s + 1j * y1, x0 + 1j * (y1 - (y1 - y0) * s)])
     v = numerics.theta(z, Q)
