@@ -717,7 +717,7 @@ def test_a_config_file_key_the_command_does_not_apply_is_rejected(workdir, monke
     ("synthesize", ["--coeffs", "c.json", "--margin", "1", "--out", "o.json"]),
 ], ids=["expand", "decompose", "rotate", "synthesize"])
 def test_a_command_that_reads_no_box_runs_below_t_8(workdir, monkeypatch, command, args):
-    # the box field's default 8 passes T = 6; only a command that reads the box holds it to the grid
+    # a command that reads no box runs below T = 8 at its defaults (one that reads it takes min(T, 8))
     monkeypatch.chdir(workdir)
     hermite_signal(0, 6.0, 1 / 64).to_csv("h0t6.csv")
     Path("small.json").write_text(json.dumps({"type": "disk", "center": [0, 0], "radius": 0.5}))
